@@ -65,13 +65,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GIPOWER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _state_report(cm: CovarianceMatrix, result) -> dict:
     nu_min, nu_plus = symplectic_eigenvalues(cm)
     return {
@@ -131,10 +124,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    threads = args.threads if args.threads is not None else _default_threads()
     lines = []
     if args.which == "fig2":
-        records = sample_figure2(rng, args.n, args.a_max, args.b_max, threads=threads)
+        records = sample_figure2(rng, args.n, args.a_max, args.b_max)
         lines.append("n_bar_A,P_G,separable,sql,heisenberg,a,b,c,d")
         for r in records:
             lines.append(",".join([
@@ -144,7 +136,7 @@ def cmd_sample(args) -> int:
                 _fmt(r.sf.a), _fmt(r.sf.b), _fmt(r.sf.c), _fmt(r.sf.d),
             ]))
     else:
-        records = sample_figure3(rng, args.n, args.a_max, args.b_max, threads=threads)
+        records = sample_figure3(rng, args.n, args.a_max, args.b_max)
         lines.append("E_N,ratio,nu_tilde,lower,upper,a,b,c,d")
         for r in records:
             nu = pt_min_symplectic_eigenvalue(r.sf.matrix())
@@ -215,8 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--a-max", type=float, default=5.0)
     p.add_argument("--b-max", type=float, default=5.0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: GIPOWER_THREADS or 1)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bounds", help="emit the boundary curves as CSV")

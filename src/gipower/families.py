@@ -8,7 +8,6 @@ extremal performance per mean photon number at fixed entanglement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,6 +16,8 @@ import numpy as np
 from .exceptions import InvalidStateError
 from .power import gip_closed_form
 from .symplectic import (
+    GATE_TOL,
+    MAX_DRAWS,
     StandardForm,
     from_standard_form,
     is_separable,
@@ -70,9 +71,7 @@ class SampleRecord:
 
 
 def _validated(sf: StandardForm, kind: str) -> StandardForm:
-    # Lenient gate: boundary-family states sit exactly on the bona fide
-    # surface and dip below by sqrt-amplified float noise near degeneracies.
-    report = validate_bona_fide(from_standard_form(sf), tol=1e-7)
+    report = validate_bona_fide(from_standard_form(sf), tol=GATE_TOL)
     if not report.physical:
         raise InvalidStateError(
             f"{kind} parameters give an unphysical state (nu_minus = {report.nu_min})"
@@ -259,11 +258,11 @@ def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.
     a, b are uniform on [1, a_max] x [1, b_max]; c is uniform on
     [0, ((a^2-1)(b^2-1))^(1/4)] (the pure-state correlation envelope);
     d is uniform on [-c, c]; draws failing the uncertainty relation are
-    rejected.
+    rejected, and InvalidStateError is raised after MAX_DRAWS draws.
     """
-    if a_max < 1 or b_max < 1:
-        raise InvalidStateError("a_max and b_max must be >= 1")
-    while True:
+    if not (a_max >= 1 and b_max >= 1 and np.isfinite(a_max * a_max * b_max * b_max)):
+        raise InvalidStateError(f"need a_max, b_max >= 1, a_max^2 b_max^2 finite: {a_max}, {b_max}")
+    for _ in range(MAX_DRAWS):
         a = rng.uniform(1.0, a_max)
         b = rng.uniform(1.0, b_max)
         c_max = ((a * a - 1) * (b * b - 1)) ** 0.25
@@ -272,6 +271,7 @@ def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.
         sf = StandardForm(a, b, c, d)
         if validate_bona_fide(sf.matrix()).physical:
             return sf
+    raise InvalidStateError(f"no physical state in {MAX_DRAWS} draws")
 
 
 def _record_from(sf: StandardForm) -> SampleRecord:
@@ -285,40 +285,34 @@ def _record_from(sf: StandardForm) -> SampleRecord:
     )
 
 
-def _sample_records(rng, n, a_max, b_max, threads, entangled_only):
+def _sample_records(rng, n, a_max, b_max, entangled_only):
     """n records from independent per-record substreams, sorted canonically.
 
-    Each record owns the i-th child stream spawned from rng, so the output
-    is reproducible for a given (rng state, n) regardless of thread count.
+    Record i draws from the i-th child stream spawned from rng, at most
+    MAX_DRAWS times; a draw is tested before its record is built.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
-    streams = rng.spawn(n)
 
-    def make(i: int) -> SampleRecord:
-        stream = streams[i]
-        while True:
+    def make(stream) -> SampleRecord:
+        for _ in range(MAX_DRAWS):
             sf = random_state(stream, a_max, b_max)
-            record = _record_from(sf)
-            if not entangled_only or not record.separable:
-                return record
+            if not entangled_only or not is_separable(sf.matrix()):
+                return _record_from(sf)
+        raise InvalidStateError(f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(make, range(n)))
-    else:
-        records = [make(i) for i in range(n)]
+    records = [make(stream) for stream in rng.spawn(n)]
     records.sort(key=lambda r: (r.sf.a, r.sf.b, r.sf.c, r.sf.d))
     return records
 
 
 def sample_figure2(rng: np.random.Generator, n: int, a_max: float = 5.0,
-                   b_max: float = 5.0, threads: int = 1) -> list[SampleRecord]:
+                   b_max: float = 5.0) -> list[SampleRecord]:
     """Random states with power, photon number and separability per record."""
-    return _sample_records(rng, n, a_max, b_max, threads, entangled_only=False)
+    return _sample_records(rng, n, a_max, b_max, entangled_only=False)
 
 
 def sample_figure3(rng: np.random.Generator, n: int, a_max: float = 5.0,
-                   b_max: float = 5.0, threads: int = 1) -> list[SampleRecord]:
+                   b_max: float = 5.0) -> list[SampleRecord]:
     """Entangled-only random states (for power-versus-entanglement data)."""
-    return _sample_records(rng, n, a_max, b_max, threads, entangled_only=True)
+    return _sample_records(rng, n, a_max, b_max, entangled_only=True)

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .exceptions import InvalidStateError, NumericalError, OptimizerError
-from .symplectic import OMEGA, CovarianceMatrix, _require_physical, _sigma_of, block_determinants
+from .symplectic import CHECK_TOL, OMEGA, PURE_TOL, CovarianceMatrix
+from .symplectic import _invariants, _require_physical, _sigma_of
 
 __all__ = [
     "BlackBoxParams",
@@ -32,9 +33,6 @@ __all__ = [
     "qfi",
     "worst_case_qfi",
 ]
-
-# |det sigma - 1| below this counts as pure (the closed-form singular set).
-PURE_TOL = 1e-7
 
 _EYE4 = np.eye(4)
 
@@ -127,12 +125,12 @@ def apply_blackbox(cm, params: BlackBoxParams) -> CovarianceMatrix:
     return CovarianceMatrix(t @ sigma @ t.T)
 
 
-def _purity_factor(sigma: np.ndarray):
-    """(nu-^2 - 1)(nu+^2 - 1) = D - (A + B + 2C) + 1, and D.
+def _purity_factor(A, B, C, E):
+    """(nu-^2 - 1)(nu+^2 - 1) = D - (A + B + 2C) + 1, and D, from (A, B, C, AB - D).
 
     Vanishes exactly on pure states; equals det(sigma + i*Omega).
     """
-    A, B, C, D = block_determinants(sigma)
+    D = A * B - E
     return D - (A + B + 2 * C) + 1, D
 
 
@@ -169,17 +167,17 @@ def _fidelity_core(s1, s2, lam1, lam2, both_pure, neg_tol=None):
     return np.where(both_pure, pure_f, general_f)
 
 
-def fidelity(cm1, cm2, tol: float = 1e-9) -> float:
+def fidelity(cm1, cm2, tol: float = CHECK_TOL) -> float:
     """Uhlmann fidelity between two physical two-mode Gaussian states.
 
     Symmetric in its arguments, bounded by [0, 1], with F(sigma, sigma) = 1.
     Raises InvalidStateError for unphysical input and NumericalError if the
     main radicand is negative beyond tolerance.
     """
-    s1 = _require_physical(cm1)
-    s2 = _require_physical(cm2)
-    lam1, d1 = _purity_factor(s1)
-    lam2, d2 = _purity_factor(s2)
+    s1, inv1 = _require_physical(cm1)
+    s2, inv2 = _require_physical(cm2)
+    lam1, d1 = _purity_factor(*inv1)
+    lam2, d2 = _purity_factor(*inv2)
     both_pure = abs(d1 - 1) < PURE_TOL and abs(d2 - 1) < PURE_TOL
     if lam1 * lam2 < -tol:
         raise NumericalError(f"purity product {lam1 * lam2} < -tol")
@@ -201,7 +199,7 @@ def _qfi_landscape(sigma, zeta, theta, base_step=1e-3, retry_step=1e-2, retry_re
     """
     zeta = np.asarray(zeta, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    lam0, d0 = _purity_factor(sigma)
+    lam0, d0 = _purity_factor(*_invariants(sigma))
     pure = abs(d0 - 1) < PURE_TOL
     m = _extend_A(squeeze(zeta) @ rotation(theta))
     anchored = m @ sigma @ np.swapaxes(m, -1, -2)
@@ -240,7 +238,7 @@ def qfi(cm, zeta: float, theta: float, base_step: float = 1e-3) -> QfiEstimate:
     between the black-box outputs at phase 0 and phase eps; the base phase
     drops out because the family's unitaries commute.
     """
-    sigma = _require_physical(cm)
+    sigma, _ = _require_physical(cm)
     if not (np.isfinite(zeta) and zeta > 0):
         raise InvalidStateError(f"squeezing parameter must be > 0, got {zeta}")
     if not np.isfinite(theta):
@@ -273,7 +271,7 @@ def worst_case_qfi(
     at_boundary flags an argmin on the log2 zeta search edge, where the
     reported value is the boundary value (no extrapolation is attempted).
     """
-    sigma = _require_physical(cm)
+    sigma, _ = _require_physical(cm)
     lo, hi = log2_zeta_range
     log2z = np.linspace(lo, hi, zeta_grid)
     thetas = np.linspace(0.0, np.pi, theta_grid, endpoint=False)

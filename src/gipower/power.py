@@ -9,6 +9,7 @@ handling of the pure-state singularity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,12 @@ import numpy as np
 from .exceptions import InvalidStateError, NumericalError
 from .fidelity import worst_case_qfi
 from .symplectic import (
+    CHECK_TOL,
+    DC_TOL,
+    PURE_TOL,
     LocalInvariants,
     StandardForm,
     _require_physical,
-    block_determinants,
     from_standard_form,
 )
 
@@ -34,20 +37,12 @@ __all__ = [
     "cross_validate",
 ]
 
-#: |D - 1| below this uses the exact pure-state value (A - 1)/4; the
-#: general formula is 0/0 there.
-PURE_TOL = 1e-7
-
-#: |Y| below this (non-pure) falls back to the numerical worst-case oracle.
-Y_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class IpResult:
     """Interferometric power with the evaluation branch and input invariants.
 
-    branch is one of "general", "pure", "special_dc" (the d = -+c shortcut)
-    or "fallback_oracle".
+    branch is one of "general", "pure" or "special_dc" (the d = -+c shortcut).
     """
 
     value: float
@@ -70,37 +65,40 @@ def closed_form_xyz(A, B, C, D):
 
     Plain arithmetic only, so exact input types (int, Fraction) stay exact.
     """
+    return _xyz(A, B, C, D, A * B - D)
+
+
+def _xyz(A, B, C, D, E):
+    # E = AB - D comes separately: Z stays accurate where AB and D nearly cancel.
     X = (A + C) * (1 + B + C - D) - D * D
     Y = (D - 1) * (1 + A + B + 2 * C + D)
-    Z = (A + D) * (A * B - D) + C * (2 * A + C) * (1 + B)
+    Z = (A + D) * E + C * (2 * A + C) * (1 + B)
     return X, Y, Z
 
 
-def gip_closed_form(cm, tol: float = 1e-9) -> IpResult:
+def gip_closed_form(cm, tol: float = CHECK_TOL) -> IpResult:
     """Interferometric power of a physical state via the closed formula.
 
-    General branch: (X + sqrt(X^2 + YZ)) / (2Y).  Pure states (|D - 1| <
-    PURE_TOL) use the exact limit (A - 1)/4; the measure-zero near-singular
-    set |Y| < Y_TOL (non-pure) defers to the numerical worst-case oracle
-    rather than a series expansion.
+    General branch: (X + sqrt(X^2 + YZ)) / (2Y), evaluated as
+    Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels.
+    Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.
     """
-    sigma = _require_physical(cm)
-    A, B, C, D = (float(v) for v in block_determinants(sigma))
+    _, (A, B, C, E) = _require_physical(cm)
+    D = A * B - E
     inv = LocalInvariants(A, B, C, D)
     if abs(D - 1) < PURE_TOL:
         return IpResult(value=(A - 1) / 4, branch="pure", invariants=inv)
-    X, Y, Z = closed_form_xyz(A, B, C, D)
-    if abs(Y) < Y_TOL:
-        oracle = worst_case_qfi(cm)
-        return IpResult(value=oracle.value / 4, branch="fallback_oracle", invariants=inv)
+    # Off the pure branch |Y| >= 4 PURE_TOL, since A + B + 2C >= 2.
+    X, Y, Z = _xyz(A, B, C, D, E)
     radicand = X * X + Y * Z
     if radicand < -tol * max(1.0, X * X):
         raise NumericalError(f"negative radicand {radicand} in closed formula")
-    value = (X + np.sqrt(max(radicand, 0.0))) / (2 * Y)
-    return IpResult(value=float(max(value, 0.0)), branch="general", invariants=inv)
+    root = math.sqrt(max(radicand, 0.0))
+    value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
+    return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
 
 
-def gip_special(sf: StandardForm, tol: float = 1e-9) -> float:
+def gip_special(sf: StandardForm, tol: float = DC_TOL) -> float:
     """Interferometric power of a standard-form state with d = -+c.
 
     Evaluates c^2 / (2(ab - c^2 +- 1)): plus sign for d = -c (squeezed
@@ -135,13 +133,10 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     shortcut when it applies (branch "special_dc")."""
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
-    cm = from_standard_form(sf)
-    A, B, C, D = (float(v) for v in block_determinants(cm.sigma))
-    if abs(D - 1) >= PURE_TOL and (abs(sf.d + sf.c) <= 1e-9 or abs(sf.d - sf.c) <= 1e-9):
-        _require_physical(cm)
-        inv = LocalInvariants(A, B, C, D)
-        return IpResult(value=gip_special(sf), branch="special_dc", invariants=inv)
-    return gip_closed_form(cm)
+    result = gip_closed_form(from_standard_form(sf))
+    if result.branch == "general" and min(abs(sf.d + sf.c), abs(sf.d - sf.c)) <= DC_TOL:
+        return IpResult(value=gip_special(sf), branch="special_dc", invariants=result.invariants)
+    return result
 
 
 def cross_validate(cm, tol: float = 1e-4) -> CrossValidation:

@@ -8,6 +8,7 @@ nu_minus >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,20 @@ _SWAP = np.zeros((4, 4))
 _SWAP[0, 2] = _SWAP[1, 3] = _SWAP[2, 0] = _SWAP[3, 1] = 1.0
 
 _ORDERING = "qA,pA,qB,pB"
+
+# Tolerances and budgets, in one table; the other modules import them.
+#: Default tolerance of the physicality, separability and consistency checks.
+CHECK_TOL = 1e-9
+#: Physicality gate of operation preconditions and family constructors:
+#: pure and boundary states that passed through any floating-point
+#: congruence sit up to ~1e-8 below the bona fide surface.
+GATE_TOL = 1e-7
+#: |D - 1| below this counts as pure; the general closed form is 0/0 there.
+PURE_TOL = 1e-7
+#: |d + c| or |d - c| below this selects the d = -+c closed-form shortcut.
+DC_TOL = 1e-9
+#: Rejection-sampling draws allowed per returned state.
+MAX_DRAWS = 10_000
 
 
 class CovarianceMatrix:
@@ -119,13 +134,12 @@ class StandardForm:
     d: float
 
     def __post_init__(self):
-        tol = 1e-9
         for name in ("a", "b", "c", "d"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidStateError(f"standard form has non-finite {name}")
-        if self.a < 1 - tol or self.b < 1 - tol:
+        if self.a < 1 - CHECK_TOL or self.b < 1 - CHECK_TOL:
             raise InvalidStateError(f"standard form requires a, b >= 1, got ({self.a}, {self.b})")
-        if self.c < abs(self.d) - tol:
+        if self.c < abs(self.d) - CHECK_TOL:
             raise InvalidStateError(f"standard form requires c >= |d|, got ({self.c}, {self.d})")
 
     def matrix(self) -> np.ndarray:
@@ -170,20 +184,39 @@ def _sigma_of(cm) -> np.ndarray:
     return CovarianceMatrix(cm).sigma
 
 
+def _invariants(sigma):
+    """Invariants (A, B, C, AB - D) by plain arithmetic on sigma's upper triangle.
+
+    AB - D = tr(alpha K beta K^T) - C^2 with K = -Omega gamma Omega, the
+    cofactor matrix of gamma: it vanishes with gamma instead of cancelling
+    between AB and D near product states.  Broadcasts over (..., 4, 4).
+    """
+    s = np.asarray(sigma, dtype=float)
+    s = s.tolist() if s.ndim == 2 else np.moveaxis(s, (-2, -1), (0, 1))
+    (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = s
+    A = s00 * s11 - s01 * s01
+    B = s22 * s33 - s23 * s23
+    C = s02 * s13 - s03 * s12
+    # K beta K^T, with rows (s13, -s12) and (-s03, s02) of K
+    m00 = s22 * s13 * s13 - 2 * s23 * s12 * s13 + s33 * s12 * s12
+    m11 = s22 * s03 * s03 - 2 * s23 * s02 * s03 + s33 * s02 * s02
+    m01 = s23 * (s12 * s03 + s13 * s02) - s22 * s13 * s03 - s33 * s12 * s02
+    E = s00 * m00 + 2 * s01 * m01 + s11 * m11 - C * C
+    return A, B, C, E
+
+
 def block_determinants(sigma: np.ndarray):
     """Determinants (A, B, C, D) of the mode blocks and the full matrix.
 
-    Works on stacked inputs of shape (..., 4, 4).
+    Works on stacked symmetric inputs of shape (..., 4, 4).
     """
-    A = np.linalg.det(sigma[..., :2, :2])
-    B = np.linalg.det(sigma[..., 2:, 2:])
-    C = np.linalg.det(sigma[..., :2, 2:])
-    D = np.linalg.det(sigma)
-    return A, B, C, D
+    A, B, C, E = _invariants(sigma)
+    return A, B, C, A * B - E
 
 
-def _nu_pair(sigma: np.ndarray, tol: float = 1e-9) -> tuple[float, float]:
-    A, B, C, D = block_determinants(sigma)
+def _nu_pair(A, B, C, E, tol: float = CHECK_TOL) -> tuple[float, float]:
+    """(nu-, nu+) from the invariants (A, B, C, AB - D); -C gives the partial transpose."""
+    D = A * B - E
     delta = A + B + 2 * C
     disc = delta * delta - 4 * D
     if disc < -tol:
@@ -192,14 +225,14 @@ def _nu_pair(sigma: np.ndarray, tol: float = 1e-9) -> tuple[float, float]:
     # them to zero avoids sqrt-amplified rounding in the eigenvalues.
     if disc < 1e-13 * (delta * delta + 4 * abs(D)):
         disc = 0.0
-    root = np.sqrt(disc)
+    root = math.sqrt(disc)
     # Small root via 2D/(delta + root): no cancellation when nu- << nu+.
     lo = 2 * D / (delta + root) if delta + root > 0 else 0.0
     hi = (delta + root) / 2
-    return np.sqrt(max(lo, 0.0)), np.sqrt(max(hi, 0.0))
+    return math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0))
 
 
-def symplectic_eigenvalues(cm, tol: float = 1e-9) -> tuple[float, float]:
+def symplectic_eigenvalues(cm, tol: float = CHECK_TOL) -> tuple[float, float]:
     """Symplectic eigenvalues (nu_minus, nu_plus) of a two-mode state.
 
     Computed from the invariants: nu^2 are the roots of
@@ -207,61 +240,50 @@ def symplectic_eigenvalues(cm, tol: float = 1e-9) -> tuple[float, float]:
     spectra on the physicality boundary) are clamped to zero; beyond -tol
     a NumericalError is raised.
     """
-    return _nu_pair(_sigma_of(cm), tol)
+    return _nu_pair(*_invariants(_sigma_of(cm)), tol)
 
 
-def validate_bona_fide(cm, tol: float = 1e-9) -> BonaFideReport:
+def validate_bona_fide(cm, tol: float = CHECK_TOL) -> BonaFideReport:
     """Check the uncertainty relation sigma + i*Omega >= 0.
 
     Returns a report carrying nu_minus; physical iff nu_minus >= 1 - tol.
     """
-    nu_min, _ = _nu_pair(_sigma_of(cm))
+    nu_min, _ = _nu_pair(*_invariants(_sigma_of(cm)))
     return BonaFideReport(physical=bool(nu_min >= 1 - tol), nu_min=nu_min)
 
 
-# Gate tolerance for operation preconditions.  Looser than the 1e-9
-# validation default: pure and boundary states that passed through any
-# floating-point congruence sit up to ~1e-8 below the bona fide surface
-# (degenerate-spectrum noise is sqrt-amplified).
-_PHYS_GATE_TOL = 1e-7
-
-
-def _require_physical(cm, tol: float = _PHYS_GATE_TOL) -> np.ndarray:
+def _require_physical(cm, tol: float = GATE_TOL):
+    """sigma and its invariants (A, B, C, AB - D), if nu_minus >= 1 - tol."""
     sigma = _sigma_of(cm)
-    nu_min, _ = _nu_pair(sigma)
+    inv = _invariants(sigma)
+    nu_min, _ = _nu_pair(*inv)
     if nu_min < 1 - tol:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu_min} < 1")
-    return sigma
+    return sigma, inv
 
 
 def local_invariants(cm) -> LocalInvariants:
     """Local symplectic invariants (A, B, C, D) of a covariance matrix."""
-    A, B, C, D = block_determinants(_sigma_of(cm))
-    return LocalInvariants(float(A), float(B), float(C), float(D))
+    return LocalInvariants(*block_determinants(_sigma_of(cm)))
 
 
-def to_standard_form(cm, tol: float = 1e-9) -> StandardForm:
+def to_standard_form(cm, tol: float = CHECK_TOL) -> StandardForm:
     """Reduce a physical state to standard form (a, b, c, d).
 
     The reduction is computed from the invariants rather than by explicit
     diagonalizing symplectics: a = sqrt(A), b = sqrt(B), and c^2, d^2 are
-    the roots of x^2 - Sx + C^2 with S = (AB + C^2 - D)/sqrt(AB); d carries
-    the sign of C (with d = 0 when C = 0), so c >= |d| >= 0.
+    the roots of x^2 - Sx + C^2 with S = (C^2 + (AB - D))/sqrt(AB); d
+    carries the sign of C (with d = 0 when C = 0), so c >= |d| >= 0.
     """
-    sigma = _require_physical(cm)
-    A, B, C, D = block_determinants(sigma)
-    a = np.sqrt(A)
-    b = np.sqrt(B)
-    S = (A * B + C * C - D) / np.sqrt(A * B)
+    _, (A, B, C, E) = _require_physical(cm)
+    S = (C * C + E) / math.sqrt(A * B)
     disc = S * S - 4 * C * C
     if disc < -tol:
         raise NumericalError(f"inconsistent invariants: root discriminant {disc} < -tol")
-    root = np.sqrt(max(disc, 0.0))
-    hi = max((S + root) / 2, 0.0)
-    lo = max((S - root) / 2, 0.0)
-    c = np.sqrt(hi)
-    d = np.sign(C) * np.sqrt(lo)
-    return StandardForm(float(a), float(b), float(c), float(d))
+    root = math.sqrt(max(disc, 0.0))
+    c = math.sqrt(max((S + root) / 2, 0.0))
+    d = np.sign(C) * math.sqrt(max((S - root) / 2, 0.0))
+    return StandardForm(math.sqrt(A), math.sqrt(B), c, float(d))
 
 
 def from_standard_form(sf: StandardForm) -> CovarianceMatrix:
@@ -277,26 +299,25 @@ def partial_transpose_B(cm) -> CovarianceMatrix:
     return CovarianceMatrix(_PT_B @ sigma @ _PT_B)
 
 
-def pt_min_symplectic_eigenvalue(cm, tol: float = 1e-9) -> float:
+def pt_min_symplectic_eigenvalue(cm, tol: float = CHECK_TOL) -> float:
     """Smallest symplectic eigenvalue of the partially transposed state.
 
     Equals sqrt((H - sqrt(H^2 - 4D))/2) with H = A + B - 2C; the state is
     separable iff this is >= 1 (PPT is necessary and sufficient for
     1x1-mode Gaussian states).
     """
-    sigma = _sigma_of(cm)
-    nu, _ = _nu_pair(_PT_B @ sigma @ _PT_B, tol)
-    return float(nu)
+    A, B, C, E = _invariants(_sigma_of(cm))
+    return _nu_pair(A, B, -C, E, tol)[0]
 
 
-def log_negativity(cm, tol: float = 1e-9) -> float:
+def log_negativity(cm, tol: float = CHECK_TOL) -> float:
     """Logarithmic negativity max{0, -ln nu_tilde} of a physical state."""
-    sigma = _require_physical(cm)
-    nu, _ = _nu_pair(_PT_B @ sigma @ _PT_B, tol)
-    return float(max(0.0, -np.log(nu)))
+    _, (A, B, C, E) = _require_physical(cm)
+    nu = _nu_pair(A, B, -C, E, tol)[0]
+    return max(0.0, -math.log(nu))
 
 
-def is_separable(cm, tol: float = 1e-9) -> bool:
+def is_separable(cm, tol: float = CHECK_TOL) -> bool:
     """True iff the partial transpose is physical (PPT criterion)."""
     return pt_min_symplectic_eigenvalue(cm, tol) >= 1 - tol
 

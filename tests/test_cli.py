@@ -130,26 +130,29 @@ class TestSample:
             )
             assert e_n > 0
 
-    def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
-        paths = [tmp_path / f"out{i}.csv" for i in range(3)]
-        run_cli(capsys, "sample", "--seed", "4", "--n", "30", "--which", "fig2",
-                "--out", str(paths[0]))
-        run_cli(capsys, "sample", "--seed", "4", "--n", "30", "--which", "fig2",
-                "--out", str(paths[1]))
-        run_cli(capsys, "sample", "--seed", "4", "--n", "30", "--which", "fig2",
-                "--out", str(paths[2]), "--threads", "4")
-        blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1] == blobs[2]
+    def test_byte_identical_across_runs(self, capsys, tmp_path):
+        paths = [tmp_path / f"out{i}.csv" for i in range(2)]
+        for path in paths:
+            run_cli(capsys, "sample", "--seed", "4", "--n", "30", "--which", "fig2",
+                    "--out", str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_thread_count_env_var(self, capsys, tmp_path, monkeypatch):
-        base = tmp_path / "base.csv"
-        via_env = tmp_path / "env.csv"
-        run_cli(capsys, "sample", "--seed", "8", "--n", "20", "--which", "fig3",
-                "--out", str(base))
-        monkeypatch.setenv("GIPOWER_THREADS", "3")
-        run_cli(capsys, "sample", "--seed", "8", "--n", "20", "--which", "fig3",
-                "--out", str(via_env))
-        assert base.read_bytes() == via_env.read_bytes()
+    @pytest.mark.parametrize("flags", [
+        ("--which", "fig3", "--a-max", "1", "--b-max", "1"),  # only product states
+        ("--which", "fig2", "--a-max", "nan"),
+        ("--which", "fig2", "--a-max", "inf"),
+        ("--which", "fig3", "--b-max", "1e200"),
+    ])
+    def test_bad_bounds_exit_2_without_traceback(self, tmp_path, flags):
+        result = subprocess.run(
+            [sys.executable, "-m", "gipower", "sample", "--seed", "1", "--n", "3",
+             "--out", str(tmp_path / "x.csv"), *flags],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: invalid input:")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestBounds:

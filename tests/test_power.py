@@ -28,6 +28,7 @@ from gipower import (
 )
 
 from conftest import random_physical_cm
+from oracles import closed_form_mp
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
@@ -58,6 +59,36 @@ class TestClosedForm:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
             gip_closed_form(np.diag([0.5, 0.5, 1.0, 1.0]))
+
+
+class TestClosedFormPrecision:
+    """Closed form against exact-rational invariants and a 50-digit root."""
+
+    @staticmethod
+    def max_rel_error(sigmas):
+        worst = 0.0
+        for sigma in sigmas:
+            reference = closed_form_mp(sigma)
+            worst = max(worst, abs(gip_closed_form(sigma).value - reference) / reference)
+        return worst
+
+    def test_random_states(self):
+        rng = np.random.default_rng(1406)
+        sigmas = [random_state(rng).matrix() for _ in range(2000)]
+        assert self.max_rel_error(sigmas) <= 1e-12
+
+    def test_conjugated_near_product_states(self):
+        # correlations scaled by 10^U(-6, 0): P_G spans about 1e-18 to 1
+        rng = np.random.default_rng(5857)
+        sigmas = []
+        for _ in range(1000):
+            sf = random_state(rng)
+            scale = 10.0 ** rng.uniform(-6.0, 0.0)
+            cm = from_standard_form(StandardForm(sf.a, sf.b, scale * sf.c, scale * sf.d))
+            cm = apply_local_symplectic(cm, random_local_symplectic(rng),
+                                        random_local_symplectic(rng))
+            sigmas.append(cm.sigma)
+        assert self.max_rel_error(sigmas) <= 1e-12
 
 
 class TestSpecialForm:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gipower import (
     OMEGA,
@@ -11,6 +13,7 @@ from gipower import (
     StandardForm,
     apply_local_symplectic,
     apply_loss_B,
+    block_determinants,
     from_standard_form,
     is_separable,
     local_invariants,
@@ -19,6 +22,7 @@ from gipower import (
     partial_transpose_B,
     pt_min_symplectic_eigenvalue,
     random_local_symplectic,
+    random_state,
     swap_modes,
     symplectic_eigenvalues,
     to_standard_form,
@@ -26,9 +30,10 @@ from gipower import (
     validate_bona_fide,
 )
 from gipower.fidelity import rotation
+from gipower.symplectic import _invariants
 
 from conftest import random_physical_cm
-from oracles import symplectic_spectrum_from_eigs
+from oracles import block_determinants_det, symplectic_spectrum_from_eigs
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
@@ -169,6 +174,44 @@ class TestLocalInvariants:
     def test_tmsv_pure(self):
         inv = local_invariants(from_standard_form(tmsv(2.0)))
         assert inv.astuple() == pytest.approx((4.0, 4.0, -3.0, 1.0), abs=1e-10)
+
+
+class TestInvariantKernel:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log10_corr=st.floats(-6.0, 0.0),
+        kick=st.booleans(),
+        transpose=st.booleans(),
+    )
+    def test_matches_determinant_reference(self, seed, log10_corr, kick, transpose):
+        rng = np.random.default_rng(seed)
+        sf = random_state(rng)
+        corr = 10.0**log10_corr
+        cm = from_standard_form(StandardForm(sf.a, sf.b, corr * sf.c, corr * sf.d))
+        if kick:
+            cm = apply_local_symplectic(
+                cm, random_local_symplectic(rng), random_local_symplectic(rng)
+            )
+        if transpose:
+            sigma, nu_min = partial_transpose_B(cm).sigma, pt_min_symplectic_eigenvalue(cm)
+        else:
+            sigma, nu_min = cm.sigma, symplectic_eigenvalues(cm)[0]
+        A, B, C, E = _invariants(sigma)
+        ref = block_determinants_det(sigma)
+        size = np.abs(sigma).max() ** 2
+        for got, want, degree in zip((A, B, C, A * B - E), ref, (1, 1, 1, 2)):
+            assert got == pytest.approx(want, abs=1e-12 * size**degree)
+        assert E >= 0
+        assert nu_min == pytest.approx(symplectic_spectrum_from_eigs(sigma)[0], abs=1e-9)
+
+    def test_block_determinants_broadcast(self, rng):
+        stack = np.stack([random_physical_cm(rng, conjugate=True).sigma for _ in range(6)])
+        stack = stack.reshape(2, 3, 4, 4)
+        got = np.stack(block_determinants(stack), axis=-1)
+        for idx in np.ndindex(2, 3):
+            size = np.abs(stack[idx]).max() ** 2
+            assert got[idx] == pytest.approx(block_determinants_det(stack[idx]), abs=1e-12 * size)
 
 
 class TestStandardFormReduction:
