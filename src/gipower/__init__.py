@@ -11,7 +11,6 @@ from .exceptions import (
     InvalidStateError,
     InvalidTransformError,
     NumericalError,
-    OptimizerError,
 )
 from .families import (
     FAMILY_KINDS,
@@ -38,7 +37,6 @@ from .families import (
 )
 from .fidelity import (
     BlackBoxParams,
-    QfiEstimate,
     WorstCaseResult,
     apply_blackbox,
     blackbox_symplectic,

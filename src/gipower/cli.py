@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from .exceptions import InvalidStateError, InvalidTransformError, NumericalError, OptimizerError
+from .exceptions import InvalidStateError, InvalidTransformError, NumericalError
 from .families import (
     FamilySpec,
     build_family,
@@ -102,6 +102,8 @@ def cmd_ip(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise InvalidStateError(f"state count must be >= 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_sf = None
@@ -234,7 +236,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NumericalError, OptimizerError) as exc:
+    except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

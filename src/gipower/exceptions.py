@@ -15,7 +15,3 @@ class InvalidTransformError(GipowerError, ValueError):
 
 class NumericalError(GipowerError, ArithmeticError):
     """A radicand or discriminant fell outside tolerance; result unreliable."""
-
-
-class OptimizerError(GipowerError, RuntimeError):
-    """The worst-case search produced no finite objective values."""

@@ -22,6 +22,7 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
+    _det,
     _require_physical,
     from_standard_form,
 )
@@ -81,10 +82,12 @@ def gip_closed_form(cm, tol: float = CHECK_TOL) -> IpResult:
 
     General branch: (X + sqrt(X^2 + YZ)) / (2Y), evaluated as
     Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels.
-    Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.
+    Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.  D
+    comes from sigma's Cholesky pivots and AB - D from the invariant
+    kernel, so neither is a difference of the other with AB.
     """
-    _, (A, B, C, E) = _require_physical(cm)
-    D = A * B - E
+    sigma, (A, B, C, E) = _require_physical(cm)
+    D = _det(sigma)
     inv = LocalInvariants(A, B, C, D)
     if abs(D - 1) < PURE_TOL:
         return IpResult(value=(A - 1) / 4, branch="pure", invariants=inv)
@@ -142,8 +145,11 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
 def cross_validate(cm, tol: float = 1e-4) -> CrossValidation:
     """Check the closed formula against the worst-case QFI optimizer.
 
-    Passes iff |closed - oracle/4| <= tol * max(1, closed).
+    Passes iff |closed - oracle/4| <= tol * max(1, closed); tol must be
+    finite and non-negative.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     closed = gip_closed_form(cm).value
     oracle = worst_case_qfi(cm).value / 4
     diff = abs(closed - oracle)

@@ -3,14 +3,14 @@
 Nothing here shares code with the library paths under test: fidelity goes
 through truncated Fock-basis density matrices, symplectic eigenvalues
 through the spectrum of i*Omega*sigma, local invariants through LU
-determinants, and the closed form through exact rational invariants.
+determinants, the closed form through exact rational invariants, and the
+QFI through a high-precision second difference of the Uhlmann fidelity.
 """
 
 from fractions import Fraction
 
 import mpmath
 import numpy as np
-import scipy.linalg
 
 from gipower.symplectic import OMEGA
 
@@ -21,11 +21,18 @@ def thermal_fock_populations(n_bar: float, dim: int) -> np.ndarray:
     return n_bar**n / (n_bar + 1) ** (n + 1)
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a symmetric PSD matrix via eigh; rounding-negative
+    eigenvalues are clipped to zero, so rank-deficient input is fine."""
+    lam, vec = np.linalg.eigh(m)
+    return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+
+
 def fock_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 of density matrices."""
-    sqrt1 = scipy.linalg.sqrtm(rho1)
-    inner = scipy.linalg.sqrtm(sqrt1 @ rho2 @ sqrt1)
-    return float(np.real(np.trace(inner)) ** 2)
+    sqrt1 = _psd_sqrt(rho1)
+    inner = _psd_sqrt(sqrt1 @ rho2 @ sqrt1)
+    return float(np.trace(inner) ** 2)
 
 
 def thermal_vs_vacuum_fidelity(n_bar: float, dim: int = 40) -> float:
@@ -81,3 +88,58 @@ def closed_form_mp(sigma: np.ndarray) -> float:
             return mpmath.mpf(q.numerator) / q.denominator
 
         return float((mp(X) + mpmath.sqrt(mp(X * X + Y * Z))) / (2 * mp(Y)))
+
+
+_OMEGA_MP = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+
+
+def _fidelity_mp(s1, s2, pure: bool):
+    """Uhlmann fidelity of two-mode Gaussian states (vacuum = identity), in mpmath.
+
+    F = (s + sqrt(s^2 - U))/U with s = sqrt(G) + sqrt(L), G = det(W s1 W s2 - I)/16,
+    L = det(s1 + iW) det(s2 + iW)/16 and U = det((s1 + s2)/2), W the symplectic
+    form (Marian and Marian, PRA 86, 022340, 2012).  For two pure states L = 0
+    and G = U, so F = 1/sqrt(U).
+    """
+    upsilon = mpmath.det((s1 + s2) / 2)
+    if pure:
+        return 1 / mpmath.sqrt(upsilon)
+    w = _OMEGA_MP
+    gamma = mpmath.det(w * s1 * w * s2 - mpmath.eye(4)) / 16
+    lam = (mpmath.det(s1 + 1j * w) * mpmath.det(s2 + 1j * w)).real / 16
+    s = mpmath.sqrt(gamma) + mpmath.sqrt(max(lam, 0))
+    return (s + mpmath.sqrt(max(s * s - upsilon, 0))) / upsilon
+
+
+def qfi_mp(sigma: np.ndarray, zeta: float, theta: float) -> float:
+    """QFI of the mode-A black box at (zeta, theta): -2 F''(0) to 60 digits.
+
+    sigma' = m sigma m^T with m = diag(zeta, 1/zeta) R(theta) on mode A is
+    compared with its rotation by +-eps, eps = 1e-12, and the symmetric
+    second difference -2 (F(eps) + F(-eps) - 2 F(0))/eps^2 is returned.
+    F(0) rather than 1 cancels the rounding of sigma's float entries.
+    States with |det sigma - 1| < 1e-13 take the pure-state fidelity.
+
+    60 digits, not 40: on a near-pure state (det sigma = 1 + delta) the
+    radicand s^2 - U is about delta^2/4, so a rounding error of 10^-dps in
+    it moves F by about 10^-dps/delta, against a second difference of order
+    eps^2 = 1e-24.  At delta = 1e-12 a 40-digit result is off by ~2e-5;
+    60 and 80 digits agree to the last float digit.
+    """
+    with mpmath.workdps(60):
+        eps = mpmath.mpf("1e-12")
+        z, th = mpmath.mpf(float(zeta)), mpmath.mpf(float(theta))
+
+        def rot(t):
+            c, s = mpmath.cos(t), mpmath.sin(t)
+            return mpmath.matrix([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+        exact = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in np.asarray(sigma)])
+        pure = abs(mpmath.det(exact) - 1) < mpmath.mpf("1e-13")
+        m = mpmath.diag([z, 1 / z, 1, 1]) * rot(th)
+        s0 = m * exact * m.T
+
+        def f(t):
+            return _fidelity_mp(s0, rot(t) * s0 * rot(t).T, pure)
+
+        return float(-2 * (f(eps) + f(-eps) - 2 * f(0)) / eps**2)

@@ -1,10 +1,14 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gipower import (
     CovarianceMatrix,
@@ -87,6 +91,17 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
         assert "max |closed - oracle|" in out
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", "-5"), ("--n", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_bad_count_or_tolerance_exit_2(self, capsys, flags):
+        args = {"--seed": "3", "--n": "2", **dict([flags])}
+        code = main(["verify", *(x for kv in args.items() for x in kv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: invalid input:")
+        assert "PASS" not in captured.out
 
 
 class TestSample:
@@ -208,6 +223,65 @@ class TestFamily:
         code, _ = run_cli(capsys, "family", "--kind", "tmsv", "--params", "abc",
                           "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+
+# Flag values for the fuzz test: numbers, extremes and junk.
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "3", "5", "0.5", "1e300", "-1e300",
+          "", "abc", "1,2", "--", "0x10"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "state.json").write_text(json.dumps(from_standard_form(tmsv(2.0)).to_dict()))
+    (d / "junk.json").write_text("{not json")
+    (d / "bad.json").write_text(json.dumps({"sigma": [[1, 2], [3, 4]]}))
+    return d
+
+
+@st.composite
+def cli_argv(draw, d):
+    """argv for ip, verify (n <= 3), sample (n <= 5) or bounds, from TOKENS.
+
+    Required flags are present in most draws and values are valid about
+    half the time, so many argv run; every other flag, and a stray one,
+    comes and goes.
+    """
+    value = st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(TOKENS))
+    out = st.sampled_from([str(d / "out"), str(d / "missing" / "out")])
+    command = draw(st.sampled_from(["ip", "verify", "sample", "bounds"]))
+    required, optional = {
+        "ip": ({"--a": value, "--b": value, "--c": value, "--d": value},
+               {"--out": out, "--input": st.sampled_from(
+                   [str(d / f) for f in ("state.json", "junk.json", "bad.json", "none")])}),
+        "verify": ({"--seed": value, "--n": st.sampled_from(["-1", "0", "1", "2", "3", "nan"])},
+                   {"--tol": value, "--a-max": value, "--b-max": value}),
+        "sample": ({"--seed": value, "--n": st.sampled_from(["-1", "0", "1", "3", "5", "nan"]),
+                    "--which": st.sampled_from(["fig2", "fig3", "fig4"]), "--out": out},
+                   {"--a-max": value, "--b-max": value}),
+        "bounds": ({"--grid": value, "--out": out}, {}),
+    }[command]
+    chosen = [f for f in required if draw(st.integers(0, 9))]  # each kept 9 times in 10
+    chosen += draw(st.lists(st.sampled_from(sorted(optional) + ["--bogus"]), unique=True))
+    argv = [command]
+    for flag in chosen:
+        argv += [flag, draw({**required, **optional}.get(flag, value))]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_code_and_no_traceback(self, fuzz_dir, data):
+        argv = data.draw(cli_argv(fuzz_dir))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects malformed argv with exit 2
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_module_entry_point():

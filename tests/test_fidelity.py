@@ -4,6 +4,7 @@ import pytest
 from gipower import (
     BlackBoxParams,
     InvalidStateError,
+    NumericalError,
     StandardForm,
     apply_blackbox,
     apply_local_symplectic,
@@ -11,6 +12,9 @@ from gipower import (
     fidelity,
     from_standard_form,
     local_invariants,
+    lower_branch1_state,
+    lower_branch2_state,
+    nu_zero,
     qfi,
     random_local_symplectic,
     rotation,
@@ -20,7 +24,7 @@ from gipower import (
 )
 
 from conftest import random_physical_cm
-from oracles import thermal_vs_vacuum_fidelity
+from oracles import qfi_mp, thermal_vs_vacuum_fidelity
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
@@ -131,6 +135,12 @@ class TestFidelity:
             cm = random_physical_cm(rng, conjugate=True)
             assert fidelity(cm, cm) == pytest.approx(1.0, abs=1e-10)
 
+    def test_self_fidelity_of_large_pure_states(self):
+        # the pure-pair switch needs det sigma = 1 to well under PURE_TOL
+        for a in np.geomspace(10.0, 1e3, 40):
+            cm = from_standard_form(tmsv(a))
+            assert fidelity(cm, cm) == pytest.approx(1.0, abs=1e-9), a
+
     def test_thermal_vs_vacuum_matches_fock_oracle(self):
         sigma1 = np.diag([3.0, 3.0, 1.0, 1.0])  # thermal n_bar = 1 on A
         expected = thermal_vs_vacuum_fidelity(n_bar=1.0, dim=40)
@@ -171,17 +181,14 @@ class TestFidelity:
 
 class TestQfi:
     def test_tmsv_example(self):
-        est = qfi(from_standard_form(tmsv(2.0)), zeta=1.0, theta=0.0)
-        assert est.value == pytest.approx(3.0, abs=1e-4)
-        assert np.isfinite(est.error_estimate)
+        assert qfi(from_standard_form(tmsv(2.0)), zeta=1.0, theta=0.0) == pytest.approx(3.0, abs=1e-4)
 
     def test_product_state_insensitive(self):
-        est = qfi(from_standard_form(StandardForm(2.0, 3.0, 0.0, 0.0)), zeta=1.0, theta=0.4)
-        assert est.value == pytest.approx(0.0, abs=1e-6)
+        value = qfi(from_standard_form(StandardForm(2.0, 3.0, 0.0, 0.0)), zeta=1.0, theta=0.4)
+        assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_standard_form_example(self):
-        est = qfi(from_standard_form(S231), zeta=1.0, theta=0.0)
-        assert est.value == pytest.approx(1 / 3, abs=1e-4)
+        assert qfi(from_standard_form(S231), zeta=1.0, theta=0.0) == pytest.approx(1 / 3, abs=1e-4)
 
     def test_base_point_independence(self, rng):
         # finite differences anchored at phi0, using only public pieces
@@ -197,20 +204,70 @@ class TestQfi:
 
             return (4 * second_diff(eps / 2) - second_diff(eps)) / 3
 
-        reference = qfi(cm, zeta, theta).value
+        reference = qfi(cm, zeta, theta)
         for phi0 in (0.0, 0.3, 1.0):
             assert qfi_from_base(phi0) == pytest.approx(reference, abs=1e-6)
 
     def test_value_clamped_nonnegative(self, rng):
         for _ in range(20):
-            est = qfi(random_physical_cm(rng), zeta=2 ** rng.uniform(-1, 1), theta=rng.uniform(0, np.pi))
-            assert est.value >= 0.0
+            value = qfi(random_physical_cm(rng), zeta=2 ** rng.uniform(-1, 1), theta=rng.uniform(0, np.pi))
+            assert value >= 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidStateError):
             qfi(np.diag([0.5, 0.5, 1.0, 1.0]), 1.0, 0.0)
         with pytest.raises(InvalidStateError):
             qfi(np.eye(4), -1.0, 0.0)
+
+    @pytest.mark.parametrize("zeta", [1e200, 1e-200])
+    def test_overflow_raises(self, zeta):
+        # zeta^4 beyond the float range: a NumericalError, never nan or inf
+        cm = from_standard_form(S231)
+        with pytest.raises(NumericalError):
+            qfi(cm, zeta, 0.3)
+        with pytest.raises(NumericalError):
+            worst_case_qfi(cm, log2_zeta_range=(-700.0, 700.0))
+
+
+def _reference_states(rng):
+    """(label, sigma) pairs: random, conjugated, pure, nu- = 1 and near-pure."""
+    for _ in range(60):
+        yield "random", random_physical_cm(rng).sigma
+    for _ in range(60):
+        yield "conjugated", random_physical_cm(rng, conjugate=True).sigma
+    pure = [from_standard_form(tmsv(a)).sigma for a in rng.uniform(1.0, 5.0, size=15)]
+    pure += [from_standard_form(lower_branch2_state(nu)).sigma for nu in rng.uniform(0.05, 0.95, size=15)]
+    for sigma in pure:
+        yield "pure", sigma
+    for nu in rng.uniform(nu_zero(), 0.95, size=30):
+        yield "nu- = 1", from_standard_form(lower_branch1_state(nu)).sigma
+    for delta in np.logspace(-12, -4, 9):
+        for sigma in pure[::3]:
+            yield f"near-pure {delta:.0e}", sigma * (1 + delta) ** 0.25
+
+
+class TestQfiAgainstReference:
+    def test_matches_mpmath_second_difference(self, rng):
+        states = list(_reference_states(rng))
+        assert len(states) >= 200
+        worst = (0.0, "")
+        for label, sigma in states:
+            zeta, theta = 2 ** rng.uniform(-2.5, 2.5), rng.uniform(0, np.pi)
+            expected = qfi_mp(sigma, zeta, theta)
+            worst = max(worst, (abs(qfi(sigma, zeta, theta) - expected) / expected, label))
+        assert worst[0] <= 1e-9, f"worst relative deviation {worst[0]:.2e} on a {worst[1]} state"
+
+    def test_locally_squeezed_inputs(self, rng):
+        # Local squeezing by z puts entries ~z^2 into sigma; it must not cost
+        # accuracy, including at the black box that undoes it (zeta = 1/z).
+        z = 10**1.5
+        for i in range(12):
+            s_a = rotation(rng.uniform(0, 2 * np.pi)) @ squeeze(z) @ rotation(rng.uniform(0, 2 * np.pi))
+            cm = apply_local_symplectic(random_physical_cm(rng), s_a, random_local_symplectic(rng))
+            zeta = 1 / z if i % 2 else 2 ** rng.uniform(-2.5, 2.5)
+            theta = rng.uniform(0, np.pi)
+            expected = qfi_mp(cm.sigma, zeta, theta)
+            assert qfi(cm, zeta, theta) == pytest.approx(expected, rel=1e-9)
 
 
 class TestWorstCase:

@@ -59,6 +59,16 @@ class TestClosedForm:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
             gip_closed_form(np.diag([0.5, 0.5, 1.0, 1.0]))
+        with pytest.raises(InvalidStateError):
+            gip_closed_form(-np.eye(4))
+
+    def test_large_pure_states(self):
+        # det sigma = 1 must hold to well under PURE_TOL; AB - (AB - D)
+        # loses ~eps a^4, which sends tmsv(300) to the general branch
+        for a in np.geomspace(10.0, 1e4, 60):
+            result = gip_closed_form(from_standard_form(tmsv(a)))
+            assert result.branch == "pure", a
+            assert result.value == pytest.approx(gip_pure(a), rel=1e-12)
 
 
 class TestClosedFormPrecision:
@@ -154,6 +164,11 @@ class TestCrossValidation:
         for _ in range(20):
             report = cross_validate(random_physical_cm(rng, conjugate=True), tol=1e-4)
             assert report.passed, report
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(InvalidStateError):
+            cross_validate(from_standard_form(tmsv(2.0)), tol=tol)
 
 
 class TestFaithfulness:

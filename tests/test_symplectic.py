@@ -15,9 +15,11 @@ from gipower import (
     apply_loss_B,
     block_determinants,
     from_standard_form,
+    gip_closed_form,
     is_separable,
     local_invariants,
     log_negativity,
+    lower_branch2_state,
     mean_photon_A,
     partial_transpose_B,
     pt_min_symplectic_eigenvalue,
@@ -156,6 +158,38 @@ class TestSymplecticEigenvalues:
             assert symplectic_eigenvalues(cm) == pytest.approx(
                 symplectic_spectrum_from_eigs(cm.sigma), abs=1e-9
             )
+
+    def test_pure_states_are_degenerate(self):
+        # nu- = nu+ = 1 on a pure state; a cancelling discriminant such as
+        # that of x^2 - (A + B + 2C) x + D misses it by ~sqrt(eps) a^2.
+        states = [tmsv(a) for a in np.geomspace(1.001, 1000.0, 200)]
+        states += [lower_branch2_state(nu) for nu in np.linspace(0.01, 0.99, 200)]
+        for sf in states:
+            nu_minus, nu_plus = symplectic_eigenvalues(from_standard_form(sf))
+            assert nu_minus == pytest.approx(1.0, abs=1e-9), sf
+            assert nu_plus == pytest.approx(1.0, abs=1e-9), sf
+
+    @pytest.mark.parametrize("cosh_2r", [10.0, 30.0, 100.0])
+    @pytest.mark.parametrize("nu_a, nu_b", [(1 - 1e-4, 1 + 1e-4), (1 - 1e-4, 1.0), (1 - 3e-5, 1 + 3e-5)])
+    def test_near_degenerate_unphysical_states(self, cosh_2r, nu_a, nu_b):
+        # Two-mode squeezed thermal state with symplectic eigenvalues
+        # (nu_a, nu_b): nu_a < 1 must show, however close nu_b is to it.
+        ch2, sh2 = (cosh_2r + 1) / 2, (cosh_2r - 1) / 2
+        c = (nu_a + nu_b) * math.sqrt(ch2 * sh2)
+        cm = from_standard_form(StandardForm(nu_a * ch2 + nu_b * sh2, nu_a * sh2 + nu_b * ch2, c, -c))
+        assert symplectic_eigenvalues(cm) == pytest.approx((nu_a, nu_b), abs=1e-9)
+        assert not validate_bona_fide(cm).physical
+        with pytest.raises(InvalidStateError):
+            gip_closed_form(cm)
+
+    def test_not_positive_definite(self):
+        # -I has the invariants of the vacuum
+        report = validate_bona_fide(-np.eye(4))
+        assert not report.physical and report.nu_min == 0.0
+        with pytest.raises(InvalidStateError):
+            symplectic_eigenvalues(-np.eye(4))
+        with pytest.raises(InvalidStateError):
+            pt_min_symplectic_eigenvalue(-np.eye(4))
 
 
 class TestLocalInvariants:
@@ -344,13 +378,11 @@ class TestLocalSymplectic:
             cm = from_standard_form(tmsv(a))
             assert abs(local_invariants(cm).D - 1) < 1e-9
             assert symplectic_eigenvalues(cm) == pytest.approx((1.0, 1.0), abs=1e-9)
-            # conjugation adds determinant noise, sqrt-amplified at the
-            # degenerate spectrum
             kicked = apply_local_symplectic(
                 cm, random_local_symplectic(rng), random_local_symplectic(rng)
             )
             assert abs(local_invariants(kicked).D - 1) < 1e-9
-            assert symplectic_eigenvalues(kicked) == pytest.approx((1.0, 1.0), abs=1e-6)
+            assert symplectic_eigenvalues(kicked) == pytest.approx((1.0, 1.0), abs=1e-9)
 
 
 class TestLossChannel:
