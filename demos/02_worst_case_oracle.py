@@ -2,7 +2,7 @@
 
 The power of a probe state is one quarter of the infimum of the quantum
 Fisher information over the unknown local dynamics (zeta, theta).  This
-script shows the QFI landscape for one state, runs the derivative-free
+script shows the QFI landscape for one state, runs the grid-plus-Newton
 minimizer, and cross-validates the closed formula against it on a batch
 of random states.
 """

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import InvalidStateError, NumericalError
 from .symplectic import CHECK_TOL, OMEGA, PURE_TOL, CovarianceMatrix
-from .symplectic import _det, _require_physical, _sigma_of
+from .symplectic import _det, _local_frame, _require_physical, _sigma_of
 
 __all__ = [
     "BlackBoxParams",
@@ -69,12 +68,18 @@ class BlackBoxParams:
 
 @dataclass(frozen=True)
 class WorstCaseResult:
-    """Minimum QFI over the black-box family and its argmin."""
+    """Minimum QFI over the black-box family and its argmin.
+
+    refine_steps counts the Newton steps of the refinement; converged is
+    False only if refine_budget of them ran out before the descent stopped.
+    """
 
     value: float
     zeta_opt: float
     theta_opt: float
     at_boundary: bool
+    refine_steps: int
+    converged: bool
 
 
 def rotation(phi) -> np.ndarray:
@@ -176,20 +181,6 @@ def fidelity(cm1, cm2, tol: float = CHECK_TOL) -> float:
     return float(f)
 
 
-def _unsqueeze(block) -> tuple[np.ndarray, np.ndarray]:
-    """(L, L^-1) for a 2x2 covariance block = sqrt(det block) L L^T.
-
-    L is the symmetric positive square root of block / sqrt(det block),
-    a symplectic: (N + I)/sqrt(tr N + 2) for N of unit determinant.
-    """
-    (b00, b01), (_, b11) = block.tolist()
-    scale = math.sqrt(b00 * b11 - b01 * b01)
-    n00, n01, n11 = b00 / scale, b01 / scale, b11 / scale
-    norm = math.sqrt(n00 + n11 + 2)
-    l00, l01, l11 = (n00 + 1) / norm, n01 / norm, (n11 + 1) / norm
-    return np.array([[l00, l01], [l01, l11]]), np.array([[l11, -l01], [-l01, l00]])
-
-
 def _qfi_form(sigma) -> tuple[list, list]:
     """(Q, T) as nested lists: the QFI at (zeta, theta) is h0^T Q h0, h0 = T h.
 
@@ -197,7 +188,7 @@ def _qfi_form(sigma) -> tuple[list, list]:
     which is sigma itself moved by the generator H = m^-1 G m in sp(2);
     H = p G + u Z + v X with h = (p, u, v) as in _qfi_at.  The QFI is taken
     in the local frame sigma0 = L^-1 sigma L^-T that makes both mode blocks
-    multiples of the identity (L = L_A (+) L_B from _unsqueeze), so local
+    multiples of the identity (L = L_A (+) L_B, symplectic._local_frame), so local
     squeezing of the input does not reach the conditioning of M below.  There
     the generator is L_A^-1 H L_A, with coefficients h0 = T h.
 
@@ -209,11 +200,7 @@ def _qfi_form(sigma) -> tuple[list, list]:
     eigenvalues unchanged, so dsigma has no component along them and the
     form stays exact on pure and nu- = 1 states.
     """
-    l_a, l_a_inv = _unsqueeze(sigma[:2, :2])
-    _, l_b_inv = _unsqueeze(sigma[2:, 2:])
-    frame_inv = np.zeros((4, 4))
-    frame_inv[:2, :2], frame_inv[2:, 2:] = l_a_inv, l_b_inv
-    sigma0 = frame_inv @ sigma @ frame_inv.T
+    l_a, l_a_inv, sigma0 = _local_frame(sigma)
     # Column k of T: the (G, Z, X) coefficients of L_A^-1 H_k L_A.
     k = l_a_inv @ _GENERATORS[:, :2, :2] @ l_a
     t = np.stack([(k[:, 1, 0] - k[:, 0, 1]) / 2, k[:, 0, 0], (k[:, 1, 0] + k[:, 0, 1]) / 2])
@@ -228,6 +215,13 @@ def _qfi_form(sigma) -> tuple[list, list]:
     return form.tolist(), t.tolist()
 
 
+def _lift(form, p, u, v):
+    """(h0, Q h0) as 3-lists for h = (p, u, v), h0 = T h; broadcasts."""
+    gram, t = form
+    h0 = [t0 * p + t1 * u + t2 * v for t0, t1, t2 in t]
+    return h0, [q0 * h0[0] + q1 * h0[1] + q2 * h0[2] for q0, q1, q2 in gram]
+
+
 def _qfi_at(form, zeta, theta):
     """h0^T Q h0 at (zeta, theta); broadcasts over stacked zeta and theta.
 
@@ -235,17 +229,10 @@ def _qfi_at(form, zeta, theta):
     on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2;
     h0 = T h carries them into the frame of _qfi_form.
     """
-    gram, t = form
     z2 = np.square(zeta)
     p, q = (z2 + 1 / z2) / 2, (z2 - 1 / z2) / 2
-    u, v = q * np.sin(2 * theta), q * np.cos(2 * theta)
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
-    x = t00 * p + t01 * u + t02 * v
-    y = t10 * p + t11 * u + t12 * v
-    z = t20 * p + t21 * u + t22 * v
-    (q00, q01, q02), (_, q11, q12), (_, _, q22) = gram
-    return (q00 * x * x + q11 * y * y + q22 * z * z
-            + 2 * (q01 * x * y + q02 * x * z + q12 * y * z))
+    h0, y = _lift(form, p, q * np.sin(2 * theta), q * np.cos(2 * theta))
+    return h0[0] * y[0] + h0[1] * y[1] + h0[2] * y[2]
 
 
 def qfi(cm, zeta: float, theta: float) -> float:
@@ -269,10 +256,103 @@ def qfi(cm, zeta: float, theta: float) -> float:
     return max(value, 0.0)
 
 
+# q = (zeta^2 - zeta^-2)/2 = sinh(_LN4 * log2 zeta): the sheet radius of zeta.
+_LN4 = math.log(4.0)
+# The refinement stops once the decrease a step predicts falls to this
+# fraction of the value; a point within _EDGE_RTOL of an edge radius sits on it.
+_DECREMENT_RTOL = 1e-15
+_EDGE_RTOL = 1e-12
+
+
+def _sheet_model(form, sheet, u, v):
+    """Value, gradient and Hessian (uu, uv, vv) of the QFI at h = (sqrt(1 + u^2 + v^2), u, v).
+
+    The value is h0^T Q h0 and the gradient comes from T^T Q h0 = P h, both
+    through h0 = T h as in _qfi_at, which cancels far less than h^T P h
+    when local squeezing of the input makes T large; the Hessian takes the
+    entries of sheet = P = T^T Q T.
+    """
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = sheet
+    p = math.sqrt(1 + u * u + v * v)
+    h0, y = _lift(form, p, u, v)
+    g0, g1, g2 = (t0 * y[0] + t1 * y[1] + t2 * y[2] for t0, t1, t2 in zip(*form[1]))
+    # dp/du, dp/dv, and g0 / p^3, the factor of g0 in the second derivatives of p
+    a, b, c = u / p, v / p, g0 / p**3
+    grad = (2 * (a * g0 + g1), 2 * (b * g0 + g2))
+    hess = (2 * (a * a * p00 + 2 * a * p01 + p11 + c * (1 + v * v)),
+            2 * (a * b * p00 + a * p02 + b * p01 + p12 - c * u * v),
+            2 * (b * b * p00 + 2 * b * p02 + p22 + c * (1 + u * u)))
+    return h0[0] * y[0] + h0[1] * y[1] + h0[2] * y[2], grad, hess
+
+
+def _clip(u, v, r_lo, r_hi):
+    """(u, v) moved radially into the annulus r_lo <= r <= r_hi, and the edge it is on, or None."""
+    r = math.hypot(u, v)
+    if r >= r_hi * (1 - _EDGE_RTOL):
+        edge = r_hi
+    elif r_lo > 0 and r <= r_lo * (1 + _EDGE_RTOL):
+        edge = r_lo
+    else:
+        return u, v, None
+    if r == 0.0:
+        return 0.0, edge, edge
+    return u * edge / r, v * edge / r, edge
+
+
+def _refine(form, sheet, u, v, r_lo, r_hi, budget):
+    """Damped Newton descent of the QFI over the annulus r_lo <= |(u, v)| <= r_hi of the sheet.
+
+    A Hessian that is not positive definite gives way to a gradient step
+    of length f/|grad f| (the value is >= 0).  A point on an edge whose
+    step would cross that edge moves along it instead, by the same rule in
+    the polar angle.  Each step is halved until the value drops.  The
+    descent has converged once the decrease a step predicts, its length
+    times the Newton decrement -grad f . step, is at most _DECREMENT_RTOL f:
+    the value cannot resolve more.  Returns (u, v, steps taken, converged);
+    converged is False only if refine_budget steps ran out.
+    """
+    u, v, edge = _clip(u, v, r_lo, r_hi)
+    f, (fu, fv), (huu, huv, hvv) = _sheet_model(form, sheet, u, v)
+    for steps in range(budget):
+        det = huu * hvv - huv * huv
+        if huu > 0 and det > 0:
+            du, dv = (huv * fv - hvv * fu) / det, (huv * fu - huu * fv) / det
+        else:
+            scale = f / (fu * fu + fv * fv) if fu or fv else 0.0
+            du, dv = -scale * fu, -scale * fv
+        r_new = math.hypot(u + du, v + dv)
+        along = (edge == r_hi and r_new > r_hi) or (edge == r_lo and r_new < r_lo)
+        if along:
+            # (u, v) = edge (sin a, cos a): d/da (u, v) = (v, -u), d^2/da^2 (u, v) = -(u, v)
+            fa = fu * v - fv * u
+            faa = huu * v * v - 2 * huv * u * v + hvv * u * u - (fu * u + fv * v)
+            da = -fa / faa if faa > 0 else (-f / fa if fa else 0.0)
+            decrement = -fa * da
+        else:
+            decrement = -(fu * du + fv * dv)
+        t = 1.0
+        while t * decrement > _DECREMENT_RTOL * abs(f):
+            if along:
+                cos, sin = math.cos(t * da), math.sin(t * da)
+                trial = (u * cos + v * sin, v * cos - u * sin, edge)
+            else:
+                trial = _clip(u + t * du, v + t * dv, r_lo, r_hi)
+            model = _sheet_model(form, sheet, trial[0], trial[1])
+            if model[0] < f:
+                break
+            t /= 2
+        else:
+            return u, v, steps, True
+        u, v, edge = trial
+        f, (fu, fv), (huu, huv, hvv) = model
+    return u, v, budget, False
+
+
 # Deterministic tie-breaking between indistinguishable minima: prefer
 # smallest theta, then smallest |log2 zeta| (zeta = 1 wins over any squeeze).
 # Candidates closer than this count as the same minimum: the landscape is
-# exact to ~1e-14, and Nelder-Mead stops within xatol of the argmin.
+# exact to ~1e-14, and the grid best, the refined point and its snaps
+# differ by far more than this unless they are one minimum.
 _TIE_REL = 1e-6
 
 
@@ -285,9 +365,13 @@ def worst_case_qfi(
 ) -> WorstCaseResult:
     """Infimum of the QFI over the local Gaussian black boxes on mode A.
 
-    Scans a coarse (log2 zeta) x theta grid, refines the best cell with a
-    Nelder-Mead simplex (theta wrapped mod pi, log2 zeta clamped to the
-    search range), and reports the minimum with its argmin.  Ties within
+    Scans a coarse (log2 zeta) x theta grid, then refines the best point
+    by at most refine_budget damped Newton steps on the sheet
+    (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
+    where the QFI is the quadratic form h^T P h and stays smooth through
+    zeta = 1.  The search window maps to the annulus of sheet radii q that
+    some log2 zeta in log2_zeta_range reaches, and the result maps back to
+    that log2 zeta.  Reports the minimum with its argmin; ties within
     relative tolerance are broken toward theta = 0, then zeta = 1.
     at_boundary flags an argmin on the log2 zeta search edge, where the
     reported value is the boundary value (no extrapolation is attempted).
@@ -308,17 +392,17 @@ def worst_case_qfi(
     best = np.lexsort((np.abs(lz_flat), th_flat, values))[0]
     grid_point = (float(lz_flat[best]), float(th_flat[best]))
 
-    def objective(x):
-        lz = min(max(float(x[0]), lo), hi)
-        return _qfi_at(form, 2.0**lz, float(x[1]) % np.pi)
-
-    result = minimize(
-        objective,
-        np.array(grid_point),
-        method="Nelder-Mead",
-        options={"maxfev": refine_budget, "xatol": 1e-7, "fatol": 1e-13},
-    )
-    refined = (min(max(result.x[0], lo), hi), result.x[1] % np.pi)
+    gram, t = np.array(form[0]), np.array(form[1])
+    s_lo = 0.0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    r_lo, r_hi = math.sinh(_LN4 * s_lo), math.sinh(_LN4 * max(abs(lo), abs(hi)))
+    q, angle = math.sinh(_LN4 * grid_point[0]), 2 * grid_point[1]
+    u, v, steps, converged = _refine(form, (t.T @ gram @ t).tolist(), q * math.sin(angle),
+                                     q * math.cos(angle), r_lo, r_hi, refine_budget)
+    # Back to (log2 zeta, theta): +s, or the twin -s if that lies closer to the window.
+    s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
+    if max(lo + s, -s - hi, 0.0) < max(lo - s, s - hi, 0.0):
+        s, half = -s, half + np.pi / 2
+    refined = (min(max(s, lo), hi), half % np.pi)
 
     # Candidate minima: grid best, refined point, canonical snaps, and the
     # exact twin (1/zeta, theta + pi/2) of the refined point.  The theta
@@ -331,15 +415,18 @@ def worst_case_qfi(
             continue
         for th in (th_r, (th_r + np.pi / 2) % np.pi, 0.0):
             candidates.add((lz, th))
-    scored = [(float(_qfi_at(form, 2.0**lz, th)), float(th), abs(lz), float(lz))
-              for lz, th in candidates]
-    v_min = min(s[0] for s in scored)
-    tie = [s for s in scored if s[0] <= v_min + _TIE_REL * max(1.0, v_min)]
-    _, theta_opt, _, lz_opt = min(tie, key=lambda s: (s[1], s[2]))
+    lz_c, th_c = np.array(sorted(candidates)).T
+    scores = _qfi_at(form, 2.0**lz_c, th_c)
+    v_min = float(scores.min())
+    tie = scores <= v_min + _TIE_REL * max(1.0, v_min)
+    pick = np.lexsort((np.abs(lz_c), th_c, ~tie))[0]
+    lz_opt = float(lz_c[pick])
 
     return WorstCaseResult(
         value=max(v_min, 0.0),
         zeta_opt=float(2.0**lz_opt),
-        theta_opt=float(theta_opt),
+        theta_opt=float(th_c[pick]),
         at_boundary=bool(abs(lz_opt - lo) < 1e-9 or abs(lz_opt - hi) < 1e-9),
+        refine_steps=steps,
+        converged=converged,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidStateError, InvalidTransformError, NumericalError
+from .exceptions import InvalidStateError, InvalidTransformError
 
 __all__ = [
     "OMEGA",
@@ -307,23 +307,50 @@ def local_invariants(cm) -> LocalInvariants:
     return LocalInvariants(*block_determinants(_sigma_of(cm)))
 
 
-def to_standard_form(cm, tol: float = CHECK_TOL) -> StandardForm:
+def _unsqueeze(block) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1) for a 2x2 covariance block = sqrt(det block) L L^T.
+
+    L is the symmetric positive square root of block / sqrt(det block),
+    a symplectic: (N + I)/sqrt(tr N + 2) for N of unit determinant.
+    """
+    (b00, b01), (_, b11) = block.tolist()
+    scale = math.sqrt(b00 * b11 - b01 * b01)
+    n00, n01, n11 = b00 / scale, b01 / scale, b11 / scale
+    norm = math.sqrt(n00 + n11 + 2)
+    l00, l01, l11 = (n00 + 1) / norm, n01 / norm, (n11 + 1) / norm
+    return np.array([[l00, l01], [l01, l11]]), np.array([[l11, -l01], [-l01, l00]])
+
+
+def _local_frame(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L_A, L_A^-1, sigma0) with sigma0 = L^-1 sigma L^-T, L = L_A (+) L_B from _unsqueeze.
+
+    The mode blocks of sigma0 are sqrt(A) I and sqrt(B) I, so local
+    squeezing of sigma does not reach whatever is computed from sigma0.
+    """
+    l_a, l_a_inv = _unsqueeze(sigma[:2, :2])
+    _, l_b_inv = _unsqueeze(sigma[2:, 2:])
+    frame_inv = np.zeros((4, 4))
+    frame_inv[:2, :2], frame_inv[2:, 2:] = l_a_inv, l_b_inv
+    return l_a, l_a_inv, frame_inv @ sigma @ frame_inv.T
+
+
+def to_standard_form(cm) -> StandardForm:
     """Reduce a physical state to standard form (a, b, c, d).
 
-    The reduction is computed from the invariants rather than by explicit
-    diagonalizing symplectics: a = sqrt(A), b = sqrt(B), and c^2, d^2 are
-    the roots of x^2 - Sx + C^2 with S = (C^2 + (AB - D))/sqrt(AB); d
-    carries the sign of C (with d = 0 when C = 0), so c >= |d| >= 0.
+    a = sqrt(A) and b = sqrt(B).  In the local frame of _local_frame the
+    correlation block [[p, q], [r, s]] has singular values c >= |d|, which
+    local rotations bring to diag(c, d): the larger and the smaller of
+    hypot(p + s, q - r) and hypot(p - s, q + r) are c + |d| and c - |d|,
+    and d takes the sign of the block's determinant C.  Both stay accurate
+    to ~eps c at c = |d| (pure states), a double root of
+    x^2 - (c^2 + d^2) x + C^2, whose roots lose ~sqrt(eps) c there.
     """
-    _, (A, B, C, E) = _require_physical(cm)
-    S = (C * C + E) / math.sqrt(A * B)
-    disc = S * S - 4 * C * C
-    if disc < -tol:
-        raise NumericalError(f"inconsistent invariants: root discriminant {disc} < -tol")
-    root = math.sqrt(max(disc, 0.0))
-    c = math.sqrt(max((S + root) / 2, 0.0))
-    d = np.sign(C) * math.sqrt(max((S - root) / 2, 0.0))
-    return StandardForm(math.sqrt(A), math.sqrt(B), c, float(d))
+    sigma, (A, B, _, _) = _require_physical(cm)
+    (p, q), (r, s) = _local_frame(sigma)[2][:2, 2:].tolist()
+    h_sum, h_diff = math.hypot(p + s, q - r), math.hypot(p - s, q + r)
+    c = (h_sum + h_diff) / 2
+    d = math.copysign(abs(h_sum - h_diff) / 2, p * s - q * r)
+    return StandardForm(math.sqrt(A), math.sqrt(B), c, d)
 
 
 def from_standard_form(sf: StandardForm) -> CovarianceMatrix:

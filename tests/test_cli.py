@@ -292,3 +292,12 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["value"] == pytest.approx(1 / 12, abs=1e-9)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing the package and its CLI loads no scipy
+    code = ("import sys, gipower, gipower.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,11 +23,12 @@ from gipower import (
     rotation,
     squeeze,
     tmsv,
+    upper_boundary_state,
     worst_case_qfi,
 )
 
 from conftest import random_physical_cm
-from oracles import qfi_mp, thermal_vs_vacuum_fidelity
+from oracles import closed_form_mp, qfi_mp, thermal_vs_vacuum_fidelity
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
@@ -301,3 +305,95 @@ class TestWorstCase:
         result = worst_case_qfi(from_standard_form(S231), log2_zeta_range=(0.5, 2.5))
         assert result.at_boundary
         assert result.zeta_opt == pytest.approx(2**0.5, rel=1e-9)
+
+    def test_mirrored_window(self):
+        # the twin (1/zeta, theta + pi/2) maps the window onto its mirror image
+        cm = from_standard_form(S231)
+        upper = worst_case_qfi(cm, log2_zeta_range=(0.5, 2.5))
+        lower = worst_case_qfi(cm, log2_zeta_range=(-2.5, -0.5))
+        assert lower.value == pytest.approx(upper.value, rel=1e-12)
+        assert lower.zeta_opt == pytest.approx(2**-0.5, rel=1e-9)
+        assert lower.at_boundary
+
+    def test_asymmetric_window_finds_interior_minimum(self, rng):
+        cm = from_standard_form(S231)
+        result = worst_case_qfi(cm, log2_zeta_range=(-1.0, 2.0))
+        assert result.value == pytest.approx(1 / 3, rel=1e-12)
+        assert (result.zeta_opt, result.theta_opt, result.at_boundary) == (1.0, 0.0, False)
+        for _ in range(20):
+            cm = random_physical_cm(rng, conjugate=True)
+            full = worst_case_qfi(cm)
+            if full.at_boundary or not -1 < math.log2(full.zeta_opt) < 2:
+                continue
+            narrowed = worst_case_qfi(cm, log2_zeta_range=(-1.0, 2.0))
+            assert narrowed.value == pytest.approx(full.value, rel=1e-12)
+            assert not narrowed.at_boundary
+
+    def test_window_holding_only_the_twin(self, rng):
+        # The argmin (zeta*, theta*) lies just outside the window and its twin
+        # (1/zeta*, theta* + pi/2) inside; the grid best may sit on the edge
+        # near the former, so the refinement has to reach the latter.
+        checked = 0
+        while checked < 20:
+            cm = random_physical_cm(rng, conjugate=True)
+            full = worst_case_qfi(cm)
+            lz = abs(math.log2(full.zeta_opt))
+            if full.at_boundary or lz < 0.3:
+                continue
+            checked += 1
+            narrowed = worst_case_qfi(cm, log2_zeta_range=(-lz - 0.4, lz - 0.03))
+            assert narrowed.value == pytest.approx(full.value, rel=1e-12)
+            assert narrowed.zeta_opt == pytest.approx(2**-lz, rel=1e-6)
+            assert not narrowed.at_boundary
+
+    def test_value_is_a_lower_bound_in_the_window(self, rng):
+        for i in range(100):
+            cm = random_physical_cm(rng, conjugate=True)
+            lo, hi = (-2.5, 2.5) if i % 2 else np.sort(rng.uniform(-3.0, 3.0, size=2))
+            result = worst_case_qfi(cm, log2_zeta_range=(lo, hi))
+            slack = 1e-12 * max(1.0, result.value)
+            for lz, theta in zip(rng.uniform(lo, hi, size=50), rng.uniform(0, np.pi, size=50)):
+                assert result.value <= qfi(cm, 2.0**lz, theta) + slack, (i, lz, theta)
+
+    def test_refinement_diagnostics(self, rng):
+        steps = []
+        for _ in range(50):
+            result = worst_case_qfi(random_physical_cm(rng, conjugate=True))
+            assert result.converged
+            steps.append(result.refine_steps)
+        for _ in range(20):  # a window of one zeta: the descent runs along a circle
+            pinned = worst_case_qfi(random_physical_cm(rng, conjugate=True),
+                                    log2_zeta_range=(1.0, 1.0))
+            assert pinned.converged
+            steps.append(pinned.refine_steps)
+        assert max(steps) <= 8
+        capped = worst_case_qfi(random_physical_cm(rng, conjugate=True), refine_budget=1)
+        assert capped.refine_steps <= 1
+
+
+def _pure_reference(sigma):
+    """(A - 1)/4 with A = det alpha exact; the closed form is 0/0 on pure states."""
+    (s00, s01), (_, s11) = (map(Fraction, row) for row in sigma[:2, :2].tolist())
+    return float((s00 * s11 - s01 * s01 - 1) / 4)
+
+
+class TestWorstCasePrecision:
+    def test_matches_closed_form_reference(self, rng):
+        # The oracle never reads (A, B, C, D); a 50-digit closed form checks it.
+        states = [("random", random_physical_cm(rng).sigma) for _ in range(80)]
+        states += [("conjugated", random_physical_cm(rng, conjugate=True).sigma)
+                   for _ in range(150)]
+        states += [("nu- = 1", from_standard_form(lower_branch1_state(nu)).sigma)
+                   for nu in rng.uniform(nu_zero(), 0.95, size=40)]
+        states += [("upper boundary", from_standard_form(upper_boundary_state(nu, 1e3)).sigma)
+                   for nu in rng.uniform(0.05, 0.95, size=40)]
+        pure = [tmsv(a) for a in rng.uniform(1.0, 5.0, size=20)]
+        pure += [lower_branch2_state(nu) for nu in rng.uniform(0.05, 0.95, size=20)]
+        states += [("pure", from_standard_form(sf).sigma) for sf in pure]
+        assert len(states) >= 300
+        worst = (0.0, "")
+        for label, sigma in states:
+            expected = _pure_reference(sigma) if label == "pure" else closed_form_mp(sigma)
+            error = abs(worst_case_qfi(sigma).value / 4 - expected) / max(1.0, expected)
+            worst = max(worst, (error, label))
+        assert worst[0] <= 1e-11, f"worst deviation {worst[0]:.2e} on a {worst[1]} state"

@@ -254,11 +254,11 @@ class TestStandardFormReduction:
         assert (sf.a, sf.b, sf.c, sf.d) == pytest.approx((2, 3, 1, -1), abs=1e-10)
 
     def test_recovers_after_local_rotations(self):
-        # c = |d| is a double root of the reduction quadratic, so c and d
-        # individually carry sqrt-amplified noise; the invariants do not.
+        # c = |d| here, a double root of x^2 - (c^2 + d^2) x + C^2; the
+        # reduction reads c and d off singular values instead of its roots.
         cm = apply_local_symplectic(from_standard_form(S231), rotation(0.3), rotation(-0.7))
         sf = to_standard_form(cm)
-        assert (sf.a, sf.b, sf.c, sf.d) == pytest.approx((2, 3, 1, -1), abs=1e-7)
+        assert (sf.a, sf.b, sf.c, sf.d) == pytest.approx((2, 3, 1, -1), abs=1e-12)
         inv = np.array(local_invariants(from_standard_form(sf)).astuple())
         assert np.allclose(inv, (4, 9, -1, 25), atol=1e-9 * 25)
 
@@ -276,6 +276,18 @@ class TestStandardFormReduction:
             inv0 = np.array(local_invariants(cm).astuple())
             inv1 = np.array(local_invariants(from_standard_form(sf)).astuple())
             assert np.allclose(inv0, inv1, atol=1e-9 * max(1, np.abs(inv0).max()))
+
+    def test_large_pure_states_round_trip(self, rng):
+        pure = [tmsv(a) for a in np.geomspace(1.001, 1e4, 60)]
+        pure += [lower_branch2_state(nu) for nu in np.linspace(0.01, 0.99, 60)]
+        for sf in pure:
+            cm = from_standard_form(sf)
+            kicked = apply_local_symplectic(cm, random_local_symplectic(rng),
+                                            random_local_symplectic(rng))
+            for state in (cm, kicked):
+                back = to_standard_form(state)
+                assert (back.a, back.b, back.c, back.d) == pytest.approx(
+                    (sf.a, sf.b, sf.c, sf.d), rel=1e-12), sf
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
