@@ -2,9 +2,10 @@
 
 The power of a probe state is one quarter of the infimum of the quantum
 Fisher information over the unknown local dynamics (zeta, theta).  This
-script shows the QFI landscape for one state, runs the grid-plus-Newton
-minimizer, and cross-validates the closed formula against it on a batch
-of random states.
+script shows the QFI landscape for one state, runs the exact minimizer
+(one 3x3 eigenvector of the QFI's quadratic form on its hyperboloid, or one
+quartic on a window edge), and cross-validates the closed formula against
+it on a batch of random states.
 """
 
 import numpy as np

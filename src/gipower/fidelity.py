@@ -70,16 +70,15 @@ class BlackBoxParams:
 class WorstCaseResult:
     """Minimum QFI over the black-box family and its argmin.
 
-    refine_steps counts the Newton steps of the refinement; converged is
-    False only if refine_budget of them ran out before the descent stopped.
+    value is the minimum over the search window; (zeta_opt, theta_opt) is
+    its canonical argmin, and at_boundary is True when that argmin lies on
+    an edge of the window's log2 zeta range.
     """
 
     value: float
     zeta_opt: float
     theta_opt: float
     at_boundary: bool
-    refine_steps: int
-    converged: bool
 
 
 def rotation(phi) -> np.ndarray:
@@ -215,13 +214,6 @@ def _qfi_form(sigma) -> tuple[list, list]:
     return form.tolist(), t.tolist()
 
 
-def _lift(form, p, u, v):
-    """(h0, Q h0) as 3-lists for h = (p, u, v), h0 = T h; broadcasts."""
-    gram, t = form
-    h0 = [t0 * p + t1 * u + t2 * v for t0, t1, t2 in t]
-    return h0, [q0 * h0[0] + q1 * h0[1] + q2 * h0[2] for q0, q1, q2 in gram]
-
-
 def _qfi_at(form, zeta, theta):
     """h0^T Q h0 at (zeta, theta); broadcasts over stacked zeta and theta.
 
@@ -229,204 +221,157 @@ def _qfi_at(form, zeta, theta):
     on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2;
     h0 = T h carries them into the frame of _qfi_form.
     """
+    gram, t = form
     z2 = np.square(zeta)
     p, q = (z2 + 1 / z2) / 2, (z2 - 1 / z2) / 2
-    h0, y = _lift(form, p, q * np.sin(2 * theta), q * np.cos(2 * theta))
+    u, v = q * np.sin(2 * theta), q * np.cos(2 * theta)
+    h0 = [t0 * p + t1 * u + t2 * v for t0, t1, t2 in t]
+    y = [q0 * h0[0] + q1 * h0[1] + q2 * h0[2] for q0, q1, q2 in gram]
     return h0[0] * y[0] + h0[1] * y[1] + h0[2] * y[2]
 
 
-def qfi(cm, zeta: float, theta: float) -> float:
+def qfi(cm, zeta, theta):
     """Quantum Fisher information of the black-box phase family at (zeta, theta).
 
     Defined as -2 d^2F/d_eps^2 at eps = 0 where F(eps) is the fidelity
     between the black-box outputs at phase 0 and phase eps; the base phase
     drops out because the family's unitaries commute.  Evaluated exactly
-    from the phase-space form of _qfi_form; raises NumericalError if the
-    value overflows (zeta^4 times the form beyond the float range).
+    from the phase-space form of _qfi_form, which is built once per call:
+    zeta and theta broadcast against each other, and array input returns
+    an array of values (a float for scalar input).  Every zeta must be
+    finite and positive and every theta finite (InvalidStateError); raises
+    NumericalError if a value overflows (zeta^4 times the form beyond the
+    float range).
     """
     sigma, _ = _require_physical(cm)
-    if not (np.isfinite(zeta) and zeta > 0):
-        raise InvalidStateError(f"squeezing parameter must be > 0, got {zeta}")
-    if not np.isfinite(theta):
-        raise InvalidStateError(f"orientation angle must be finite, got {theta}")
+    zeta, theta = np.asarray(zeta, dtype=float), np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(zeta) & (zeta > 0)):
+        raise InvalidStateError(f"squeezing parameters must be finite and > 0, got {zeta}")
+    if not np.all(np.isfinite(theta)):
+        raise InvalidStateError(f"orientation angles must be finite, got {theta}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = float(_qfi_at(_qfi_form(sigma), zeta, theta))
-    if not math.isfinite(value):
+        value = np.maximum(_qfi_at(_qfi_form(sigma), zeta, theta), 0.0)
+    if not np.all(np.isfinite(value)):
         raise NumericalError(f"QFI at zeta = {zeta} overflowed")
-    return max(value, 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 # q = (zeta^2 - zeta^-2)/2 = sinh(_LN4 * log2 zeta): the sheet radius of zeta.
 _LN4 = math.log(4.0)
-# The refinement stops once the decrease a step predicts falls to this
-# fraction of the value; a point within _EDGE_RTOL of an edge radius sits on it.
-_DECREMENT_RTOL = 1e-15
-_EDGE_RTOL = 1e-12
-
-
-def _sheet_model(form, sheet, u, v):
-    """Value, gradient and Hessian (uu, uv, vv) of the QFI at h = (sqrt(1 + u^2 + v^2), u, v).
-
-    The value is h0^T Q h0 and the gradient comes from T^T Q h0 = P h, both
-    through h0 = T h as in _qfi_at, which cancels far less than h^T P h
-    when local squeezing of the input makes T large; the Hessian takes the
-    entries of sheet = P = T^T Q T.
-    """
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = sheet
-    p = math.sqrt(1 + u * u + v * v)
-    h0, y = _lift(form, p, u, v)
-    g0, g1, g2 = (t0 * y[0] + t1 * y[1] + t2 * y[2] for t0, t1, t2 in zip(*form[1]))
-    # dp/du, dp/dv, and g0 / p^3, the factor of g0 in the second derivatives of p
-    a, b, c = u / p, v / p, g0 / p**3
-    grad = (2 * (a * g0 + g1), 2 * (b * g0 + g2))
-    hess = (2 * (a * a * p00 + 2 * a * p01 + p11 + c * (1 + v * v)),
-            2 * (a * b * p00 + a * p02 + b * p01 + p12 - c * u * v),
-            2 * (b * b * p00 + 2 * b * p02 + p22 + c * (1 + u * u)))
-    return h0[0] * y[0] + h0[1] * y[1] + h0[2] * y[2], grad, hess
-
-
-def _clip(u, v, r_lo, r_hi):
-    """(u, v) moved radially into the annulus r_lo <= r <= r_hi, and the edge it is on, or None."""
-    r = math.hypot(u, v)
-    if r >= r_hi * (1 - _EDGE_RTOL):
-        edge = r_hi
-    elif r_lo > 0 and r <= r_lo * (1 + _EDGE_RTOL):
-        edge = r_lo
-    else:
-        return u, v, None
-    if r == 0.0:
-        return 0.0, edge, edge
-    return u * edge / r, v * edge / r, edge
-
-
-def _refine(form, sheet, u, v, r_lo, r_hi, budget):
-    """Damped Newton descent of the QFI over the annulus r_lo <= |(u, v)| <= r_hi of the sheet.
-
-    A Hessian that is not positive definite gives way to a gradient step
-    of length f/|grad f| (the value is >= 0).  A point on an edge whose
-    step would cross that edge moves along it instead, by the same rule in
-    the polar angle.  Each step is halved until the value drops.  The
-    descent has converged once the decrease a step predicts, its length
-    times the Newton decrement -grad f . step, is at most _DECREMENT_RTOL f:
-    the value cannot resolve more.  Returns (u, v, steps taken, converged);
-    converged is False only if refine_budget steps ran out.
-    """
-    u, v, edge = _clip(u, v, r_lo, r_hi)
-    f, (fu, fv), (huu, huv, hvv) = _sheet_model(form, sheet, u, v)
-    for steps in range(budget):
-        det = huu * hvv - huv * huv
-        if huu > 0 and det > 0:
-            du, dv = (huv * fv - hvv * fu) / det, (huv * fu - huu * fv) / det
-        else:
-            scale = f / (fu * fu + fv * fv) if fu or fv else 0.0
-            du, dv = -scale * fu, -scale * fv
-        r_new = math.hypot(u + du, v + dv)
-        along = (edge == r_hi and r_new > r_hi) or (edge == r_lo and r_new < r_lo)
-        if along:
-            # (u, v) = edge (sin a, cos a): d/da (u, v) = (v, -u), d^2/da^2 (u, v) = -(u, v)
-            fa = fu * v - fv * u
-            faa = huu * v * v - 2 * huv * u * v + hvv * u * u - (fu * u + fv * v)
-            da = -fa / faa if faa > 0 else (-f / fa if fa else 0.0)
-            decrement = -fa * da
-        else:
-            decrement = -(fu * du + fv * dv)
-        t = 1.0
-        while t * decrement > _DECREMENT_RTOL * abs(f):
-            if along:
-                cos, sin = math.cos(t * da), math.sin(t * da)
-                trial = (u * cos + v * sin, v * cos - u * sin, edge)
-            else:
-                trial = _clip(u + t * du, v + t * dv, r_lo, r_hi)
-            model = _sheet_model(form, sheet, trial[0], trial[1])
-            if model[0] < f:
-                break
-            t /= 2
-        else:
-            return u, v, steps, True
-        u, v, edge = trial
-        f, (fu, fv), (huu, huv, hvv) = model
-    return u, v, budget, False
-
-
+# J = diag(1, -1, -1) as a vector.  h^T J h = p^2 - u^2 - v^2 is the
+# determinant of p G + u Z + v X, which conjugation preserves: T^T J T = J.
+_J = np.array([1.0, -1.0, -1.0])
 # Deterministic tie-breaking between indistinguishable minima: prefer
 # smallest theta, then smallest |log2 zeta| (zeta = 1 wins over any squeeze).
-# Candidates closer than this count as the same minimum: the landscape is
-# exact to ~1e-14, and the grid best, the refined point and its snaps
-# differ by far more than this unless they are one minimum.
+# A state symmetric under a local rotation (d = -c, tmsv) has its sheet
+# minimum at zeta = 1, which rounding in Q moves by up to ~1e-13, and a
+# QFI that is flat along every circle of the sheet, edge circles included.
+# Values closer than this count as the same minimum.
 _TIE_REL = 1e-6
 
 
-def worst_case_qfi(
-    cm,
-    log2_zeta_range: tuple[float, float] = (-2.5, 2.5),
-    zeta_grid: int = 41,
-    theta_grid: int = 37,
-    refine_budget: int = 200,
-) -> WorstCaseResult:
+def _sheet_minimum(form):
+    """(u, v) of the minimum of the QFI over the whole sheet h^T J h = 1, h[0] > 0.
+
+    The QFI h^T P h, P = T^T Q T, is stationary on the sheet where
+    P h = lam J h, and there lam = h^T P h.  Since T^T J T = J this is the
+    3x3 pencil Q h0 = lam J h0 in the frame of _qfi_form.  With Q >= 0 the
+    pencil has one eigenvector with h0^T J h0 > 0, that of its largest
+    eigenvalue, so the sheet has one stationary point: the minimum.  It
+    maps back by h = T^-1 h0 = J T^T J h0.
+    """
+    gram, t = form
+    lam, vec = np.linalg.eig(_J[:, None] * gram)
+    p0, u0, v0 = vec[:, np.argmax(lam.real)].real.tolist()
+    scale = math.copysign(math.sqrt(p0 * p0 - u0 * u0 - v0 * v0), p0)
+    return tuple(-(t[0][i] * p0 - t[1][i] * u0 - t[2][i] * v0) / scale for i in (1, 2))
+
+
+def _circle_angles(sheet, r):
+    """Polar angles a of the stationary points of h^T P h on the circle (u, v) = r (sin a, cos a).
+
+    With p = sqrt(1 + r^2) the QFI there is the trigonometric polynomial
+    c0 + a1 cos a + b1 sin a + a2 cos 2a + b2 sin 2a, and 2 z^2 f'(a) is a
+    quartic in z = e^{ia}.  Its unit-modulus roots are the stationary
+    angles.  The angles of all its roots are returned, and 0, which is
+    stationary where the quartic vanishes (r = 0): any extra angle is just
+    another point of the circle.
+    """
+    (_, p01, p02), (_, p11, p12), (_, _, p22) = sheet
+    pr, r2 = 2 * math.sqrt(1 + r * r) * r, r * r
+    a1, b1, a2, b2 = pr * p02, pr * p01, r2 * (p22 - p11) / 2, r2 * p12
+    roots = np.roots([2 * (b2 + 1j * a2), b1 + 1j * a1, 0, b1 - 1j * a1, 2 * (b2 - 1j * a2)])
+    return np.append(np.angle(roots), 0.0).tolist()
+
+
+def _in_window(u, v, lo, hi):
+    """(log2 zeta, theta) of the sheet point (u, v), clipped to the window.
+
+    Of the twins (s, theta) and (-s, theta + pi/2) it takes the one that
+    lies in or nearest to the window, the one with the smaller theta if
+    both lie in it.
+    """
+    s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
+    twins = ((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi))
+    lz, theta = min(twins, key=lambda twin: (max(lo - twin[0], twin[0] - hi, 0.0), twin[1]))
+    return min(max(lz, lo), hi), theta
+
+
+def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = (-2.5, 2.5)) -> WorstCaseResult:
     """Infimum of the QFI over the local Gaussian black boxes on mode A.
 
-    Scans a coarse (log2 zeta) x theta grid, then refines the best point
-    by at most refine_budget damped Newton steps on the sheet
-    (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
-    where the QFI is the quadratic form h^T P h and stays smooth through
-    zeta = 1.  The search window maps to the annulus of sheet radii q that
-    some log2 zeta in log2_zeta_range reaches, and the result maps back to
-    that log2 zeta.  Reports the minimum with its argmin; ties within
-    relative tolerance are broken toward theta = 0, then zeta = 1.
-    at_boundary flags an argmin on the log2 zeta search edge, where the
-    reported value is the boundary value (no extrapolation is attempted).
-    Raises NumericalError if the QFI overflows anywhere on the grid.
+    On the sheet (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
+    the QFI is the quadratic form h^T P h and a twin pair (zeta, theta),
+    (1/zeta, theta + pi/2) is one point.  The search window maps to the
+    annulus of sheet radii q that some log2 zeta in log2_zeta_range reaches.
+    The sheet's one stationary point, an eigenvector of a 3x3 pencil
+    (_sheet_minimum), is the minimum if it lies in the annulus; otherwise
+    the minimum lies on an edge circle, at a root of one quartic per circle
+    (_circle_angles), and is reported with its boundary value (no
+    extrapolation is attempted).  The point maps back to (log2 zeta, theta)
+    by _in_window.  Ties within relative tolerance are broken toward
+    theta = 0, then zeta = 1.  at_boundary flags an argmin on an edge of
+    the log2 zeta range.  Raises InvalidStateError unless both ends of the
+    window are finite and lo <= hi, and NumericalError if the edge radius
+    or the QFI there overflows.
     """
     sigma, _ = _require_physical(cm)
     lo, hi = log2_zeta_range
-    log2z = np.linspace(lo, hi, zeta_grid)
-    thetas = np.linspace(0.0, np.pi, theta_grid, endpoint=False)
-    lz_mesh, th_mesh = np.meshgrid(log2z, thetas, indexing="ij")
-    lz_flat, th_flat = lz_mesh.ravel(), th_mesh.ravel()
-    form = _qfi_form(sigma)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = _qfi_at(form, 2.0**lz_flat, th_flat)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"QFI overflowed on the grid of log2_zeta_range {log2_zeta_range}")
-
-    best = np.lexsort((np.abs(lz_flat), th_flat, values))[0]
-    grid_point = (float(lz_flat[best]), float(th_flat[best]))
-
-    gram, t = np.array(form[0]), np.array(form[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidStateError(f"log2_zeta_range must be finite with lo <= hi, got {log2_zeta_range}")
     s_lo = 0.0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    r_lo, r_hi = math.sinh(_LN4 * s_lo), math.sinh(_LN4 * max(abs(lo), abs(hi)))
-    q, angle = math.sinh(_LN4 * grid_point[0]), 2 * grid_point[1]
-    u, v, steps, converged = _refine(form, (t.T @ gram @ t).tolist(), q * math.sin(angle),
-                                     q * math.cos(angle), r_lo, r_hi, refine_budget)
-    # Back to (log2 zeta, theta): +s, or the twin -s if that lies closer to the window.
-    s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
-    if max(lo + s, -s - hi, 0.0) < max(lo - s, s - hi, 0.0):
-        s, half = -s, half + np.pi / 2
-    refined = (min(max(s, lo), hi), half % np.pi)
+    with np.errstate(over="ignore"):
+        r_lo, r_hi = np.sinh(_LN4 * np.array([s_lo, max(abs(lo), abs(hi))])).tolist()
+    if not math.isfinite(r_hi):
+        raise NumericalError(f"QFI overflows on the edge of log2_zeta_range {log2_zeta_range}")
 
-    # Candidate minima: grid best, refined point, canonical snaps, and the
-    # exact twin (1/zeta, theta + pi/2) of the refined point.  The theta
-    # direction is exactly flat at zeta = 1 and every minimum has the twin
-    # mirror, so the raw argmin of a degenerate landscape is arbitrary.
-    lz_r, th_r = refined
-    candidates = {grid_point, refined}
-    for lz in (lz_r, -lz_r, 0.0):
-        if not lo <= lz <= hi:
-            continue
-        for th in (th_r, (th_r + np.pi / 2) % np.pi, 0.0):
-            candidates.add((lz, th))
-    lz_c, th_c = np.array(sorted(candidates)).T
-    scores = _qfi_at(form, 2.0**lz_c, th_c)
-    v_min = float(scores.min())
-    tie = scores <= v_min + _TIE_REL * max(1.0, v_min)
-    pick = np.lexsort((np.abs(lz_c), th_c, ~tie))[0]
-    lz_opt = float(lz_c[pick])
+    form = _qfi_form(sigma)
+    u, v = _sheet_minimum(form)
+    if r_lo <= math.hypot(u, v) <= r_hi:
+        points = [(u, v)]
+    else:
+        t = np.array(form[1])
+        sheet = (t.T @ np.array(form[0]) @ t).tolist()
+        radii = (r_lo, r_hi) if r_lo > 0 else (r_hi,)
+        points = [(r * math.sin(a), r * math.cos(a)) for r in radii for a in _circle_angles(sheet, r)]
+    labels = [_in_window(u, v, lo, hi) for u, v in points]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = [float(_qfi_at(form, 2.0**lz, theta)) for lz, theta in labels]
+        k = values.index(min(values))
+        lz_k = labels[k][0]
+        # The minimum, then the canonical points of the tie rule: theta = 0 at
+        # its log2 zeta and at the negative, and zeta = 1, where the window holds them.
+        scored = [(values[k], labels[k][1], lz_k)] + [
+            (float(_qfi_at(form, 2.0**lz, 0.0)), 0.0, lz) for lz in (lz_k, -lz_k, 0.0) if lo <= lz <= hi]
+    if not all(map(math.isfinite, values + [value for value, _, _ in scored])):
+        raise NumericalError(f"QFI overflowed on the edge of log2_zeta_range {log2_zeta_range}")
+    v_min = min(value for value, _, _ in scored)
+    _, theta_opt, lz_opt = min((s for s in scored if s[0] <= v_min + _TIE_REL * max(1.0, v_min)),
+                               key=lambda s: (s[1], abs(s[2])))
 
     return WorstCaseResult(
         value=max(v_min, 0.0),
         zeta_opt=float(2.0**lz_opt),
-        theta_opt=float(th_c[pick]),
-        at_boundary=bool(abs(lz_opt - lo) < 1e-9 or abs(lz_opt - hi) < 1e-9),
-        refine_steps=steps,
-        converged=converged,
+        theta_opt=theta_opt,
+        at_boundary=abs(lz_opt - lo) < 1e-9 or abs(lz_opt - hi) < 1e-9,
     )

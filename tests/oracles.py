@@ -5,6 +5,8 @@ through truncated Fock-basis density matrices, symplectic eigenvalues
 through the spectrum of i*Omega*sigma, local invariants through LU
 determinants, the closed form through exact rational invariants, and the
 QFI through a high-precision second difference of the Uhlmann fidelity.
+The worst-case QFI has a brute-force route too: a dense grid of the
+library's own qfi values, which knows nothing of the oracle's theory.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from gipower import qfi
 from gipower.symplectic import OMEGA
 
 
@@ -143,3 +146,21 @@ def qfi_mp(sigma: np.ndarray, zeta: float, theta: float) -> float:
             return _fidelity_mp(s0, rot(t) * s0 * rot(t).T, pure)
 
         return float(-2 * (f(eps) + f(-eps) - 2 * f(0)) / eps**2)
+
+
+def qfi_grid_minimum(cm, log2_zeta_range, n_zeta: int = 201, n_theta: int = 180):
+    """(best, resolution): the least qfi on a (log2 zeta, theta) grid, and how far it may sit above the minimum.
+
+    The log2 zeta axis includes both window edges; theta covers its period
+    pi.  Near a smooth minimum between grid points, along one axis, the best
+    point lies above the minimum by at most a quarter of its rise to the
+    farther neighbour; resolution is the largest rise to a neighbour, whole.
+    """
+    lo, hi = log2_zeta_range
+    lz = np.linspace(lo, hi, n_zeta)
+    theta = np.linspace(0.0, np.pi, n_theta, endpoint=False)
+    values = qfi(cm, 2.0 ** lz[:, None], theta[None, :])
+    i, j = np.unravel_index(values.argmin(), values.shape)
+    neighbours = [values[i, (j + 1) % n_theta], values[i, j - 1]]
+    neighbours += [values[k, j] for k in (i - 1, i + 1) if 0 <= k < n_zeta]
+    return float(values[i, j]), float(max(neighbours) - values[i, j])

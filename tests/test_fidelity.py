@@ -28,7 +28,7 @@ from gipower import (
 )
 
 from conftest import random_physical_cm
-from oracles import closed_form_mp, qfi_mp, thermal_vs_vacuum_fidelity
+from oracles import closed_form_mp, qfi_grid_minimum, qfi_mp, thermal_vs_vacuum_fidelity
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
@@ -212,6 +212,23 @@ class TestQfi:
         for phi0 in (0.0, 0.3, 1.0):
             assert qfi_from_base(phi0) == pytest.approx(reference, abs=1e-6)
 
+    def test_arrays_match_scalar_calls(self, rng):
+        for _ in range(10):
+            cm = random_physical_cm(rng, conjugate=True)
+            zeta = 2.0 ** rng.uniform(-3.0, 3.0, size=(4, 25))
+            theta = rng.uniform(0, np.pi, size=25)
+            values = qfi(cm, zeta, theta)
+            assert values.shape == (4, 25)
+            expected = [[qfi(cm, z, t) for z, t in zip(row, theta)] for row in zeta]
+            assert np.array_equal(values, expected)
+
+    def test_rejects_bad_array_elements(self):
+        cm = from_standard_form(S231)
+        with pytest.raises(InvalidStateError):
+            qfi(cm, [1.0, 2.0, -1.0], 0.0)
+        with pytest.raises(InvalidStateError):
+            qfi(cm, 1.0, [0.0, np.inf])
+
     def test_value_clamped_nonnegative(self, rng):
         for _ in range(20):
             value = qfi(random_physical_cm(rng), zeta=2 ** rng.uniform(-1, 1), theta=rng.uniform(0, np.pi))
@@ -300,11 +317,25 @@ class TestWorstCase:
         r2 = worst_case_qfi(cm)
         assert (r1.value, r1.zeta_opt, r1.theta_opt) == (r2.value, r2.zeta_opt, r2.theta_opt)
 
+    def test_twin_with_smaller_theta(self, rng):
+        # (zeta, theta) and (1/zeta, theta + pi/2) are one minimum; with both
+        # in the window the one with theta < pi/2 is reported.
+        for _ in range(20):
+            cm = random_physical_cm(rng, conjugate=True)
+            result = worst_case_qfi(cm)
+            assert not result.at_boundary
+            assert result.theta_opt < np.pi / 2
+            twin = qfi(cm, 1 / result.zeta_opt, result.theta_opt + np.pi / 2)
+            assert twin == pytest.approx(result.value, rel=1e-12)
+
     def test_boundary_warning_on_narrowed_window(self):
         # the optimum of this state sits at zeta = 1, outside [2^0.5, 2^2.5]
         result = worst_case_qfi(from_standard_form(S231), log2_zeta_range=(0.5, 2.5))
         assert result.at_boundary
         assert result.zeta_opt == pytest.approx(2**0.5, rel=1e-9)
+        # d = -c: the QFI is flat along the edge circle, an exact tie that
+        # resolves to theta = 0
+        assert result.theta_opt == 0.0
 
     def test_mirrored_window(self):
         # the twin (1/zeta, theta + pi/2) maps the window onto its mirror image
@@ -314,6 +345,7 @@ class TestWorstCase:
         assert lower.value == pytest.approx(upper.value, rel=1e-12)
         assert lower.zeta_opt == pytest.approx(2**-0.5, rel=1e-9)
         assert lower.at_boundary
+        assert lower.theta_opt == 0.0
 
     def test_asymmetric_window_finds_interior_minimum(self, rng):
         cm = from_standard_form(S231)
@@ -331,8 +363,8 @@ class TestWorstCase:
 
     def test_window_holding_only_the_twin(self, rng):
         # The argmin (zeta*, theta*) lies just outside the window and its twin
-        # (1/zeta*, theta* + pi/2) inside; the grid best may sit on the edge
-        # near the former, so the refinement has to reach the latter.
+        # (1/zeta*, theta* + pi/2) inside: the oracle has to report the
+        # latter, not the edge point next to the former.
         checked = 0
         while checked < 20:
             cm = random_physical_cm(rng, conjugate=True)
@@ -352,23 +384,31 @@ class TestWorstCase:
             lo, hi = (-2.5, 2.5) if i % 2 else np.sort(rng.uniform(-3.0, 3.0, size=2))
             result = worst_case_qfi(cm, log2_zeta_range=(lo, hi))
             slack = 1e-12 * max(1.0, result.value)
-            for lz, theta in zip(rng.uniform(lo, hi, size=50), rng.uniform(0, np.pi, size=50)):
-                assert result.value <= qfi(cm, 2.0**lz, theta) + slack, (i, lz, theta)
+            lz, theta = rng.uniform(lo, hi, size=50), rng.uniform(0, np.pi, size=50)
+            values = qfi(cm, 2.0**lz, theta)
+            assert np.all(result.value <= values + slack), (i, lz[values.argmin()], theta[values.argmin()])
 
-    def test_refinement_diagnostics(self, rng):
-        steps = []
-        for _ in range(50):
-            result = worst_case_qfi(random_physical_cm(rng, conjugate=True))
-            assert result.converged
-            steps.append(result.refine_steps)
-        for _ in range(20):  # a window of one zeta: the descent runs along a circle
-            pinned = worst_case_qfi(random_physical_cm(rng, conjugate=True),
-                                    log2_zeta_range=(1.0, 1.0))
-            assert pinned.converged
-            steps.append(pinned.refine_steps)
-        assert max(steps) <= 8
-        capped = worst_case_qfi(random_physical_cm(rng, conjugate=True), refine_budget=1)
-        assert capped.refine_steps <= 1
+    def test_no_grid_point_is_lower(self, rng):
+        # A theory-free check of the global minimum: a brute-force grid of qfi
+        # values never beats the oracle, and the oracle is never lower than the
+        # grid can resolve.
+        cases = [(random_physical_cm(rng), (-2.5, 2.5)) for _ in range(10)]
+        cases += [(random_physical_cm(rng, conjugate=True), (-2.5, 2.5)) for _ in range(10)]
+        cases += [(random_physical_cm(rng, conjugate=i % 2 == 0), tuple(np.sort(rng.uniform(-3, 3, size=2))))
+                  for i in range(20)]
+        cases += [(random_physical_cm(rng, conjugate=True), (x, x)) for x in (0.0, 0.0, 1.0, 1.0)]
+        for cm, window in cases:
+            value = worst_case_qfi(cm, log2_zeta_range=window).value
+            best, resolution = qfi_grid_minimum(cm, window)
+            assert value <= best + 1e-12 * max(1.0, value), window
+            assert best - value <= resolution, window
+
+    def test_rejects_bad_window(self):
+        cm = from_standard_form(S231)
+        with pytest.raises(InvalidStateError):
+            worst_case_qfi(cm, log2_zeta_range=(2.0, -2.0))
+        with pytest.raises(InvalidStateError):
+            worst_case_qfi(cm, log2_zeta_range=(float("nan"), 2.0))
 
 
 def _pure_reference(sigma):
