@@ -4,6 +4,7 @@ figure-data emission (plot-ready CSV; plotting itself is out of scope)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -140,11 +141,11 @@ def cmd_sample(args) -> int:
     else:
         records = sample_figure3(rng, args.n, args.a_max, args.b_max)
         lines.append("E_N,ratio,nu_tilde,lower,upper,a,b,c,d")
-        for r in records:
-            nu = pt_min_symplectic_eigenvalue(r.sf.matrix())
+        nu = np.array([r.nu_tilde for r in records])
+        for r, lower, upper in zip(records, lower_bound(nu).tolist(), upper_bound(nu).tolist()):
             lines.append(",".join([
-                _fmt(r.e_n), _fmt(r.p_g / r.n_bar_A), _fmt(nu),
-                _fmt(lower_bound(nu)), _fmt(upper_bound(nu)),
+                _fmt(r.e_n), _fmt(r.p_g / r.n_bar_A), _fmt(r.nu_tilde),
+                _fmt(lower), _fmt(upper),
                 _fmt(r.sf.a), _fmt(r.sf.b), _fmt(r.sf.c), _fmt(r.sf.d),
             ]))
     _emit("\n".join(lines) + "\n", args.out)
@@ -178,7 +179,9 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gipower",
         description="Interferometric power of two-mode Gaussian states.",

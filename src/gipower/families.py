@@ -8,6 +8,7 @@ extremal performance per mean photon number at fixed entanglement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,12 +17,15 @@ import numpy as np
 from .exceptions import InvalidStateError
 from .power import gip_closed_form
 from .symplectic import (
+    CHECK_TOL,
     GATE_TOL,
+    GUARD_BAND,
     MAX_DRAWS,
     StandardForm,
+    _nu_minus_standard,
+    _nu_pair,
     from_standard_form,
     is_separable,
-    log_negativity,
     mean_photon_A,
     validate_bona_fide,
 )
@@ -51,6 +55,12 @@ __all__ = [
 ]
 
 
+#: Draws a sampling stream takes at a time; each reads four uniforms.
+_BLOCK = 32
+#: Sampling streams whose blocks are decided together, so memory stays flat in n.
+_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family constructor name plus its positional parameters."""
@@ -68,6 +78,7 @@ class SampleRecord:
     e_n: float
     p_g: float
     separable: bool
+    nu_tilde: float  # smallest symplectic eigenvalue of the partial transpose
 
 
 def _validated(sf: StandardForm, kind: str) -> StandardForm:
@@ -252,6 +263,28 @@ def en_threshold() -> float:
     return float(-np.log(x))
 
 
+def _check_bounds(a_max, b_max) -> tuple[float, float]:
+    if not (a_max >= 1 and b_max >= 1 and np.isfinite(a_max * a_max * b_max * b_max)):
+        raise InvalidStateError(f"need a_max, b_max >= 1, a_max^2 b_max^2 finite: {a_max}, {b_max}")
+    return float(a_max), float(b_max)
+
+
+def _draw(u, a_max: float, b_max: float):
+    """(a, b, c, d) of one rejection-sampling draw from its four uniforms u on [0, 1).
+
+    Each entry is rng.uniform(lo, hi), which is lo + (hi - lo) * u bit for
+    bit.  Elementwise on arrays, where numpy's ** 0.25 may differ from
+    Python's in the last bit.
+    """
+    u_a, u_b, u_c, u_d = u
+    a = 1.0 + (a_max - 1.0) * u_a
+    b = 1.0 + (b_max - 1.0) * u_b
+    c_max = ((a * a - 1) * (b * b - 1)) ** 0.25
+    c = 0.0 + (c_max - 0.0) * u_c
+    d = -c + (c - -c) * u_d
+    return a, b, c, d
+
+
 def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.0) -> StandardForm:
     """Random physical standard form by rejection sampling.
 
@@ -259,49 +292,113 @@ def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.
     [0, ((a^2-1)(b^2-1))^(1/4)] (the pure-state correlation envelope);
     d is uniform on [-c, c]; draws failing the uncertainty relation are
     rejected, and InvalidStateError is raised after MAX_DRAWS draws.
+    Each draw reads four numbers of rng.random().
     """
-    if not (a_max >= 1 and b_max >= 1 and np.isfinite(a_max * a_max * b_max * b_max)):
-        raise InvalidStateError(f"need a_max, b_max >= 1, a_max^2 b_max^2 finite: {a_max}, {b_max}")
+    a_max, b_max = _check_bounds(a_max, b_max)
     for _ in range(MAX_DRAWS):
-        a = rng.uniform(1.0, a_max)
-        b = rng.uniform(1.0, b_max)
-        c_max = ((a * a - 1) * (b * b - 1)) ** 0.25
-        c = rng.uniform(0.0, c_max)
-        d = rng.uniform(-c, c)
-        sf = StandardForm(a, b, c, d)
+        sf = StandardForm(*_draw(rng.random(4).tolist(), a_max, b_max))
         if validate_bona_fide(sf.matrix()).physical:
             return sf
     raise InvalidStateError(f"no physical state in {MAX_DRAWS} draws")
 
 
-def _record_from(sf: StandardForm) -> SampleRecord:
+def _accept(u, a_max: float, b_max: float, entangled_only: bool):
+    """(physical, accepted) masks of the draws of uniforms u, shape (..., 4).
+
+    Decided on arrays, except where nu_minus or, for a physical draw that
+    must be entangled, the partial transpose's nu_minus lies within
+    GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are rebuilt from their
+    uniforms by scalar arithmetic and decided by random_state's
+    validate_bona_fide and by is_separable, which fixes every decision to
+    theirs.
+    """
+    a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
+    nu, nu_pt = _nu_minus_standard(a, b, c, d)
+    threshold, band = 1 - CHECK_TOL, GUARD_BAND * a * b
+    physical = nu >= threshold
+    near = ~(np.abs(nu - threshold) > band)
+    if entangled_only:
+        accepted = physical & (nu_pt < threshold)
+        near |= physical & ~(np.abs(nu_pt - threshold) > band)
+    else:
+        accepted = physical.copy()
+    for i in zip(*np.nonzero(near)):
+        sigma = StandardForm(*_draw(u[i].tolist(), a_max, b_max)).matrix()
+        physical[i] = validate_bona_fide(sigma).physical
+        accepted[i] = physical[i] and not (entangled_only and is_separable(sigma))
+    return physical, accepted
+
+
+def _first_accepted(streams, a_max: float, b_max: float, entangled_only: bool) -> list:
+    """Per stream, in order: its first accepted draw (a, b, c, d), or why it failed.
+
+    A stream reads 4 * _BLOCK uniforms at a time, and gets another block
+    until a draw is accepted or a budget runs out: MAX_DRAWS unphysical
+    draws in a row ("no physical state", random_state's count), or
+    MAX_DRAWS physical separable draws when entangled_only.  The pending
+    streams' blocks are decided together.
+    """
+    outcomes = [None] * len(streams)
+    pending = np.arange(len(streams))
+    run = np.zeros(len(streams), dtype=np.int64)  # unphysical draws since the last physical one
+    separable = np.zeros(len(streams), dtype=np.int64)  # physical draws rejected as separable
+    j = np.arange(_BLOCK)
+    while pending.size:
+        u = np.stack([streams[k].random(4 * _BLOCK) for k in pending]).reshape(-1, _BLOCK, 4)
+        physical, accepted = _accept(u, a_max, b_max, entangled_only)
+        last_physical = np.maximum.accumulate(np.where(physical, j, -1), axis=1)
+        run_at = np.where(last_physical >= 0, j - last_physical, j + 1 + run[pending, None])
+        separable_at = separable[pending, None] + np.cumsum(physical & ~accepted, axis=1)
+        stop = accepted | (run_at >= MAX_DRAWS) | (separable_at >= MAX_DRAWS)
+        done = stop.any(axis=1)
+        for row in np.flatnonzero(done):
+            at = stop[row].argmax()
+            if accepted[row, at]:
+                outcome = _draw(u[row, at].tolist(), a_max, b_max)
+            elif run_at[row, at] >= MAX_DRAWS:
+                outcome = f"no physical state in {MAX_DRAWS} draws"
+            else:
+                outcome = f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max"
+            outcomes[pending[row]] = outcome
+        run[pending] = run_at[:, -1]
+        separable[pending] = separable_at[:, -1]
+        pending = pending[~done]
+    return outcomes
+
+
+def _record(a: float, b: float, c: float, d: float) -> SampleRecord:
+    sf = StandardForm(a, b, c, d)
     cm = from_standard_form(sf)
+    nu_tilde = _nu_pair(cm.sigma, pt=True)[0]
     return SampleRecord(
         sf=sf,
         n_bar_A=mean_photon_A(cm),
-        e_n=log_negativity(cm),
+        e_n=max(0.0, -math.log(nu_tilde)),
         p_g=gip_closed_form(cm).value,
-        separable=is_separable(cm),
+        separable=nu_tilde >= 1 - CHECK_TOL,
+        nu_tilde=nu_tilde,
     )
 
 
 def _sample_records(rng, n, a_max, b_max, entangled_only):
     """n records from independent per-record substreams, sorted canonically.
 
-    Record i draws from the i-th child stream spawned from rng, at most
-    MAX_DRAWS times; a draw is tested before its record is built.
+    Record i takes the first accepted draw of the i-th child stream
+    spawned from rng, the draw random_state (and, if entangled_only, a
+    loop over it that skips separable states) would return from that
+    stream.  The streams are decided _CHUNK at a time; the first stream
+    that fails raises, after the records of the streams before it.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
-
-    def make(stream) -> SampleRecord:
-        for _ in range(MAX_DRAWS):
-            sf = random_state(stream, a_max, b_max)
-            if not entangled_only or not is_separable(sf.matrix()):
-                return _record_from(sf)
-        raise InvalidStateError(f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max")
-
-    records = [make(stream) for stream in rng.spawn(n)]
+    streams = rng.spawn(n)
+    a_max, b_max = _check_bounds(a_max, b_max)
+    records = []
+    for start in range(0, n, _CHUNK):
+        for outcome in _first_accepted(streams[start:start + _CHUNK], a_max, b_max, entangled_only):
+            if isinstance(outcome, str):
+                raise InvalidStateError(outcome)
+            records.append(_record(*outcome))
     records.sort(key=lambda r: (r.sf.a, r.sf.b, r.sf.c, r.sf.d))
     return records
 

@@ -67,6 +67,12 @@ PURE_TOL = 1e-7
 DC_TOL = 1e-9
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
+#: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
+#: which the batched sampler's array-computed nu decisions are redone by
+#: the scalar checks.  The two differ by rounding only: for nu in (0.5, 2)
+#: by at most 4.7e-16 a*b (40,000 draws at each of six (a_max, b_max)
+#: from (1.05, 1.05) to (1e4, 1e4)).
+GUARD_BAND = 1e-13
 
 
 class CovarianceMatrix:
@@ -267,6 +273,29 @@ def _nu_pair(sigma, pt: bool = False):
     w = math.hypot(x + y01 - y23, y02 + y13, y03 - y12)
     nu_plus = (u + w) / 2
     return x * l22 * l33 / nu_plus, nu_plus
+
+
+def _nu_minus_standard(a, b, c, d):
+    """nu_minus of standard forms (a, b, c, d) and of their partial transposes.
+
+    _nu_pair's formulas with l10 = l21 = l30 = l32 = 0, elementwise over
+    arrays; both are 0 where sigma is not positive definite.  They match
+    _nu_pair to a few ulps, np.hypot being no bit-copy of math.hypot.
+    """
+    with np.errstate(all="ignore"):
+        l00 = np.sqrt(a)
+        l20, l31 = c / l00, d / l00
+        p22, p33 = b - l20 * l20, b - l31 * l31
+        l22, l33 = np.sqrt(p22), np.sqrt(p33)
+        x = l00 * l00
+        y01, y23, y03, y12 = l20 * l31, l22 * l33, l20 * l33, -(l31 * l22)
+        det_root = x * l22 * l33
+        nu = det_root / ((np.hypot(x + y01 + y23, y03 + y12)
+                          + np.hypot(x + y01 - y23, y03 - y12)) / 2)
+        nu_pt = det_root / ((np.hypot(x - y01 - y23, -y03 - y12)
+                             + np.hypot(x - y01 + y23, -y03 + y12)) / 2)
+    positive = (p22 > 0) & (p33 >= 0)  # where _cholesky does not return None
+    return np.where(positive, nu, 0.0), np.where(positive, nu_pt, 0.0)
 
 
 def symplectic_eigenvalues(cm) -> tuple[float, float]:

@@ -7,6 +7,9 @@ determinants, the closed form through exact rational invariants, and the
 QFI through a high-precision second difference of the Uhlmann fidelity.
 The worst-case QFI has a brute-force route too: a dense grid of the
 library's own qfi values, which knows nothing of the oracle's theory.
+The random-state sampler has a scalar route: one validated draw at a
+time through rng.uniform, as the library drew before its draws were
+batched.
 """
 
 from fractions import Fraction
@@ -14,7 +17,20 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from gipower import qfi
+import gipower.families as families
+from gipower import (
+    SampleRecord,
+    StandardForm,
+    from_standard_form,
+    gip_closed_form,
+    is_separable,
+    log_negativity,
+    mean_photon_A,
+    pt_min_symplectic_eigenvalue,
+    qfi,
+    validate_bona_fide,
+)
+from gipower.exceptions import InvalidStateError
 from gipower.symplectic import OMEGA
 
 
@@ -164,3 +180,56 @@ def qfi_grid_minimum(cm, log2_zeta_range, n_zeta: int = 201, n_theta: int = 180)
     neighbours = [values[i, (j + 1) % n_theta], values[i, j - 1]]
     neighbours += [values[k, j] for k in (i - 1, i + 1) if 0 <= k < n_zeta]
     return float(values[i, j]), float(max(neighbours) - values[i, j])
+
+
+def random_state_scalar(rng, a_max=5.0, b_max=5.0) -> StandardForm:
+    """families.random_state as it drew before batching: four rng.uniform calls per draw.
+
+    Reads the budget families.MAX_DRAWS at call time, as the library does.
+    """
+    if not (a_max >= 1 and b_max >= 1 and np.isfinite(a_max * a_max * b_max * b_max)):
+        raise InvalidStateError(f"need a_max, b_max >= 1, a_max^2 b_max^2 finite: {a_max}, {b_max}")
+    for _ in range(families.MAX_DRAWS):
+        a = rng.uniform(1.0, a_max)
+        b = rng.uniform(1.0, b_max)
+        c_max = ((a * a - 1) * (b * b - 1)) ** 0.25
+        c = rng.uniform(0.0, c_max)
+        d = rng.uniform(-c, c)
+        sf = StandardForm(a, b, c, d)
+        if validate_bona_fide(sf.matrix()).physical:
+            return sf
+    raise InvalidStateError(f"no physical state in {families.MAX_DRAWS} draws")
+
+
+def _record_from(sf: StandardForm) -> SampleRecord:
+    cm = from_standard_form(sf)
+    return SampleRecord(
+        sf=sf,
+        n_bar_A=mean_photon_A(cm),
+        e_n=log_negativity(cm),
+        p_g=gip_closed_form(cm).value,
+        separable=is_separable(cm),
+        nu_tilde=pt_min_symplectic_eigenvalue(cm),
+    )
+
+
+def sample_records_scalar(rng, n, a_max, b_max, entangled_only):
+    """families._sample_records before batching: one validated draw at a time.
+
+    Record i draws from the i-th child stream spawned from rng, at most
+    MAX_DRAWS times; a draw is tested before its record is built.
+    """
+    if n < 1:
+        raise InvalidStateError(f"sample count must be >= 1, got {n}")
+
+    def make(stream) -> SampleRecord:
+        for _ in range(families.MAX_DRAWS):
+            sf = random_state_scalar(stream, a_max, b_max)
+            if not entangled_only or not is_separable(sf.matrix()):
+                return _record_from(sf)
+        raise InvalidStateError(
+            f"no entangled state in {families.MAX_DRAWS} draws; raise a_max or b_max")
+
+    records = [make(stream) for stream in rng.spawn(n)]
+    records.sort(key=lambda r: (r.sf.a, r.sf.b, r.sf.c, r.sf.d))
+    return records

@@ -188,12 +188,9 @@ def test_criterion_5_scaling_caps():
 def test_criterion_6_boundary_reproduction():
     rng = np.random.default_rng(606)
     records = sample_figure3(rng, SAMPLES)
-    viol = 0
-    for r in records:
-        nu = pt_min_symplectic_eigenvalue(from_standard_form(r.sf))
-        ratio = r.p_g / r.n_bar_A
-        if not (lower_bound(nu) - 1e-6 <= ratio <= upper_bound(nu) + 1e-6):
-            viol += 1
+    nu = np.array([pt_min_symplectic_eigenvalue(from_standard_form(r.sf)) for r in records])
+    ratio = np.array([r.p_g / r.n_bar_A for r in records])
+    viol = int(np.count_nonzero(~((lower_bound(nu) - 1e-6 <= ratio) & (ratio <= upper_bound(nu) + 1e-6))))
 
     upper_dev = 0.0
     for nu in (0.2, 0.5, 0.8):

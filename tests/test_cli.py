@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -20,6 +22,7 @@ from gipower import (
     StandardForm,
     tmsv,
 )
+from gipower import cli
 from gipower.cli import main
 
 
@@ -152,6 +155,32 @@ class TestSample:
                     "--out", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("which, sha256", [
+        ("fig2", "bf75812d27e64e0e797cf79e13c6e8f6049e3b5fe96259ec0c9f558e1c4125a5"),
+        ("fig3", "518fe8f930806b5d9f1d71f6f2da760de1feccf13949dfa2a6c0c3b591383146"),
+    ])
+    def test_pinned_digest(self, capsys, tmp_path, which, sha256):
+        """The CSVs the one-draw-at-a-time sampler wrote: a moved draw, decision or digit fails."""
+        path = tmp_path / f"{which}.csv"
+        code, _ = run_cli(capsys, "sample", "--seed", "1", "--n", "2000", "--which", which,
+                          "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_no_entangled_state_exits_2_in_time(self, tmp_path):
+        """Only product states: MAX_DRAWS separable draws, then exit 2, in well under the timeout."""
+        t0 = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "gipower", "sample", "--seed", "1", "--n", "3",
+             "--out", str(tmp_path / "x.csv"), "--which", "fig3", "--a-max", "1", "--b-max", "1"],
+            capture_output=True, text=True, timeout=30,
+        )
+        elapsed = time.perf_counter() - t0
+        assert result.returncode == 2
+        assert result.stderr == ("error: invalid input: no entangled state in 10000 draws; "
+                                 "raise a_max or b_max\n")
+        assert elapsed < 10, elapsed
+
     @pytest.mark.parametrize("flags", [
         ("--which", "fig3", "--a-max", "1", "--b-max", "1"),  # only product states
         ("--which", "fig2", "--a-max", "nan"),
@@ -282,6 +311,39 @@ class TestFuzz:
                 code = exc.code
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+def test_parser_reused_without_leaks(capsys, tmp_path):
+    """sample, verify, sample in one process: each call sees its own argv and defaults only.
+
+    The parser is built once; every call's output equals that of a fresh interpreter.
+    """
+    def argvs(tag):
+        return [
+            ["sample", "--seed", "3", "--n", "5", "--which", "fig3", "--a-max", "2",
+             "--b-max", "1.5", "--out", str(tmp_path / f"{tag}-1.csv")],
+            ["verify", "--seed", "3", "--n", "2"],
+            ["sample", "--seed", "3", "--n", "5", "--which", "fig2",
+             "--out", str(tmp_path / f"{tag}-3.csv")],
+        ]
+
+    stdout = []
+    for argv in argvs("warm"):
+        assert main(argv) == 0
+        stdout.append(capsys.readouterr().out)
+    assert cli._build_parser() is cli._build_parser()
+    parsed = [cli._build_parser().parse_args(argv) for argv in argvs("warm")]
+    assert (parsed[1].a_max, parsed[1].b_max, parsed[1].tol) == (5.0, 5.0, 1e-4)
+    assert not hasattr(parsed[1], "which") and not hasattr(parsed[1], "out")
+    assert (parsed[2].a_max, parsed[2].b_max) == (5.0, 5.0)
+
+    for argv, out in zip(argvs("fresh"), stdout):
+        result = subprocess.run([sys.executable, "-m", "gipower", *argv],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == out
+    for i in (1, 3):
+        assert (tmp_path / f"warm-{i}.csv").read_bytes() == (tmp_path / f"fresh-{i}.csv").read_bytes()
 
 
 def test_module_entry_point():

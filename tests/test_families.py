@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gipower.families as families
 from gipower import (
     FamilySpec,
     InvalidStateError,
@@ -27,16 +28,39 @@ from gipower import (
     sample_figure3,
     separable_extremal,
     squeezed_thermal,
+    StandardForm,
     tmsv,
     upper_bound,
     upper_boundary_state,
     validate_bona_fide,
 )
+from gipower.symplectic import _nu_minus_standard, _nu_pair
+from oracles import random_state_scalar, sample_records_scalar
 
 
 def ratio_of(sf) -> float:
     cm = from_standard_form(sf)
     return gip_closed_form(cm).value / mean_photon_A(cm)
+
+
+def bits(items):
+    """Exact contents of StandardForms or SampleRecords: floats as hex, so -0.0 != 0.0."""
+    def fields(x):
+        if isinstance(x, StandardForm):
+            return (x.a, x.b, x.c, x.d)
+        return (*fields(x.sf), x.n_bar_A, x.e_n, x.p_g, x.nu_tilde, x.separable)
+    return [tuple(v if isinstance(v, bool) else float(v).hex() for v in fields(x)) for x in items]
+
+
+def outcome(sample, *args):
+    """bits of the records sample(*args) returns, or the message of the InvalidStateError it raises."""
+    try:
+        return bits(sample(*args))
+    except InvalidStateError as exc:
+        return str(exc)
+
+
+SAMPLERS = [(sample_figure2, False), (sample_figure3, True)]
 
 
 class TestTmsv:
@@ -297,6 +321,15 @@ class TestRandomState:
         draws2 = [random_state(np.random.default_rng(7)) for _ in range(1)]
         assert draws1 == draws2
 
+    @pytest.mark.parametrize("bounds", [(5.0, 5.0), (1.05, 1.05)])
+    def test_keeps_its_stream(self, bounds):
+        """Same states as the four-rng.uniform draw loop, and the stream left where it left it."""
+        for seed in range(200):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            sf, want = random_state(rng, *bounds), random_state_scalar(ref, *bounds)
+            assert bits([sf]) == bits([want]), seed
+            assert rng.random() == ref.random(), seed
+
 
 class TestSampling:
     def test_figure2_records(self):
@@ -308,6 +341,7 @@ class TestSampling:
             assert r.e_n == pytest.approx(log_negativity(cm), abs=1e-9)
             assert r.p_g == pytest.approx(gip_closed_form(cm).value, abs=1e-9)
             assert r.separable == is_separable(cm)
+            assert r.nu_tilde == pt_min_symplectic_eigenvalue(cm)
 
     def test_figure3_entangled_only(self):
         records = sample_figure3(np.random.default_rng(13), 50)
@@ -322,3 +356,79 @@ class TestSampling:
     def test_rejects_bad_count(self):
         with pytest.raises(InvalidStateError):
             sample_figure2(np.random.default_rng(1), 0)
+
+
+class TestBatchedSampler:
+    """The batched sampler against the scalar one, which draws and validates one state at a time."""
+
+    @pytest.mark.parametrize("bounds", [(5.0, 5.0), (2.0, 1.5), (1.05, 1.05)])
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_equals_scalar_sampler(self, n, bounds):
+        for seed in range(1, 6):
+            for sample, entangled_only in SAMPLERS:
+                got = bits(sample(np.random.default_rng(seed), n, *bounds))
+                want = bits(sample_records_scalar(np.random.default_rng(seed), n, *bounds,
+                                                  entangled_only))
+                assert got == want, (seed, sample.__name__)
+
+    def test_array_nu_matches_scalar(self):
+        """_nu_minus_standard against _nu_pair on the same draws, far inside GUARD_BAND."""
+        u = np.random.default_rng(5).random((1000, 4))
+        for bounds in ((5.0, 5.0), (1.05, 1.05), (100.0, 100.0)):
+            a, b, c, d = families._draw(u.T, *bounds)
+            nu, nu_pt = _nu_minus_standard(a, b, c, d)
+            for i in range(len(u)):
+                sigma = StandardForm(*families._draw(u[i].tolist(), *bounds)).matrix()
+                for got, pt in ((nu[i], False), (nu_pt[i], True)):
+                    want = (_nu_pair(sigma, pt=pt) or (0.0,))[0]
+                    assert abs(got - want) <= 1e-14 * a[i] * b[i] * max(1.0, want), (bounds, i, pt)
+
+    def test_scalar_decisions_inside_the_band(self, monkeypatch):
+        """A band wide enough to hold every draw hands every decision to the scalar checks."""
+        monkeypatch.setattr(families, "GUARD_BAND", 1e3)
+        for seed in range(1, 4):
+            for sample, entangled_only in SAMPLERS:
+                got = bits(sample(np.random.default_rng(seed), 20, 2.0, 1.5))
+                want = bits(sample_records_scalar(np.random.default_rng(seed), 20, 2.0, 1.5,
+                                                  entangled_only))
+                assert got == want, (seed, sample.__name__)
+
+    @pytest.mark.parametrize("block, chunk", [(1, 4), (3, 5)])
+    def test_streams_over_many_blocks_and_chunks(self, monkeypatch, block, chunk):
+        """Tiny blocks make most streams read several, carrying their counts over."""
+        monkeypatch.setattr(families, "_BLOCK", block)
+        monkeypatch.setattr(families, "_CHUNK", chunk)
+        for seed in range(1, 6):
+            for sample, entangled_only in SAMPLERS:
+                got = bits(sample(np.random.default_rng(seed), 23, 1.05, 1.05))
+                want = bits(sample_records_scalar(np.random.default_rng(seed), 23, 1.05, 1.05,
+                                                  entangled_only))
+                assert got == want, (seed, sample.__name__)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("bounds", [(1.05, 1.05), (2.0, 1.01)])
+    def test_budgets_match_scalar_sampler(self, monkeypatch, block, bounds):
+        """With MAX_DRAWS = 3, each seed returns, or raises the same error, as the scalar sampler.
+
+        Two streams per call, so a call raises for the first stream that fails.
+        """
+        monkeypatch.setattr(families, "MAX_DRAWS", 3)
+        if block is not None:
+            monkeypatch.setattr(families, "_BLOCK", block)
+        seen = set()
+        for seed in range(50):
+            for sample, entangled_only in SAMPLERS:
+                got = outcome(sample, np.random.default_rng(seed), 2, *bounds)
+                want = outcome(sample_records_scalar, np.random.default_rng(seed), 2, *bounds,
+                               entangled_only)
+                assert got == want, (seed, sample.__name__)
+                seen.add(got if isinstance(got, str) else "records")
+        assert {"records", "no physical state in 3 draws"} <= seen
+        if bounds == (2.0, 1.01):
+            assert "no entangled state in 3 draws; raise a_max or b_max" in seen
+
+    @pytest.mark.parametrize("bounds", [(0.5, 2.0), (float("nan"), 2.0), (1e200, 1e200)])
+    def test_bad_bounds(self, bounds):
+        for sample, _ in SAMPLERS:
+            with pytest.raises(InvalidStateError, match="need a_max, b_max >= 1"):
+                sample(np.random.default_rng(1), 3, *bounds)
