@@ -1,9 +1,11 @@
 """The worst-case QFI search, and why the closed formula can be trusted.
 
 The power of a probe state is one quarter of the infimum of the quantum
-Fisher information over the unknown local dynamics (zeta, theta).  This
-script shows the QFI landscape for one state, runs the exact minimizer
-(one 3x3 eigenvector of the QFI's quadratic form on its hyperboloid, or one
+Fisher information over the unknown local dynamics (zeta, theta).  The
+QFI is a quadratic form in the black box's generator, built in plain
+arithmetic from the Williamson decomposition of the state's standard form.
+This script shows the QFI landscape for one state, runs the exact
+minimizer (one 2x2 eigenvector of that form on its hyperboloid, or one
 quartic on a window edge), and cross-validates the closed formula against
 it on a batch of random states.
 """

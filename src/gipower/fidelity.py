@@ -7,8 +7,11 @@ quantum Fisher information of the family is unaffected: the fidelity
 between the phi and phi+eps outputs equals the fidelity between
 sigma' = (S R_theta) sigma (S R_theta)^T and its plain rotation by eps.
 The QFI is therefore that of sigma under one generator in sp(2) on mode A,
-a quadratic form in three coefficients of (zeta, theta), evaluated exactly
-in phase space (Monras, arXiv:1303.3682).
+a quadratic form in its three coefficients on the basis G = [[0, -1], [1, 0]]
+(which generates rotation(phi)), Z = diag(1, -1) and X = [[0, 1], [1, 0]].
+The form is exact: Monras's phase-space QFI (arXiv:1303.3682), summed over
+the symplectic eigenvalues of the state's Williamson decomposition, which
+in standard form is plain 2x2 arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .exceptions import InvalidStateError, NumericalError
 from .symplectic import CHECK_TOL, OMEGA, PURE_TOL, CovarianceMatrix
-from .symplectic import _det, _local_frame, _require_physical, _sigma_of
+from .symplectic import _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
     "BlackBoxParams",
@@ -35,15 +38,6 @@ __all__ = [
 ]
 
 _EYE4 = np.eye(4)
-_OMEGA_KRON = np.kron(OMEGA, OMEGA)
-# Basis (G, Z, X) of sp(2) on mode A, zero on mode B: G = [[0, -1], [1, 0]]
-# generates rotation(phi); Z = diag(1, -1) and X = [[0, 1], [1, 0]] squeeze.
-_GENERATORS = np.zeros((3, 4, 4))
-_GENERATORS[:, :2, :2] = [[[0, -1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]]
-# Eigenvalues of sigma (x) sigma - Omega (x) Omega below this fraction of
-# the largest are rounding noise on exactly-null directions (numpy's
-# matrix_rank threshold for a 16x16 matrix).
-_NULL_RTOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -130,14 +124,15 @@ def apply_blackbox(cm, params: BlackBoxParams) -> CovarianceMatrix:
     return CovarianceMatrix(t @ sigma @ t.T)
 
 
-def _purity_factor(sigma, inv):
+def _purity_factor(inv):
     """(nu-^2 - 1)(nu+^2 - 1) = D - (A + B + 2C) + 1, and D = det sigma.
 
-    Vanishes exactly on pure states; equals det(sigma + i*Omega).  D comes
-    from the Cholesky pivots, as in the closed form.
+    Vanishes exactly on pure states; equals det(sigma + i*Omega).  inv is
+    _require_physical's (A, B, C, AB - D, sqrt D), whose sqrt D is the
+    gate's det L, as in the closed form.
     """
-    A, B, C, _ = inv
-    D = _det(sigma)
+    A, B, C, _, det_root = inv
+    D = det_root**2
     return D - (A + B + 2 * C) + 1, D
 
 
@@ -161,8 +156,8 @@ def fidelity(cm1, cm2, tol: float = CHECK_TOL) -> float:
     """
     s1, inv1 = _require_physical(cm1)
     s2, inv2 = _require_physical(cm2)
-    lam1, d1 = _purity_factor(s1, inv1)
-    lam2, d2 = _purity_factor(s2, inv2)
+    lam1, d1 = _purity_factor(inv1)
+    lam2, d2 = _purity_factor(inv2)
     if lam1 * lam2 < -tol:
         raise NumericalError(f"purity product {lam1 * lam2} < -tol")
     upsilon = np.linalg.det((s1 + s2) / 2)
@@ -186,32 +181,77 @@ def _qfi_form(sigma) -> tuple[list, list]:
     The black box anchored at m = S(zeta) R(theta) rotates m sigma m^T,
     which is sigma itself moved by the generator H = m^-1 G m in sp(2);
     H = p G + u Z + v X with h = (p, u, v) as in _qfi_at.  The QFI is taken
-    in the local frame sigma0 = L^-1 sigma L^-T that makes both mode blocks
-    multiples of the identity (L = L_A (+) L_B, symplectic._local_frame), so local
-    squeezing of the input does not reach the conditioning of M below.  There
-    the generator is L_A^-1 H L_A, with coefficients h0 = T h.
+    in the frame of the standard form s = F^-1 sigma F^-T, F = F_A (+) F_B
+    from symplectic._standard_frame, so local squeezing of the input does
+    not reach the arithmetic below.  There the generator is F_A^-1 H F_A,
+    with coefficients h0 = T h.
 
-    The QFI of sigma0 under a generator K is 1/2 vec(dsigma)^T
-    (sigma0 (x) sigma0 - Omega (x) Omega)^+ vec(dsigma) with
-    dsigma = K sigma0 + sigma0 K^T, so Q_kl = 1/2 vec(dsigma_k)^T M^+
-    vec(dsigma_l) over (G, Z, X).  The pseudo-inverse drops only the
-    exactly-null directions of M: a unitary leaves the symplectic
-    eigenvalues unchanged, so dsigma has no component along them and the
-    form stays exact on pure and nu- = 1 states.
+    In (q_A, q_B, p_A, p_B) order s = sigma_q (+) sigma_p, sigma_q =
+    [[a, c], [c, b]] and sigma_p = [[a, d], [d, b]], and its Williamson
+    decomposition is plain 2x2 arithmetic: s = S (nu (+) nu) S^T with
+    S = S_q (+) S_q^-T, S_q = L_q R(omega) diag(nu)^-1/2, L_q the Cholesky
+    factor of sigma_q, R(omega) the Jacobi rotation of W = L_q^T sigma_p L_q
+    and nu^2 its eigenvalues.  With x = S_q^-1 e_A and y = S_q^T e_A the
+    generators G, Z, X become P = S^-1 K S = (0, -x x^T; y y^T, 0),
+    (x y^T, 0; 0, -y x^T) and (0, x x^T; y y^T, 0) in (q, p) blocks.  Each
+    2x2 block (j, m) of P over the normal modes splits into a part
+    alpha I + beta Omega_1 that commutes with Omega_1 and a part
+    gamma Z + delta X that anticommutes, and the QFI of s under P is
+    (Monras, arXiv:1303.3682; Safranek, Lee and Fuentes, NJP 17, 073016)
+
+        sum_jm  w^c_jm (alpha^2 + beta^2) + w^a_jm (gamma^2 + delta^2),
+
+    w^a = (nu_j + nu_m)^2/(nu_j nu_m + 1) and w^c = (nu_m - nu_j)^2/(nu_j nu_m - 1),
+    the latter 0 for j = m.  Its denominator is written as
+    (nu+ - nu-) + (nu- - 1)(nu+ + 1), with nu- - 1 clamped at 0 for states
+    the gate admits just below nu- = 1, so w^c <= nu+ - nu- comes without
+    cancellation and is 0 where nu- = nu+.  Z carries only alpha and gamma
+    and G, X only beta and delta, so the Z row and column of Q are exactly 0.
     """
-    l_a, l_a_inv, sigma0 = _local_frame(sigma)
-    # Column k of T: the (G, Z, X) coefficients of L_A^-1 H_k L_A.
-    k = l_a_inv @ _GENERATORS[:, :2, :2] @ l_a
-    t = np.stack([(k[:, 1, 0] - k[:, 0, 1]) / 2, k[:, 0, 0], (k[:, 1, 0] + k[:, 0, 1]) / 2])
-    lam, vec = np.linalg.eigh(np.kron(sigma0, sigma0) - _OMEGA_KRON)
-    keep = lam > _NULL_RTOL * lam[-1]
-    h_sigma = _GENERATORS @ sigma0
-    d_sigma = (h_sigma + np.swapaxes(h_sigma, -1, -2)).reshape(3, 16)
-    w = (d_sigma @ vec[:, keep]) / np.sqrt(lam[keep])
-    form = 0.5 * w @ w.T
-    if not np.all(np.isfinite(form)):
+    (a, b, c, d), (f00, f01, f10, f11) = _standard_frame(sigma)
+    # p G + u Z + v X = Omega_1^T S with S = [[p + v, -u], [-u, p - v]], and
+    # F_A^-1 Omega_1^T S F_A = Omega_1^T F_A^T S F_A for a symplectic F_A:
+    # column k of T is (p, u, v) of F_A^T S_k F_A, S_k = I, -X, Z for G, Z, X.
+    n0, n1 = f00 * f00 + f10 * f10, f01 * f01 + f11 * f11
+    z0, z1 = f00 * f00 - f10 * f10, f01 * f01 - f11 * f11
+    e0, e1 = f00 * f10, f01 * f11
+    t = [[(n0 + n1) / 2, -(e0 + e1), (z0 + z1) / 2],
+         [-(f00 * f01 + f10 * f11), f00 * f11 + f10 * f01, f10 * f11 - f00 * f01],
+         [(n0 - n1) / 2, e1 - e0, (z0 - z1) / 2]]
+    # L_q = [[l0, 0], [l1, l2]] and W = L_q^T sigma_p L_q
+    l0 = math.sqrt(a)
+    l1 = c / l0
+    l2 = math.sqrt(b - l1 * l1)
+    k = d * l0 + b * l1
+    w00, w01, w11 = l0 * (a * l0 + d * l1) + l1 * k, l2 * k, b * l2 * l2
+    half, mean = (w00 - w11) / 2, (w00 + w11) / 2
+    radius = math.hypot(half, w01)
+    # nu+ nu- = sqrt(det W) = a l2 m2, with m2 the second pivot of sigma_p:
+    # mean - radius loses ~eps nu+^2 to cancellation.
+    nu0 = math.sqrt(mean + radius)
+    m1 = d / l0
+    nu1 = a * l2 * math.sqrt(b - m1 * m1) / nu0
+    omega = math.atan2(w01, half) / 2
+    cos, sin = math.cos(omega), math.sin(omega)
+    r0, r1 = math.sqrt(nu0), math.sqrt(nu1)
+    x0, x1 = r0 * (cos - sin * l1 / l2) / l0, -r1 * (sin + cos * l1 / l2) / l0
+    y0, y1 = l0 * cos / r0, -l0 * sin / r1
+    # beta and delta of G are -(s, t), of X (t, s); alpha and gamma of Z
+    s00, s11, s01 = (x0 * x0 + y0 * y0) / 2, (x1 * x1 + y1 * y1) / 2, (x0 * x1 + y0 * y1) / 2
+    t00, t11, t01 = (x0 * x0 - y0 * y0) / 2, (x1 * x1 - y1 * y1) / 2, (x0 * x1 - y0 * y1) / 2
+    g00, g11, a01, g01 = x0 * y0, x1 * y1, (x0 * y1 - y0 * x1) / 2, (x0 * y1 + y0 * x1) / 2
+    wa00, wa11 = 4 * nu0 * nu0 / (nu0 * nu0 + 1), 4 * nu1 * nu1 / (nu1 * nu1 + 1)
+    wa01 = (nu0 + nu1) * (nu0 + nu1) / (nu0 * nu1 + 1)
+    gap = nu0 - nu1
+    wc01 = gap * gap / (gap + max(nu1 - 1, 0.0) * (nu0 + 1)) if gap > 0 else 0.0
+    qgg = wa00 * t00 * t00 + wa11 * t11 * t11 + 2 * (wc01 * s01 * s01 + wa01 * t01 * t01)
+    qxx = wa00 * s00 * s00 + wa11 * s11 * s11 + 2 * (wc01 * t01 * t01 + wa01 * s01 * s01)
+    qgx = -(wa00 * s00 * t00 + wa11 * s11 * t11 + 2 * (wc01 + wa01) * s01 * t01)
+    qzz = wa00 * g00 * g00 + wa11 * g11 * g11 + 2 * (wc01 * a01 * a01 + wa01 * g01 * g01)
+    form = [[qgg, 0.0, qgx], [0.0, qzz, 0.0], [qgx, 0.0, qxx]]
+    if not all(map(math.isfinite, (qgg, qzz, qxx, qgx))):
         raise NumericalError("QFI form evaluation produced a non-finite value")
-    return form.tolist(), t.tolist()
+    return form, t
 
 
 def _qfi_at(form, zeta, theta):
@@ -258,9 +298,6 @@ def qfi(cm, zeta, theta):
 
 # q = (zeta^2 - zeta^-2)/2 = sinh(_LN4 * log2 zeta): the sheet radius of zeta.
 _LN4 = math.log(4.0)
-# J = diag(1, -1, -1) as a vector.  h^T J h = p^2 - u^2 - v^2 is the
-# determinant of p G + u Z + v X, which conjugation preserves: T^T J T = J.
-_J = np.array([1.0, -1.0, -1.0])
 # Deterministic tie-breaking between indistinguishable minima: prefer
 # smallest theta, then smallest |log2 zeta| (zeta = 1 wins over any squeeze).
 # A state symmetric under a local rotation (d = -c, tmsv) has its sheet
@@ -273,18 +310,26 @@ _TIE_REL = 1e-6
 def _sheet_minimum(form):
     """(u, v) of the minimum of the QFI over the whole sheet h^T J h = 1, h[0] > 0.
 
-    The QFI h^T P h, P = T^T Q T, is stationary on the sheet where
-    P h = lam J h, and there lam = h^T P h.  Since T^T J T = J this is the
-    3x3 pencil Q h0 = lam J h0 in the frame of _qfi_form.  With Q >= 0 the
-    pencil has one eigenvector with h0^T J h0 > 0, that of its largest
-    eigenvalue, so the sheet has one stationary point: the minimum.  It
+    With J = diag(1, -1, -1), h^T J h = p^2 - u^2 - v^2 is the determinant
+    of p G + u Z + v X, which conjugation preserves: T^T J T = J.  The QFI
+    h^T P h, P = T^T Q T, is stationary on the sheet where P h = lam J h,
+    and there lam = h^T P h.  This is the pencil Q h0 = lam J h0 in the
+    frame of _qfi_form, where the Z row and column of Q vanish, so it is
+    the 2x2 pencil on (G, X): lam = (Q_GG - Q_XX)/2 + root with
+    root = sqrt(mean^2 - Q_GX^2), mean = (Q_GG + Q_XX)/2, and
+    h0 = (Q_XX + lam, 0, -Q_GX).  With Q >= 0 this, the largest eigenvalue,
+    is the one whose eigenvector has h0^T J h0 > 0, so the sheet has one
+    stationary point: the minimum.  Q_XX + lam = mean + root and
+    h0^T J h0 = 2 root (mean + root), so nothing cancels; root > 0 because
+    mean -+ Q_GX is the QFI of a shear G -+ X, which moves every state.  It
     maps back by h = T^-1 h0 = J T^T J h0.
     """
-    gram, t = form
-    lam, vec = np.linalg.eig(_J[:, None] * gram)
-    p0, u0, v0 = vec[:, np.argmax(lam.real)].real.tolist()
-    scale = math.copysign(math.sqrt(p0 * p0 - u0 * u0 - v0 * v0), p0)
-    return tuple(-(t[0][i] * p0 - t[1][i] * u0 - t[2][i] * v0) / scale for i in (1, 2))
+    ((q_gg, _, q_gx), _, (_, _, q_xx)), t = form
+    mean = (q_gg + q_xx) / 2
+    root = math.sqrt(max((mean - q_gx) * (mean + q_gx), 0.0))
+    p0, v0 = mean + root, -q_gx
+    scale = math.sqrt(2 * root * p0)
+    return tuple((t[2][i] * v0 - t[0][i] * p0) / scale for i in (1, 2))
 
 
 def _circle_angles(sheet, r):

@@ -22,7 +22,6 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
-    _det,
     _require_physical,
     from_standard_form,
 )
@@ -83,11 +82,11 @@ def gip_closed_form(cm, tol: float = CHECK_TOL) -> IpResult:
     General branch: (X + sqrt(X^2 + YZ)) / (2Y), evaluated as
     Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels.
     Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.  D
-    comes from sigma's Cholesky pivots and AB - D from the invariant
-    kernel, so neither is a difference of the other with AB.
+    comes from the Cholesky pivots of the physicality gate and AB - D from
+    the invariant kernel, so neither is a difference of the other with AB.
     """
-    sigma, (A, B, C, E) = _require_physical(cm)
-    D = _det(sigma)
+    _, (A, B, C, E, det_root) = _require_physical(cm)
+    D = det_root**2
     inv = LocalInvariants(A, B, C, D)
     if abs(D - 1) < PURE_TOL:
         return IpResult(value=(A - 1) / 4, branch="pure", invariants=inv)

@@ -237,18 +237,8 @@ def _cholesky(sigma):
     return (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33)
 
 
-def _det(sigma) -> float:
-    """det sigma of a positive definite sigma, as the squared product of its Cholesky pivots.
-
-    Its relative error is ~eps cond(sigma); AB - (AB - D) loses ~eps AB,
-    which on a pure state with a ~ 300 already exceeds PURE_TOL.
-    """
-    (l00,), (_, l11), (_, _, l22), (_, _, _, l33) = _cholesky(sigma)
-    return (l00 * l11 * l22 * l33) ** 2
-
-
 def _nu_pair(sigma, pt: bool = False):
-    """(nu-, nu+) of sigma, or of its partial transpose if pt; None unless sigma > 0.
+    """(nu-, nu+, sqrt(det sigma)) of sigma, or of its partial transpose if pt; None unless sigma > 0.
 
     Williamson by Cholesky: with sigma = L L^T, the antisymmetric
     M = L^T Omega L has eigenvalues +-i nu-, +-i nu+.  Its self-dual and
@@ -258,7 +248,10 @@ def _nu_pair(sigma, pt: bool = False):
     states) are resolved, which the roots of x^2 - (A + B + 2C) x + D are
     not: their discriminant loses ~eps (sigma entries)^4.  The partial
     transpose P sigma P has the factor P L P, which flips the sign of the
-    mode-B part y of M = x + y.
+    mode-B part y of M = x + y.  det L, the product of the Cholesky
+    pivots, squares to det sigma with relative error ~eps cond(sigma);
+    AB - (AB - D) loses ~eps AB, which on a pure state with a ~ 300
+    already exceeds PURE_TOL.
     """
     factor = _cholesky(sigma)
     if factor is None:
@@ -272,7 +265,8 @@ def _nu_pair(sigma, pt: bool = False):
     u = math.hypot(x + y01 + y23, y02 - y13, y03 + y12)
     w = math.hypot(x + y01 - y23, y02 + y13, y03 - y12)
     nu_plus = (u + w) / 2
-    return x * l22 * l33 / nu_plus, nu_plus
+    det_root = x * l22 * l33
+    return det_root / nu_plus, nu_plus, det_root
 
 
 def _nu_minus_standard(a, b, c, d):
@@ -306,7 +300,7 @@ def symplectic_eigenvalues(cm) -> tuple[float, float]:
     nu = _nu_pair(_sigma_of(cm))
     if nu is None:
         raise InvalidStateError("sigma is not positive definite")
-    return nu
+    return nu[:2]
 
 
 def validate_bona_fide(cm, tol: float = CHECK_TOL) -> BonaFideReport:
@@ -321,14 +315,18 @@ def validate_bona_fide(cm, tol: float = CHECK_TOL) -> BonaFideReport:
 
 
 def _require_physical(cm, tol: float = GATE_TOL):
-    """sigma and its invariants (A, B, C, AB - D), if nu_minus >= 1 - tol."""
+    """sigma and (A, B, C, AB - D, sqrt D), if nu_minus >= 1 - tol.
+
+    sqrt D is the gate's own det L (_nu_pair), so a caller that needs D
+    squares it instead of factoring sigma again.
+    """
     sigma = _sigma_of(cm)
     nu = _nu_pair(sigma)
     if nu is None:
         raise InvalidStateError("state is unphysical: sigma is not positive definite")
     if nu[0] < 1 - tol:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu[0]} < 1")
-    return sigma, _invariants(sigma)
+    return sigma, (*_invariants(sigma), nu[2])
 
 
 def local_invariants(cm) -> LocalInvariants:
@@ -336,50 +334,57 @@ def local_invariants(cm) -> LocalInvariants:
     return LocalInvariants(*block_determinants(_sigma_of(cm)))
 
 
-def _unsqueeze(block) -> tuple[np.ndarray, np.ndarray]:
-    """(L, L^-1) for a 2x2 covariance block = sqrt(det block) L L^T.
+def _unsqueeze(b00, b01, b11):
+    """(sqrt(det block), L) for a 2x2 covariance block = sqrt(det block) L L^T.
 
-    L is the symmetric positive square root of block / sqrt(det block),
-    a symplectic: (N + I)/sqrt(tr N + 2) for N of unit determinant.
+    L = (l00, l01, l11), the symmetric positive square root of
+    block / sqrt(det block), is a symplectic: (N + I)/sqrt(tr N + 2) for
+    N of unit determinant, and L^-1 = [[l11, -l01], [-l01, l00]].
     """
-    (b00, b01), (_, b11) = block.tolist()
     scale = math.sqrt(b00 * b11 - b01 * b01)
     n00, n01, n11 = b00 / scale, b01 / scale, b11 / scale
     norm = math.sqrt(n00 + n11 + 2)
-    l00, l01, l11 = (n00 + 1) / norm, n01 / norm, (n11 + 1) / norm
-    return np.array([[l00, l01], [l01, l11]]), np.array([[l11, -l01], [-l01, l00]])
+    return scale, ((n00 + 1) / norm, n01 / norm, (n11 + 1) / norm)
 
 
-def _local_frame(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L_A, L_A^-1, sigma0) with sigma0 = L^-1 sigma L^-T, L = L_A (+) L_B from _unsqueeze.
+def _standard_frame(sigma):
+    """((a, b, c, d), F_A): the standard form of sigma and its mode-A frame.
 
-    The mode blocks of sigma0 are sqrt(A) I and sqrt(B) I, so local
-    squeezing of sigma does not reach whatever is computed from sigma0.
+    sigma = F sigma_s F^T with sigma_s the standard form and F = F_A (+) F_B
+    local symplectics, F_A = L_A R(phi_A) as (f00, f01, f10, f11).
+    L = L_A (+) L_B from _unsqueeze takes both mode blocks to a I and b I,
+    a = sqrt(A) and b = sqrt(B), so local squeezing of sigma does not reach
+    what is computed from sigma_s.  Rotations R(phi_A) (+) R(phi_B) then
+    diagonalise the correlation block [[p, q], [r, s]]: it is
+    e I + f G + h Z + g X (G = [[0, -1], [1, 0]], Z = diag(1, -1),
+    X = [[0, 1], [1, 0]]), a rotation of length hypot(e, f) plus a
+    reflection of length hypot(h, g), which they turn to diag(c, d) with
+    c + d = 2 hypot(e, f), c - d = 2 hypot(h, g) and
+    phi_A = (atan2(f, e) + atan2(g, h))/2.  c and d stay accurate to ~eps c
+    at c = |d| (pure states), a double root of x^2 - (c^2 + d^2) x + C^2,
+    whose roots lose ~sqrt(eps) c there.
     """
-    l_a, l_a_inv = _unsqueeze(sigma[:2, :2])
-    _, l_b_inv = _unsqueeze(sigma[2:, 2:])
-    frame_inv = np.zeros((4, 4))
-    frame_inv[:2, :2], frame_inv[2:, 2:] = l_a_inv, l_b_inv
-    return l_a, l_a_inv, frame_inv @ sigma @ frame_inv.T
+    (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = sigma.tolist()
+    a, (la00, la01, la11) = _unsqueeze(s00, s01, s11)
+    b, (lb00, lb01, lb11) = _unsqueeze(s22, s23, s33)
+    # [[p, q], [r, s]] = L_A^-1 gamma L_B^-1
+    m00, m01 = la11 * s02 - la01 * s12, la11 * s03 - la01 * s13
+    m10, m11 = la00 * s12 - la01 * s02, la00 * s13 - la01 * s03
+    p, q = m00 * lb11 - m01 * lb01, m01 * lb00 - m00 * lb01
+    r, s = m10 * lb11 - m11 * lb01, m11 * lb00 - m10 * lb01
+    e, f, h, g = (p + s) / 2, (r - q) / 2, (p - s) / 2, (q + r) / 2
+    rot, ref = math.hypot(e, f), math.hypot(h, g)
+    phi = (math.atan2(f, e) + math.atan2(g, h)) / 2
+    cos, sin = math.cos(phi), math.sin(phi)
+    frame = (la00 * cos + la01 * sin, la01 * cos - la00 * sin,
+             la01 * cos + la11 * sin, la11 * cos - la01 * sin)
+    return (a, b, rot + ref, rot - ref), frame
 
 
 def to_standard_form(cm) -> StandardForm:
-    """Reduce a physical state to standard form (a, b, c, d).
-
-    a = sqrt(A) and b = sqrt(B).  In the local frame of _local_frame the
-    correlation block [[p, q], [r, s]] has singular values c >= |d|, which
-    local rotations bring to diag(c, d): the larger and the smaller of
-    hypot(p + s, q - r) and hypot(p - s, q + r) are c + |d| and c - |d|,
-    and d takes the sign of the block's determinant C.  Both stay accurate
-    to ~eps c at c = |d| (pure states), a double root of
-    x^2 - (c^2 + d^2) x + C^2, whose roots lose ~sqrt(eps) c there.
-    """
-    sigma, (A, B, _, _) = _require_physical(cm)
-    (p, q), (r, s) = _local_frame(sigma)[2][:2, 2:].tolist()
-    h_sum, h_diff = math.hypot(p + s, q - r), math.hypot(p - s, q + r)
-    c = (h_sum + h_diff) / 2
-    d = math.copysign(abs(h_sum - h_diff) / 2, p * s - q * r)
-    return StandardForm(math.sqrt(A), math.sqrt(B), c, d)
+    """Reduce a physical state to standard form (a, b, c, d), by _standard_frame."""
+    sigma, _ = _require_physical(cm)
+    return StandardForm(*_standard_frame(sigma)[0])
 
 
 def from_standard_form(sf: StandardForm) -> CovarianceMatrix:

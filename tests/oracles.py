@@ -7,11 +7,15 @@ determinants, the closed form through exact rational invariants, and the
 QFI through a high-precision second difference of the Uhlmann fidelity.
 The worst-case QFI has a brute-force route too: a dense grid of the
 library's own qfi values, which knows nothing of the oracle's theory.
+The QFI form has a matrix route: the pseudo-inverse of the 16x16
+sigma (x) sigma - Omega (x) Omega, as the library built it before its
+Williamson decomposition became plain arithmetic.
 The random-state sampler has a scalar route: one validated draw at a
 time through rng.uniform, as the library drew before its draws were
 batched.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +34,7 @@ from gipower import (
     qfi,
     validate_bona_fide,
 )
-from gipower.exceptions import InvalidStateError
+from gipower.exceptions import InvalidStateError, NumericalError
 from gipower.symplectic import OMEGA
 
 
@@ -233,3 +237,71 @@ def sample_records_scalar(rng, n, a_max, b_max, entangled_only):
     records = [make(stream) for stream in rng.spawn(n)]
     records.sort(key=lambda r: (r.sf.a, r.sf.b, r.sf.c, r.sf.d))
     return records
+
+
+_OMEGA_KRON = np.kron(OMEGA, OMEGA)
+# Basis (G, Z, X) of sp(2) on mode A, zero on mode B: G = [[0, -1], [1, 0]]
+# generates rotation(phi); Z = diag(1, -1) and X = [[0, 1], [1, 0]] squeeze.
+_GENERATORS = np.zeros((3, 4, 4))
+_GENERATORS[:, :2, :2] = [[[0, -1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]]
+# Eigenvalues of sigma (x) sigma - Omega (x) Omega below this fraction of
+# the largest are rounding noise on exactly-null directions (numpy's
+# matrix_rank threshold for a 16x16 matrix).
+_NULL_RTOL = 16 * np.finfo(float).eps
+
+
+def _unsqueeze(block) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1) for a 2x2 covariance block = sqrt(det block) L L^T.
+
+    L is the symmetric positive square root of block / sqrt(det block),
+    a symplectic: (N + I)/sqrt(tr N + 2) for N of unit determinant.
+    """
+    (b00, b01), (_, b11) = block.tolist()
+    scale = math.sqrt(b00 * b11 - b01 * b01)
+    n00, n01, n11 = b00 / scale, b01 / scale, b11 / scale
+    norm = math.sqrt(n00 + n11 + 2)
+    l00, l01, l11 = (n00 + 1) / norm, n01 / norm, (n11 + 1) / norm
+    return np.array([[l00, l01], [l01, l11]]), np.array([[l11, -l01], [-l01, l00]])
+
+
+def _local_frame(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L_A, L_A^-1, sigma0) with sigma0 = L^-1 sigma L^-T, L = L_A (+) L_B from _unsqueeze.
+
+    The mode blocks of sigma0 are sqrt(A) I and sqrt(B) I, so local
+    squeezing of sigma does not reach whatever is computed from sigma0.
+    """
+    l_a, l_a_inv = _unsqueeze(sigma[:2, :2])
+    _, l_b_inv = _unsqueeze(sigma[2:, 2:])
+    frame_inv = np.zeros((4, 4))
+    frame_inv[:2, :2], frame_inv[2:, 2:] = l_a_inv, l_b_inv
+    return l_a, l_a_inv, frame_inv @ sigma @ frame_inv.T
+
+
+def qfi_form_kron(sigma) -> tuple[list, list]:
+    """(Q, T) as gipower.fidelity._qfi_form returns them, by a 16x16 pseudo-inverse.
+
+    The QFI at (zeta, theta) is h0^T Q h0 with h0 = T h, h as in
+    gipower.fidelity._qfi_at.  The QFI is taken in the local frame
+    sigma0 = L^-1 sigma L^-T that makes both mode blocks multiples of the
+    identity; there the generator is L_A^-1 H L_A, with coefficients h0 = T h.
+    The QFI of sigma0 under a generator K is 1/2 vec(dsigma)^T
+    (sigma0 (x) sigma0 - Omega (x) Omega)^+ vec(dsigma) with
+    dsigma = K sigma0 + sigma0 K^T (Monras, arXiv:1303.3682), so
+    Q_kl = 1/2 vec(dsigma_k)^T M^+ vec(dsigma_l) over (G, Z, X).  The
+    pseudo-inverse drops only the exactly-null directions of M: a unitary
+    leaves the symplectic eigenvalues unchanged, so dsigma has no component
+    along them and the form stays exact on pure and nu- = 1 states.
+    """
+    l_a, l_a_inv, sigma0 = _local_frame(sigma)
+    # Column k of T: the (G, Z, X) coefficients of L_A^-1 H_k L_A.
+    k = l_a_inv @ _GENERATORS[:, :2, :2] @ l_a
+    t = np.stack([(k[:, 1, 0] - k[:, 0, 1]) / 2, k[:, 0, 0], (k[:, 1, 0] + k[:, 0, 1]) / 2])
+    lam, vec = np.linalg.eigh(np.kron(sigma0, sigma0) - _OMEGA_KRON)
+    keep = lam > _NULL_RTOL * lam[-1]
+    h_sigma = _GENERATORS @ sigma0
+    d_sigma = (h_sigma + np.swapaxes(h_sigma, -1, -2)).reshape(3, 16)
+    w = (d_sigma @ vec[:, keep]) / np.sqrt(lam[keep])
+    form = 0.5 * w @ w.T
+    if not np.all(np.isfinite(form)):
+        raise NumericalError("QFI form evaluation produced a non-finite value")
+    return form.tolist(), t.tolist()

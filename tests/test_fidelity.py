@@ -11,6 +11,7 @@ from gipower import (
     StandardForm,
     apply_blackbox,
     apply_local_symplectic,
+    apply_loss_B,
     blackbox_symplectic,
     fidelity,
     from_standard_form,
@@ -27,8 +28,16 @@ from gipower import (
     worst_case_qfi,
 )
 
+from gipower.fidelity import _qfi_at, _qfi_form
+
 from conftest import random_physical_cm
-from oracles import closed_form_mp, qfi_grid_minimum, qfi_mp, thermal_vs_vacuum_fidelity
+from oracles import (
+    closed_form_mp,
+    qfi_form_kron,
+    qfi_grid_minimum,
+    qfi_mp,
+    thermal_vs_vacuum_fidelity,
+)
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
@@ -283,12 +292,71 @@ class TestQfiAgainstReference:
         # accuracy, including at the black box that undoes it (zeta = 1/z).
         z = 10**1.5
         for i in range(12):
-            s_a = rotation(rng.uniform(0, 2 * np.pi)) @ squeeze(z) @ rotation(rng.uniform(0, 2 * np.pi))
-            cm = apply_local_symplectic(random_physical_cm(rng), s_a, random_local_symplectic(rng))
+            cm = _locally_squeezed(rng, z)
             zeta = 1 / z if i % 2 else 2 ** rng.uniform(-2.5, 2.5)
             theta = rng.uniform(0, np.pi)
             expected = qfi_mp(cm.sigma, zeta, theta)
             assert qfi(cm, zeta, theta) == pytest.approx(expected, rel=1e-9)
+
+
+def _locally_squeezed(rng, z=10**1.5):
+    """A random state squeezed by z on mode A: entries ~z^2 in sigma."""
+    s_a = rotation(rng.uniform(0, 2 * np.pi)) @ squeeze(z) @ rotation(rng.uniform(0, 2 * np.pi))
+    return apply_local_symplectic(random_physical_cm(rng), s_a, random_local_symplectic(rng))
+
+
+class TestQfiForm:
+    def test_matches_pseudo_inverse_form(self, rng):
+        # The Williamson-basis form against the 16x16 pseudo-inverse form, on
+        # every (zeta, theta), including degenerate spectra nu- = nu+ (vacuum,
+        # symmetric thermal products, tmsv) and their near-pure scalings.
+        # The eigh of the pseudo-inverse form loses ~eps a^2: on tmsv(300) it is
+        # itself up to ~1.3e-10 off, so a point it misses goes to the 60-digit
+        # second difference instead.
+        states = list(_reference_states(rng))
+        states += [("locally squeezed", _locally_squeezed(rng).sigma) for _ in range(12)]
+        degenerate = [np.eye(4)]
+        degenerate += [from_standard_form(StandardForm(a, a, 0.0, 0.0)).sigma for a in (1.5, 4.0, 30.0)]
+        degenerate += [from_standard_form(tmsv(a)).sigma for a in (1.5, 4.0, 30.0, 300.0)]
+        for sigma in degenerate:
+            states.append(("nu- = nu+", sigma))
+            states += [(f"nu- = nu+ scaled {delta:.0e}", sigma * (1 + delta) ** 0.25)
+                       for delta in np.logspace(-12, -4, 9)]
+        worst = (0.0, "")
+        for label, sigma in states:
+            form = _qfi_form(sigma)
+            (_, q_gz, _), (_, _, q_zx), _ = form[0]
+            assert q_gz == 0.0 and q_zx == 0.0, label
+            zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
+            values = _qfi_at(form, zeta, theta)
+            expected = _qfi_at(qfi_form_kron(sigma), zeta, theta)
+            for value, ref, z, t in zip(values, expected, zeta, theta):
+                error = abs(value - ref) / max(1.0, ref)
+                if error > 1e-10:
+                    ref = qfi_mp(sigma, z, t)
+                    error = abs(value - ref) / max(1.0, ref)
+                worst = max(worst, (error, label))
+        assert worst[0] <= 1e-10, f"worst deviation {worst[0]:.2e} on a {worst[1]} state"
+
+    def test_states_the_gate_admits_below_the_bound(self, rng):
+        # nu- = 1 - eps (eps <= 3e-8) passes the 1e-7 gate.  Mixed by a beam
+        # splitter with nu+ = 1/nu- the naive weight (nu+ - nu-)^2/(nu+ nu- - 1)
+        # divides by ~0; the form must stay finite and positive semidefinite.
+        for i in range(100):
+            nu = 1 - 10 ** rng.uniform(-12, -7.5)
+            angle = rng.uniform(0, np.pi)
+            c, s = math.cos(angle), math.sin(angle)
+            splitter = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+            nu_plus = 1 / nu if i % 2 else nu + 3
+            sigma = splitter @ np.diag([nu, nu, nu_plus, nu_plus]) @ splitter.T
+            form = _qfi_form(sigma)
+            (q_gg, _, q_gx), _, (_, _, q_xx) = form[0]
+            assert q_gg * q_xx >= q_gx * q_gx
+            zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
+            expected = _qfi_at(qfi_form_kron(sigma), zeta, theta)
+            error = np.abs(_qfi_at(form, zeta, theta) - expected) / np.maximum(1.0, expected)
+            assert error.max() <= 1e-6, (i, nu)
+            assert math.isfinite(worst_case_qfi(sigma).value)
 
 
 class TestWorstCase:
@@ -402,6 +470,17 @@ class TestWorstCase:
             best, resolution = qfi_grid_minimum(cm, window)
             assert value <= best + 1e-12 * max(1.0, value), window
             assert best - value <= resolution, window
+
+    def test_monotone_under_loss_on_B(self, rng):
+        # Loss on mode B, which the black box does not touch, cannot raise the
+        # worst-case QFI.  The closed form has the same test; the oracle never
+        # reads the invariants that one depends on.
+        for i in range(200):
+            cm = random_physical_cm(rng, conjugate=i % 2 == 1)
+            value = worst_case_qfi(cm).value
+            for eta in (0.1, 0.5, 0.9, 0.999):
+                lossy = worst_case_qfi(apply_loss_B(cm, eta)).value
+                assert lossy <= value + 1e-12 * max(1.0, value), (i, eta, lossy - value)
 
     def test_rejects_bad_window(self):
         cm = from_standard_form(S231)
