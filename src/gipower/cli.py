@@ -25,6 +25,7 @@ from .families import (
 )
 from .power import cross_validate, gip_closed_form, gip_from_standard_form
 from .symplectic import (
+    ORACLE_TOL,
     CovarianceMatrix,
     from_standard_form,
     StandardForm,
@@ -200,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-validate the closed formula against the optimizer")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=ORACLE_TOL)
     p.add_argument("--a-max", type=float, default=5.0)
     p.add_argument("--b-max", type=float, default=5.0)
     p.set_defaults(func=cmd_verify)

@@ -15,17 +15,17 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import InvalidStateError
-from .power import gip_closed_form
+from .power import _closed_form
 from .symplectic import (
     CHECK_TOL,
     GATE_TOL,
     GUARD_BAND,
     MAX_DRAWS,
+    ROOT_STEP,
     StandardForm,
     _nu_minus_standard,
-    _nu_pair,
+    _require_physical,
     from_standard_form,
-    is_separable,
     mean_photon_A,
     validate_bona_fide,
 )
@@ -207,7 +207,7 @@ def nu_zero() -> float:
         dp = 3 * x**2 + 2 * x + 7
         step = p / dp
         x -= step
-        if abs(step) < 1e-16:
+        if abs(step) < ROOT_STEP:
             break
     return x
 
@@ -258,7 +258,7 @@ def en_threshold() -> float:
         dg = -2 / (x + 1) ** 2 + 2 / (x - 1) ** 2 + np.sqrt(2) / (x + 1) ** 1.5
         step = (g - 1) / dg
         x -= step
-        if abs(step) < 1e-16:
+        if abs(step) < ROOT_STEP:
             break
     return float(-np.log(x))
 
@@ -309,8 +309,8 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     must be entangled, the partial transpose's nu_minus lies within
     GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are rebuilt from their
     uniforms by scalar arithmetic and decided by random_state's
-    validate_bona_fide and by is_separable, which fixes every decision to
-    theirs.
+    validate_bona_fide, whose report also carries is_separable's decision
+    (one factor gives both), which fixes every decision to theirs.
     """
     a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
     nu, nu_pt = _nu_minus_standard(a, b, c, d)
@@ -323,9 +323,9 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     else:
         accepted = physical.copy()
     for i in zip(*np.nonzero(near)):
-        sigma = StandardForm(*_draw(u[i].tolist(), a_max, b_max)).matrix()
-        physical[i] = validate_bona_fide(sigma).physical
-        accepted[i] = physical[i] and not (entangled_only and is_separable(sigma))
+        report = validate_bona_fide(StandardForm(*_draw(u[i].tolist(), a_max, b_max)).matrix())
+        physical[i] = report.physical
+        accepted[i] = report.physical and not (entangled_only and report.separable)
     return physical, accepted
 
 
@@ -369,14 +369,14 @@ def _first_accepted(streams, a_max: float, b_max: float, entangled_only: bool) -
 def _record(a: float, b: float, c: float, d: float) -> SampleRecord:
     sf = StandardForm(a, b, c, d)
     cm = from_standard_form(sf)
-    nu_tilde = _nu_pair(cm.sigma, pt=True)[0]
+    _, gate = _require_physical(cm)
     return SampleRecord(
         sf=sf,
         n_bar_A=mean_photon_A(cm),
-        e_n=max(0.0, -math.log(nu_tilde)),
-        p_g=gip_closed_form(cm).value,
-        separable=nu_tilde >= 1 - CHECK_TOL,
-        nu_tilde=nu_tilde,
+        e_n=max(0.0, -math.log(gate.nu_tilde)),
+        p_g=_closed_form(gate).value,
+        separable=gate.nu_tilde >= 1 - CHECK_TOL,
+        nu_tilde=gate.nu_tilde,
     )
 
 

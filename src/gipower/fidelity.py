@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidStateError, NumericalError
-from .symplectic import CHECK_TOL, OMEGA, PURE_TOL, CovarianceMatrix
+from .symplectic import CHECK_TOL, EDGE_TOL, OMEGA, PURE_TOL, TIE_REL, CovarianceMatrix
 from .symplectic import _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "qfi",
     "worst_case_qfi",
 ]
-
-_EYE4 = np.eye(4)
-
 
 @dataclass(frozen=True)
 class BlackBoxParams:
@@ -79,12 +76,7 @@ def rotation(phi) -> np.ndarray:
     """Phase-space rotation [[cos, -sin], [sin, cos]]; accepts stacked input."""
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(phi), np.sin(phi)
-    out = np.empty(phi.shape + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
+    return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
 
 def squeeze(zeta) -> np.ndarray:
@@ -92,10 +84,8 @@ def squeeze(zeta) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     if np.any(zeta <= 0) or not np.all(np.isfinite(zeta)):
         raise InvalidStateError("squeezing parameter must be positive and finite")
-    out = np.zeros(zeta.shape + (2, 2))
-    out[..., 0, 0] = zeta
-    out[..., 1, 1] = 1.0 / zeta
-    return out
+    zero = np.zeros_like(zeta)
+    return np.moveaxis(np.array([[zeta, zero], [zero, 1.0 / zeta]]), (0, 1), (-2, -1))
 
 
 def blackbox_symplectic(params: BlackBoxParams) -> np.ndarray:
@@ -107,36 +97,15 @@ def blackbox_symplectic(params: BlackBoxParams) -> np.ndarray:
     return r_theta.T @ s @ rotation(params.phi) @ s @ r_theta
 
 
-def _extend_A(t: np.ndarray) -> np.ndarray:
-    """Embed stacked 2x2 transforms as T (+) I on the two-mode phase space."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape[:-2] + (4, 4))
-    out[..., :2, :2] = t
-    out[..., 2, 2] = 1.0
-    out[..., 3, 3] = 1.0
-    return out
-
-
 def apply_blackbox(cm, params: BlackBoxParams) -> CovarianceMatrix:
     """Transformed state (T (+) I) sigma (T (+) I)^T after the black box."""
     sigma = _sigma_of(cm)
-    t = _extend_A(blackbox_symplectic(params))
+    t = np.eye(4)
+    t[:2, :2] = blackbox_symplectic(params)
     return CovarianceMatrix(t @ sigma @ t.T)
 
 
-def _purity_factor(inv):
-    """(nu-^2 - 1)(nu+^2 - 1) = D - (A + B + 2C) + 1, and D = det sigma.
-
-    Vanishes exactly on pure states; equals det(sigma + i*Omega).  inv is
-    _require_physical's (A, B, C, AB - D, sqrt D), whose sqrt D is the
-    gate's det L, as in the closed form.
-    """
-    A, B, C, _, det_root = inv
-    D = det_root**2
-    return D - (A + B + 2 * C) + 1, D
-
-
-def fidelity(cm1, cm2, tol: float = CHECK_TOL) -> float:
+def fidelity(cm1, cm2) -> float:
     """Uhlmann fidelity between two physical two-mode Gaussian states.
 
     Implements F = (s + sqrt(s^2 - Upsilon))/Upsilon with
@@ -146,30 +115,31 @@ def fidelity(cm1, cm2, tol: float = CHECK_TOL) -> float:
         Lambda  = lam1 * lam2 / 16        (lam = det(sigma + i Omega))
         Upsilon = det((s1 + s2)/2)
 
+    lam = (nu-^2 - 1)(nu+^2 - 1) comes from the gate's spectra, clamped at 0.
+
     For a pair of pure states Lambda = 0 and Gamma = Upsilon identically,
     so F reduces to 1/sqrt(Upsilon), which is evaluated directly instead
     of through the cancelling radicand s^2 - Upsilon.
 
     Symmetric in its arguments, bounded by [0, 1], with F(sigma, sigma) = 1.
     Raises InvalidStateError for unphysical input and NumericalError if the
-    main radicand is negative beyond tolerance.
+    main radicand is negative beyond CHECK_TOL or F is not finite.
     """
-    s1, inv1 = _require_physical(cm1)
-    s2, inv2 = _require_physical(cm2)
-    lam1, d1 = _purity_factor(inv1)
-    lam2, d2 = _purity_factor(inv2)
-    if lam1 * lam2 < -tol:
-        raise NumericalError(f"purity product {lam1 * lam2} < -tol")
-    upsilon = np.linalg.det((s1 + s2) / 2)
-    if abs(d1 - 1) < PURE_TOL and abs(d2 - 1) < PURE_TOL:
-        f = 1.0 / np.sqrt(upsilon)
-    else:
-        gamma = np.linalg.det(OMEGA @ s1 @ OMEGA @ s2 - _EYE4) / 16
-        s = np.sqrt(max(gamma, 0.0)) + np.sqrt(max(lam1 * lam2, 0.0) / 16)
-        radicand = s * s - upsilon
-        if radicand < -tol * max(1.0, s * s):
-            raise NumericalError(f"fidelity radicand {radicand} negative beyond tolerance")
-        f = (s + np.sqrt(max(radicand, 0.0))) / upsilon
+    s1, g1 = _require_physical(cm1)
+    s2, g2 = _require_physical(cm2)
+    lam1, lam2 = (max((g.nu_minus * g.nu_minus - 1) * (g.nu_plus * g.nu_plus - 1), 0.0)
+                  for g in (g1, g2))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        upsilon = np.linalg.det((s1 + s2) / 2)
+        if abs(g1.D - 1) < PURE_TOL and abs(g2.D - 1) < PURE_TOL:
+            f = 1.0 / np.sqrt(upsilon)
+        else:
+            gamma = np.linalg.det(OMEGA @ s1 @ OMEGA @ s2 - np.eye(4)) / 16
+            s = np.sqrt(max(gamma, 0.0)) + np.sqrt(lam1 * lam2 / 16)
+            radicand = s * s - upsilon
+            if radicand < -CHECK_TOL * max(1.0, s * s):
+                raise NumericalError(f"fidelity radicand {radicand} negative beyond tolerance")
+            f = (s + np.sqrt(max(radicand, 0.0))) / upsilon
     if not np.isfinite(f):
         raise NumericalError("fidelity evaluation produced a non-finite value")
     return float(f)
@@ -298,13 +268,6 @@ def qfi(cm, zeta, theta):
 
 # q = (zeta^2 - zeta^-2)/2 = sinh(_LN4 * log2 zeta): the sheet radius of zeta.
 _LN4 = math.log(4.0)
-# Deterministic tie-breaking between indistinguishable minima: prefer
-# smallest theta, then smallest |log2 zeta| (zeta = 1 wins over any squeeze).
-# A state symmetric under a local rotation (d = -c, tmsv) has its sheet
-# minimum at zeta = 1, which rounding in Q moves by up to ~1e-13, and a
-# QFI that is flat along every circle of the sheet, edge circles included.
-# Values closer than this count as the same minimum.
-_TIE_REL = 1e-6
 
 
 def _sheet_minimum(form):
@@ -374,7 +337,7 @@ def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = (-2.5, 2.5)) -> Wo
     the minimum lies on an edge circle, at a root of one quartic per circle
     (_circle_angles), and is reported with its boundary value (no
     extrapolation is attempted).  The point maps back to (log2 zeta, theta)
-    by _in_window.  Ties within relative tolerance are broken toward
+    by _in_window.  Ties within TIE_REL (relative) are broken toward
     theta = 0, then zeta = 1.  at_boundary flags an argmin on an edge of
     the log2 zeta range.  Raises InvalidStateError unless both ends of the
     window are finite and lo <= hi, and NumericalError if the edge radius
@@ -411,12 +374,12 @@ def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = (-2.5, 2.5)) -> Wo
     if not all(map(math.isfinite, values + [value for value, _, _ in scored])):
         raise NumericalError(f"QFI overflowed on the edge of log2_zeta_range {log2_zeta_range}")
     v_min = min(value for value, _, _ in scored)
-    _, theta_opt, lz_opt = min((s for s in scored if s[0] <= v_min + _TIE_REL * max(1.0, v_min)),
+    _, theta_opt, lz_opt = min((s for s in scored if s[0] <= v_min + TIE_REL * max(1.0, v_min)),
                                key=lambda s: (s[1], abs(s[2])))
 
     return WorstCaseResult(
         value=max(v_min, 0.0),
         zeta_opt=float(2.0**lz_opt),
         theta_opt=theta_opt,
-        at_boundary=abs(lz_opt - lo) < 1e-9 or abs(lz_opt - hi) < 1e-9,
+        at_boundary=abs(lz_opt - lo) < EDGE_TOL or abs(lz_opt - hi) < EDGE_TOL,
     )

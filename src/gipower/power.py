@@ -19,6 +19,7 @@ from .fidelity import worst_case_qfi
 from .symplectic import (
     CHECK_TOL,
     DC_TOL,
+    ORACLE_TOL,
     PURE_TOL,
     LocalInvariants,
     StandardForm,
@@ -76,7 +77,7 @@ def _xyz(A, B, C, D, E):
     return X, Y, Z
 
 
-def gip_closed_form(cm, tol: float = CHECK_TOL) -> IpResult:
+def gip_closed_form(cm) -> IpResult:
     """Interferometric power of a physical state via the closed formula.
 
     General branch: (X + sqrt(X^2 + YZ)) / (2Y), evaluated as
@@ -84,23 +85,31 @@ def gip_closed_form(cm, tol: float = CHECK_TOL) -> IpResult:
     Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.  D
     comes from the Cholesky pivots of the physicality gate and AB - D from
     the invariant kernel, so neither is a difference of the other with AB.
+    Raises NumericalError if the value is not finite (D overflows for
+    sigma entries beyond ~1e77).
     """
-    _, (A, B, C, E, det_root) = _require_physical(cm)
-    D = det_root**2
-    inv = LocalInvariants(A, B, C, D)
-    if abs(D - 1) < PURE_TOL:
-        return IpResult(value=(A - 1) / 4, branch="pure", invariants=inv)
+    _, gate = _require_physical(cm)
+    return _closed_form(gate)
+
+
+def _closed_form(gate) -> IpResult:
+    """gip_closed_form's arithmetic on the gate's record of one state."""
+    inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
+    if abs(gate.D - 1) < PURE_TOL:
+        return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
     # Off the pure branch |Y| >= 4 PURE_TOL, since A + B + 2C >= 2.
-    X, Y, Z = _xyz(A, B, C, D, E)
+    X, Y, Z = _xyz(gate.A, gate.B, gate.C, gate.D, gate.E)
     radicand = X * X + Y * Z
-    if radicand < -tol * max(1.0, X * X):
+    if radicand < -CHECK_TOL * max(1.0, X * X):
         raise NumericalError(f"negative radicand {radicand} in closed formula")
     root = math.sqrt(max(radicand, 0.0))
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
+    if not math.isfinite(value):
+        raise NumericalError(f"closed formula gave {value} at det sigma = {gate.D}")
     return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
 
 
-def gip_special(sf: StandardForm, tol: float = DC_TOL) -> float:
+def gip_special(sf: StandardForm) -> float:
     """Interferometric power of a standard-form state with d = -+c.
 
     Evaluates c^2 / (2(ab - c^2 +- 1)): plus sign for d = -c (squeezed
@@ -109,14 +118,14 @@ def gip_special(sf: StandardForm, tol: float = DC_TOL) -> float:
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
     a, b, c, d = sf.a, sf.b, sf.c, sf.d
-    if abs(d + c) <= tol:
+    if abs(d + c) <= DC_TOL:
         denom = 2 * (a * b - c * c + 1)
-    elif abs(d - c) <= tol:
+    elif abs(d - c) <= DC_TOL:
         denom = 2 * (a * b - c * c - 1)
     else:
         raise InvalidStateError(f"special form requires d = -+c, got c={c}, d={d}")
-    if denom <= tol:
-        raise InvalidStateError(f"degenerate state: denominator {denom} <= tol")
+    if denom <= DC_TOL:
+        raise InvalidStateError(f"degenerate state: denominator {denom} <= DC_TOL")
     return float(c * c / denom)
 
 
@@ -141,7 +150,7 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     return result
 
 
-def cross_validate(cm, tol: float = 1e-4) -> CrossValidation:
+def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     """Check the closed formula against the worst-case QFI optimizer.
 
     Passes iff |closed - oracle/4| <= tol * max(1, closed); tol must be

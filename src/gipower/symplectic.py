@@ -9,6 +9,7 @@ nu_minus >= 1.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,17 @@ MAX_DRAWS = 10_000
 #: by at most 4.7e-16 a*b (40,000 draws at each of six (a_max, b_max)
 #: from (1.05, 1.05) to (1e4, 1e4)).
 GUARD_BAND = 1e-13
+#: |det S - 1| allowed of each block of a local symplectic S_A (+) S_B.
+SYMPLECTIC_TOL = 1e-10
+#: Default closed-form-versus-oracle tolerance (cross_validate, verify --tol).
+ORACLE_TOL = 1e-4
+#: Worst-case QFI values this close, relatively, are one minimum: rounding
+#: moves a tmsv's zeta = 1 minimum by ~1e-13 on a QFI flat along circles.
+TIE_REL = 1e-6
+#: An argmin this close to an end of the log2 zeta window is on its edge.
+EDGE_TOL = 1e-9
+#: Newton iterations for the boundary constants stop below this step.
+ROOT_STEP = 1e-16
 
 
 class CovarianceMatrix:
@@ -182,6 +194,12 @@ class BonaFideReport:
 
     physical: bool
     nu_min: float
+    separable: bool  # the partial transpose passes the same check
+
+
+# What the gate reads off a physical sigma, by name: E = AB - D from _invariants,
+# D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus.
+_Gate = namedtuple("_Gate", "A B C E D nu_minus nu_plus nu_tilde")
 
 
 def _sigma_of(cm) -> np.ndarray:
@@ -237,8 +255,8 @@ def _cholesky(sigma):
     return (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33)
 
 
-def _nu_pair(sigma, pt: bool = False):
-    """(nu-, nu+, sqrt(det sigma)) of sigma, or of its partial transpose if pt; None unless sigma > 0.
+def _nu_pair(sigma):
+    """(nu-, nu+, nu~, det L) of sigma, nu~ the nu- of its partial transpose; None unless sigma > 0.
 
     Williamson by Cholesky: with sigma = L L^T, the antisymmetric
     M = L^T Omega L has eigenvalues +-i nu-, +-i nu+.  Its self-dual and
@@ -248,25 +266,26 @@ def _nu_pair(sigma, pt: bool = False):
     states) are resolved, which the roots of x^2 - (A + B + 2C) x + D are
     not: their discriminant loses ~eps (sigma entries)^4.  The partial
     transpose P sigma P has the factor P L P, which flips the sign of the
-    mode-B part y of M = x + y.  det L, the product of the Cholesky
-    pivots, squares to det sigma with relative error ~eps cond(sigma);
-    AB - (AB - D) loses ~eps AB, which on a pure state with a ~ 300
-    already exceeds PURE_TOL.
+    mode-B part y of M = x + y, so the same factor gives nu~.  det L, the
+    product of the Cholesky pivots, squares to det sigma with relative
+    error ~eps cond(sigma); AB - (AB - D) loses ~eps AB, which on a pure
+    state with a ~ 300 already exceeds PURE_TOL.
     """
     factor = _cholesky(sigma)
     if factor is None:
         return None
     (l00,), (_, l11), (l20, l21, l22), (l30, l31, l32, l33) = factor
     x = l00 * l11
-    sign = -1.0 if pt else 1.0
-    y01, y23 = sign * (l20 * l31 - l30 * l21), sign * l22 * l33
-    y02, y13 = sign * (l20 * l32 - l30 * l22), sign * l21 * l33
-    y03, y12 = sign * l20 * l33, sign * (l21 * l32 - l31 * l22)
-    u = math.hypot(x + y01 + y23, y02 - y13, y03 + y12)
-    w = math.hypot(x + y01 - y23, y02 + y13, y03 - y12)
-    nu_plus = (u + w) / 2
+    y01, y23 = l20 * l31 - l30 * l21, l22 * l33
+    y02, y13 = l20 * l32 - l30 * l22, l21 * l33
+    y03, y12 = l20 * l33, l21 * l32 - l31 * l22
+    # (|u| + |w|)/2 for y and for -y: rounding is odd, so |y02 -+ y13| and
+    # |y03 +- y12| serve both, and x - y01 - y23 is x + (-y01) + (-y23) bit for bit.
+    nu_plus, nu_plus_pt = ((math.hypot(x1 + z, y02 - y13, y03 + y12)
+                            + math.hypot(x1 - z, y02 + y13, y03 - y12)) / 2
+                           for x1, z in ((x + y01, y23), (x - y01, -y23)))
     det_root = x * l22 * l33
-    return det_root / nu_plus, nu_plus, det_root
+    return det_root / nu_plus, nu_plus, det_root / nu_plus_pt, det_root
 
 
 def _nu_minus_standard(a, b, c, d):
@@ -306,27 +325,33 @@ def symplectic_eigenvalues(cm) -> tuple[float, float]:
 def validate_bona_fide(cm, tol: float = CHECK_TOL) -> BonaFideReport:
     """Check the uncertainty relation sigma + i*Omega >= 0.
 
-    Returns a report carrying nu_minus; physical iff nu_minus >= 1 - tol.
-    nu_min is 0 when sigma is not positive definite.
+    Returns a report carrying nu_minus; physical iff nu_minus >= 1 - tol and
+    separable iff the partial transpose's nu_minus is (one factor gives both).
+    nu_min is 0, and both flags are False, when sigma is not positive definite.
     """
-    nu = _nu_pair(_sigma_of(cm))
-    nu_min = nu[0] if nu else 0.0
-    return BonaFideReport(physical=bool(nu_min >= 1 - tol), nu_min=nu_min)
+    nu_min, _, nu_tilde, _ = _nu_pair(_sigma_of(cm)) or (0.0,) * 4
+    return BonaFideReport(physical=bool(nu_min >= 1 - tol), nu_min=nu_min,
+                          separable=bool(nu_tilde >= 1 - tol))
 
 
-def _require_physical(cm, tol: float = GATE_TOL):
-    """sigma and (A, B, C, AB - D, sqrt D), if nu_minus >= 1 - tol.
+def _require_physical(cm):
+    """sigma and its _Gate, if nu_minus >= 1 - GATE_TOL.
 
-    sqrt D is the gate's own det L (_nu_pair), so a caller that needs D
-    squares it instead of factoring sigma again.
+    One Cholesky factor (_nu_pair) gives the spectra and D = (det L)**2,
+    so no caller factors sigma again or squares det L itself.
     """
     sigma = _sigma_of(cm)
     nu = _nu_pair(sigma)
     if nu is None:
         raise InvalidStateError("state is unphysical: sigma is not positive definite")
-    if nu[0] < 1 - tol:
-        raise InvalidStateError(f"state is unphysical: nu_minus = {nu[0]} < 1")
-    return sigma, (*_invariants(sigma), nu[2])
+    nu_minus, nu_plus, nu_tilde, det_root = nu
+    if nu_minus < 1 - GATE_TOL:
+        raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
+    try:
+        D = det_root**2
+    except OverflowError:
+        D = math.inf
+    return sigma, _Gate(*_invariants(sigma), D, nu_minus, nu_plus, nu_tilde)
 
 
 def local_invariants(cm) -> LocalInvariants:
@@ -407,21 +432,21 @@ def pt_min_symplectic_eigenvalue(cm) -> float:
     sufficient for 1x1-mode Gaussian states).  Raises InvalidStateError
     unless sigma is positive definite.
     """
-    nu = _nu_pair(_sigma_of(cm), pt=True)
+    nu = _nu_pair(_sigma_of(cm))
     if nu is None:
         raise InvalidStateError("sigma is not positive definite")
-    return nu[0]
+    return nu[2]
 
 
 def log_negativity(cm) -> float:
     """Logarithmic negativity max{0, -ln nu_tilde} of a physical state."""
-    sigma, _ = _require_physical(cm)
-    return max(0.0, -math.log(_nu_pair(sigma, pt=True)[0]))
+    _, gate = _require_physical(cm)
+    return max(0.0, -math.log(gate.nu_tilde))
 
 
-def is_separable(cm, tol: float = CHECK_TOL) -> bool:
-    """True iff the partial transpose is physical (PPT criterion)."""
-    return pt_min_symplectic_eigenvalue(cm) >= 1 - tol
+def is_separable(cm) -> bool:
+    """True iff the partial transpose is physical within CHECK_TOL (PPT criterion)."""
+    return pt_min_symplectic_eigenvalue(cm) >= 1 - CHECK_TOL
 
 
 def mean_photon_A(cm) -> float:
@@ -436,10 +461,10 @@ def swap_modes(cm) -> CovarianceMatrix:
     return CovarianceMatrix(_SWAP @ sigma @ _SWAP.T)
 
 
-def apply_local_symplectic(cm, s_a: np.ndarray, s_b: np.ndarray, tol: float = 1e-10) -> CovarianceMatrix:
+def apply_local_symplectic(cm, s_a: np.ndarray, s_b: np.ndarray) -> CovarianceMatrix:
     """Congruence by a local symplectic S_A (+) S_B.
 
-    Both 2x2 blocks must have unit determinant within tol.  Leaves the
+    Both 2x2 blocks must have unit determinant within SYMPLECTIC_TOL.  Leaves the
     local invariants (A, B, C, D) unchanged.
     """
     s_a = np.asarray(s_a, dtype=float)
@@ -447,7 +472,7 @@ def apply_local_symplectic(cm, s_a: np.ndarray, s_b: np.ndarray, tol: float = 1e
     for name, s in (("S_A", s_a), ("S_B", s_b)):
         if s.shape != (2, 2) or not np.all(np.isfinite(s)):
             raise InvalidTransformError(f"{name} must be a finite 2x2 matrix")
-        if abs(np.linalg.det(s) - 1) > tol:
+        if abs(np.linalg.det(s) - 1) > SYMPLECTIC_TOL:
             raise InvalidTransformError(f"{name} is not symplectic: det = {np.linalg.det(s)}")
     g = np.zeros((4, 4))
     g[:2, :2] = s_a

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gipower.symplectic as symplectic
 from gipower import (
     CovarianceMatrix,
     apply_local_symplectic,
@@ -26,3 +27,17 @@ def random_physical_cm(rng, a_max=5.0, b_max=5.0, conjugate=False) -> Covariance
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """A one-item list counting the Cholesky factorisations made from here on."""
+    calls = [0]
+    cholesky = symplectic._cholesky
+
+    def counted(sigma):
+        calls[0] += 1
+        return cholesky(sigma)
+
+    monkeypatch.setattr(symplectic, "_cholesky", counted)
+    return calls

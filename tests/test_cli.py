@@ -79,6 +79,22 @@ class TestIp:
         code, _ = run_cli(capsys, "ip", "--input", str(path))
         assert code == 2
 
+    def test_overflowing_state_is_a_numerical_failure(self, tmp_path):
+        """det sigma overflows at entries of 1e150: exit 1 with a message, not a traceback."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(CovarianceMatrix(np.diag([1e150, 1e150, 2e150, 2e150])).to_dict()))
+        result = subprocess.run([sys.executable, "-m", "gipower", "ip", "--input", str(path)],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: numerical failure:")
+        assert "Traceback" not in result.stderr
+
+    def test_one_factor_per_quantity(self, capsys, cholesky_calls):
+        code, _ = run_cli(capsys, "ip", "--a", "2", "--b", "3", "--c", "1", "--d", "-1")
+        assert code == 0
+        assert cholesky_calls[0] <= 5
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out = run_cli(capsys, "ip", "--a", "2", "--b", "2", "--c", "0", "--d", "0",
@@ -166,6 +182,12 @@ class TestSample:
                           "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_one_factor_per_record(self, capsys, tmp_path, cholesky_calls):
+        code, _ = run_cli(capsys, "sample", "--seed", "1", "--n", "2000", "--which", "fig3",
+                          "--out", str(tmp_path / "fig3.csv"))
+        assert code == 0
+        assert cholesky_calls[0] == 2000
 
     def test_no_entangled_state_exits_2_in_time(self, tmp_path):
         """Only product states: MAX_DRAWS separable draws, then exit 2, in well under the timeout."""

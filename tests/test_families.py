@@ -343,6 +343,10 @@ class TestSampling:
             assert r.separable == is_separable(cm)
             assert r.nu_tilde == pt_min_symplectic_eigenvalue(cm)
 
+    def test_one_factor_per_record(self, cholesky_calls):
+        families._record(2.0, 3.0, 1.0, -1.0)
+        assert cholesky_calls[0] == 1
+
     def test_figure3_entangled_only(self):
         records = sample_figure3(np.random.default_rng(13), 50)
         assert len(records) == 50
@@ -380,7 +384,7 @@ class TestBatchedSampler:
             for i in range(len(u)):
                 sigma = StandardForm(*families._draw(u[i].tolist(), *bounds)).matrix()
                 for got, pt in ((nu[i], False), (nu_pt[i], True)):
-                    want = (_nu_pair(sigma, pt=pt) or (0.0,))[0]
+                    want = (_nu_pair(sigma) or (0.0,) * 4)[2 if pt else 0]
                     assert abs(got - want) <= 1e-14 * a[i] * b[i] * max(1.0, want), (bounds, i, pt)
 
     def test_scalar_decisions_inside_the_band(self, monkeypatch):

@@ -42,6 +42,20 @@ from oracles import (
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
 
+def gate_admitted_mixtures(rng):
+    """(i, nu, sigma) of 100 beam-splitter mixtures with nu- = nu = 1 - eps, eps <= 3e-8.
+
+    They pass the 1e-7 gate; nu+ is 1/nu for odd i and nu + 3 for even i.
+    """
+    for i in range(100):
+        nu = 1 - 10 ** rng.uniform(-12, -7.5)
+        angle = rng.uniform(0, np.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        splitter = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        nu_plus = 1 / nu if i % 2 else nu + 3
+        yield i, nu, splitter @ np.diag([nu, nu, nu_plus, nu_plus]) @ splitter.T
+
+
 class TestRotation:
     def test_zero_is_identity(self):
         assert np.allclose(rotation(0.0), np.eye(2), atol=0)
@@ -190,6 +204,14 @@ class TestFidelity:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
             fidelity(np.diag([0.5, 0.5, 1.0, 1.0]), np.eye(4))
+
+    def test_states_the_gate_admits_below_the_bound(self, rng):
+        # lam = det(sigma + i Omega) as D - (A + B + 2C) + 1 reads ~ -1e-6 on
+        # the nu+ = nu + 3 half; from the spectra it is clamped at 0.
+        for i, nu, sigma in gate_admitted_mixtures(rng):
+            f, f_swapped = fidelity(sigma, 5 * np.eye(4)), fidelity(5 * np.eye(4), sigma)
+            assert math.isfinite(f) and 0.0 <= f <= 1.0, (i, nu)
+            assert f == f_swapped
 
 
 class TestQfi:
@@ -342,13 +364,7 @@ class TestQfiForm:
         # nu- = 1 - eps (eps <= 3e-8) passes the 1e-7 gate.  Mixed by a beam
         # splitter with nu+ = 1/nu- the naive weight (nu+ - nu-)^2/(nu+ nu- - 1)
         # divides by ~0; the form must stay finite and positive semidefinite.
-        for i in range(100):
-            nu = 1 - 10 ** rng.uniform(-12, -7.5)
-            angle = rng.uniform(0, np.pi)
-            c, s = math.cos(angle), math.sin(angle)
-            splitter = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
-            nu_plus = 1 / nu if i % 2 else nu + 3
-            sigma = splitter @ np.diag([nu, nu, nu_plus, nu_plus]) @ splitter.T
+        for i, nu, sigma in gate_admitted_mixtures(rng):
             form = _qfi_form(sigma)
             (q_gg, _, q_gx), _, (_, _, q_xx) = form[0]
             assert q_gg * q_xx >= q_gx * q_gx

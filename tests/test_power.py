@@ -6,11 +6,13 @@ import pytest
 
 from gipower import (
     InvalidStateError,
+    NumericalError,
     StandardForm,
     apply_local_symplectic,
     apply_loss_B,
     closed_form_xyz,
     cross_validate,
+    fidelity,
     from_standard_form,
     gip_closed_form,
     gip_from_standard_form,
@@ -18,12 +20,15 @@ from gipower import (
     gip_special,
     is_separable,
     local_invariants,
+    log_negativity,
     mean_photon_A,
     random_local_symplectic,
     random_state,
     separable_extremal,
     swap_modes,
+    symplectic_eigenvalues,
     tmsv,
+    to_standard_form,
     worst_case_qfi,
 )
 
@@ -99,6 +104,30 @@ class TestClosedFormPrecision:
                                         random_local_symplectic(rng))
             sigmas.append(cm.sigma)
         assert self.max_rel_error(sigmas) <= 1e-12
+
+
+class TestOverflow:
+    """det sigma overflows at entries of ~1e150 (D = inf), and the formula at ~1e50 (nan)."""
+
+    HUGE = np.diag([1e150, 1e150, 2e150, 2e150])
+    NAN = from_standard_form(StandardForm(1e50, 2e50, 1e50, -1e50))
+
+    def test_numerical_error(self):
+        for cm in (self.HUGE, self.NAN):
+            for call in (gip_closed_form, cross_validate):
+                with pytest.raises(NumericalError):
+                    call(cm)
+        for other in (self.HUGE, np.eye(4)):
+            with pytest.raises(NumericalError):
+                fidelity(self.HUGE, other)
+
+    def test_spectra_and_oracle_unaffected(self):
+        assert to_standard_form(self.HUGE) == StandardForm(1e150, 2e150, 0.0, 0.0)
+        assert symplectic_eigenvalues(self.HUGE) == (9.999999999999998e149, 2e150)
+        assert log_negativity(self.HUGE) == 0.0
+        result = worst_case_qfi(self.HUGE)
+        assert (result.zeta_opt, result.theta_opt, result.at_boundary) == (1.0, 0.0, False)
+        assert result.value == pytest.approx(0.0, abs=1e-30)
 
 
 class TestSpecialForm:

@@ -1,4 +1,7 @@
 import math
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from gipower import (
     tmsv,
     validate_bona_fide,
 )
+import gipower.symplectic as symplectic
 from gipower.fidelity import rotation
 from gipower.symplectic import _invariants
 
@@ -352,6 +356,17 @@ class TestEntanglement:
             assert (log_negativity(cm) == 0.0) == is_separable(cm)
 
 
+    def test_report_flags_separable_states(self, rng):
+        for _ in range(200):
+            cm = random_physical_cm(rng, conjugate=True)
+            assert validate_bona_fide(cm).separable == is_separable(cm)
+        assert not validate_bona_fide(-np.eye(4)).separable
+
+    def test_log_negativity_factors_sigma_once(self, cholesky_calls):
+        log_negativity(from_standard_form(S231))
+        assert cholesky_calls[0] == 1
+
+
 class TestPhotonNumber:
     def test_examples(self):
         assert mean_photon_A(np.eye(4)) == 0.0
@@ -433,3 +448,20 @@ def test_swap_modes(rng):
     assert (sf.a, sf.b) == pytest.approx((3, 2), abs=1e-12)
     cm = random_physical_cm(rng, conjugate=True)
     assert np.allclose(swap_modes(swap_modes(cm)).sigma, cm.sigma, atol=0)
+
+
+def test_tolerances_live_in_one_table():
+    """No float literal in scientific notation in src/gipower outside symplectic.py's table."""
+    src = Path(symplectic.__file__).parent
+    lines = (src / "symplectic.py").read_text().splitlines()
+    first = lines.index("# Tolerances and budgets, in one table; the other modules import them.") + 1
+    last = next(i for i in range(first, len(lines)) if lines[i].startswith(("class ", "def ")))
+    found = []
+    for path in sorted(src.glob("*.py")):
+        with path.open() as handle:
+            for tok in tokenize.generate_tokens(handle.readline):
+                in_table = path.name == "symplectic.py" and first < tok.start[0] <= last
+                if (tok.type == tokenize.NUMBER and not in_table
+                        and re.fullmatch(r"[\d_.]*[eE][+-]?[\d_]+j?", tok.string)):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
