@@ -23,17 +23,14 @@ from .families import (
     sample_figure3,
     upper_bound,
 )
-from .power import cross_validate, gip_closed_form, gip_from_standard_form
+from .power import _closed_form, cross_validate
 from .symplectic import (
     ORACLE_TOL,
     CovarianceMatrix,
     from_standard_form,
     StandardForm,
-    is_separable,
-    log_negativity,
+    _require_physical,
     mean_photon_A,
-    pt_min_symplectic_eigenvalue,
-    symplectic_eigenvalues,
 )
 
 EXIT_OK = 0
@@ -67,8 +64,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _state_report(cm: CovarianceMatrix, result) -> dict:
-    nu_min, nu_plus = symplectic_eigenvalues(cm)
+def _state_report(cm: CovarianceMatrix, sf: StandardForm | None) -> dict:
+    """The ip report, from one physicality gate: the closed form (with the
+    d = -+c shortcut when sf is given) and the spectra all read its record."""
+    _, gate = _require_physical(cm)
+    result = _closed_form(gate, sf)
     return {
         "value": result.value,
         "branch": result.branch,
@@ -79,11 +79,11 @@ def _state_report(cm: CovarianceMatrix, result) -> dict:
             "D": result.invariants.D,
         },
         "n_bar_A": mean_photon_A(cm),
-        "log_negativity": log_negativity(cm),
-        "nu_minus": nu_min,
-        "nu_plus": nu_plus,
-        "nu_tilde": pt_min_symplectic_eigenvalue(cm),
-        "separable": is_separable(cm),
+        "log_negativity": gate.log_negativity,
+        "nu_minus": gate.nu_minus,
+        "nu_plus": gate.nu_plus,
+        "nu_tilde": gate.nu_tilde,
+        "separable": gate.separable,
     }
 
 
@@ -91,14 +91,13 @@ def cmd_ip(args) -> int:
     if args.input is not None:
         with open(args.input) as handle:
             cm = CovarianceMatrix.from_dict(json.load(handle))
-        result = gip_closed_form(cm)
+        sf = None
     else:
         if None in (args.a, args.b, args.c, args.d):
             raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
         sf = StandardForm(args.a, args.b, args.c, args.d)
         cm = from_standard_form(sf)
-        result = gip_from_standard_form(sf)
-    report = _state_report(cm, result)
+    report = _state_report(cm, sf)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -8,7 +8,6 @@ extremal performance per mean photon number at fixed entanglement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -373,9 +372,9 @@ def _record(a: float, b: float, c: float, d: float) -> SampleRecord:
     return SampleRecord(
         sf=sf,
         n_bar_A=mean_photon_A(cm),
-        e_n=max(0.0, -math.log(gate.nu_tilde)),
+        e_n=gate.log_negativity,
         p_g=_closed_form(gate).value,
-        separable=gate.nu_tilde >= 1 - CHECK_TOL,
+        separable=gate.separable,
         nu_tilde=gate.nu_tilde,
     )
 

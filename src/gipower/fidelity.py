@@ -225,19 +225,29 @@ def _qfi_form(sigma) -> tuple[list, list]:
 
 
 def _qfi_at(form, zeta, theta):
-    """h0^T Q h0 at (zeta, theta); broadcasts over stacked zeta and theta.
+    """h0^T Q h0 at (zeta, theta), by _form_at: math on floats, numpy on arrays.
 
     h = (p, q sin 2theta, q cos 2theta) holds the coefficients of m^-1 G m
-    on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2;
-    h0 = T h carries them into the frame of _qfi_form.
+    on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2.
+    A float theta takes math.sin and math.cos, so the oracle's few scalar
+    points make no numpy call; stacked input broadcasts through np.sin and np.cos.
     """
-    gram, t = form
-    z2 = np.square(zeta)
+    trig = math if isinstance(theta, float) else np
+    z2 = zeta * zeta
     p, q = (z2 + 1 / z2) / 2, (z2 - 1 / z2) / 2
-    u, v = q * np.sin(2 * theta), q * np.cos(2 * theta)
-    h0 = [t0 * p + t1 * u + t2 * v for t0, t1, t2 in t]
-    y = [q0 * h0[0] + q1 * h0[1] + q2 * h0[2] for q0, q1, q2 in gram]
-    return h0[0] * y[0] + h0[1] * y[1] + h0[2] * y[2]
+    return _form_at(form, p, q * trig.sin(2 * theta), q * trig.cos(2 * theta))
+
+
+def _form_at(form, p, u, v):
+    """h0^T Q h0 with h0 = T (p, u, v), the form of _qfi_form.
+
+    Plain arithmetic, so it works on floats and on stacked arrays alike.
+    """
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = form[0]
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = form[1]
+    h0, h1, h2 = t00 * p + t01 * u + t02 * v, t10 * p + t11 * u + t12 * v, t20 * p + t21 * u + t22 * v
+    return (h0 * (q00 * h0 + q01 * h1 + q02 * h2) + h1 * (q10 * h0 + q11 * h1 + q12 * h2)
+            + h2 * (q20 * h0 + q21 * h1 + q22 * h2))
 
 
 def qfi(cm, zeta, theta):
@@ -268,6 +278,8 @@ def qfi(cm, zeta, theta):
 
 # q = (zeta^2 - zeta^-2)/2 = sinh(_LN4 * log2 zeta): the sheet radius of zeta.
 _LN4 = math.log(4.0)
+#: Default log2 zeta window of worst_case_qfi and power.cross_validate.
+WINDOW = (-2.5, 2.5)
 
 
 def _sheet_minimum(form):
@@ -303,11 +315,14 @@ def _circle_angles(sheet, r):
     quartic in z = e^{ia}.  Its unit-modulus roots are the stationary
     angles.  The angles of all its roots are returned, and 0, which is
     stationary where the quartic vanishes (r = 0): any extra angle is just
-    another point of the circle.
+    another point of the circle.  Raises NumericalError where the
+    polynomial's coefficients, of order r^2 times the form, overflow.
     """
     (_, p01, p02), (_, p11, p12), (_, _, p22) = sheet
     pr, r2 = 2 * math.sqrt(1 + r * r) * r, r * r
     a1, b1, a2, b2 = pr * p02, pr * p01, r2 * (p22 - p11) / 2, r2 * p12
+    if not all(map(math.isfinite, (a1, b1, a2, b2))):
+        raise NumericalError(f"QFI overflows on the edge circle of sheet radius {r}")
     roots = np.roots([2 * (b2 + 1j * a2), b1 + 1j * a1, 0, b1 - 1j * a1, 2 * (b2 - 1j * a2)])
     return np.append(np.angle(roots), 0.0).tolist()
 
@@ -325,7 +340,7 @@ def _in_window(u, v, lo, hi):
     return min(max(lz, lo), hi), theta
 
 
-def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = (-2.5, 2.5)) -> WorstCaseResult:
+def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = WINDOW) -> WorstCaseResult:
     """Infimum of the QFI over the local Gaussian black boxes on mode A.
 
     On the sheet (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
@@ -345,14 +360,25 @@ def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = (-2.5, 2.5)) -> Wo
     """
     sigma, _ = _require_physical(cm)
     lo, hi = log2_zeta_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidStateError(f"log2_zeta_range must be finite with lo <= hi, got {log2_zeta_range}")
-    s_lo = 0.0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    with np.errstate(over="ignore"):
-        r_lo, r_hi = np.sinh(_LN4 * np.array([s_lo, max(abs(lo), abs(hi))])).tolist()
-    if not math.isfinite(r_hi):
-        raise NumericalError(f"QFI overflows on the edge of log2_zeta_range {log2_zeta_range}")
+    return _worst_case(sigma, lo, hi)
 
+
+def _worst_case(sigma, lo, hi) -> WorstCaseResult:
+    """worst_case_qfi on a sigma that has passed the physicality gate.
+
+    Reads sigma only, never the gate's record, so power.cross_validate can
+    share one gate between the closed form and this oracle.  Everything
+    below is scalar: math and float arithmetic, no numpy call off the edge
+    path.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidStateError(f"log2_zeta_range must be finite with lo <= hi, got {(lo, hi)}")
+    s_lo = 0.0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    try:
+        r_lo, r_hi = math.sinh(_LN4 * s_lo), math.sinh(_LN4 * max(abs(lo), abs(hi)))
+    except OverflowError:
+        raise NumericalError(f"QFI overflows on the edge of log2_zeta_range {(lo, hi)}") from None
+    # |lz| <= 513 from here on, so 2.0**lz below stays finite.
     form = _qfi_form(sigma)
     u, v = _sheet_minimum(form)
     if r_lo <= math.hypot(u, v) <= r_hi:
@@ -363,23 +389,22 @@ def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = (-2.5, 2.5)) -> Wo
         radii = (r_lo, r_hi) if r_lo > 0 else (r_hi,)
         points = [(r * math.sin(a), r * math.cos(a)) for r in radii for a in _circle_angles(sheet, r)]
     labels = [_in_window(u, v, lo, hi) for u, v in points]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = [float(_qfi_at(form, 2.0**lz, theta)) for lz, theta in labels]
-        k = values.index(min(values))
-        lz_k = labels[k][0]
-        # The minimum, then the canonical points of the tie rule: theta = 0 at
-        # its log2 zeta and at the negative, and zeta = 1, where the window holds them.
-        scored = [(values[k], labels[k][1], lz_k)] + [
-            (float(_qfi_at(form, 2.0**lz, 0.0)), 0.0, lz) for lz in (lz_k, -lz_k, 0.0) if lo <= lz <= hi]
+    values = [_qfi_at(form, 2.0**lz, theta) for lz, theta in labels]
+    k = values.index(min(values))
+    lz_k = labels[k][0]
+    # The minimum, then the canonical points of the tie rule: theta = 0 at
+    # its log2 zeta and at the negative, and zeta = 1, where the window holds them.
+    scored = [(values[k], labels[k][1], lz_k)] + [
+        (_qfi_at(form, 2.0**lz, 0.0), 0.0, lz) for lz in (lz_k, -lz_k, 0.0) if lo <= lz <= hi]
     if not all(map(math.isfinite, values + [value for value, _, _ in scored])):
-        raise NumericalError(f"QFI overflowed on the edge of log2_zeta_range {log2_zeta_range}")
+        raise NumericalError(f"QFI overflowed on the edge of log2_zeta_range {(lo, hi)}")
     v_min = min(value for value, _, _ in scored)
     _, theta_opt, lz_opt = min((s for s in scored if s[0] <= v_min + TIE_REL * max(1.0, v_min)),
                                key=lambda s: (s[1], abs(s[2])))
 
     return WorstCaseResult(
         value=max(v_min, 0.0),
-        zeta_opt=float(2.0**lz_opt),
+        zeta_opt=2.0**lz_opt,
         theta_opt=theta_opt,
         at_boundary=abs(lz_opt - lo) < EDGE_TOL or abs(lz_opt - hi) < EDGE_TOL,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidStateError, NumericalError
-from .fidelity import worst_case_qfi
+from .fidelity import WINDOW, _worst_case
 from .symplectic import (
     CHECK_TOL,
     DC_TOL,
@@ -92,8 +92,12 @@ def gip_closed_form(cm) -> IpResult:
     return _closed_form(gate)
 
 
-def _closed_form(gate) -> IpResult:
-    """gip_closed_form's arithmetic on the gate's record of one state."""
+def _closed_form(gate, sf: StandardForm | None = None) -> IpResult:
+    """gip_closed_form's arithmetic on the gate's record of one state.
+
+    Given the state's standard form sf, a general-branch value at d = -+c
+    is replaced by gip_special's (gip_from_standard_form).
+    """
     inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
     if abs(gate.D - 1) < PURE_TOL:
         return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
@@ -106,6 +110,8 @@ def _closed_form(gate) -> IpResult:
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
         raise NumericalError(f"closed formula gave {value} at det sigma = {gate.D}")
+    if sf is not None and min(abs(sf.d + sf.c), abs(sf.d - sf.c)) <= DC_TOL:
+        return IpResult(value=gip_special(sf), branch="special_dc", invariants=inv)
     return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
 
 
@@ -144,22 +150,23 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     shortcut when it applies (branch "special_dc")."""
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
-    result = gip_closed_form(from_standard_form(sf))
-    if result.branch == "general" and min(abs(sf.d + sf.c), abs(sf.d - sf.c)) <= DC_TOL:
-        return IpResult(value=gip_special(sf), branch="special_dc", invariants=result.invariants)
-    return result
+    _, gate = _require_physical(from_standard_form(sf))
+    return _closed_form(gate, sf)
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     """Check the closed formula against the worst-case QFI optimizer.
 
     Passes iff |closed - oracle/4| <= tol * max(1, closed); tol must be
-    finite and non-negative.
+    finite and non-negative.  sigma passes the physicality gate once: the
+    closed form reads the gate's record, the oracle (fidelity._worst_case,
+    on the default window of worst_case_qfi) reads sigma alone.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
-    closed = gip_closed_form(cm).value
-    oracle = worst_case_qfi(cm).value / 4
+    sigma, gate = _require_physical(cm)
+    closed = _closed_form(gate).value
+    oracle = _worst_case(sigma, *WINDOW).value / 4
     diff = abs(closed - oracle)
     return CrossValidation(
         closed=closed,

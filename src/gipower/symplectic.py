@@ -197,9 +197,21 @@ class BonaFideReport:
     separable: bool  # the partial transpose passes the same check
 
 
-# What the gate reads off a physical sigma, by name: E = AB - D from _invariants,
-# D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus.
-_Gate = namedtuple("_Gate", "A B C E D nu_minus nu_plus nu_tilde")
+class _Gate(namedtuple("_Gate", "A B C E D nu_minus nu_plus nu_tilde")):
+    """What the gate reads off a physical sigma, by name: E = AB - D from _invariants,
+    D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus."""
+
+    __slots__ = ()
+
+    @property
+    def log_negativity(self) -> float:
+        """max{0, -ln nu_tilde}."""
+        return max(0.0, -math.log(self.nu_tilde))
+
+    @property
+    def separable(self) -> bool:
+        """The PPT criterion: nu_tilde >= 1 - CHECK_TOL."""
+        return self.nu_tilde >= 1 - CHECK_TOL
 
 
 def _sigma_of(cm) -> np.ndarray:
@@ -233,7 +245,9 @@ def _invariants(sigma):
 def block_determinants(sigma: np.ndarray):
     """Determinants (A, B, C, D) of the mode blocks and the full matrix.
 
-    Works on stacked symmetric inputs of shape (..., 4, 4).
+    Works on stacked symmetric inputs of shape (..., 4, 4).  D is
+    AB - (AB - D) from _invariants, which loses ~eps AB: local_invariants
+    of one state takes the gate's (det L)**2 instead.
     """
     A, B, C, E = _invariants(sigma)
     return A, B, C, A * B - E
@@ -347,16 +361,27 @@ def _require_physical(cm):
     nu_minus, nu_plus, nu_tilde, det_root = nu
     if nu_minus < 1 - GATE_TOL:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
+    return sigma, _Gate(*_invariants(sigma), _square(det_root), nu_minus, nu_plus, nu_tilde)
+
+
+def _square(det_root):
+    """D = (det L)**2, inf where it overflows."""
     try:
-        D = det_root**2
+        return det_root**2
     except OverflowError:
-        D = math.inf
-    return sigma, _Gate(*_invariants(sigma), D, nu_minus, nu_plus, nu_tilde)
+        return math.inf
 
 
 def local_invariants(cm) -> LocalInvariants:
-    """Local symplectic invariants (A, B, C, D) of a covariance matrix."""
-    return LocalInvariants(*block_determinants(_sigma_of(cm)))
+    """Local symplectic invariants (A, B, C, D) of a covariance matrix.
+
+    Where sigma is positive definite D is the gate's (det L)**2, bit for bit
+    the D of gip_closed_form; elsewhere it is block_determinants' AB - E.
+    """
+    sigma = _sigma_of(cm)
+    A, B, C, E = _invariants(sigma)
+    nu = _nu_pair(sigma)
+    return LocalInvariants(A, B, C, A * B - E if nu is None else _square(nu[3]))
 
 
 def _unsqueeze(b00, b01, b11):
@@ -440,8 +465,7 @@ def pt_min_symplectic_eigenvalue(cm) -> float:
 
 def log_negativity(cm) -> float:
     """Logarithmic negativity max{0, -ln nu_tilde} of a physical state."""
-    _, gate = _require_physical(cm)
-    return max(0.0, -math.log(gate.nu_tilde))
+    return _require_physical(cm)[1].log_negativity
 
 
 def is_separable(cm) -> bool:

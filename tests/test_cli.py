@@ -16,10 +16,12 @@ from gipower import (
     CovarianceMatrix,
     from_standard_form,
     gip_closed_form,
+    is_separable,
     log_negativity,
     mean_photon_A,
     pt_min_symplectic_eigenvalue,
     StandardForm,
+    symplectic_eigenvalues,
     tmsv,
 )
 from gipower import cli
@@ -90,10 +92,33 @@ class TestIp:
         assert result.stderr.startswith("error: numerical failure:")
         assert "Traceback" not in result.stderr
 
-    def test_one_factor_per_quantity(self, capsys, cholesky_calls):
+    def test_one_factor_per_quantity(self, capsys, tmp_path, cholesky_calls):
+        # The report reads every quantity off the closed form's gate record.
         code, _ = run_cli(capsys, "ip", "--a", "2", "--b", "3", "--c", "1", "--d", "-1")
         assert code == 0
-        assert cholesky_calls[0] <= 5
+        assert cholesky_calls[0] == 1
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(from_standard_form(StandardForm(2.0, 3.0, 1.0, -0.5)).to_dict()))
+        cholesky_calls[0] = 0
+        code, _ = run_cli(capsys, "ip", "--input", str(path))
+        assert code == 0
+        assert cholesky_calls[0] == 1
+
+    @pytest.mark.parametrize("sf", [StandardForm(2.0, 3.0, 1.0, -1.0), StandardForm(2.0, 3.0, 0.0, 0.0),
+                                    StandardForm(3.0, 2.0, 2.0, -1.5), tmsv(2.0)])
+    def test_report_matches_public_functions(self, capsys, tmp_path, sf):
+        cm = from_standard_form(sf)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(cm.to_dict()))
+        for argv in (["--a", str(sf.a), "--b", str(sf.b), "--c", str(sf.c), "--d", str(sf.d)],
+                     ["--input", str(path)]):
+            code, out = run_cli(capsys, "ip", *argv)
+            assert code == 0
+            report = json.loads(out)
+            assert (report["nu_minus"], report["nu_plus"]) == symplectic_eigenvalues(cm)
+            assert report["nu_tilde"] == pt_min_symplectic_eigenvalue(cm)
+            assert report["log_negativity"] == log_negativity(cm)
+            assert report["separable"] == is_separable(cm)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

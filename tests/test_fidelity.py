@@ -13,6 +13,7 @@ from gipower import (
     apply_local_symplectic,
     apply_loss_B,
     blackbox_symplectic,
+    cross_validate,
     fidelity,
     from_standard_form,
     local_invariants,
@@ -277,8 +278,20 @@ class TestQfi:
         cm = from_standard_form(S231)
         with pytest.raises(NumericalError):
             qfi(cm, zeta, 0.3)
+        # math.sinh overflows the sheet radius on the first two windows; on the
+        # others the radius is finite and the QFI on an edge circle overflows.
+        for window in ((-700.0, 700.0), (1000.0, 1001.0), (500.0, 501.0), (-501.0, -500.0),
+                       (0.5, 512.4)):
+            with pytest.raises(NumericalError):
+                worst_case_qfi(cm, log2_zeta_range=window)
         with pytest.raises(NumericalError):
-            worst_case_qfi(cm, log2_zeta_range=(-700.0, 700.0))
+            cross_validate(np.diag([1e150, 1e150, 2e150, 2e150]))
+
+    def test_wide_window_around_the_minimum(self):
+        # (-500, 500) has a finite radius and holds the sheet minimum, so no
+        # edge circle is evaluated and nothing overflows.
+        cm = from_standard_form(S231)
+        assert worst_case_qfi(cm, log2_zeta_range=(-500.0, 500.0)) == worst_case_qfi(cm)
 
 
 def _reference_states(rng):
@@ -376,6 +389,12 @@ class TestQfiForm:
 
 
 class TestWorstCase:
+    def test_one_factor_per_call(self, rng, cholesky_calls):
+        cm = random_physical_cm(rng, conjugate=True)
+        cholesky_calls[0] = 0
+        worst_case_qfi(cm)
+        assert cholesky_calls[0] == 1
+
     def test_standard_form_example(self):
         result = worst_case_qfi(from_standard_form(S231))
         assert result.value / 4 == pytest.approx(1 / 12, abs=1e-3)

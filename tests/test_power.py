@@ -194,6 +194,20 @@ class TestCrossValidation:
             report = cross_validate(random_physical_cm(rng, conjugate=True), tol=1e-4)
             assert report.passed, report
 
+    def test_one_factor_per_call(self, rng, cholesky_calls):
+        # The closed form and the oracle share one physicality gate.
+        cm = random_physical_cm(rng, conjugate=True)
+        cholesky_calls[0] = 0
+        cross_validate(cm)
+        assert cholesky_calls[0] == 1
+
+    def test_oracle_is_worst_case_qfi(self, rng):
+        # The shared-gate path gives the public oracle's value bit for bit.
+        for conjugate in (False, True):
+            for _ in range(100):
+                cm = random_physical_cm(rng, conjugate=conjugate)
+                assert cross_validate(cm).oracle == worst_case_qfi(cm).value / 4
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(InvalidStateError):

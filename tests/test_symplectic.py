@@ -213,6 +213,21 @@ class TestLocalInvariants:
         inv = local_invariants(from_standard_form(tmsv(2.0)))
         assert inv.astuple() == pytest.approx((4.0, 4.0, -3.0, 1.0), abs=1e-10)
 
+    def test_D_is_the_gates(self, rng):
+        # (det L)**2 bit for bit, not AB - (AB - D), which loses ~eps a^4:
+        # on tmsv(300) that difference read 0.99999714.
+        states = [from_standard_form(tmsv(a)) for a in (10.0, 100.0, 300.0, 1000.0)]
+        for cm in states:
+            assert abs(local_invariants(cm).D - 1) < 1e-9
+        states += [random_physical_cm(rng, conjugate=True) for _ in range(100)]
+        for cm in states:
+            assert local_invariants(cm).D == gip_closed_form(cm).invariants.D
+
+    def test_D_off_the_positive_definite_set(self):
+        # No Cholesky factor: D falls back to block_determinants' AB - E.
+        sigma = np.diag([1.0, 2.0, -1.0, -3.0])
+        assert local_invariants(sigma).astuple() == tuple(block_determinants(sigma))
+
 
 class TestInvariantKernel:
     @settings(max_examples=500, deadline=None, derandomize=True)
