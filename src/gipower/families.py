@@ -17,16 +17,13 @@ from .exceptions import InvalidStateError
 from .power import _closed_form
 from .symplectic import (
     CHECK_TOL,
-    GATE_TOL,
     GUARD_BAND,
     MAX_DRAWS,
     ROOT_STEP,
     StandardForm,
-    _nu_minus_standard,
-    _require_physical,
-    from_standard_form,
-    mean_photon_A,
-    validate_bona_fide,
+    _gate,
+    _nu_pair,
+    _standard_entries,
 )
 
 __all__ = [
@@ -81,11 +78,10 @@ class SampleRecord:
 
 
 def _validated(sf: StandardForm, kind: str) -> StandardForm:
-    report = validate_bona_fide(from_standard_form(sf), tol=GATE_TOL)
-    if not report.physical:
-        raise InvalidStateError(
-            f"{kind} parameters give an unphysical state (nu_minus = {report.nu_min})"
-        )
+    try:
+        _gate(_standard_entries(sf.a, sf.b, sf.c, sf.d))
+    except InvalidStateError as exc:
+        raise InvalidStateError(f"{kind} parameters: {exc}") from None
     return sf
 
 
@@ -284,6 +280,16 @@ def _draw(u, a_max: float, b_max: float):
     return a, b, c, d
 
 
+def _nu_minus_pt(a, b, c, d):
+    """nu_minus of the standard form (a, b, c, d) and of its partial transpose, floats or arrays.
+
+    validate_bona_fide's numbers, from one factor (_nu_pair): 0 where
+    sigma is not positive definite.
+    """
+    nu_minus, _, nu_tilde, _ = _nu_pair(_standard_entries(a, b, c, d)) or (0.0,) * 4
+    return nu_minus, nu_tilde
+
+
 def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.0) -> StandardForm:
     """Random physical standard form by rejection sampling.
 
@@ -295,9 +301,9 @@ def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.
     """
     a_max, b_max = _check_bounds(a_max, b_max)
     for _ in range(MAX_DRAWS):
-        sf = StandardForm(*_draw(rng.random(4).tolist(), a_max, b_max))
-        if validate_bona_fide(sf.matrix()).physical:
-            return sf
+        draw = _draw(rng.random(4).tolist(), a_max, b_max)
+        if _nu_minus_pt(*draw)[0] >= 1 - CHECK_TOL:
+            return StandardForm(*draw)
     raise InvalidStateError(f"no physical state in {MAX_DRAWS} draws")
 
 
@@ -307,12 +313,12 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     Decided on arrays, except where nu_minus or, for a physical draw that
     must be entangled, the partial transpose's nu_minus lies within
     GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are rebuilt from their
-    uniforms by scalar arithmetic and decided by random_state's
-    validate_bona_fide, whose report also carries is_separable's decision
-    (one factor gives both), which fixes every decision to theirs.
+    uniforms by scalar arithmetic and decided on floats, as random_state
+    decides them and as is_separable would (one factor gives both), which
+    fixes every decision to theirs.
     """
     a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
-    nu, nu_pt = _nu_minus_standard(a, b, c, d)
+    nu, nu_pt = _nu_minus_pt(a, b, c, d)
     threshold, band = 1 - CHECK_TOL, GUARD_BAND * a * b
     physical = nu >= threshold
     near = ~(np.abs(nu - threshold) > band)
@@ -322,9 +328,9 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     else:
         accepted = physical.copy()
     for i in zip(*np.nonzero(near)):
-        report = validate_bona_fide(StandardForm(*_draw(u[i].tolist(), a_max, b_max)).matrix())
-        physical[i] = report.physical
-        accepted[i] = report.physical and not (entangled_only and report.separable)
+        nu_i, nu_pt_i = _nu_minus_pt(*_draw(u[i].tolist(), a_max, b_max))
+        physical[i] = nu_i >= threshold
+        accepted[i] = physical[i] and not (entangled_only and nu_pt_i >= threshold)
     return physical, accepted
 
 
@@ -366,12 +372,10 @@ def _first_accepted(streams, a_max: float, b_max: float, entangled_only: bool) -
 
 
 def _record(a: float, b: float, c: float, d: float) -> SampleRecord:
-    sf = StandardForm(a, b, c, d)
-    cm = from_standard_form(sf)
-    _, gate = _require_physical(cm)
+    gate = _gate(_standard_entries(a, b, c, d))
     return SampleRecord(
-        sf=sf,
-        n_bar_A=mean_photon_A(cm),
+        sf=StandardForm(a, b, c, d),
+        n_bar_A=(a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
         e_n=gate.log_negativity,
         p_g=_closed_form(gate).value,
         separable=gate.separable,

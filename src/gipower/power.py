@@ -23,8 +23,9 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
+    _gate,
     _require_physical,
-    from_standard_form,
+    _standard_entries,
 )
 
 __all__ = [
@@ -85,8 +86,8 @@ def gip_closed_form(cm) -> IpResult:
     Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.  D
     comes from the Cholesky pivots of the physicality gate and AB - D from
     the invariant kernel, so neither is a difference of the other with AB.
-    Raises NumericalError if the value is not finite (D overflows for
-    sigma entries beyond ~1e77).
+    Raises NumericalError if the value is not finite (X can overflow from
+    sigma entries of ~1e39 on, D from ~1e77).
     """
     _, gate = _require_physical(cm)
     return _closed_form(gate)
@@ -104,6 +105,12 @@ def _closed_form(gate, sf: StandardForm | None = None) -> IpResult:
     # Off the pure branch |Y| >= 4 PURE_TOL, since A + B + 2C >= 2.
     X, Y, Z = _xyz(gate.A, gate.B, gate.C, gate.D, gate.E)
     radicand = X * X + Y * Z
+    if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
+        # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
+        # in (X, Y, Z), so scale them by a power of two, which rounds nothing.
+        shift = -math.frexp(max(abs(X), abs(Y), abs(Z)))[1]
+        X, Y, Z = math.ldexp(X, shift), math.ldexp(Y, shift), math.ldexp(Z, shift)
+        radicand = X * X + Y * Z
     if radicand < -CHECK_TOL * max(1.0, X * X):
         raise NumericalError(f"negative radicand {radicand} in closed formula")
     root = math.sqrt(max(radicand, 0.0))
@@ -150,8 +157,7 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     shortcut when it applies (branch "special_dc")."""
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
-    _, gate = _require_physical(from_standard_form(sf))
-    return _closed_form(gate, sf)
+    return _closed_form(_gate(_standard_entries(sf.a, sf.b, sf.c, sf.d)), sf)
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:

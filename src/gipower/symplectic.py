@@ -69,10 +69,10 @@ DC_TOL = 1e-9
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
-#: which the batched sampler's array-computed nu decisions are redone by
-#: the scalar checks.  The two differ by rounding only: for nu in (0.5, 2)
-#: by at most 4.7e-16 a*b (40,000 draws at each of six (a_max, b_max)
-#: from (1.05, 1.05) to (1e4, 1e4)).
+#: which the batched sampler's array-computed nu decisions are redone on
+#: floats.  The gate kernel's two paths differ by rounding only (nested
+#: np.hypot against math.hypot): for nu in (0.5, 2) by at most 4.2e-16 a*b
+#: (40,000 draws at each of six (a_max, b_max) from (1.05, 1.05) to (1e4, 1e4)).
 GUARD_BAND = 1e-13
 #: |det S - 1| allowed of each block of a local symplectic S_A (+) S_B.
 SYMPLECTIC_TOL = 1e-10
@@ -154,7 +154,7 @@ class StandardForm:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise InvalidStateError(f"standard form has non-finite {name}")
         if self.a < 1 - CHECK_TOL or self.b < 1 - CHECK_TOL:
             raise InvalidStateError(f"standard form requires a, b >= 1, got ({self.a}, {self.b})")
@@ -221,16 +221,37 @@ def _sigma_of(cm) -> np.ndarray:
     return CovarianceMatrix(cm).sigma
 
 
-def _invariants(sigma):
-    """Invariants (A, B, C, AB - D) by plain arithmetic on sigma's upper triangle.
+def _entries(sigma):
+    """sigma's upper triangle (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33), the gate's input.
 
-    AB - D = tr(alpha K beta K^T) - C^2 with K = -Omega gamma Omega, the
-    cofactor matrix of gamma: it vanishes with gamma instead of cancelling
-    between AB and D near product states.  Broadcasts over (..., 4, 4).
+    Ten floats for one 4x4 matrix, ten arrays for a stack (..., 4, 4).
     """
     s = np.asarray(sigma, dtype=float)
     s = s.tolist() if s.ndim == 2 else np.moveaxis(s, (-2, -1), (0, 1))
     (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = s
+    return s00, s01, s02, s03, s11, s12, s13, s22, s23, s33
+
+
+def _standard_entries(a, b, c, d):
+    """_entries of the standard form (a, b, c, d): floats, or arrays of standard forms.
+
+    Bit for bit those of from_standard_form's matrix, whose symmetrisation
+    keeps (x + x)/2 = x short of overflow and 0.0 off the pattern; scalars
+    become Python floats, as tolist() makes them.
+    """
+    if not isinstance(a, np.ndarray):
+        a, b, c, d = float(a), float(b), float(c), float(d)
+    return a, 0.0, c, 0.0, a, 0.0, d, b, 0.0, b
+
+
+def _invariants(e):
+    """Invariants (A, B, C, AB - D) by plain arithmetic on sigma's entries e (_entries).
+
+    AB - D = tr(alpha K beta K^T) - C^2 with K = -Omega gamma Omega, the
+    cofactor matrix of gamma: it vanishes with gamma instead of cancelling
+    between AB and D near product states.  Broadcasts over arrays.
+    """
+    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
     A = s00 * s11 - s01 * s01
     B = s22 * s33 - s23 * s23
     C = s02 * s13 - s03 * s12
@@ -249,32 +270,43 @@ def block_determinants(sigma: np.ndarray):
     AB - (AB - D) from _invariants, which loses ~eps AB: local_invariants
     of one state takes the gate's (det L)**2 instead.
     """
-    A, B, C, E = _invariants(sigma)
+    A, B, C, E = _invariants(_entries(sigma))
     return A, B, C, A * B - E
 
 
-def _cholesky(sigma):
-    """Lower Cholesky factor of sigma by plain arithmetic, row by row; None unless sigma > 0."""
-    (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = sigma.tolist()
+def _cholesky(e):
+    """Lower Cholesky factor of sigma by plain arithmetic on its entries e, row by row.
+
+    On floats, by math: None unless sigma > 0.  On arrays, by numpy under
+    the caller's errstate: where math finds a pivot <= 0, l00, l11 or l22
+    is not > 0, or l33 is nan.
+    """
+    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
+    sqrt = math.sqrt if isinstance(s00, float) else np.sqrt
     try:
-        l00 = math.sqrt(s00)
+        l00 = sqrt(s00)
         l10, l20, l30 = s01 / l00, s02 / l00, s03 / l00
-        l11 = math.sqrt(s11 - l10 * l10)
+        l11 = sqrt(s11 - l10 * l10)
         l21, l31 = (s12 - l20 * l10) / l11, (s13 - l30 * l10) / l11
-        l22 = math.sqrt(s22 - l20 * l20 - l21 * l21)
+        l22 = sqrt(s22 - l20 * l20 - l21 * l21)
         l32 = (s23 - l30 * l20 - l31 * l21) / l22
-        l33 = math.sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
-    except (ValueError, ZeroDivisionError):  # a pivot <= 0
+        l33 = sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
+    except (ValueError, ZeroDivisionError):  # a pivot <= 0, on floats
         return None
     return (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33)
 
 
-def _nu_pair(sigma):
-    """(nu-, nu+, nu~, det L) of sigma, nu~ the nu- of its partial transpose; None unless sigma > 0.
+def _nu_pair(e):
+    """(nu-, nu+, nu~, det L) of sigma from its entries e, nu~ the nu- of its partial transpose.
+
+    On floats, by math: None unless sigma > 0.  On arrays, by numpy under
+    one errstate: all four are 0 where sigma is not > 0, that is where
+    math would find a pivot <= 0.  The two agree to a few ulps, nested
+    np.hypot being no bit-copy of the 3-argument math.hypot.
 
     Williamson by Cholesky: with sigma = L L^T, the antisymmetric
     M = L^T Omega L has eigenvalues +-i nu-, +-i nu+.  Its self-dual and
-    anti-self-dual parts, the 3-vectors u and w below, give
+    anti-self-dual parts, the 3-vectors u and w of _spectra, give
     nu+ = (|u| + |w|)/2, and nu+ nu- = |Pf M| = det L.  Nothing cancels
     beyond the ~eps |sigma| of forming M, so degenerate spectra (pure
     states) are resolved, which the roots of x^2 - (A + B + 2C) x + D are
@@ -285,9 +317,19 @@ def _nu_pair(sigma):
     error ~eps cond(sigma); AB - (AB - D) loses ~eps AB, which on a pure
     state with a ~ 300 already exceeds PURE_TOL.
     """
-    factor = _cholesky(sigma)
-    if factor is None:
-        return None
+    if isinstance(e[0], float):
+        factor = _cholesky(e)
+        return None if factor is None else _spectra(factor, math.hypot)
+    with np.errstate(all="ignore"):
+        factor = _cholesky(e)
+        (l00,), (_, l11), (_, _, l22), (_, _, _, l33) = factor
+        positive = (l00 > 0) & (l11 > 0) & (l22 > 0) & (l33 >= 0)
+        spectra = _spectra(factor, lambda p, q, r: np.hypot(np.hypot(p, q), r))
+        return tuple(np.where(positive, v, 0.0) for v in spectra)
+
+
+def _spectra(factor, hypot):
+    """_nu_pair's formulas on a Cholesky factor, with hypot(p, q, r) = |(p, q, r)|."""
     (l00,), (_, l11), (l20, l21, l22), (l30, l31, l32, l33) = factor
     x = l00 * l11
     y01, y23 = l20 * l31 - l30 * l21, l22 * l33
@@ -295,34 +337,11 @@ def _nu_pair(sigma):
     y03, y12 = l20 * l33, l21 * l32 - l31 * l22
     # (|u| + |w|)/2 for y and for -y: rounding is odd, so |y02 -+ y13| and
     # |y03 +- y12| serve both, and x - y01 - y23 is x + (-y01) + (-y23) bit for bit.
-    nu_plus, nu_plus_pt = ((math.hypot(x1 + z, y02 - y13, y03 + y12)
-                            + math.hypot(x1 - z, y02 + y13, y03 - y12)) / 2
+    nu_plus, nu_plus_pt = ((hypot(x1 + z, y02 - y13, y03 + y12)
+                            + hypot(x1 - z, y02 + y13, y03 - y12)) / 2
                            for x1, z in ((x + y01, y23), (x - y01, -y23)))
     det_root = x * l22 * l33
     return det_root / nu_plus, nu_plus, det_root / nu_plus_pt, det_root
-
-
-def _nu_minus_standard(a, b, c, d):
-    """nu_minus of standard forms (a, b, c, d) and of their partial transposes.
-
-    _nu_pair's formulas with l10 = l21 = l30 = l32 = 0, elementwise over
-    arrays; both are 0 where sigma is not positive definite.  They match
-    _nu_pair to a few ulps, np.hypot being no bit-copy of math.hypot.
-    """
-    with np.errstate(all="ignore"):
-        l00 = np.sqrt(a)
-        l20, l31 = c / l00, d / l00
-        p22, p33 = b - l20 * l20, b - l31 * l31
-        l22, l33 = np.sqrt(p22), np.sqrt(p33)
-        x = l00 * l00
-        y01, y23, y03, y12 = l20 * l31, l22 * l33, l20 * l33, -(l31 * l22)
-        det_root = x * l22 * l33
-        nu = det_root / ((np.hypot(x + y01 + y23, y03 + y12)
-                          + np.hypot(x + y01 - y23, y03 - y12)) / 2)
-        nu_pt = det_root / ((np.hypot(x - y01 - y23, -y03 - y12)
-                             + np.hypot(x - y01 + y23, -y03 + y12)) / 2)
-    positive = (p22 > 0) & (p33 >= 0)  # where _cholesky does not return None
-    return np.where(positive, nu, 0.0), np.where(positive, nu_pt, 0.0)
 
 
 def symplectic_eigenvalues(cm) -> tuple[float, float]:
@@ -330,38 +349,46 @@ def symplectic_eigenvalues(cm) -> tuple[float, float]:
 
     Raises InvalidStateError unless sigma is positive definite.
     """
-    nu = _nu_pair(_sigma_of(cm))
+    nu = _nu_pair(_entries(_sigma_of(cm)))
     if nu is None:
         raise InvalidStateError("sigma is not positive definite")
     return nu[:2]
 
 
-def validate_bona_fide(cm, tol: float = CHECK_TOL) -> BonaFideReport:
+def validate_bona_fide(cm) -> BonaFideReport:
     """Check the uncertainty relation sigma + i*Omega >= 0.
 
-    Returns a report carrying nu_minus; physical iff nu_minus >= 1 - tol and
-    separable iff the partial transpose's nu_minus is (one factor gives both).
-    nu_min is 0, and both flags are False, when sigma is not positive definite.
+    Returns a report carrying nu_minus; physical iff nu_minus >= 1 - CHECK_TOL
+    and separable iff the partial transpose's nu_minus is (one factor gives
+    both).  nu_min is 0, and both flags are False, when sigma is not
+    positive definite.
     """
-    nu_min, _, nu_tilde, _ = _nu_pair(_sigma_of(cm)) or (0.0,) * 4
-    return BonaFideReport(physical=bool(nu_min >= 1 - tol), nu_min=nu_min,
-                          separable=bool(nu_tilde >= 1 - tol))
+    nu_min, _, nu_tilde, _ = _nu_pair(_entries(_sigma_of(cm))) or (0.0,) * 4
+    return BonaFideReport(physical=bool(nu_min >= 1 - CHECK_TOL), nu_min=nu_min,
+                          separable=bool(nu_tilde >= 1 - CHECK_TOL))
 
 
-def _require_physical(cm):
-    """sigma and its _Gate, if nu_minus >= 1 - GATE_TOL.
+def _gate(e):
+    """The _Gate of sigma's entries e (floats), if nu_minus >= 1 - GATE_TOL.
 
     One Cholesky factor (_nu_pair) gives the spectra and D = (det L)**2,
-    so no caller factors sigma again or squares det L itself.
+    so no caller factors sigma again or squares det L itself.  Every gate
+    of one state is built here, from a matrix (_require_physical) or from
+    a standard form's _standard_entries.
     """
-    sigma = _sigma_of(cm)
-    nu = _nu_pair(sigma)
+    nu = _nu_pair(e)
     if nu is None:
         raise InvalidStateError("state is unphysical: sigma is not positive definite")
     nu_minus, nu_plus, nu_tilde, det_root = nu
     if nu_minus < 1 - GATE_TOL:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
-    return sigma, _Gate(*_invariants(sigma), _square(det_root), nu_minus, nu_plus, nu_tilde)
+    return _Gate(*_invariants(e), _square(det_root), nu_minus, nu_plus, nu_tilde)
+
+
+def _require_physical(cm):
+    """sigma and its _Gate, if nu_minus >= 1 - GATE_TOL."""
+    sigma = _sigma_of(cm)
+    return sigma, _gate(_entries(sigma))
 
 
 def _square(det_root):
@@ -378,9 +405,9 @@ def local_invariants(cm) -> LocalInvariants:
     Where sigma is positive definite D is the gate's (det L)**2, bit for bit
     the D of gip_closed_form; elsewhere it is block_determinants' AB - E.
     """
-    sigma = _sigma_of(cm)
-    A, B, C, E = _invariants(sigma)
-    nu = _nu_pair(sigma)
+    e = _entries(_sigma_of(cm))
+    A, B, C, E = _invariants(e)
+    nu = _nu_pair(e)
     return LocalInvariants(A, B, C, A * B - E if nu is None else _square(nu[3]))
 
 
@@ -457,7 +484,7 @@ def pt_min_symplectic_eigenvalue(cm) -> float:
     sufficient for 1x1-mode Gaussian states).  Raises InvalidStateError
     unless sigma is positive definite.
     """
-    nu = _nu_pair(_sigma_of(cm))
+    nu = _nu_pair(_entries(_sigma_of(cm)))
     if nu is None:
         raise InvalidStateError("sigma is not positive definite")
     return nu[2]

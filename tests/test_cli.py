@@ -196,15 +196,22 @@ class TestSample:
                     "--out", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("which, sha256", [
-        ("fig2", "bf75812d27e64e0e797cf79e13c6e8f6049e3b5fe96259ec0c9f558e1c4125a5"),
-        ("fig3", "518fe8f930806b5d9f1d71f6f2da760de1feccf13949dfa2a6c0c3b591383146"),
+    @pytest.mark.parametrize("which, bounds, sha256", [
+        pytest.param(which, bounds, sha256, id="-".join([which, *bounds[1::2], sha256]))
+        for which, bounds, sha256 in [
+            ("fig2", (), "bf75812d27e64e0e797cf79e13c6e8f6049e3b5fe96259ec0c9f558e1c4125a5"),
+            ("fig3", (), "518fe8f930806b5d9f1d71f6f2da760de1feccf13949dfa2a6c0c3b591383146"),
+            ("fig2", ("--a-max", "1.05", "--b-max", "1.05"),
+             "7375a67cab24ed325cb9975984d399d59e76f9b0ea3805d4c73ee819f23f056d"),
+            ("fig3", ("--a-max", "1.05", "--b-max", "1.05"),
+             "3fcab563427004d8d9ba11a7bb0e0b322728b082407c39aebe47904f33c39ca3"),
+        ]
     ])
-    def test_pinned_digest(self, capsys, tmp_path, which, sha256):
-        """The CSVs the one-draw-at-a-time sampler wrote: a moved draw, decision or digit fails."""
+    def test_pinned_digest(self, capsys, tmp_path, which, bounds, sha256):
+        """Pinned CSVs, two of them near the physicality boundary: a moved draw, decision or digit fails."""
         path = tmp_path / f"{which}.csv"
         code, _ = run_cli(capsys, "sample", "--seed", "1", "--n", "2000", "--which", which,
-                          "--out", str(path))
+                          *bounds, "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 

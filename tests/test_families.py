@@ -5,6 +5,7 @@ import pytest
 
 import gipower.families as families
 from gipower import (
+    CovarianceMatrix,
     FamilySpec,
     InvalidStateError,
     build_family,
@@ -34,7 +35,7 @@ from gipower import (
     upper_boundary_state,
     validate_bona_fide,
 )
-from gipower.symplectic import _nu_minus_standard, _nu_pair
+from gipower.symplectic import _gate, _nu_pair, _require_physical, _standard_entries
 from oracles import random_state_scalar, sample_records_scalar
 
 
@@ -286,9 +287,9 @@ class TestBuildFamily:
             build_family(FamilySpec("tmsv", (2.0, 3.0)))
 
 
-def test_all_constructors_pass_validation():
-    # generic parameters; nu_minus >= 1 - 1e-9 even for boundary families
-    cases = (
+def constructed_states() -> list:
+    """One state of each family constructor, at generic and boundary parameters."""
+    return (
         [tmsv(a) for a in (1.0, 1.7, 3.0)]
         + [
             squeezed_thermal(2.0, 3.0, 1.0),
@@ -302,9 +303,40 @@ def test_all_constructors_pass_validation():
             lower_branch2_state(0.9),
         ]
     )
-    for sf in cases:
-        report = validate_bona_fide(from_standard_form(sf), tol=1e-9)
+
+
+def test_all_constructors_pass_validation():
+    # nu_minus >= 1 - 1e-9 even for boundary families
+    for sf in constructed_states():
+        report = validate_bona_fide(from_standard_form(sf))
         assert report.physical, sf
+
+
+def gate_bits(make):
+    """The eight _Gate fields make() returns, as hex, or the message of the InvalidStateError it raises."""
+    try:
+        return tuple(float(v).hex() for v in make())
+    except InvalidStateError as exc:
+        return str(exc)
+
+
+class TestStandardFormGate:
+    """The gate built from (a, b, c, d) against the gate of from_standard_form's matrix, bit for bit."""
+
+    @staticmethod
+    def assert_same_gate(a, b, c, d):
+        got = gate_bits(lambda: _gate(_standard_entries(a, b, c, d)))
+        want = gate_bits(lambda: _require_physical(from_standard_form(StandardForm(a, b, c, d)))[1])
+        assert got == want, (a, b, c, d)
+
+    @pytest.mark.parametrize("bounds", [(5.0, 5.0), (1.05, 1.05), (100.0, 100.0)])
+    def test_draws(self, bounds):
+        for u in np.random.default_rng(8).random((10_000, 4)).tolist():
+            self.assert_same_gate(*families._draw(u, *bounds))
+
+    def test_family_constructors(self):
+        for sf in constructed_states():
+            self.assert_same_gate(sf.a, sf.b, sf.c, sf.d)
 
 
 class TestRandomState:
@@ -347,6 +379,19 @@ class TestSampling:
         families._record(2.0, 3.0, 1.0, -1.0)
         assert cholesky_calls[0] == 1
 
+    def test_no_matrix_per_draw_or_record(self, monkeypatch):
+        """Draws, their re-decisions in the band (widened to hold all) and records stay on (a, b, c, d)."""
+        def forbidden(*args):
+            raise AssertionError("built a 4x4 matrix")
+
+        monkeypatch.setattr(CovarianceMatrix, "__init__", forbidden)
+        monkeypatch.setattr(StandardForm, "matrix", forbidden)
+        random_state(np.random.default_rng(1))
+        for band in (families.GUARD_BAND, 1e3):
+            monkeypatch.setattr(families, "GUARD_BAND", band)
+            assert len(sample_figure2(np.random.default_rng(2), 50, 1.05, 1.05)) == 50
+            assert len(sample_figure3(np.random.default_rng(3), 50)) == 50
+
     def test_figure3_entangled_only(self):
         records = sample_figure3(np.random.default_rng(13), 50)
         assert len(records) == 50
@@ -376,15 +421,15 @@ class TestBatchedSampler:
                 assert got == want, (seed, sample.__name__)
 
     def test_array_nu_matches_scalar(self):
-        """_nu_minus_standard against _nu_pair on the same draws, far inside GUARD_BAND."""
+        """_nu_pair on a stack of draws against _nu_pair on each draw's floats, far inside GUARD_BAND."""
         u = np.random.default_rng(5).random((1000, 4))
         for bounds in ((5.0, 5.0), (1.05, 1.05), (100.0, 100.0)):
             a, b, c, d = families._draw(u.T, *bounds)
-            nu, nu_pt = _nu_minus_standard(a, b, c, d)
+            nu, _, nu_pt, _ = _nu_pair(_standard_entries(a, b, c, d))
             for i in range(len(u)):
-                sigma = StandardForm(*families._draw(u[i].tolist(), *bounds)).matrix()
+                scalar = _nu_pair(_standard_entries(*families._draw(u[i].tolist(), *bounds)))
                 for got, pt in ((nu[i], False), (nu_pt[i], True)):
-                    want = (_nu_pair(sigma) or (0.0,) * 4)[2 if pt else 0]
+                    want = (scalar or (0.0,) * 4)[2 if pt else 0]
                     assert abs(got - want) <= 1e-14 * a[i] * b[i] * max(1.0, want), (bounds, i, pt)
 
     def test_scalar_decisions_inside_the_band(self, monkeypatch):

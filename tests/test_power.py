@@ -105,6 +105,17 @@ class TestClosedFormPrecision:
             sigmas.append(cm.sigma)
         assert self.max_rel_error(sigmas) <= 1e-12
 
+    def test_large_entries(self):
+        """X^2 + YZ overflows from a ~ 1e19 on; X itself from a ~ 1e39, which must raise, not give 0."""
+        for k in range(19, 160):
+            a = 10.0 ** k
+            cm = from_standard_form(StandardForm(a, 2 * a, a, -a))
+            if k <= 38:
+                assert gip_closed_form(cm).value == pytest.approx(0.5, rel=1e-12), k
+            else:
+                with pytest.raises(NumericalError):
+                    gip_closed_form(cm)
+
 
 class TestOverflow:
     """det sigma overflows at entries of ~1e150 (D = inf), and the formula at ~1e50 (nan)."""

@@ -36,7 +36,7 @@ from gipower import (
 )
 import gipower.symplectic as symplectic
 from gipower.fidelity import rotation
-from gipower.symplectic import _invariants
+from gipower.symplectic import _entries, _invariants
 
 from conftest import random_physical_cm
 from oracles import block_determinants_det, symplectic_spectrum_from_eigs
@@ -101,8 +101,13 @@ class TestStandardForm:
             StandardForm(0.5, 1.0, 0.0, 0.0)
         with pytest.raises(InvalidStateError):
             StandardForm(2.0, 2.0, 0.5, 1.0)
-        with pytest.raises(InvalidStateError):
-            StandardForm(2.0, float("inf"), 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = {"a": 2.0, "b": 2.0, "c": 0.5, "d": -0.5, field: value}
+        with pytest.raises(InvalidStateError, match=f"non-finite {field}"):
+            StandardForm(**fields)
 
     def test_json_round_trip(self):
         sf = StandardForm.from_dict(S231.to_dict())
@@ -250,7 +255,7 @@ class TestInvariantKernel:
             sigma, nu_min = partial_transpose_B(cm).sigma, pt_min_symplectic_eigenvalue(cm)
         else:
             sigma, nu_min = cm.sigma, symplectic_eigenvalues(cm)[0]
-        A, B, C, E = _invariants(sigma)
+        A, B, C, E = _invariants(_entries(sigma))
         ref = block_determinants_det(sigma)
         size = np.abs(sigma).max() ** 2
         for got, want, degree in zip((A, B, C, A * B - E), ref, (1, 1, 1, 2)):
