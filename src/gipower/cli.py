@@ -30,6 +30,7 @@ from .symplectic import (
     from_standard_form,
     StandardForm,
     _require_physical,
+    _standard_frame,
     mean_photon_A,
 )
 
@@ -64,11 +65,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _state_report(cm: CovarianceMatrix, sf: StandardForm | None) -> dict:
+def _state_report(cm: CovarianceMatrix) -> dict:
     """The ip report, from one physicality gate: the closed form (with the
-    d = -+c shortcut when sf is given) and the spectra all read its record."""
-    _, gate = _require_physical(cm)
-    result = _closed_form(gate, sf)
+    standard frame's (a, b, c, d)) and the spectra all read its record."""
+    sigma, gate = _require_physical(cm)
+    result = _closed_form(gate, _standard_frame(sigma)[0])
     return {
         "value": result.value,
         "branch": result.branch,
@@ -88,16 +89,15 @@ def _state_report(cm: CovarianceMatrix, sf: StandardForm | None) -> dict:
 
 
 def cmd_ip(args) -> int:
-    if args.input is not None:
+    flags = (args.a, args.b, args.c, args.d)
+    if args.input is None and None not in flags:
+        cm = from_standard_form(StandardForm(*flags))
+    elif args.input is not None and flags == (None,) * 4:
         with open(args.input) as handle:
             cm = CovarianceMatrix.from_dict(json.load(handle))
-        sf = None
     else:
-        if None in (args.a, args.b, args.c, args.d):
-            raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
-        sf = StandardForm(args.a, args.b, args.c, args.d)
-        cm = from_standard_form(sf)
-    report = _state_report(cm, sf)
+        raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
+    report = _state_report(cm)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -377,7 +377,7 @@ def _record(a: float, b: float, c: float, d: float) -> SampleRecord:
         sf=StandardForm(a, b, c, d),
         n_bar_A=(a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
         e_n=gate.log_negativity,
-        p_g=_closed_form(gate).value,
+        p_g=_closed_form(gate, (a, b, c, d)).value,
         separable=gate.separable,
         nu_tilde=gate.nu_tilde,
     )

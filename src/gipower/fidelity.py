@@ -145,16 +145,16 @@ def fidelity(cm1, cm2) -> float:
     return float(f)
 
 
-def _qfi_form(sigma) -> tuple[list, list]:
+def _qfi_form(frame) -> tuple[list, list]:
     """(Q, T) as nested lists: the QFI at (zeta, theta) is h0^T Q h0, h0 = T h.
 
     The black box anchored at m = S(zeta) R(theta) rotates m sigma m^T,
     which is sigma itself moved by the generator H = m^-1 G m in sp(2);
     H = p G + u Z + v X with h = (p, u, v) as in _qfi_at.  The QFI is taken
-    in the frame of the standard form s = F^-1 sigma F^-T, F = F_A (+) F_B
-    from symplectic._standard_frame, so local squeezing of the input does
-    not reach the arithmetic below.  There the generator is F_A^-1 H F_A,
-    with coefficients h0 = T h.
+    in the frame of the standard form s = F^-1 sigma F^-T, F = F_A (+) F_B,
+    read from frame = symplectic._standard_frame(sigma), so local squeezing
+    of the input does not reach the arithmetic below.  There the generator
+    is F_A^-1 H F_A, with coefficients h0 = T h.
 
     In (q_A, q_B, p_A, p_B) order s = sigma_q (+) sigma_p, sigma_q =
     [[a, c], [c, b]] and sigma_p = [[a, d], [d, b]], and its Williamson
@@ -178,7 +178,7 @@ def _qfi_form(sigma) -> tuple[list, list]:
     cancellation and is 0 where nu- = nu+.  Z carries only alpha and gamma
     and G, X only beta and delta, so the Z row and column of Q are exactly 0.
     """
-    (a, b, c, d), (f00, f01, f10, f11) = _standard_frame(sigma)
+    (a, b, c, d), (f00, f01, f10, f11) = frame
     # p G + u Z + v X = Omega_1^T S with S = [[p + v, -u], [-u, p - v]], and
     # F_A^-1 Omega_1^T S F_A = Omega_1^T F_A^T S F_A for a symplectic F_A:
     # column k of T is (p, u, v) of F_A^T S_k F_A, S_k = I, -X, Z for G, Z, X.
@@ -270,7 +270,7 @@ def qfi(cm, zeta, theta):
     if not np.all(np.isfinite(theta)):
         raise InvalidStateError(f"orientation angles must be finite, got {theta}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = np.maximum(_qfi_at(_qfi_form(sigma), zeta, theta), 0.0)
+        value = np.maximum(_qfi_at(_qfi_form(_standard_frame(sigma)), zeta, theta), 0.0)
     if not np.all(np.isfinite(value)):
         raise NumericalError(f"QFI at zeta = {zeta} overflowed")
     return float(value) if value.ndim == 0 else value
@@ -360,16 +360,16 @@ def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = WINDOW) -> WorstCa
     """
     sigma, _ = _require_physical(cm)
     lo, hi = log2_zeta_range
-    return _worst_case(sigma, lo, hi)
+    return _worst_case(_standard_frame(sigma), lo, hi)
 
 
-def _worst_case(sigma, lo, hi) -> WorstCaseResult:
-    """worst_case_qfi on a sigma that has passed the physicality gate.
+def _worst_case(frame, lo, hi) -> WorstCaseResult:
+    """worst_case_qfi on the _standard_frame of a sigma that has passed the physicality gate.
 
-    Reads sigma only, never the gate's record, so power.cross_validate can
-    share one gate between the closed form and this oracle.  Everything
-    below is scalar: math and float arithmetic, no numpy call off the edge
-    path.
+    Reads the frame only, never the gate's record, so power.cross_validate
+    can share one gate and one frame between the closed form and this
+    oracle.  Everything below is scalar: math and float arithmetic, no
+    numpy call off the edge path.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidStateError(f"log2_zeta_range must be finite with lo <= hi, got {(lo, hi)}")
@@ -379,7 +379,7 @@ def _worst_case(sigma, lo, hi) -> WorstCaseResult:
     except OverflowError:
         raise NumericalError(f"QFI overflows on the edge of log2_zeta_range {(lo, hi)}") from None
     # |lz| <= 513 from here on, so 2.0**lz below stays finite.
-    form = _qfi_form(sigma)
+    form = _qfi_form(frame)
     u, v = _sheet_minimum(form)
     if r_lo <= math.hypot(u, v) <= r_hi:
         points = [(u, v)]

@@ -3,8 +3,8 @@
 The interferometric power of a two-mode Gaussian probe is one quarter of
 the worst-case quantum Fisher information over the local Gaussian black
 boxes on mode A.  It admits a closed form in the local symplectic
-invariants (A, B, C, D); this module evaluates it with exact special-case
-handling of the pure-state singularity.
+invariants (A, B, C, D); this module evaluates it in the variables of
+the standard form (a, b, c, d), with the exact limit on pure states.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .exceptions import InvalidStateError, NumericalError
 from .fidelity import WINDOW, _worst_case
 from .symplectic import (
     CHECK_TOL,
-    DC_TOL,
     ORACLE_TOL,
     PURE_TOL,
     LocalInvariants,
@@ -26,6 +25,7 @@ from .symplectic import (
     _gate,
     _require_physical,
     _standard_entries,
+    _standard_frame,
 )
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 class IpResult:
     """Interferometric power with the evaluation branch and input invariants.
 
-    branch is one of "general", "pure" or "special_dc" (the d = -+c shortcut).
+    branch is "general" or "pure" (|D - 1| < PURE_TOL, the exact limit).
     """
 
     value: float
@@ -63,18 +63,15 @@ class CrossValidation:
 
 
 def closed_form_xyz(A, B, C, D):
-    """The three polynomials (X, Y, Z) of the closed formula.
+    """The three polynomials (X, Y, Z) of the closed formula, in the invariants.
 
     Plain arithmetic only, so exact input types (int, Fraction) stay exact.
+    In floats X, Y and Z cancel near the pure set, where all three vanish:
+    gip_closed_form evaluates them from the standard form instead.
     """
-    return _xyz(A, B, C, D, A * B - D)
-
-
-def _xyz(A, B, C, D, E):
-    # E = AB - D comes separately: Z stays accurate where AB and D nearly cancel.
     X = (A + C) * (1 + B + C - D) - D * D
     Y = (D - 1) * (1 + A + B + 2 * C + D)
-    Z = (A + D) * E + C * (2 * A + C) * (1 + B)
+    Z = (A + D) * (A * B - D) + C * (2 * A + C) * (1 + B)
     return X, Y, Z
 
 
@@ -82,28 +79,42 @@ def gip_closed_form(cm) -> IpResult:
     """Interferometric power of a physical state via the closed formula.
 
     General branch: (X + sqrt(X^2 + YZ)) / (2Y), evaluated as
-    Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels.
-    Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4.  D
-    comes from the Cholesky pivots of the physicality gate and AB - D from
-    the invariant kernel, so neither is a difference of the other with AB.
-    Raises NumericalError if the value is not finite (X can overflow from
-    sigma entries of ~1e39 on, D from ~1e77).
+    Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels,
+    with X, Y and Z formed from sigma's standard form (_closed_form).
+    Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4, with
+    D from the Cholesky pivots of the physicality gate.  Raises
+    NumericalError if the value is not finite (X overflows from sigma
+    entries of ~1e39 on).
     """
-    _, gate = _require_physical(cm)
-    return _closed_form(gate)
+    sigma, gate = _require_physical(cm)
+    return _closed_form(gate, _standard_frame(sigma)[0])
 
 
-def _closed_form(gate, sf: StandardForm | None = None) -> IpResult:
-    """gip_closed_form's arithmetic on the gate's record of one state.
+def _closed_form(gate, form) -> IpResult:
+    """gip_closed_form's arithmetic on the gate's record and the standard form (a, b, c, d).
 
-    Given the state's standard form sf, a general-branch value at d = -+c
-    is replaced by gip_special's (gip_from_standard_form).
+    X, Y and Z are the paper's polynomials in A = a^2, B = b^2, C = cd and
+    D = (ab - c^2)(ab - d^2), rewritten in p = ab - c^2 - 1,
+    q = ab - d^2 - 1, w = p + q + pq = D - 1, t = (c + d)^2 and a - b.
+    Those vanish on the pure set (a = b, d = -c = -sqrt(a^2 - 1)) and each
+    is formed from the entries with an error of ~eps a^2, where D - 1
+    formed from D loses ~eps a^4; t = 0 exactly at d = -c.
     """
     inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
     if abs(gate.D - 1) < PURE_TOL:
         return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
-    # Off the pure branch |Y| >= 4 PURE_TOL, since A + B + 2C >= 2.
-    X, Y, Z = _xyz(gate.A, gate.B, gate.C, gate.D, gate.E)
+    a, b, c, d = form
+    ab, c2, d2 = a * b, c * c, d * d
+    p, q = (ab - c2) - 1, (ab - d2) - 1
+    uv, w = (1 + p) * (1 + q), p + q + p * q
+    t, delta = (c + d) * (c + d), a - b
+    s = 1 + (p + q) / 2 + t / 2  # ab + cd
+    e = ab * (c2 + d2) - c2 * d2  # AB - D
+    k = a * (ab - 1) * (c2 + d2) - (a + b) * c2 * d2
+    X = c * d * delta * delta + ab * t - w * (s + a * delta + uv)
+    # Off the pure branch |w| is ~PURE_TOL or more and Y / w >= 4, since A + B + 2C >= 2.
+    Y = w * (delta * delta + 2 * s + uv + 1)
+    Z = a * a * (b * b + 1) * t + w * e + delta * k
     radicand = X * X + Y * Z
     if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
         # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
@@ -117,8 +128,6 @@ def _closed_form(gate, sf: StandardForm | None = None) -> IpResult:
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
         raise NumericalError(f"closed formula gave {value} at det sigma = {gate.D}")
-    if sf is not None and min(abs(sf.d + sf.c), abs(sf.d - sf.c)) <= DC_TOL:
-        return IpResult(value=gip_special(sf), branch="special_dc", invariants=inv)
     return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
 
 
@@ -126,19 +135,20 @@ def gip_special(sf: StandardForm) -> float:
     """Interferometric power of a standard-form state with d = -+c.
 
     Evaluates c^2 / (2(ab - c^2 +- 1)): plus sign for d = -c (squeezed
-    thermal states), minus sign for d = +c (mixed thermal states).
+    thermal states), minus sign for d = +c (mixed thermal states), each
+    within CHECK_TOL.
     """
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
     a, b, c, d = sf.a, sf.b, sf.c, sf.d
-    if abs(d + c) <= DC_TOL:
+    if abs(d + c) <= CHECK_TOL:
         denom = 2 * (a * b - c * c + 1)
-    elif abs(d - c) <= DC_TOL:
+    elif abs(d - c) <= CHECK_TOL:
         denom = 2 * (a * b - c * c - 1)
     else:
         raise InvalidStateError(f"special form requires d = -+c, got c={c}, d={d}")
-    if denom <= DC_TOL:
-        raise InvalidStateError(f"degenerate state: denominator {denom} <= DC_TOL")
+    if denom <= CHECK_TOL:
+        raise InvalidStateError(f"degenerate state: denominator {denom} <= CHECK_TOL")
     return float(c * c / denom)
 
 
@@ -153,26 +163,30 @@ def gip_pure(a: float) -> float:
 
 
 def gip_from_standard_form(sf: StandardForm) -> IpResult:
-    """Interferometric power of a standard-form state, using the d = -+c
-    shortcut when it applies (branch "special_dc")."""
+    """Interferometric power of a standard-form state: gip_closed_form on
+    (a, b, c, d) as given, with no matrix and no frame."""
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
-    return _closed_form(_gate(_standard_entries(sf.a, sf.b, sf.c, sf.d)), sf)
+    form = (sf.a, sf.b, sf.c, sf.d)
+    return _closed_form(_gate(_standard_entries(*form)), form)
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     """Check the closed formula against the worst-case QFI optimizer.
 
     Passes iff |closed - oracle/4| <= tol * max(1, closed); tol must be
-    finite and non-negative.  sigma passes the physicality gate once: the
-    closed form reads the gate's record, the oracle (fidelity._worst_case,
-    on the default window of worst_case_qfi) reads sigma alone.
+    finite and non-negative.  sigma passes the physicality gate once and
+    goes to its standard frame (symplectic._standard_frame) once: the
+    closed form reads the gate's record and the frame's (a, b, c, d), the
+    oracle (fidelity._worst_case, on the default window of worst_case_qfi)
+    reads the frame alone.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     sigma, gate = _require_physical(cm)
-    closed = _closed_form(gate).value
-    oracle = _worst_case(sigma, *WINDOW).value / 4
+    frame = _standard_frame(sigma)
+    closed = _closed_form(gate, frame[0]).value
+    oracle = _worst_case(frame, *WINDOW).value / 4
     diff = abs(closed - oracle)
     return CrossValidation(
         closed=closed,

@@ -64,8 +64,6 @@ CHECK_TOL = 1e-9
 GATE_TOL = 1e-7
 #: |D - 1| below this counts as pure; the general closed form is 0/0 there.
 PURE_TOL = 1e-7
-#: |d + c| or |d - c| below this selects the d = -+c closed-form shortcut.
-DC_TOL = 1e-9
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
@@ -127,6 +125,8 @@ class CovarianceMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
+        if not isinstance(data, dict):
+            raise InvalidStateError(f"expected a JSON object, got {type(data).__name__}")
         if data.get("ordering", _ORDERING) != _ORDERING:
             raise InvalidStateError(f"unsupported quadrature ordering {data['ordering']!r}")
         if data.get("hbar", 1) != 1:
@@ -197,8 +197,8 @@ class BonaFideReport:
     separable: bool  # the partial transpose passes the same check
 
 
-class _Gate(namedtuple("_Gate", "A B C E D nu_minus nu_plus nu_tilde")):
-    """What the gate reads off a physical sigma, by name: E = AB - D from _invariants,
+class _Gate(namedtuple("_Gate", "A B C D nu_minus nu_plus nu_tilde")):
+    """What the gate reads off a physical sigma, by name: A, B, C from _invariants,
     D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus."""
 
     __slots__ = ()
@@ -382,7 +382,8 @@ def _gate(e):
     nu_minus, nu_plus, nu_tilde, det_root = nu
     if nu_minus < 1 - GATE_TOL:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
-    return _Gate(*_invariants(e), _square(det_root), nu_minus, nu_plus, nu_tilde)
+    A, B, C, _ = _invariants(e)
+    return _Gate(A, B, C, _square(det_root), nu_minus, nu_plus, nu_tilde)
 
 
 def _require_physical(cm):

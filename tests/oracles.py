@@ -26,7 +26,7 @@ from gipower import (
     SampleRecord,
     StandardForm,
     from_standard_form,
-    gip_closed_form,
+    gip_from_standard_form,
     is_separable,
     log_negativity,
     mean_photon_A,
@@ -211,7 +211,7 @@ def _record_from(sf: StandardForm) -> SampleRecord:
         sf=sf,
         n_bar_A=mean_photon_A(cm),
         e_n=log_negativity(cm),
-        p_g=gip_closed_form(cm).value,
+        p_g=gip_from_standard_form(sf).value,
         separable=is_separable(cm),
         nu_tilde=pt_min_symplectic_eigenvalue(cm),
     )

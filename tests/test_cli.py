@@ -81,6 +81,21 @@ class TestIp:
         code, _ = run_cli(capsys, "ip", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "null", "3"])
+    def test_non_object_file_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert main(["ip", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input:")
+
+    @pytest.mark.parametrize("flags", [["--a", "2", "--b", "3", "--c", "1", "--d", "-1"], ["--a", "2"]])
+    def test_file_and_flags_exit_2(self, capsys, tmp_path, flags):
+        """--input with any of --a --b --c --d is ambiguous, not a file read that drops the flags."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(from_standard_form(tmsv(2.0)).to_dict()))
+        assert main(["ip", "--input", str(path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input:")
+
     def test_overflowing_state_is_a_numerical_failure(self, tmp_path):
         """det sigma overflows at entries of 1e150: exit 1 with a message, not a traceback."""
         path = tmp_path / "big.json"
@@ -202,9 +217,9 @@ class TestSample:
             ("fig2", (), "bf75812d27e64e0e797cf79e13c6e8f6049e3b5fe96259ec0c9f558e1c4125a5"),
             ("fig3", (), "518fe8f930806b5d9f1d71f6f2da760de1feccf13949dfa2a6c0c3b591383146"),
             ("fig2", ("--a-max", "1.05", "--b-max", "1.05"),
-             "7375a67cab24ed325cb9975984d399d59e76f9b0ea3805d4c73ee819f23f056d"),
+             "5fabbc802ec3283fb879d1f9654390f2384bbde2aa1981862e3b9832cd68855c"),
             ("fig3", ("--a-max", "1.05", "--b-max", "1.05"),
-             "3fcab563427004d8d9ba11a7bb0e0b322728b082407c39aebe47904f33c39ca3"),
+             "d21e0ca214453e5281123a1f866fc82ee4d7b55364f8c64c400ee2feb4889af8"),
         ]
     ])
     def test_pinned_digest(self, capsys, tmp_path, which, bounds, sha256):
@@ -319,6 +334,7 @@ def fuzz_dir(tmp_path_factory):
     (d / "state.json").write_text(json.dumps(from_standard_form(tmsv(2.0)).to_dict()))
     (d / "junk.json").write_text("{not json")
     (d / "bad.json").write_text(json.dumps({"sigma": [[1, 2], [3, 4]]}))
+    (d / "list.json").write_text("[1, 2]")
     return d
 
 
@@ -336,7 +352,7 @@ def cli_argv(draw, d):
     required, optional = {
         "ip": ({"--a": value, "--b": value, "--c": value, "--d": value},
                {"--out": out, "--input": st.sampled_from(
-                   [str(d / f) for f in ("state.json", "junk.json", "bad.json", "none")])}),
+                   [str(d / f) for f in ("state.json", "junk.json", "bad.json", "list.json", "none")])}),
         "verify": ({"--seed": value, "--n": st.sampled_from(["-1", "0", "1", "2", "3", "nan"])},
                    {"--tol": value, "--a-max": value, "--b-max": value}),
         "sample": ({"--seed": value, "--n": st.sampled_from(["-1", "0", "1", "3", "5", "nan"]),
@@ -411,9 +427,11 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; importing the package and its CLI loads no scipy
-    code = ("import sys, gipower, gipower.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # numpy is the only runtime dependency: importing the package and its CLI
+    # loads no top-level module but the standard library's, numpy's and its own
+    code = ("import sys; before = set(sys.modules); import gipower, gipower.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'gipower'}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

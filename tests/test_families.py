@@ -313,7 +313,7 @@ def test_all_constructors_pass_validation():
 
 
 def gate_bits(make):
-    """The eight _Gate fields make() returns, as hex, or the message of the InvalidStateError it raises."""
+    """The seven _Gate fields make() returns, as hex, or the message of the InvalidStateError it raises."""
     try:
         return tuple(float(v).hex() for v in make())
     except InvalidStateError as exc:

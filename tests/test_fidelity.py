@@ -30,6 +30,7 @@ from gipower import (
 )
 
 from gipower.fidelity import _qfi_at, _qfi_form
+from gipower.symplectic import _standard_frame
 
 from conftest import random_physical_cm
 from oracles import (
@@ -359,7 +360,7 @@ class TestQfiForm:
                        for delta in np.logspace(-12, -4, 9)]
         worst = (0.0, "")
         for label, sigma in states:
-            form = _qfi_form(sigma)
+            form = _qfi_form(_standard_frame(sigma))
             (_, q_gz, _), (_, _, q_zx), _ = form[0]
             assert q_gz == 0.0 and q_zx == 0.0, label
             zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
@@ -378,7 +379,7 @@ class TestQfiForm:
         # splitter with nu+ = 1/nu- the naive weight (nu+ - nu-)^2/(nu+ nu- - 1)
         # divides by ~0; the form must stay finite and positive semidefinite.
         for i, nu, sigma in gate_admitted_mixtures(rng):
-            form = _qfi_form(sigma)
+            form = _qfi_form(_standard_frame(sigma))
             (q_gg, _, q_gx), _, (_, _, q_xx) = form[0]
             assert q_gg * q_xx >= q_gx * q_gx
             zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)

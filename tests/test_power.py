@@ -32,10 +32,52 @@ from gipower import (
     worst_case_qfi,
 )
 
+import gipower.symplectic as symplectic
 from conftest import random_physical_cm
 from oracles import closed_form_mp
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
+
+
+def near_pure_forms():
+    """The first 200 physical standard forms near the pure set that the gate admits.
+
+    |a - b| = a 10^U(-9, -3), and ab - c^2 - 1, ab - d^2 - 1 = 10^U(-12, -2)
+    before rounding, so D - 1 spans about 1e-12 to 1e-2.
+    """
+    rng = np.random.default_rng(11)
+    forms = []
+    while len(forms) < 200:
+        a = 10.0 ** rng.uniform(0.05, 3.0)
+        b = a * (1 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -3.0))
+        x, y = (a * b - 1 - 10.0 ** rng.uniform(-12.0, -2.0, size=2)).tolist()
+        sf = StandardForm(a, b, math.sqrt(max(x, y)), -math.sqrt(min(x, y)))
+        try:
+            gip_from_standard_form(sf)
+        except InvalidStateError:
+            continue
+        forms.append(sf)
+    return forms
+
+
+def squeezed_thermal_sweep():
+    """400 squeezed thermal states: nu_A - 1, nu_B - 1 = 10^U(-8, 0), cosh 2r = 10^U(1, 3.5)."""
+    rng = np.random.default_rng(7)
+    forms = []
+    for _ in range(400):
+        nu_a, nu_b = (1 + 10.0 ** rng.uniform(-8.0, 0.0, size=2)).tolist()
+        cosh_2r = 10.0 ** rng.uniform(1.0, 3.5)
+        ch2, sh2 = (cosh_2r + 1) / 2, (cosh_2r - 1) / 2
+        c = (nu_a + nu_b) * math.sqrt(ch2 * sh2)
+        forms.append(StandardForm(nu_a * ch2 + nu_b * sh2, nu_a * sh2 + nu_b * ch2, c, -c))
+    return forms
+
+
+def conjugated(forms, seed):
+    """The matrices of forms, each kicked by its own random local symplectic."""
+    rng = np.random.default_rng(seed)
+    return [apply_local_symplectic(from_standard_form(sf), random_local_symplectic(rng),
+                                   random_local_symplectic(rng)).sigma for sf in forms]
 
 
 class TestClosedForm:
@@ -80,11 +122,14 @@ class TestClosedFormPrecision:
     """Closed form against exact-rational invariants and a 50-digit root."""
 
     @staticmethod
-    def max_rel_error(sigmas):
+    def max_rel_error(sigmas, skip_pure=False):
         worst = 0.0
         for sigma in sigmas:
+            result = gip_closed_form(sigma)
+            if skip_pure and result.branch == "pure":
+                continue
             reference = closed_form_mp(sigma)
-            worst = max(worst, abs(gip_closed_form(sigma).value - reference) / reference)
+            worst = max(worst, abs(result.value - reference) / reference)
         return worst
 
     def test_random_states(self):
@@ -104,6 +149,27 @@ class TestClosedFormPrecision:
                                         random_local_symplectic(rng))
             sigmas.append(cm.sigma)
         assert self.max_rel_error(sigmas) <= 1e-12
+
+    def test_near_pure_states(self):
+        # X, Y and Z all vanish on the pure set, so each must be formed
+        # without cancellation; D - 1 formed from D loses ~eps a^4
+        forms = near_pure_forms()
+        for sf in forms:
+            result = gip_from_standard_form(sf)
+            if result.branch == "general":
+                reference = closed_form_mp(sf.matrix())
+                assert abs(result.value - reference) <= 1e-9 * reference, sf
+        assert self.max_rel_error([sf.matrix() for sf in forms], skip_pure=True) <= 1e-9
+
+    def test_near_pure_states_conjugated(self):
+        # closed_form_mp reads the conjugated entries, never the standard frame
+        assert self.max_rel_error(conjugated(near_pure_forms(), 12), skip_pure=True) <= 1e-9
+
+    def test_squeezed_thermal_sweep_conjugated(self):
+        # backward error: the frame's (a, b, c, d) carry ~eps each, and a
+        # 1-ulp move of one of them shifts the exact value by up to ~1.4e-9 here
+        sigmas = conjugated(squeezed_thermal_sweep(), 13)
+        assert self.max_rel_error(sigmas, skip_pure=True) <= 5e-9
 
     def test_large_entries(self):
         """X^2 + YZ overflows from a ~ 1e19 on; X itself from a ~ 1e39, which must raise, not give 0."""
@@ -180,13 +246,29 @@ class TestPureFormula:
 class TestStandardFormDispatch:
     def test_special_branch(self):
         result = gip_from_standard_form(S231)
-        assert result.branch == "special_dc"
+        assert result.branch == "general"
         assert result.value == pytest.approx(1 / 12, abs=1e-12)
 
     def test_pure_branch_wins(self):
         result = gip_from_standard_form(tmsv(2.0))
         assert result.branch == "pure"
         assert result.value == pytest.approx(0.75, abs=1e-12)
+
+    def test_d_equals_minus_or_plus_c(self):
+        # no shortcut at d = -+c: the general form agrees with gip_special
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 2000:
+            sf = random_state(rng)
+            sign = 1.0 if checked % 2 else -1.0
+            form = StandardForm(sf.a, sf.b, sf.c, sign * sf.c)
+            try:
+                result = gip_from_standard_form(form)
+            except InvalidStateError:
+                continue
+            checked += 1
+            assert result.branch == "general"
+            assert result.value == pytest.approx(gip_special(form), rel=1e-14, abs=0.0), form
 
     def test_general_branch(self):
         result = gip_from_standard_form(StandardForm(2.0, 3.0, 1.0, -0.5))
@@ -211,6 +293,21 @@ class TestCrossValidation:
         cholesky_calls[0] = 0
         cross_validate(cm)
         assert cholesky_calls[0] == 1
+
+    def test_one_frame_per_call(self, rng, monkeypatch):
+        # The closed form and the oracle share one standard frame, which
+        # unsqueezes each mode block once.
+        cm = random_physical_cm(rng, conjugate=True)
+        calls = [0]
+        unsqueeze = symplectic._unsqueeze
+
+        def counted(*block):
+            calls[0] += 1
+            return unsqueeze(*block)
+
+        monkeypatch.setattr(symplectic, "_unsqueeze", counted)
+        cross_validate(cm)
+        assert calls[0] == 2
 
     def test_oracle_is_worst_case_qfi(self, rng):
         # The shared-gate path gives the public oracle's value bit for bit.
