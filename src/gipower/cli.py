@@ -15,12 +15,11 @@ import numpy as np
 from .exceptions import InvalidStateError, InvalidTransformError, NumericalError
 from .families import (
     FamilySpec,
+    _sample_columns,
     build_family,
     lower_bound,
     nu_zero,
     random_state,
-    sample_figure2,
-    sample_figure3,
     upper_bound,
 )
 from .power import _closed_form, cross_validate
@@ -39,9 +38,22 @@ EXIT_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 
 
-def _fmt(x: float) -> str:
-    """CSV number format: '.' decimal separator, 12 significant digits."""
-    return f"{float(x):.12g}"
+#: CSV number format: '.' decimal separator, 12 significant digits;
+#: '%.12g' % x gives the bytes of f"{x:.12g}".
+_NUMBER = "%.12g"
+#: Header and one %-format per row, of each CSV the CLI writes.
+_CSV = {
+    "fig2": ("n_bar_A,P_G,separable,sql,heisenberg,a,b,c,d",
+             ",".join([_NUMBER] * 2 + ["%s"] + [_NUMBER] * 6)),
+    "fig3": ("E_N,ratio,nu_tilde,lower,upper,a,b,c,d", ",".join([_NUMBER] * 9)),
+    "bounds": ("nu_tilde,E_N,upper,lower,branch", ",".join([_NUMBER] * 4 + ["%s"])),
+}
+
+
+def _csv(kind: str, rows) -> str:
+    """The CSV text of kind (a key of _CSV) with rows, tuples of numbers and strings."""
+    header, row_format = _CSV[kind]
+    return "\n".join([header, *(row_format % row for row in rows)]) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -127,28 +139,17 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    lines = []
-    if args.which == "fig2":
-        records = sample_figure2(rng, args.n, args.a_max, args.b_max)
-        lines.append("n_bar_A,P_G,separable,sql,heisenberg,a,b,c,d")
-        for r in records:
-            lines.append(",".join([
-                _fmt(r.n_bar_A), _fmt(r.p_g),
-                "true" if r.separable else "false",
-                _fmt(r.n_bar_A), _fmt(r.n_bar_A * (r.n_bar_A + 1)),
-                _fmt(r.sf.a), _fmt(r.sf.b), _fmt(r.sf.c), _fmt(r.sf.d),
-            ]))
+    fig3 = args.which == "fig3"
+    kept = _sample_columns(rng, args.n, args.a_max, args.b_max, entangled_only=fig3)
+    n_bar_A, nu_tilde = kept.n_bar_A, kept.nu_tilde
+    if fig3:
+        columns = [kept.e_n, kept.p_g / n_bar_A, nu_tilde, lower_bound(nu_tilde),
+                   upper_bound(nu_tilde)]
     else:
-        records = sample_figure3(rng, args.n, args.a_max, args.b_max)
-        lines.append("E_N,ratio,nu_tilde,lower,upper,a,b,c,d")
-        nu = np.array([r.nu_tilde for r in records])
-        for r, lower, upper in zip(records, lower_bound(nu).tolist(), upper_bound(nu).tolist()):
-            lines.append(",".join([
-                _fmt(r.e_n), _fmt(r.p_g / r.n_bar_A), _fmt(r.nu_tilde),
-                _fmt(lower), _fmt(upper),
-                _fmt(r.sf.a), _fmt(r.sf.b), _fmt(r.sf.c), _fmt(r.sf.d),
-            ]))
-    _emit("\n".join(lines) + "\n", args.out)
+        columns = [n_bar_A, kept.p_g, np.where(kept.separable, "true", "false"), n_bar_A,
+                   n_bar_A * (n_bar_A + 1)]
+    columns += [kept.a, kept.b, kept.c, kept.d]
+    _emit(_csv(args.which, zip(*(column.tolist() for column in columns))), args.out)
     return EXIT_OK
 
 
@@ -156,15 +157,10 @@ def cmd_bounds(args) -> int:
     if args.grid < 1:
         raise InvalidStateError(f"grid size must be >= 1, got {args.grid}")
     branch_point = nu_zero()
-    lines = ["nu_tilde,E_N,upper,lower,branch"]
-    for i in range(args.grid):
-        nu = (i + 1) / (args.grid + 1)
-        branch = "branch1" if nu > branch_point else "branch2"
-        lines.append(",".join([
-            _fmt(nu), _fmt(-np.log(nu)), _fmt(upper_bound(nu)),
-            _fmt(lower_bound(nu)), branch,
-        ]))
-    _emit("\n".join(lines) + "\n", args.out)
+    nus = [(i + 1) / (args.grid + 1) for i in range(args.grid)]
+    rows = ((nu, -np.log(nu), upper_bound(nu), lower_bound(nu),
+             "branch1" if nu > branch_point else "branch2") for nu in nus)
+    _emit(_csv("bounds", rows), args.out)
     return EXIT_OK
 
 

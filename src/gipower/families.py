@@ -8,13 +8,14 @@ extremal performance per mean photon number at fixed entanglement.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import InvalidStateError
-from .power import _closed_form
+from .power import _closed_form, _closed_form_columns
 from .symplectic import (
     CHECK_TOL,
     GUARD_BAND,
@@ -22,6 +23,7 @@ from .symplectic import (
     ROOT_STEP,
     StandardForm,
     _gate,
+    _gates,
     _nu_pair,
     _standard_entries,
 )
@@ -75,6 +77,10 @@ class SampleRecord:
     p_g: float
     separable: bool
     nu_tilde: float  # smallest symplectic eigenvalue of the partial transpose
+
+
+#: A SampleRecord's fields as arrays, one element per kept row; (a, b, c, d) is its sf.
+_Columns = namedtuple("_Columns", "a b c d n_bar_A e_n p_g separable nu_tilde")
 
 
 def _validated(sf: StandardForm, kind: str) -> StandardForm:
@@ -371,39 +377,58 @@ def _first_accepted(streams, a_max: float, b_max: float, entangled_only: bool) -
     return outcomes
 
 
-def _record(a: float, b: float, c: float, d: float) -> SampleRecord:
-    gate = _gate(_standard_entries(a, b, c, d))
-    return SampleRecord(
-        sf=StandardForm(a, b, c, d),
-        n_bar_A=(a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
-        e_n=gate.log_negativity,
-        p_g=_closed_form(gate, (a, b, c, d)).value,
-        separable=gate.separable,
-        nu_tilde=gate.nu_tilde,
-    )
+def _kept_columns(draws) -> _Columns:
+    """The _Columns of kept draws, a list of (a, b, c, d) floats, in their order.
+
+    One stacked gate (_gates) and one pass of _closed_form_columns give
+    every number bit for bit as the scalar gate and _closed_form give it
+    per draw.  The draws those leave, a gate that would reject or a
+    closed form that rescales, clamps or raises, go through _gate and
+    _closed_form in order, so the first error is the scalar one.
+    """
+    form = tuple(np.array(draws).T)
+    gate, rejected = _gates(_standard_entries(*form))
+    p_g, left = _closed_form_columns(gate, form)
+    for i in np.flatnonzero(rejected | left):
+        p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i]).value
+    a = form[0]
+    return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
+                    gate.log_negativity, p_g, gate.separable, gate.nu_tilde)
 
 
-def _sample_records(rng, n, a_max, b_max, entangled_only):
-    """n records from independent per-record substreams, sorted canonically.
+def _sample_columns(rng, n, a_max, b_max, entangled_only) -> _Columns:
+    """The _Columns of n rows from independent per-row substreams, sorted canonically.
 
-    Record i takes the first accepted draw of the i-th child stream
-    spawned from rng, the draw random_state (and, if entangled_only, a
-    loop over it that skips separable states) would return from that
-    stream.  The streams are decided _CHUNK at a time; the first stream
-    that fails raises, after the records of the streams before it.
+    Row i takes the first accepted draw of the i-th child stream spawned
+    from rng, the draw random_state (and, if entangled_only, a loop over
+    it that skips separable states) would return from that stream.  The
+    streams are decided and their rows built _CHUNK at a time; the first
+    stream that fails raises, after the rows of the streams before it.
+    Rows are sorted by (a, b, c, d), stably.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
     streams = rng.spawn(n)
     a_max, b_max = _check_bounds(a_max, b_max)
-    records = []
+    chunks = []
     for start in range(0, n, _CHUNK):
-        for outcome in _first_accepted(streams[start:start + _CHUNK], a_max, b_max, entangled_only):
-            if isinstance(outcome, str):
-                raise InvalidStateError(outcome)
-            records.append(_record(*outcome))
-    records.sort(key=lambda r: (r.sf.a, r.sf.b, r.sf.c, r.sf.d))
-    return records
+        outcomes = _first_accepted(streams[start:start + _CHUNK], a_max, b_max, entangled_only)
+        failed = next((k for k, outcome in enumerate(outcomes) if isinstance(outcome, str)),
+                      len(outcomes))
+        if failed:
+            chunks.append(_kept_columns(outcomes[:failed]))
+        if failed < len(outcomes):
+            raise InvalidStateError(outcomes[failed])
+    columns = [np.concatenate(column) for column in zip(*chunks)]
+    order = np.lexsort(columns[3::-1])  # by a, then b, c, d
+    return _Columns(*(column[order] for column in columns))
+
+
+def _sample_records(rng, n, a_max, b_max, entangled_only) -> list[SampleRecord]:
+    """_sample_columns as records of Python floats."""
+    columns = _sample_columns(rng, n, a_max, b_max, entangled_only)
+    return [SampleRecord(StandardForm(*row[:4]), *row[4:])
+            for row in zip(*(column.tolist() for column in columns))]
 
 
 def sample_figure2(rng: np.random.Generator, n: int, a_max: float = 5.0,

@@ -90,8 +90,8 @@ def gip_closed_form(cm) -> IpResult:
     return _closed_form(gate, _standard_frame(sigma)[0])
 
 
-def _closed_form(gate, form) -> IpResult:
-    """gip_closed_form's arithmetic on the gate's record and the standard form (a, b, c, d).
+def _standard_xyz(a, b, c, d):
+    """The closed formula's (X, Y, Z) from the standard form (a, b, c, d), floats or arrays.
 
     X, Y and Z are the paper's polynomials in A = a^2, B = b^2, C = cd and
     D = (ab - c^2)(ab - d^2), rewritten in p = ab - c^2 - 1,
@@ -100,10 +100,6 @@ def _closed_form(gate, form) -> IpResult:
     is formed from the entries with an error of ~eps a^2, where D - 1
     formed from D loses ~eps a^4; t = 0 exactly at d = -c.
     """
-    inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
-    if abs(gate.D - 1) < PURE_TOL:
-        return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
-    a, b, c, d = form
     ab, c2, d2 = a * b, c * c, d * d
     p, q = (ab - c2) - 1, (ab - d2) - 1
     uv, w = (1 + p) * (1 + q), p + q + p * q
@@ -115,6 +111,15 @@ def _closed_form(gate, form) -> IpResult:
     # Off the pure branch |w| is ~PURE_TOL or more and Y / w >= 4, since A + B + 2C >= 2.
     Y = w * (delta * delta + 2 * s + uv + 1)
     Z = a * a * (b * b + 1) * t + w * e + delta * k
+    return X, Y, Z
+
+
+def _closed_form(gate, form) -> IpResult:
+    """gip_closed_form's arithmetic on the gate's record and the standard form (a, b, c, d)."""
+    inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
+    if abs(gate.D - 1) < PURE_TOL:
+        return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
+    X, Y, Z = _standard_xyz(*form)
     radicand = X * X + Y * Z
     if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
         # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
@@ -129,6 +134,26 @@ def _closed_form(gate, form) -> IpResult:
     if not math.isfinite(value):
         raise NumericalError(f"closed formula gave {value} at det sigma = {gate.D}")
     return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
+
+
+def _closed_form_columns(gate, form):
+    """(values, left): _closed_form's values on a stack, from _gates' record and the arrays form.
+
+    Bit for bit _closed_form's value on every state not in left: numpy's
+    + - * / sqrt round as floats do.  left marks the general states whose
+    radicand is negative or not finite, or whose value is not finite;
+    _closed_form on those rescales, clamps or raises, and their values
+    here mean nothing.
+    """
+    with np.errstate(all="ignore"):
+        pure = abs(gate.D - 1) < PURE_TOL
+        X, Y, Z = _standard_xyz(*form)
+        radicand = X * X + Y * Z
+        root = np.sqrt(radicand)
+        value = np.where(X >= 0, (X + root) / (2 * Y), Z / (2 * (root - X)))
+        settled = np.isfinite(radicand) & (radicand >= 0) & np.isfinite(value)
+        value = np.where(0.0 > value, 0.0, value)  # max(value, 0.0), -0.0 kept
+        return np.where(pure, (gate.A - 1) / 4, value), ~pure & ~settled
 
 
 def gip_special(sf: StandardForm) -> float:

@@ -198,20 +198,29 @@ class BonaFideReport:
 
 
 class _Gate(namedtuple("_Gate", "A B C D nu_minus nu_plus nu_tilde")):
-    """What the gate reads off a physical sigma, by name: A, B, C from _invariants,
-    D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus."""
+    """What the gate reads off a physical sigma, by name: A, B, C from _blocks,
+    D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus.
+
+    Floats for one state (_gate), arrays for a stack of states (_gates).
+    """
 
     __slots__ = ()
 
     @property
-    def log_negativity(self) -> float:
-        """max{0, -ln nu_tilde}."""
-        return max(0.0, -math.log(self.nu_tilde))
+    def log_negativity(self):
+        """max{0, -ln nu_tilde}, by math.log state by state."""
+        if isinstance(self.nu_tilde, float):
+            return _log_negativity(self.nu_tilde)
+        return np.array(list(map(_log_negativity, self.nu_tilde.tolist())))
 
     @property
-    def separable(self) -> bool:
+    def separable(self):
         """The PPT criterion: nu_tilde >= 1 - CHECK_TOL."""
         return self.nu_tilde >= 1 - CHECK_TOL
+
+
+def _log_negativity(nu_tilde: float) -> float:
+    return max(0.0, -math.log(nu_tilde))
 
 
 def _sigma_of(cm) -> np.ndarray:
@@ -244,6 +253,15 @@ def _standard_entries(a, b, c, d):
     return a, 0.0, c, 0.0, a, 0.0, d, b, 0.0, b
 
 
+def _blocks(e):
+    """Block determinants (A, B, C) by plain arithmetic on sigma's entries e (_entries).
+
+    Broadcasts over arrays.
+    """
+    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
+    return s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12
+
+
 def _invariants(e):
     """Invariants (A, B, C, AB - D) by plain arithmetic on sigma's entries e (_entries).
 
@@ -252,9 +270,7 @@ def _invariants(e):
     between AB and D near product states.  Broadcasts over arrays.
     """
     s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
-    A = s00 * s11 - s01 * s01
-    B = s22 * s33 - s23 * s23
-    C = s02 * s13 - s03 * s12
+    A, B, C = _blocks(e)
     # K beta K^T, with rows (s13, -s12) and (-s03, s02) of K
     m00 = s22 * s13 * s13 - 2 * s23 * s12 * s13 + s33 * s12 * s12
     m11 = s22 * s03 * s03 - 2 * s23 * s02 * s03 + s33 * s02 * s02
@@ -382,8 +398,28 @@ def _gate(e):
     nu_minus, nu_plus, nu_tilde, det_root = nu
     if nu_minus < 1 - GATE_TOL:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
-    A, B, C, _ = _invariants(e)
-    return _Gate(A, B, C, _square(det_root), nu_minus, nu_plus, nu_tilde)
+    return _Gate(*_blocks(e), _square(det_root), nu_minus, nu_plus, nu_tilde)
+
+
+def _gates(e):
+    """(_Gate of arrays, rejected): _gate on each state of a stack of entries e, from one factor.
+
+    numpy's + - * / sqrt round as floats do, the hypots are math.hypot
+    state by state and D is _square state by state, so every number is
+    bit for bit _gate's on that state's floats.  rejected marks the states
+    _gate would reject (nu_minus < 1 - GATE_TOL, or nan where sigma is not
+    > 0); their numbers mean nothing, and _gate on them gives the error.
+    """
+    with np.errstate(all="ignore"):
+        nu_minus, nu_plus, nu_tilde, det_root = _spectra(_cholesky(e), _hypot_each)
+        A, B, C = _blocks(e)
+    D = np.array(list(map(_square, det_root.tolist())))
+    return _Gate(A, B, C, D, nu_minus, nu_plus, nu_tilde), ~(nu_minus >= 1 - GATE_TOL)
+
+
+def _hypot_each(p, q, r):
+    """math.hypot(p, q, r) of each element of three arrays."""
+    return np.array(list(map(math.hypot, p.tolist(), q.tolist(), r.tolist())))
 
 
 def _require_physical(cm):

@@ -31,15 +31,13 @@ def rng():
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """A one-item list counting the Cholesky factorisations of one state made from here on.
-
-    Factorisations of stacks (array entries) are not counted.
-    """
-    calls = [0]
+    """[scalar, stacked]: the Cholesky factorisations made from here on, of one state
+    (float entries) and of a stack of states (array entries), counted apart."""
+    calls = [0, 0]
     cholesky = symplectic._cholesky
 
     def counted(e):
-        calls[0] += isinstance(e[0], float)
+        calls[0 if isinstance(e[0], float) else 1] += 1
         return cholesky(e)
 
     monkeypatch.setattr(symplectic, "_cholesky", counted)

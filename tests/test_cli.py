@@ -24,6 +24,7 @@ from gipower import (
     symplectic_eigenvalues,
     tmsv,
 )
+import gipower.families as families
 from gipower import cli
 from gipower.cli import main
 
@@ -230,11 +231,34 @@ class TestSample:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
-    def test_one_factor_per_record(self, capsys, tmp_path, cholesky_calls):
+    def test_one_factor_per_record(self, capsys, tmp_path, monkeypatch, cholesky_calls):
+        """No kept row factors its state alone: one stacked factor per round of draw
+        decisions (none inside GUARD_BAND here) and one per chunk of kept rows."""
+        counts = {}
+
+        def counting(name):
+            original = getattr(families, name)
+
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+            return counted
+
+        for name in ("_accept", "_kept_columns"):
+            monkeypatch.setattr(families, name, counting(name))
         code, _ = run_cli(capsys, "sample", "--seed", "1", "--n", "2000", "--which", "fig3",
                           "--out", str(tmp_path / "fig3.csv"))
         assert code == 0
-        assert cholesky_calls[0] == 2000
+        assert counts["_kept_columns"] == -(-2000 // families._CHUNK)
+        assert cholesky_calls == [0, counts["_accept"] + counts["_kept_columns"]]
+
+    def test_closed_form_failure_exits_1(self, capsys, tmp_path):
+        """Entries near 1e45 overflow X: the scalar closed form's error, unchanged, for the first such row."""
+        code = main(["sample", "--which", "fig2", "--seed", "1", "--n", "200", "--a-max", "1e45",
+                     "--b-max", "1e45", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: numerical failure: closed formula gave nan "
+                                           "at det sigma = 8.203995680859794e+177\n")
 
     def test_no_entangled_state_exits_2_in_time(self, tmp_path):
         """Only product states: MAX_DRAWS separable draws, then exit 2, in well under the timeout."""
@@ -286,6 +310,14 @@ class TestBounds:
             assert upper == pytest.approx(float(upper_bound(nu)), abs=1e-9)
             assert lower == pytest.approx(float(lower_bound(nu)), abs=1e-9)
             assert fields[4] == ("branch1" if nu > nu_zero() else "branch2")
+
+    @pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 1 / 3, 123456789012.5, 1e16, np.array(0.25)],
+                             ids=repr)
+    def test_row_format_is_fstring_g12(self, x):
+        """One %-format per row gives the bytes of f"{x:.12g}" per field."""
+        assert cli._NUMBER % x == f"{x:.12g}"
+        assert cli._csv("bounds", [(x, x, x, x, "b")]) == (
+            "nu_tilde,E_N,upper,lower,branch\n" + ",".join([f"{x:.12g}"] * 4 + ["b"]) + "\n")
 
     def test_bad_grid_exit_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "bounds", "--grid", "0", "--out", str(tmp_path / "x.csv"))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import gipower.families as families
+import gipower.symplectic as symplectic
 from gipower import (
     CovarianceMatrix,
     FamilySpec,
     InvalidStateError,
+    NumericalError,
     build_family,
     en_threshold,
     entangled_st_nu,
@@ -35,6 +37,7 @@ from gipower import (
     upper_boundary_state,
     validate_bona_fide,
 )
+from gipower.power import _closed_form
 from gipower.symplectic import _gate, _nu_pair, _require_physical, _standard_entries
 from oracles import random_state_scalar, sample_records_scalar
 
@@ -50,7 +53,12 @@ def bits(items):
         if isinstance(x, StandardForm):
             return (x.a, x.b, x.c, x.d)
         return (*fields(x.sf), x.n_bar_A, x.e_n, x.p_g, x.nu_tilde, x.separable)
-    return [tuple(v if isinstance(v, bool) else float(v).hex() for v in fields(x)) for x in items]
+    return [bits_of(fields(x)) for x in items]
+
+
+def bits_of(values):
+    """A tuple of floats and bools, floats as hex."""
+    return tuple(v if isinstance(v, bool) else float(v).hex() for v in values)
 
 
 def outcome(sample, *args):
@@ -376,8 +384,56 @@ class TestSampling:
             assert r.nu_tilde == pt_min_symplectic_eigenvalue(cm)
 
     def test_one_factor_per_record(self, cholesky_calls):
-        families._record(2.0, 3.0, 1.0, -1.0)
-        assert cholesky_calls[0] == 1
+        """The kept rows of a chunk share one stacked factor; no row factors its state alone."""
+        families._kept_columns([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)])
+        assert cholesky_calls == [0, 1]
+
+    def test_columns_equal_scalar_gate(self, rng):
+        """Every column, bit for bit, as _gate and _closed_form give it row by row: random,
+        product, pure (tmsv, the pure branch) and near-pure rows."""
+        forms = [random_state(rng, 50.0, 50.0) for _ in range(200)]
+        forms += [StandardForm(3.0, 2.0, 0.0, 0.0), tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3),
+                  lower_branch1_state(0.5), upper_boundary_state(0.4, 7.0)]
+        draws = [(sf.a, sf.b, sf.c, sf.d) for sf in forms]
+        columns = families._kept_columns(draws)
+        for i, draw in enumerate(draws):
+            gate = _gate(_standard_entries(*draw))
+            want = (*draw, (draw[0] + draw[0] - 2) / 4, gate.log_negativity,
+                    _closed_form(gate, draw).value, gate.separable, gate.nu_tilde)
+            got = tuple(column[i].item() for column in columns)
+            assert bits_of(got) == bits_of(want), i
+        assert _closed_form(_gate(_standard_entries(*draws[-5])), draws[-5]).branch == "pure"
+
+    @pytest.mark.parametrize("bound", [1e3, 1e20])
+    def test_fallback_rows_equal_scalar_sampler(self, monkeypatch, bound):
+        """Rows the columns leave to _closed_form (X^2 overflows at 1e20) come out as the scalar sampler's."""
+        scalar_calls = []
+        closed_form = families._closed_form
+        monkeypatch.setattr(families, "_closed_form",
+                            lambda *args: scalar_calls.append(1) or closed_form(*args))
+        got = bits(sample_figure2(np.random.default_rng(1), 200, bound, bound))
+        assert bool(scalar_calls) == (bound == 1e20)
+        want = bits(sample_records_scalar(np.random.default_rng(1), 200, bound, bound, False))
+        assert got == want
+
+    def test_first_error_is_the_scalar_samplers(self):
+        """A row whose closed form fails raises what the scalar sampler raises for it."""
+        errors = []
+        for sample in (sample_figure2, lambda *args: sample_records_scalar(*args, False)):
+            with pytest.raises(NumericalError) as exc:
+                sample(np.random.default_rng(1), 200, 1e45, 1e45)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_gate_verdict_on_columns(self, monkeypatch):
+        """A kept row the gate would reject raises the scalar gate's error."""
+        monkeypatch.setattr(symplectic, "GATE_TOL", -1.0)
+        for sample, entangled_only in SAMPLERS:
+            with pytest.raises(InvalidStateError, match="state is unphysical: nu_minus") as exc:
+                sample(np.random.default_rng(1), 300)
+            want = outcome(sample_records_scalar, np.random.default_rng(1), 300, 5.0, 5.0,
+                           entangled_only)
+            assert str(exc.value) == want
 
     def test_no_matrix_per_draw_or_record(self, monkeypatch):
         """Draws, their re-decisions in the band (widened to hold all) and records stay on (a, b, c, d)."""

@@ -263,6 +263,24 @@ class TestInvariantKernel:
         assert E >= 0
         assert nu_min == pytest.approx(symplectic_spectrum_from_eigs(sigma)[0], abs=1e-9)
 
+    def test_stacked_gate_is_the_scalar_gate(self, rng):
+        """_gates on a stack gives each state's _gate bit for bit, and rejects what _gate rejects."""
+        cms = [random_physical_cm(rng, 20.0, 20.0, conjugate=k % 2 == 1) for k in range(200)]
+        cms += [from_standard_form(sf) for sf in (tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3))]
+        cms += [CovarianceMatrix(np.diag([0.5, 0.5, 1.0, 1.0])),  # nu_minus < 1
+                CovarianceMatrix(np.diag([1.0, -1.0, 1.0, 1.0]))]  # not positive definite
+        stack = np.stack([cm.sigma for cm in cms])
+        gates, rejected = symplectic._gates(_entries(stack))
+        for i, cm in enumerate(cms):
+            e = _entries(cm.sigma)
+            assert rejected[i] == (i >= len(cms) - 2), i
+            if rejected[i]:
+                with pytest.raises(InvalidStateError, match="state is unphysical"):
+                    symplectic._gate(e)
+                continue
+            want = [float(x).hex() for x in symplectic._gate(e)]
+            assert [float(field[i]).hex() for field in gates] == want, i
+
     def test_block_determinants_broadcast(self, rng):
         stack = np.stack([random_physical_cm(rng, conjugate=True).sigma for _ in range(6)])
         stack = stack.reshape(2, 3, 4, 4)
