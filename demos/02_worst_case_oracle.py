@@ -5,8 +5,8 @@ Fisher information over the unknown local dynamics (zeta, theta).  The
 QFI is a quadratic form in the black box's generator, built in plain
 arithmetic from the Williamson decomposition of the state's standard form.
 This script shows the QFI landscape for one state, runs the exact
-minimizer (one 2x2 eigenvector of that form on its hyperboloid, or one
-quartic on a window edge), and cross-validates the closed formula against
+minimizer (one 2x2 eigenvector of that form on its hyperboloid, global
+over every zeta and theta), and cross-validates the closed formula against
 it on a batch of random states.
 """
 

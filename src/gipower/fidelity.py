@@ -11,7 +11,10 @@ a quadratic form in its three coefficients on the basis G = [[0, -1], [1, 0]]
 (which generates rotation(phi)), Z = diag(1, -1) and X = [[0, 1], [1, 0]].
 The form is exact: Monras's phase-space QFI (arXiv:1303.3682), summed over
 the symplectic eigenvalues of the state's Williamson decomposition, which
-in standard form is plain 2x2 arithmetic.
+in standard form is plain 2x2 arithmetic.  worst_case_qfi minimises it
+over every (zeta, theta), with no window: the minimum is the root of a
+2x2 pencil in the standard form, so local squeezing of the input cannot
+move it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidStateError, NumericalError
-from .symplectic import CHECK_TOL, EDGE_TOL, OMEGA, PURE_TOL, TIE_REL, CovarianceMatrix
+from .symplectic import CHECK_TOL, OMEGA, PURE_TOL, TIE_REL, CovarianceMatrix
 from .symplectic import _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
@@ -59,17 +62,15 @@ class BlackBoxParams:
 
 @dataclass(frozen=True)
 class WorstCaseResult:
-    """Minimum QFI over the black-box family and its argmin.
+    """Minimum QFI over every local Gaussian black box on mode A, and its argmin.
 
-    value is the minimum over the search window; (zeta_opt, theta_opt) is
-    its canonical argmin, and at_boundary is True when that argmin lies on
-    an edge of the window's log2 zeta range.
+    value is the global minimum; (zeta_opt, theta_opt) is its canonical
+    argmin, with theta_opt in [0, pi/2).
     """
 
     value: float
     zeta_opt: float
     theta_opt: float
-    at_boundary: bool
 
 
 def rotation(phi) -> np.ndarray:
@@ -278,12 +279,10 @@ def qfi(cm, zeta, theta):
 
 # q = (zeta^2 - zeta^-2)/2 = sinh(_LN4 * log2 zeta): the sheet radius of zeta.
 _LN4 = math.log(4.0)
-#: Default log2 zeta window of worst_case_qfi and power.cross_validate.
-WINDOW = (-2.5, 2.5)
 
 
 def _sheet_minimum(form):
-    """(u, v) of the minimum of the QFI over the whole sheet h^T J h = 1, h[0] > 0.
+    """(lam, u, v): the minimum of the QFI over the sheet h^T J h = 1, h[0] > 0, and its point.
 
     With J = diag(1, -1, -1), h^T J h = p^2 - u^2 - v^2 is the determinant
     of p G + u Z + v X, which conjugation preserves: T^T J T = J.  The QFI
@@ -296,115 +295,50 @@ def _sheet_minimum(form):
     is the one whose eigenvector has h0^T J h0 > 0, so the sheet has one
     stationary point: the minimum.  Q_XX + lam = mean + root and
     h0^T J h0 = 2 root (mean + root), so nothing cancels; root > 0 because
-    mean -+ Q_GX is the QFI of a shear G -+ X, which moves every state.  It
-    maps back by h = T^-1 h0 = J T^T J h0.
+    mean -+ Q_GX is the QFI of a shear G -+ X, which moves every state.
+    lam = Q_GG - Q_GX^2/(mean + root) reads Q alone, so it depends on the
+    standard form only; the point maps back by h = T^-1 h0 = J T^T J h0.
     """
     ((q_gg, _, q_gx), _, (_, _, q_xx)), t = form
     mean = (q_gg + q_xx) / 2
     root = math.sqrt(max((mean - q_gx) * (mean + q_gx), 0.0))
     p0, v0 = mean + root, -q_gx
     scale = math.sqrt(2 * root * p0)
-    return tuple((t[2][i] * v0 - t[0][i] * p0) / scale for i in (1, 2))
+    u, v = ((t[2][i] * v0 - t[0][i] * p0) / scale for i in (1, 2))
+    return q_gg - q_gx * (q_gx / p0), u, v
 
 
-def _circle_angles(sheet, r):
-    """Polar angles a of the stationary points of h^T P h on the circle (u, v) = r (sin a, cos a).
-
-    With p = sqrt(1 + r^2) the QFI there is the trigonometric polynomial
-    c0 + a1 cos a + b1 sin a + a2 cos 2a + b2 sin 2a, and 2 z^2 f'(a) is a
-    quartic in z = e^{ia}.  Its unit-modulus roots are the stationary
-    angles.  The angles of all its roots are returned, and 0, which is
-    stationary where the quartic vanishes (r = 0): any extra angle is just
-    another point of the circle.  Raises NumericalError where the
-    polynomial's coefficients, of order r^2 times the form, overflow.
-    """
-    (_, p01, p02), (_, p11, p12), (_, _, p22) = sheet
-    pr, r2 = 2 * math.sqrt(1 + r * r) * r, r * r
-    a1, b1, a2, b2 = pr * p02, pr * p01, r2 * (p22 - p11) / 2, r2 * p12
-    if not all(map(math.isfinite, (a1, b1, a2, b2))):
-        raise NumericalError(f"QFI overflows on the edge circle of sheet radius {r}")
-    roots = np.roots([2 * (b2 + 1j * a2), b1 + 1j * a1, 0, b1 - 1j * a1, 2 * (b2 - 1j * a2)])
-    return np.append(np.angle(roots), 0.0).tolist()
-
-
-def _in_window(u, v, lo, hi):
-    """(log2 zeta, theta) of the sheet point (u, v), clipped to the window.
-
-    Of the twins (s, theta) and (-s, theta + pi/2) it takes the one that
-    lies in or nearest to the window, the one with the smaller theta if
-    both lie in it.
-    """
-    s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
-    twins = ((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi))
-    lz, theta = min(twins, key=lambda twin: (max(lo - twin[0], twin[0] - hi, 0.0), twin[1]))
-    return min(max(lz, lo), hi), theta
-
-
-def worst_case_qfi(cm, log2_zeta_range: tuple[float, float] = WINDOW) -> WorstCaseResult:
-    """Infimum of the QFI over the local Gaussian black boxes on mode A.
+def worst_case_qfi(cm) -> WorstCaseResult:
+    """Minimum of the QFI over every local Gaussian black box on mode A.
 
     On the sheet (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
     the QFI is the quadratic form h^T P h and a twin pair (zeta, theta),
-    (1/zeta, theta + pi/2) is one point.  The search window maps to the
-    annulus of sheet radii q that some log2 zeta in log2_zeta_range reaches.
-    The sheet's one stationary point, an eigenvector of a 3x3 pencil
-    (_sheet_minimum), is the minimum if it lies in the annulus; otherwise
-    the minimum lies on an edge circle, at a root of one quartic per circle
-    (_circle_angles), and is reported with its boundary value (no
-    extrapolation is attempted).  The point maps back to (log2 zeta, theta)
-    by _in_window.  Ties within TIE_REL (relative) are broken toward
-    theta = 0, then zeta = 1.  at_boundary flags an argmin on an edge of
-    the log2 zeta range.  Raises InvalidStateError unless both ends of the
-    window are finite and lo <= hi, and NumericalError if the edge radius
-    or the QFI there overflows.
+    (1/zeta, theta + pi/2) is one point.  The sheet's one stationary point,
+    an eigenvector of a 2x2 pencil (_sheet_minimum), is its global
+    minimum; of its twins the one with theta < pi/2 is reported.  Ties
+    within TIE_REL (relative) are broken toward theta = 0, then zeta = 1.
+    Raises NumericalError if the QFI form overflows.
     """
     sigma, _ = _require_physical(cm)
-    lo, hi = log2_zeta_range
-    return _worst_case(_standard_frame(sigma), lo, hi)
+    return _worst_case(_standard_frame(sigma))
 
 
-def _worst_case(frame, lo, hi) -> WorstCaseResult:
+def _worst_case(frame) -> WorstCaseResult:
     """worst_case_qfi on the _standard_frame of a sigma that has passed the physicality gate.
 
     Reads the frame only, never the gate's record, so power.cross_validate
     can share one gate and one frame between the closed form and this
-    oracle.  Everything below is scalar: math and float arithmetic, no
-    numpy call off the edge path.
+    oracle.  Everything below is math and float arithmetic.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidStateError(f"log2_zeta_range must be finite with lo <= hi, got {(lo, hi)}")
-    s_lo = 0.0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    try:
-        r_lo, r_hi = math.sinh(_LN4 * s_lo), math.sinh(_LN4 * max(abs(lo), abs(hi)))
-    except OverflowError:
-        raise NumericalError(f"QFI overflows on the edge of log2_zeta_range {(lo, hi)}") from None
-    # |lz| <= 513 from here on, so 2.0**lz below stays finite.
     form = _qfi_form(frame)
-    u, v = _sheet_minimum(form)
-    if r_lo <= math.hypot(u, v) <= r_hi:
-        points = [(u, v)]
-    else:
-        t = np.array(form[1])
-        sheet = (t.T @ np.array(form[0]) @ t).tolist()
-        radii = (r_lo, r_hi) if r_lo > 0 else (r_hi,)
-        points = [(r * math.sin(a), r * math.cos(a)) for r in radii for a in _circle_angles(sheet, r)]
-    labels = [_in_window(u, v, lo, hi) for u, v in points]
-    values = [_qfi_at(form, 2.0**lz, theta) for lz, theta in labels]
-    k = values.index(min(values))
-    lz_k = labels[k][0]
-    # The minimum, then the canonical points of the tie rule: theta = 0 at
-    # its log2 zeta and at the negative, and zeta = 1, where the window holds them.
-    scored = [(values[k], labels[k][1], lz_k)] + [
-        (_qfi_at(form, 2.0**lz, 0.0), 0.0, lz) for lz in (lz_k, -lz_k, 0.0) if lo <= lz <= hi]
-    if not all(map(math.isfinite, values + [value for value, _, _ in scored])):
-        raise NumericalError(f"QFI overflowed on the edge of log2_zeta_range {(lo, hi)}")
-    v_min = min(value for value, _, _ in scored)
-    _, theta_opt, lz_opt = min((s for s in scored if s[0] <= v_min + TIE_REL * max(1.0, v_min)),
-                               key=lambda s: (s[1], abs(s[2])))
-
-    return WorstCaseResult(
-        value=max(v_min, 0.0),
-        zeta_opt=2.0**lz_opt,
-        theta_opt=theta_opt,
-        at_boundary=abs(lz_opt - lo) < EDGE_TOL or abs(lz_opt - hi) < EDGE_TOL,
-    )
+    value, u, v = _sheet_minimum(form)
+    s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
+    lz, theta = min((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi), key=lambda twin: twin[1])
+    # The canonical points of the tie rule: theta = 0 at the argmin's log2
+    # zeta and at the negative, and zeta = 1.  |lz| <= 512.5, so 2.0**lz is
+    # finite; a QFI there that overflows is nan or inf and ties nothing.
+    scored = [(value, theta, lz)] + [(_qfi_at(form, 2.0**x, 0.0), 0.0, x) for x in (lz, -lz, 0.0)]
+    tie = value + TIE_REL * max(1.0, value)
+    _, theta_opt, lz_opt = min((point for point in scored if point[0] <= tie),
+                               key=lambda point: (point[1], abs(point[2])))
+    return WorstCaseResult(value=max(value, 0.0), zeta_opt=2.0**lz_opt, theta_opt=theta_opt)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidStateError, NumericalError
-from .fidelity import WINDOW, _worst_case
+from .fidelity import _worst_case
 from .symplectic import (
     CHECK_TOL,
     ORACLE_TOL,
@@ -203,15 +203,16 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     finite and non-negative.  sigma passes the physicality gate once and
     goes to its standard frame (symplectic._standard_frame) once: the
     closed form reads the gate's record and the frame's (a, b, c, d), the
-    oracle (fidelity._worst_case, on the default window of worst_case_qfi)
-    reads the frame alone.
+    oracle (fidelity._worst_case, the minimum over every local black box
+    on mode A) reads the frame alone.  The oracle runs first, so a QFI
+    form that overflows raises its own NumericalError.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     sigma, gate = _require_physical(cm)
     frame = _standard_frame(sigma)
+    oracle = _worst_case(frame).value / 4
     closed = _closed_form(gate, frame[0]).value
-    oracle = _worst_case(frame, *WINDOW).value / 4
     diff = abs(closed - oracle)
     return CrossValidation(
         closed=closed,

@@ -79,8 +79,6 @@ ORACLE_TOL = 1e-4
 #: Worst-case QFI values this close, relatively, are one minimum: rounding
 #: moves a tmsv's zeta = 1 minimum by ~1e-13 on a QFI flat along circles.
 TIE_REL = 1e-6
-#: An argmin this close to an end of the log2 zeta window is on its edge.
-EDGE_TOL = 1e-9
 #: Newton iterations for the boundary constants stop below this step.
 ROOT_STEP = 1e-16
 
@@ -398,23 +396,22 @@ def _gate(e):
     nu_minus, nu_plus, nu_tilde, det_root = nu
     if nu_minus < 1 - GATE_TOL:
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
-    return _Gate(*_blocks(e), _square(det_root), nu_minus, nu_plus, nu_tilde)
+    return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
 def _gates(e):
     """(_Gate of arrays, rejected): _gate on each state of a stack of entries e, from one factor.
 
-    numpy's + - * / sqrt round as floats do, the hypots are math.hypot
-    state by state and D is _square state by state, so every number is
-    bit for bit _gate's on that state's floats.  rejected marks the states
-    _gate would reject (nu_minus < 1 - GATE_TOL, or nan where sigma is not
-    > 0); their numbers mean nothing, and _gate on them gives the error.
+    numpy's + - * / sqrt round as floats do and the hypots are math.hypot
+    state by state, so every number is bit for bit _gate's on that state's
+    floats.  rejected marks the states _gate would reject
+    (nu_minus < 1 - GATE_TOL, or nan where sigma is not > 0); their numbers
+    mean nothing, and _gate on them gives the error.
     """
     with np.errstate(all="ignore"):
         nu_minus, nu_plus, nu_tilde, det_root = _spectra(_cholesky(e), _hypot_each)
-        A, B, C = _blocks(e)
-    D = np.array(list(map(_square, det_root.tolist())))
-    return _Gate(A, B, C, D, nu_minus, nu_plus, nu_tilde), ~(nu_minus >= 1 - GATE_TOL)
+        gate = _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
+    return gate, ~(nu_minus >= 1 - GATE_TOL)
 
 
 def _hypot_each(p, q, r):
@@ -428,14 +425,6 @@ def _require_physical(cm):
     return sigma, _gate(_entries(sigma))
 
 
-def _square(det_root):
-    """D = (det L)**2, inf where it overflows."""
-    try:
-        return det_root**2
-    except OverflowError:
-        return math.inf
-
-
 def local_invariants(cm) -> LocalInvariants:
     """Local symplectic invariants (A, B, C, D) of a covariance matrix.
 
@@ -445,7 +434,7 @@ def local_invariants(cm) -> LocalInvariants:
     e = _entries(_sigma_of(cm))
     A, B, C, E = _invariants(e)
     nu = _nu_pair(e)
-    return LocalInvariants(A, B, C, A * B - E if nu is None else _square(nu[3]))
+    return LocalInvariants(A, B, C, A * B - E if nu is None else nu[3] * nu[3])
 
 
 def _unsqueeze(b00, b01, b11):

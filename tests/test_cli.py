@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -151,6 +152,14 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
         assert "max |closed - oracle|" in out
+
+    def test_zero_tolerance_fails(self, capsys):
+        # At tol 0 rounding alone puts states beyond tolerance: exit 1 and a count.
+        code, out = run_cli(capsys, "verify", "--seed", "3", "--n", "20", "--tol", "0")
+        assert code == 1
+        failed = re.search(r"^FAIL \((\d+) states beyond tolerance\)$", out, re.MULTILINE)
+        assert failed and int(failed[1]) >= 1, out
+        assert "PASS" not in out
 
     @pytest.mark.parametrize("flags", [
         ("--n", "-5"), ("--n", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),

@@ -24,7 +24,9 @@ from gipower import (
     mean_photon_A,
     random_local_symplectic,
     random_state,
+    rotation,
     separable_extremal,
+    squeeze,
     swap_modes,
     symplectic_eigenvalues,
     tmsv,
@@ -203,7 +205,7 @@ class TestOverflow:
         assert symplectic_eigenvalues(self.HUGE) == (9.999999999999998e149, 2e150)
         assert log_negativity(self.HUGE) == 0.0
         result = worst_case_qfi(self.HUGE)
-        assert (result.zeta_opt, result.theta_opt, result.at_boundary) == (1.0, 0.0, False)
+        assert (result.zeta_opt, result.theta_opt) == (1.0, 0.0)
         assert result.value == pytest.approx(0.0, abs=1e-30)
 
 
@@ -286,6 +288,17 @@ class TestCrossValidation:
         for _ in range(20):
             report = cross_validate(random_physical_cm(rng, conjugate=True), tol=1e-4)
             assert report.passed, report
+
+    def test_locally_squeezed_states(self, rng):
+        # The oracle minimises over every local black box, so a state squeezed
+        # on mode A by z = 10^U(1, 3) keeps the closed form's value.
+        for _ in range(120):
+            z = 10 ** rng.uniform(1, 3)
+            s_a = rotation(rng.uniform(0, 2 * np.pi)) @ squeeze(z) @ rotation(rng.uniform(0, 2 * np.pi))
+            cm = apply_local_symplectic(random_physical_cm(rng), s_a, random_local_symplectic(rng))
+            report = cross_validate(cm)
+            assert report.passed, (z, report)
+            assert report.abs_diff <= 1e-12 * max(1.0, report.closed), (z, report)
 
     def test_one_factor_per_call(self, rng, cholesky_calls):
         # The closed form and the oracle share one physicality gate.

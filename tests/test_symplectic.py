@@ -489,17 +489,25 @@ def test_swap_modes(rng):
 
 
 def test_tolerances_live_in_one_table():
-    """No float literal in scientific notation in src/gipower outside symplectic.py's table."""
+    """No float literal in scientific notation in src/gipower outside symplectic.py's table,
+    and every name the table defines is read somewhere in src/gipower outside an import."""
     src = Path(symplectic.__file__).parent
     lines = (src / "symplectic.py").read_text().splitlines()
     first = lines.index("# Tolerances and budgets, in one table; the other modules import them.") + 1
     last = next(i for i in range(first, len(lines)) if lines[i].startswith(("class ", "def ")))
-    found = []
+    table = {m[1] for m in (re.match(r"([A-Z_]+) = ", line) for line in lines[first:last]) if m}
+    assert {"CHECK_TOL", "GATE_TOL", "TIE_REL"} <= table
+    found, read = [], set()
     for path in sorted(src.glob("*.py")):
         with path.open() as handle:
+            in_import = False
             for tok in tokenize.generate_tokens(handle.readline):
                 in_table = path.name == "symplectic.py" and first < tok.start[0] <= last
                 if (tok.type == tokenize.NUMBER and not in_table
                         and re.fullmatch(r"[\d_.]*[eE][+-]?[\d_]+j?", tok.string)):
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+                in_import = (in_import or tok.string in ("import", "from")) and tok.type != tokenize.NEWLINE
+                if tok.type == tokenize.NAME and not in_table and not in_import:
+                    read.add(tok.string)
     assert found == []
+    assert sorted(table - read) == []
