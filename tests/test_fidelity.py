@@ -392,6 +392,24 @@ class TestWorstCase:
         assert result.value == pytest.approx(1 / 3, rel=1e-12)
         assert (result.zeta_opt, result.theta_opt) == (1.0, 0.0)
 
+    def test_asymmetric_window_finds_interior_minimum(self, rng):
+        # Where the argmin lies inside the asymmetric log2 zeta window (-1, 2),
+        # a grid on that window finds the oracle's value to its resolution and
+        # never goes below it.
+        window = (-1.0, 2.0)
+        cases = [from_standard_form(S231)] + [random_physical_cm(rng, conjugate=True) for _ in range(40)]
+        held = 0
+        for cm in cases:
+            result = worst_case_qfi(cm)
+            if not window[0] < math.log2(result.zeta_opt) < window[1]:
+                continue
+            held += 1
+            best, resolution = qfi_grid_minimum(cm, window)
+            slack = 1e-12 * max(1.0, result.value)
+            assert result.value <= best + slack
+            assert best - result.value <= resolution
+        assert held >= 10
+
     def test_product_state(self):
         result = worst_case_qfi(from_standard_form(StandardForm(2.0, 3.0, 0.0, 0.0)))
         assert result.value == pytest.approx(0.0, abs=1e-6)
