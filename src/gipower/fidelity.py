@@ -64,8 +64,9 @@ class BlackBoxParams:
 class WorstCaseResult:
     """Minimum QFI over every local Gaussian black box on mode A, and its argmin.
 
-    value is the global minimum; (zeta_opt, theta_opt) is its canonical
-    argmin, with theta_opt in [0, pi/2).
+    value is the global minimum.  (zeta_opt, theta_opt) is (1, 0) where the
+    QFI there ties the minimum within TIE_REL, else the argmin's twin with
+    theta_opt in [0, pi/2).
     """
 
     value: float
@@ -189,24 +190,27 @@ def _qfi_form(frame) -> tuple[list, list]:
     t = [[(n0 + n1) / 2, -(e0 + e1), (z0 + z1) / 2],
          [-(f00 * f01 + f10 * f11), f00 * f11 + f10 * f01, f10 * f11 - f00 * f01],
          [(n0 - n1) / 2, e1 - e0, (z0 - z1) / 2]]
-    # L_q = [[l0, 0], [l1, l2]] and W = L_q^T sigma_p L_q
-    l0 = math.sqrt(a)
-    l1 = c / l0
-    l2 = math.sqrt(b - l1 * l1)
-    k = d * l0 + b * l1
-    w00, w01, w11 = l0 * (a * l0 + d * l1) + l1 * k, l2 * k, b * l2 * l2
-    half, mean = (w00 - w11) / 2, (w00 + w11) / 2
-    radius = math.hypot(half, w01)
-    # nu+ nu- = sqrt(det W) = a l2 m2, with m2 the second pivot of sigma_p:
-    # mean - radius loses ~eps nu+^2 to cancellation.
-    nu0 = math.sqrt(mean + radius)
-    m1 = d / l0
-    nu1 = a * l2 * math.sqrt(b - m1 * m1) / nu0
-    omega = math.atan2(w01, half) / 2
-    cos, sin = math.cos(omega), math.sin(omega)
-    r0, r1 = math.sqrt(nu0), math.sqrt(nu1)
-    x0, x1 = r0 * (cos - sin * l1 / l2) / l0, -r1 * (sin + cos * l1 / l2) / l0
-    y0, y1 = l0 * cos / r0, -l0 * sin / r1
+    try:
+        # L_q = [[l0, 0], [l1, l2]] and W = L_q^T sigma_p L_q
+        l0 = math.sqrt(a)
+        l1 = c / l0
+        l2 = math.sqrt(b - l1 * l1)
+        k = d * l0 + b * l1
+        w00, w01, w11 = l0 * (a * l0 + d * l1) + l1 * k, l2 * k, b * l2 * l2
+        half, mean = (w00 - w11) / 2, (w00 + w11) / 2
+        radius = math.hypot(half, w01)
+        # nu+ nu- = sqrt(det W) = a l2 m2, with m2 the second pivot of sigma_p:
+        # mean - radius loses ~eps nu+^2 to cancellation.
+        nu0 = math.sqrt(mean + radius)
+        m1 = d / l0
+        nu1 = a * l2 * math.sqrt(b - m1 * m1) / nu0
+        omega = math.atan2(w01, half) / 2
+        cos, sin = math.cos(omega), math.sin(omega)
+        r0, r1 = math.sqrt(nu0), math.sqrt(nu1)
+        x0, x1 = r0 * (cos - sin * l1 / l2) / l0, -r1 * (sin + cos * l1 / l2) / l0
+        y0, y1 = l0 * cos / r0, -l0 * sin / r1
+    except (ValueError, ZeroDivisionError) as error:  # sqrt of a negative, division by 0
+        raise NumericalError(f"QFI form evaluation failed: {error}") from None
     # beta and delta of G are -(s, t), of X (t, s); alpha and gamma of Z
     s00, s11, s01 = (x0 * x0 + y0 * y0) / 2, (x1 * x1 + y1 * y1) / 2, (x0 * x1 + y0 * y1) / 2
     t00, t11, t01 = (x0 * x0 - y0 * y0) / 2, (x1 * x1 - y1 * y1) / 2, (x0 * x1 - y0 * y1) / 2
@@ -226,17 +230,14 @@ def _qfi_form(frame) -> tuple[list, list]:
 
 
 def _qfi_at(form, zeta, theta):
-    """h0^T Q h0 at (zeta, theta), by _form_at: math on floats, numpy on arrays.
+    """h0^T Q h0 at (zeta, theta), by _form_at; zeta and theta broadcast as arrays.
 
     h = (p, q sin 2theta, q cos 2theta) holds the coefficients of m^-1 G m
     on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2.
-    A float theta takes math.sin and math.cos, so the oracle's few scalar
-    points make no numpy call; stacked input broadcasts through np.sin and np.cos.
     """
-    trig = math if isinstance(theta, float) else np
     z2 = zeta * zeta
     p, q = (z2 + 1 / z2) / 2, (z2 - 1 / z2) / 2
-    return _form_at(form, p, q * trig.sin(2 * theta), q * trig.cos(2 * theta))
+    return _form_at(form, p, q * np.sin(2 * theta), q * np.cos(2 * theta))
 
 
 def _form_at(form, p, u, v):
@@ -309,36 +310,25 @@ def _sheet_minimum(form):
 
 
 def worst_case_qfi(cm) -> WorstCaseResult:
-    """Minimum of the QFI over every local Gaussian black box on mode A.
+    """Minimum of the QFI over every local Gaussian black box on mode A, and its argmin.
 
     On the sheet (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
     the QFI is the quadratic form h^T P h and a twin pair (zeta, theta),
     (1/zeta, theta + pi/2) is one point.  The sheet's one stationary point,
     an eigenvector of a 2x2 pencil (_sheet_minimum), is its global
-    minimum; of its twins the one with theta < pi/2 is reported.  Ties
-    within TIE_REL (relative) are broken toward theta = 0, then zeta = 1.
-    Raises NumericalError if the QFI form overflows.
+    minimum; of its twins the one with theta < pi/2 is reported, unless
+    the QFI at zeta = 1 is within TIE_REL (relative) of the minimum, which
+    is then reported as (1, 0).  Raises NumericalError if the QFI form
+    overflows.
     """
     sigma, _ = _require_physical(cm)
-    return _worst_case(_standard_frame(sigma))
-
-
-def _worst_case(frame) -> WorstCaseResult:
-    """worst_case_qfi on the _standard_frame of a sigma that has passed the physicality gate.
-
-    Reads the frame only, never the gate's record, so power.cross_validate
-    can share one gate and one frame between the closed form and this
-    oracle.  Everything below is math and float arithmetic.
-    """
-    form = _qfi_form(frame)
+    form = _qfi_form(_standard_frame(sigma))
     value, u, v = _sheet_minimum(form)
-    s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
-    lz, theta = min((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi), key=lambda twin: twin[1])
-    # The canonical points of the tie rule: theta = 0 at the argmin's log2
-    # zeta and at the negative, and zeta = 1.  |lz| <= 512.5, so 2.0**lz is
-    # finite; a QFI there that overflows is nan or inf and ties nothing.
-    scored = [(value, theta, lz)] + [(_qfi_at(form, 2.0**x, 0.0), 0.0, x) for x in (lz, -lz, 0.0)]
-    tie = value + TIE_REL * max(1.0, value)
-    _, theta_opt, lz_opt = min((point for point in scored if point[0] <= tie),
-                               key=lambda point: (point[1], abs(point[2])))
-    return WorstCaseResult(value=max(value, 0.0), zeta_opt=2.0**lz_opt, theta_opt=theta_opt)
+    # The QFI at zeta = 1, h = (1, 0, 0): where it overflows it is nan or inf and ties nothing.
+    if _form_at(form, 1.0, 0.0, 0.0) <= value + TIE_REL * max(1.0, value):
+        zeta, theta = 1.0, 0.0
+    else:
+        s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
+        lz, theta = min((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi), key=lambda twin: twin[1])
+        zeta = 2.0**lz
+    return WorstCaseResult(value=max(value, 0.0), zeta_opt=zeta, theta_opt=theta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidStateError, NumericalError
-from .fidelity import _worst_case
+from .fidelity import _qfi_form, _sheet_minimum
 from .symplectic import (
     CHECK_TOL,
     ORACLE_TOL,
@@ -129,6 +129,8 @@ def _closed_form(gate, form) -> IpResult:
         radicand = X * X + Y * Z
     if radicand < -CHECK_TOL * max(1.0, X * X):
         raise NumericalError(f"negative radicand {radicand} in closed formula")
+    if X >= 0 and Y == 0:  # a pure state whose rounded D missed the pure branch
+        raise NumericalError(f"closed formula divides by 2Y = 0 at det sigma = {gate.D}")
     root = math.sqrt(max(radicand, 0.0))
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
@@ -203,15 +205,15 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     finite and non-negative.  sigma passes the physicality gate once and
     goes to its standard frame (symplectic._standard_frame) once: the
     closed form reads the gate's record and the frame's (a, b, c, d), the
-    oracle (fidelity._worst_case, the minimum over every local black box
-    on mode A) reads the frame alone.  The oracle runs first, so a QFI
-    form that overflows raises its own NumericalError.
+    oracle reads the frame alone: worst_case_qfi's value, the root of the
+    pencil of fidelity._sheet_minimum, with no argmin.  The oracle runs
+    first, so a QFI form that overflows raises its own NumericalError.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     sigma, gate = _require_physical(cm)
     frame = _standard_frame(sigma)
-    oracle = _worst_case(frame).value / 4
+    oracle = max(_sheet_minimum(_qfi_form(frame))[0], 0.0) / 4
     closed = _closed_form(gate, frame[0]).value
     diff = abs(closed - oracle)
     return CrossValidation(

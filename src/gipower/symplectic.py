@@ -76,8 +76,8 @@ GUARD_BAND = 1e-13
 SYMPLECTIC_TOL = 1e-10
 #: Default closed-form-versus-oracle tolerance (cross_validate, verify --tol).
 ORACLE_TOL = 1e-4
-#: Worst-case QFI values this close, relatively, are one minimum: rounding
-#: moves a tmsv's zeta = 1 minimum by ~1e-13 on a QFI flat along circles.
+#: worst_case_qfi reports (1, 0) where the QFI at zeta = 1 is this close to the
+#: minimum, relatively: rounding moves a tmsv's argmin by ~1e-13 off zeta = 1.
 TIE_REL = 1e-6
 #: Newton iterations for the boundary constants stop below this step.
 ROOT_STEP = 1e-16

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from gipower import (
 )
 
 from gipower.fidelity import _qfi_at, _qfi_form
-from gipower.symplectic import _standard_frame
+from gipower.symplectic import TIE_REL, _standard_frame
 
 from conftest import random_physical_cm
 from oracles import (
@@ -440,6 +441,30 @@ class TestWorstCase:
             with pytest.raises(NumericalError, match="QFI form"):
                 call(cm)
 
+    def test_form_intermediates_raise_numerical_error(self):
+        # Near the float range the form's intermediates fail before Q does: on
+        # diag(x, x, 2x, 2x) at x = 10^153.8 nu+ overflows and nu- becomes 0,
+        # a divisor; the rounded frames of tmsv(a) from a ~ 1e60 on take the
+        # square root of a negative pivot or divide by a zero one.  Each is the
+        # form's NumericalError, or a finite form.
+        raised = 0
+        for k in range(11):
+            cm = np.diag([1.0, 1.0, 2.0, 2.0]) * 10 ** (153 + k / 10)
+            with contextlib.suppress(NumericalError):
+                assert math.isfinite(cross_validate(cm).oracle)
+            try:
+                assert math.isfinite(worst_case_qfi(cm).value)
+            except NumericalError as error:
+                assert "QFI form" in str(error)
+                raised += 1
+        for a in np.logspace(60, 150, 46):
+            try:
+                _qfi_form(_standard_frame(from_standard_form(tmsv(a)).sigma))
+            except NumericalError as error:
+                assert "QFI form" in str(error)
+                raised += 1
+        assert raised >= 10
+
     def test_deterministic(self, rng):
         cm = random_physical_cm(rng, conjugate=True)
         r1 = worst_case_qfi(cm)
@@ -448,13 +473,26 @@ class TestWorstCase:
 
     def test_twin_with_smaller_theta(self, rng):
         # (zeta, theta) and (1/zeta, theta + pi/2) are one minimum; the one
-        # with theta < pi/2 is reported.
-        for _ in range(20):
-            cm = random_physical_cm(rng, conjugate=True)
+        # with theta < pi/2 is reported, unless the QFI at zeta = 1 ties the
+        # value within TIE_REL: then exactly (1, 0) is.
+        cases = [random_physical_cm(rng, conjugate=True) for _ in range(20)]
+        forms = [random_state(rng) for _ in range(200)]
+        forms += [tmsv(a) for a in (1.0, 1.01, 2.0, 30.0, 300.0)]
+        forms += [StandardForm(a, b, c, sign * c) for sign in (-1.0, 1.0)
+                  for a, b, c in ((2.0, 3.0, 1.0), (5.0, 1.5, 0.6), (40.0, 41.0, 38.0))]
+        forms += [StandardForm(a, b, 0.0, 0.0) for a, b in ((1.0, 1.0), (2.0, 3.0), (50.0, 1.2))]
+        cases += [from_standard_form(sf) for sf in forms]
+        tied = 0
+        for i, cm in enumerate(cases):
             result = worst_case_qfi(cm)
             assert 0.0 <= result.theta_opt < np.pi / 2
-            twin = qfi(cm, 1 / result.zeta_opt, result.theta_opt + np.pi / 2)
-            assert twin == pytest.approx(result.value, rel=1e-12)
+            at_one = qfi(cm, 1.0, 0.0) <= result.value + TIE_REL * max(1.0, result.value)
+            assert ((result.zeta_opt, result.theta_opt) == (1.0, 0.0)) == at_one, i
+            tied += at_one
+            if not at_one:
+                twin = qfi(cm, 1 / result.zeta_opt, result.theta_opt + np.pi / 2)
+                assert twin == pytest.approx(result.value, rel=1e-12)
+        assert 0 < tied < len(cases)
 
     def test_value_is_a_lower_bound_in_the_window(self, rng):
         # The value is the minimum over every black box, so no qfi in any

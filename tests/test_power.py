@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -118,6 +119,19 @@ class TestClosedForm:
             result = gip_closed_form(from_standard_form(tmsv(a)))
             assert result.branch == "pure", a
             assert result.value == pytest.approx(gip_pure(a), rel=1e-12)
+
+    def test_pure_states_off_the_pure_branch(self):
+        # From a ~ 1e4 on, the gate's D misses PURE_TOL on the rounded tmsv(a)
+        # while w from (a, b, c, d) can be exactly 0, so 2Y = 0: a
+        # NumericalError, never a raw ZeroDivisionError.  The gate also rejects
+        # some of these rounded states.  Neither outcome is pinned, so exact
+        # values (a^2 - 1)/4 there would pass too.
+        for a in np.logspace(4.0, 7.5, 71):
+            cm = from_standard_form(tmsv(a))
+            for call in (lambda: gip_closed_form(cm).value, lambda: gip_from_standard_form(tmsv(a)).value,
+                         lambda: cross_validate(cm).closed):
+                with contextlib.suppress(NumericalError, InvalidStateError):
+                    assert math.isfinite(call()), a
 
 
 class TestClosedFormPrecision:
@@ -323,10 +337,14 @@ class TestCrossValidation:
         assert calls[0] == 2
 
     def test_oracle_is_worst_case_qfi(self, rng):
-        # The shared-gate path gives the public oracle's value bit for bit.
-        for conjugate in (False, True):
-            for _ in range(100):
-                cm = random_physical_cm(rng, conjugate=conjugate)
+        # The shared-gate path gives the public oracle's value bit for bit,
+        # also on states squeezed on mode A by up to 2^6.
+        for kind in ("standard", "conjugated", "squeezed"):
+            for i in range(100):
+                cm = random_physical_cm(rng, conjugate=kind != "standard")
+                if kind == "squeezed":
+                    s_a = rotation(rng.uniform(0, np.pi)) @ squeeze(2.0 ** (i % 7))
+                    cm = apply_local_symplectic(cm, s_a, np.eye(2))
                 assert cross_validate(cm).oracle == worst_case_qfi(cm).value / 4
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
