@@ -138,9 +138,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    rng = np.random.default_rng(args.seed)
     fig3 = args.which == "fig3"
-    kept = _sample_columns(rng, args.n, args.a_max, args.b_max, entangled_only=fig3)
+    seq = np.random.SeedSequence(args.seed)  # default_rng(args.seed)'s, so rows are its children
+    kept = _sample_columns(seq, args.n, args.a_max, args.b_max, entangled_only=fig3)
     n_bar_A, nu_tilde = kept.n_bar_A, kept.nu_tilde
     if fig3:
         columns = [kept.e_n, kept.p_g / n_bar_A, nu_tilde, lower_bound(nu_tilde),

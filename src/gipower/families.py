@@ -58,6 +58,14 @@ _BLOCK = 32
 #: Sampling streams whose blocks are decided together, so memory stays flat in n.
 _CHUNK = 256
 
+# numpy's SeedSequence hash constants and PCG64's multiplier: child streams are
+# seeded with the (state, inc) that PCG64(rng.bit_generator.seed_seq.spawn(n)[i]) gets.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -340,22 +348,110 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     return physical, accepted
 
 
-def _first_accepted(streams, a_max: float, b_max: float, entangled_only: bool) -> list:
+def _words(x) -> list[int]:
+    """The uint32 words SeedSequence reads from an int (little-endian) or a sequence of ints."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
+    return [word for item in x for word in _words(item)]
+
+
+def _hash_constants(h: int, multiplier: int, count: int) -> list[int]:
+    """SeedSequence's hash constant h and the count after it, each the last times multiplier."""
+    constants = [h]
+    for _ in range(count):
+        constants.append(constants[-1] * multiplier & _MASK32)
+    return constants
+
+
+def _hashmix(value, h, h_next):
+    """SeedSequence's hashmix of value between hash constants h and h_next.
+
+    On ints, and on uint32 arrays, whose products wrap mod 2**32 as numpy's do.
+    """
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool words: ints, or uint32 arrays."""
+    value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _column(values) -> np.ndarray:
+    """values as a uint32 column, one row each."""
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _child_streams(seq: np.random.SeedSequence, first: int, count: int):
+    """PCG64 (states, incs), lists of ints, of the children first .. first + count - 1 of seq.
+
+    SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, i)) for child i, then PCG64's
+    seeding, in array arithmetic.  Every child mixes the same words into its pool but its
+    last, i, so those are mixed once, on ints, and i on an array, one row per pool word;
+    generate_state(4, uint64) and PCG64's srandom follow.  i must be below 2**32, one word.
+    """
+    size = seq.pool_size
+    words = _words(seq.entropy)
+    words += [0] * (size - len(words)) + _words(seq.spawn_key)
+    a = _hash_constants(_INIT_A, _MULT_A, size * (len(words) + 1))
+    hashes = iter(zip(a, a[1:]))
+    pool = [_hashmix(word, *next(hashes)) for word in words[:size]]
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
+    for word in words[size:]:
+        pool = [_mix(entry, _hashmix(word, *next(hashes))) for entry in pool]
+    h, h_next = zip(*hashes)
+    index = np.arange(first, first + count, dtype=np.uint32)
+    pool = _mix(_column(pool), _hashmix(index, _column(h), _column(h_next)))
+    b = _hash_constants(_INIT_B, _MULT_B, 8)
+    seeds = _hashmix(pool[np.arange(8) % size], _column(b[:-1]), _column(b[1:]))
+    states, incs = [], []
+    # generate_state(4, uint64) pairs words little-endian; srandom reads (s0 s1, s2 s3)
+    for s0, s1, s2, s3 in np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8").tolist():
+        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        states.append(((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return states, incs
+
+
+@lru_cache
+def _jump(steps: int) -> tuple[int, int]:
+    """(A, C) with PCG64's state after `steps` steps from s equal to (A s + C inc) mod 2**128."""
+    a, c = 1, 0
+    for _ in range(steps):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return a, c
+
+
+def _first_accepted(generator, states, incs, a_max: float, b_max: float,
+                    entangled_only: bool) -> list:
     """Per stream, in order: its first accepted draw (a, b, c, d), or why it failed.
 
-    A stream reads 4 * _BLOCK uniforms at a time, and gets another block
-    until a draw is accepted or a budget runs out: MAX_DRAWS unphysical
-    draws in a row ("no physical state", random_state's count), or
-    MAX_DRAWS physical separable draws when entangled_only.  The pending
-    streams' blocks are decided together.
+    Stream k is PCG64 at (states[k], incs[k]); generator, a Generator over PCG64, is set
+    to it to draw, and states[k] moves on by the draws taken.  A stream reads
+    4 * _BLOCK uniforms at a time, and gets another block until a draw is accepted or a
+    budget runs out: MAX_DRAWS unphysical draws in a row ("no physical state",
+    random_state's count), or MAX_DRAWS physical separable draws when entangled_only.
+    The pending streams' blocks are decided together.
     """
-    outcomes = [None] * len(streams)
-    pending = np.arange(len(streams))
-    run = np.zeros(len(streams), dtype=np.int64)  # unphysical draws since the last physical one
-    separable = np.zeros(len(streams), dtype=np.int64)  # physical draws rejected as separable
+    bit_generator = generator.bit_generator
+    state = bit_generator.state  # set to each stream in turn
+    outcomes = [None] * len(states)
+    pending = np.arange(len(states))
+    run = np.zeros(len(states), dtype=np.int64)  # unphysical draws since the last physical one
+    separable = np.zeros(len(states), dtype=np.int64)  # physical draws rejected as separable
     j = np.arange(_BLOCK)
     while pending.size:
-        u = np.stack([streams[k].random(4 * _BLOCK) for k in pending]).reshape(-1, _BLOCK, 4)
+        u = np.empty((pending.size, 4 * _BLOCK))
+        for row, k in enumerate(pending.tolist()):
+            state["state"] = {"state": states[k], "inc": incs[k]}
+            bit_generator.state = state
+            generator.random(out=u[row])
+        u = u.reshape(-1, _BLOCK, 4)
         physical, accepted = _accept(u, a_max, b_max, entangled_only)
         last_physical = np.maximum.accumulate(np.where(physical, j, -1), axis=1)
         run_at = np.where(last_physical >= 0, j - last_physical, j + 1 + run[pending, None])
@@ -374,6 +470,9 @@ def _first_accepted(streams, a_max: float, b_max: float, entangled_only: bool) -
         run[pending] = run_at[:, -1]
         separable[pending] = separable_at[:, -1]
         pending = pending[~done]
+        a, c = _jump(4 * _BLOCK)
+        for k in pending.tolist():
+            states[k] = (a * states[k] + c * incs[k]) & _MASK128
     return outcomes
 
 
@@ -396,23 +495,29 @@ def _kept_columns(draws) -> _Columns:
                     gate.log_negativity, p_g, gate.separable, gate.nu_tilde)
 
 
-def _sample_columns(rng, n, a_max, b_max, entangled_only) -> _Columns:
+def _sample_columns(seq: np.random.SeedSequence, n, a_max, b_max, entangled_only) -> _Columns:
     """The _Columns of n rows from independent per-row substreams, sorted canonically.
 
-    Row i takes the first accepted draw of the i-th child stream spawned
-    from rng, the draw random_state (and, if entangled_only, a loop over
-    it that skips separable states) would return from that stream.  The
-    streams are decided and their rows built _CHUNK at a time; the first
-    stream that fails raises, after the rows of the streams before it.
-    Rows are sorted by (a, b, c, d), stably.
+    Row i takes the first accepted draw of child seq.n_children_spawned + i of seq,
+    the PCG64 stream that seq.spawn would give it: the draw random_state (and, if
+    entangled_only, a loop over it that skips separable states) would return from
+    that stream.  seq is left as it is.  The streams are seeded by array arithmetic,
+    decided and their rows built _CHUNK at a time; the first stream that fails
+    raises, after the rows of the streams before it.  Rows are sorted by
+    (a, b, c, d), stably.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
-    streams = rng.spawn(n)
     a_max, b_max = _check_bounds(a_max, b_max)
+    first = seq.n_children_spawned
+    if first + n > _MASK32:
+        raise InvalidStateError(f"child streams {first} to {first + n - 1} pass numpy's "
+                                f"spawn count limit of 2**32 - 1")
+    generator = np.random.Generator(np.random.PCG64(0))  # set to each stream before it draws
     chunks = []
     for start in range(0, n, _CHUNK):
-        outcomes = _first_accepted(streams[start:start + _CHUNK], a_max, b_max, entangled_only)
+        states, incs = _child_streams(seq, first + start, min(_CHUNK, n - start))
+        outcomes = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
         failed = next((k for k, outcome in enumerate(outcomes) if isinstance(outcome, str)),
                       len(outcomes))
         if failed:
@@ -424,20 +529,43 @@ def _sample_columns(rng, n, a_max, b_max, entangled_only) -> _Columns:
     return _Columns(*(column[order] for column in columns))
 
 
+def _seed_sequence(rng) -> np.random.SeedSequence:
+    """The SeedSequence that rng.spawn spawns from; rng must be a Generator over PCG64."""
+    bit_generator = getattr(rng, "bit_generator", None)
+    seq = getattr(bit_generator, "seed_seq", None)
+    if type(bit_generator) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence:
+        raise TypeError("sampling needs a numpy Generator over PCG64 seeded by a SeedSequence, "
+                        f"such as default_rng(seed); got {rng!r}")
+    return seq
+
+
 def _sample_records(rng, n, a_max, b_max, entangled_only) -> list[SampleRecord]:
-    """_sample_columns as records of Python floats."""
-    columns = _sample_columns(rng, n, a_max, b_max, entangled_only)
+    """_sample_columns of rng's next n children, as records of Python floats.
+
+    rng then counts those children spawned, as rng.spawn(n) would.
+    """
+    seq = _seed_sequence(rng)
+    columns = _sample_columns(seq, n, a_max, b_max, entangled_only)
+    for start in range(0, n, _CHUNK):  # a chunk at a time, so memory stays flat in n
+        seq.spawn(min(_CHUNK, n - start))
     return [SampleRecord(StandardForm(*row[:4]), *row[4:])
             for row in zip(*(column.tolist() for column in columns))]
 
 
 def sample_figure2(rng: np.random.Generator, n: int, a_max: float = 5.0,
                    b_max: float = 5.0) -> list[SampleRecord]:
-    """Random states with power, photon number and separability per record."""
+    """Random states with power, photon number and separability per record.
+
+    rng must be a Generator over PCG64, as default_rng(seed) gives: record i comes from
+    the i-th child stream that rng.spawn(n) would give, and rng counts those spawned.
+    """
     return _sample_records(rng, n, a_max, b_max, entangled_only=False)
 
 
 def sample_figure3(rng: np.random.Generator, n: int, a_max: float = 5.0,
                    b_max: float = 5.0) -> list[SampleRecord]:
-    """Entangled-only random states (for power-versus-entanglement data)."""
+    """Entangled-only random states (for power-versus-entanglement data).
+
+    rng and its child streams as for sample_figure2.
+    """
     return _sample_records(rng, n, a_max, b_max, entangled_only=True)

@@ -42,3 +42,19 @@ def cholesky_calls(monkeypatch):
 
     monkeypatch.setattr(symplectic, "_cholesky", counted)
     return calls
+
+
+@pytest.fixture
+def pcg64_constructions(monkeypatch):
+    """[count]: the PCG64 bit generators built from here on, by name or by default_rng,
+    and by spawn, which builds its children's type: that of a counted generator."""
+    calls = [0]
+
+    class CountedPCG64(np.random.PCG64):
+        def __init__(self, *args, **kwargs):
+            calls[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+    monkeypatch.setattr("numpy.random._generator.PCG64", CountedPCG64)  # default_rng's
+    return calls

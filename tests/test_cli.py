@@ -273,6 +273,13 @@ class TestSample:
         assert counts["_kept_columns"] == -(-2000 // families._CHUNK)
         assert cholesky_calls == [0, counts["_accept"] + counts["_kept_columns"]]
 
+    def test_one_bit_generator_per_call(self, capsys, tmp_path, pcg64_constructions):
+        """Child streams are seeded by arithmetic: no PCG64 per row, one to draw them all."""
+        code, _ = run_cli(capsys, "sample", "--seed", "1", "--n", "2000", "--which", "fig3",
+                          "--out", str(tmp_path / "fig3.csv"))
+        assert code == 0
+        assert pcg64_constructions[0] <= 1
+
     def test_closed_form_failure_exits_1(self, capsys, tmp_path):
         """Entries near 1e45 overflow X: the scalar closed form's error, unchanged, for the first such row."""
         code = main(["sample", "--which", "fig2", "--seed", "1", "--n", "200", "--a-max", "1e45",
@@ -311,6 +318,16 @@ class TestSample:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: invalid input:")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_bounds_exit_2_before_any_stream(self, capsys, tmp_path):
+        """Bounds are checked before the streams are seeded, so n does not delay the exit."""
+        t0 = time.perf_counter()
+        code = main(["sample", "--which", "fig2", "--seed", "1", "--n", "100000000",
+                     "--a-max", "nan", "--out", str(tmp_path / "x.csv")])
+        elapsed = time.perf_counter() - t0
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: need a_max, b_max >= 1")
+        assert elapsed < 2, elapsed
 
 
 class TestBounds:

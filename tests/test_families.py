@@ -462,6 +462,26 @@ class TestSampling:
         with pytest.raises(InvalidStateError):
             sample_figure2(np.random.default_rng(1), 0)
 
+    def test_calls_in_a_row_take_the_next_children(self):
+        """Two calls on one rng read its child streams [0, n), then [n, 2n), as rng.spawn does."""
+        for sample, entangled_only in SAMPLERS:
+            rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+            for _ in range(2):
+                got = bits(sample(rng, 9))
+                want = bits(sample_records_scalar(ref, 9, 5.0, 5.0, entangled_only))
+                assert got == want, sample.__name__
+            assert rng.bit_generator.seed_seq.n_children_spawned == 18
+
+    @pytest.mark.parametrize("rng", [
+        np.random.Generator(np.random.MT19937(1)),
+        np.random.Generator(np.random.PCG64DXSM(1)),
+        np.random.RandomState(1),
+    ], ids=["MT19937", "PCG64DXSM", "RandomState"])
+    def test_rejects_a_generator_not_over_pcg64(self, rng):
+        for sample, _ in SAMPLERS:
+            with pytest.raises(TypeError, match="needs a numpy Generator over PCG64"):
+                sample(rng, 3)
+
 
 class TestBatchedSampler:
     """The batched sampler against the scalar one, which draws and validates one state at a time."""
@@ -537,3 +557,63 @@ class TestBatchedSampler:
         for sample, _ in SAMPLERS:
             with pytest.raises(InvalidStateError, match="need a_max, b_max >= 1"):
                 sample(np.random.default_rng(1), 3, *bounds)
+
+
+#: (entropy, spawn_key, n_children_spawned) of the parents whose child streams are checked.
+PARENTS = [(seed, (), 0) for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3)] + [
+    ([5, 2], (), 0),
+    (7, (3, 2**33), 0),
+    (7, (), 11),
+]
+
+
+class TestChildStreams:
+    """The sampler's streams against numpy's: SeedSequence.spawn, then PCG64 and Generator.random."""
+
+    @pytest.mark.parametrize("entropy, key, spawned", PARENTS)
+    def test_seeds_equal_numpy_spawn(self, entropy, key, spawned):
+        seq = np.random.SeedSequence(entropy, spawn_key=key, n_children_spawned=spawned)
+        states, incs = families._child_streams(seq, spawned, 40)
+        want = [np.random.PCG64(child).state["state"] for child in seq.spawn(40)]
+        assert [{"state": s, "inc": i} for s, i in zip(states, incs)] == want
+
+    @pytest.mark.parametrize("entropy, key", [(1, ()), (7, (3, 2**33))])
+    def test_seeds_of_children_near_two_to_the_32(self, entropy, key):
+        """The last one-word child indices, checked against children built by index."""
+        seq = np.random.SeedSequence(entropy, spawn_key=key)
+        first = 2**32 - 3
+        states, incs = families._child_streams(seq, first, 3)
+        for k in range(3):
+            child = np.random.SeedSequence(entropy, spawn_key=(*key, first + k))
+            assert np.random.PCG64(child).state["state"] == {"state": states[k], "inc": incs[k]}
+
+    def test_child_indices_past_the_spawn_counter_raise(self):
+        """numpy counts children spawned in 32 bits, so indices from 2**32 - 1 on are refused."""
+        seq = np.random.SeedSequence(1, n_children_spawned=2**32 - 3)
+        with pytest.raises(InvalidStateError, match="spawn count limit"):
+            families._sample_columns(seq, 3, 5.0, 5.0, False)
+        assert len(families._sample_columns(seq, 2, 5.0, 5.0, False).a) == 2
+
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    @pytest.mark.parametrize("entropy, key, spawned", PARENTS)
+    def test_draws_equal_numpy_streams(self, monkeypatch, block, entropy, key, spawned):
+        """Every uniform of three blocks per stream, bit for bit: no draw is accepted,
+        so each stream reads blocks until MAX_DRAWS = 3 _BLOCK unphysical draws."""
+        rounds = []
+
+        def reject_all(u, *args):
+            rounds.append(u.copy())
+            no = np.zeros(u.shape[:-1], dtype=bool)
+            return no, no
+
+        monkeypatch.setattr(families, "_BLOCK", block)
+        monkeypatch.setattr(families, "MAX_DRAWS", 3 * block)
+        monkeypatch.setattr(families, "_accept", reject_all)
+        seq = np.random.SeedSequence(entropy, spawn_key=key, n_children_spawned=spawned)
+        with pytest.raises(InvalidStateError, match=f"no physical state in {3 * block} draws"):
+            families._sample_columns(seq, 5, 5.0, 5.0, False)
+        assert seq.n_children_spawned == spawned
+        got = np.concatenate(rounds, axis=1).reshape(5, -1)
+        want = [np.random.Generator(np.random.PCG64(child)).random(12 * block)
+                for child in seq.spawn(5)]
+        assert got.tobytes() == np.array(want).tobytes()
