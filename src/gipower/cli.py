@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .exceptions import InvalidStateError, InvalidTransformError, NumericalError
+from .exceptions import InvalidStateError, NumericalError
 from .families import (
     FamilySpec,
     _sample_columns,
@@ -229,10 +229,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidStateError, InvalidTransformError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
+        # ValueError covers InvalidStateError, InvalidTransformError and json.JSONDecodeError
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except NumericalError as exc:

@@ -388,25 +388,17 @@ def _child_streams(seq: np.random.SeedSequence, first: int, count: int):
     """PCG64 (states, incs), lists of ints, of the children first .. first + count - 1 of seq.
 
     SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, i)) for child i, then PCG64's
-    seeding, in array arithmetic.  Every child mixes the same words into its pool but its
-    last, i, so those are mixed once, on ints, and i on an array, one row per pool word;
-    generate_state(4, uint64) and PCG64's srandom follow.  i must be below 2**32, one word.
+    seeding, in array arithmetic.  A child's pool is seq.pool, numpy's mix of seq's words
+    (entropy zero-padded to pool_size, then spawn_key), with its last word i mixed in: on
+    an array, one row per pool word, by the hash constants that follow the size * words
+    seq's mix used.  generate_state(4, uint64) and PCG64's srandom follow.  i must be
+    below 2**32, one word.
     """
     size = seq.pool_size
-    words = _words(seq.entropy)
-    words += [0] * (size - len(words)) + _words(seq.spawn_key)
-    a = _hash_constants(_INIT_A, _MULT_A, size * (len(words) + 1))
-    hashes = iter(zip(a, a[1:]))
-    pool = [_hashmix(word, *next(hashes)) for word in words[:size]]
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
-    for word in words[size:]:
-        pool = [_mix(entry, _hashmix(word, *next(hashes))) for entry in pool]
-    h, h_next = zip(*hashes)
+    words = max(len(_words(seq.entropy)), size) + len(_words(seq.spawn_key))
+    a = _hash_constants(_INIT_A * pow(_MULT_A, size * words, 2**32) & _MASK32, _MULT_A, size)
     index = np.arange(first, first + count, dtype=np.uint32)
-    pool = _mix(_column(pool), _hashmix(index, _column(h), _column(h_next)))
+    pool = _mix(_column(seq.pool), _hashmix(index, _column(a[:-1]), _column(a[1:])))
     b = _hash_constants(_INIT_B, _MULT_B, 8)
     seeds = _hashmix(pool[np.arange(8) % size], _column(b[:-1]), _column(b[1:]))
     states, incs = [], []
@@ -487,7 +479,7 @@ def _kept_columns(draws) -> _Columns:
     """
     form = tuple(np.array(draws).T)
     gate, rejected = _gates(_standard_entries(*form))
-    p_g, left = _closed_form_columns(gate, form)
+    p_g, left = _closed_form_columns(form)
     for i in np.flatnonzero(rejected | left):
         p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i]).value
     a = form[0]

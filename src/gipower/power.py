@@ -44,7 +44,9 @@ __all__ = [
 class IpResult:
     """Interferometric power with the evaluation branch and input invariants.
 
-    branch is "general" or "pure" (|D - 1| < PURE_TOL, the exact limit).
+    branch is "general" or "pure" (w = D - 1 < PURE_TOL, w formed from the
+    standard form (a, b, c, d): the exact limit).  invariants.D is the
+    gate's (det L)**2, reported only.
     """
 
     value: float
@@ -81,17 +83,17 @@ def gip_closed_form(cm) -> IpResult:
     General branch: (X + sqrt(X^2 + YZ)) / (2Y), evaluated as
     Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels,
     with X, Y and Z formed from sigma's standard form (_closed_form).
-    Pure states (|D - 1| < PURE_TOL) use the exact limit (A - 1)/4, with
-    D from the Cholesky pivots of the physicality gate.  Raises
-    NumericalError if the value is not finite (X overflows from sigma
-    entries of ~1e39 on).
+    Pure states (w < PURE_TOL, w = D - 1 formed from the standard form as
+    Y's factor) use the exact limit (A - 1)/4; the gate's D is reported
+    only.  Raises NumericalError if the value is not finite (X overflows
+    from sigma entries of ~1e39 on).
     """
     sigma, gate = _require_physical(cm)
     return _closed_form(gate, _standard_frame(sigma)[0])
 
 
 def _standard_xyz(a, b, c, d):
-    """The closed formula's (X, Y, Z) from the standard form (a, b, c, d), floats or arrays.
+    """The closed formula's (X, Y, Z) and w = D - 1 from the standard form (a, b, c, d), floats or arrays.
 
     X, Y and Z are the paper's polynomials in A = a^2, B = b^2, C = cd and
     D = (ab - c^2)(ab - d^2), rewritten in p = ab - c^2 - 1,
@@ -108,18 +110,18 @@ def _standard_xyz(a, b, c, d):
     e = ab * (c2 + d2) - c2 * d2  # AB - D
     k = a * (ab - 1) * (c2 + d2) - (a + b) * c2 * d2
     X = c * d * delta * delta + ab * t - w * (s + a * delta + uv)
-    # Off the pure branch |w| is ~PURE_TOL or more and Y / w >= 4, since A + B + 2C >= 2.
+    # Off the pure branch w >= PURE_TOL and Y / w >= 4, since A + B + 2C >= 2: Y > 0.
     Y = w * (delta * delta + 2 * s + uv + 1)
     Z = a * a * (b * b + 1) * t + w * e + delta * k
-    return X, Y, Z
+    return X, Y, Z, w
 
 
 def _closed_form(gate, form) -> IpResult:
     """gip_closed_form's arithmetic on the gate's record and the standard form (a, b, c, d)."""
     inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
-    if abs(gate.D - 1) < PURE_TOL:
+    X, Y, Z, w = _standard_xyz(*form)
+    if w < PURE_TOL:
         return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
-    X, Y, Z = _standard_xyz(*form)
     radicand = X * X + Y * Z
     if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
         # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
@@ -129,8 +131,6 @@ def _closed_form(gate, form) -> IpResult:
         radicand = X * X + Y * Z
     if radicand < -CHECK_TOL * max(1.0, X * X):
         raise NumericalError(f"negative radicand {radicand} in closed formula")
-    if X >= 0 and Y == 0:  # a pure state whose rounded D missed the pure branch
-        raise NumericalError(f"closed formula divides by 2Y = 0 at det sigma = {gate.D}")
     root = math.sqrt(max(radicand, 0.0))
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
@@ -138,24 +138,26 @@ def _closed_form(gate, form) -> IpResult:
     return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
 
 
-def _closed_form_columns(gate, form):
-    """(values, left): _closed_form's values on a stack, from _gates' record and the arrays form.
+def _closed_form_columns(form):
+    """(values, left): _closed_form's values on a stack of standard forms, form = (a, b, c, d) arrays.
 
     Bit for bit _closed_form's value on every state not in left: numpy's
-    + - * / sqrt round as floats do.  left marks the general states whose
-    radicand is negative or not finite, or whose value is not finite;
-    _closed_form on those rescales, clamps or raises, and their values
-    here mean nothing.
+    + - * / sqrt round as floats do, and the pure value (a*a - 1)/4 is the
+    gate's (A - 1)/4 on _standard_entries.  left marks the general states
+    whose radicand is negative or not finite, or whose value is not
+    finite; _closed_form on those rescales, clamps or raises, and their
+    values here mean nothing.
     """
+    a = form[0]
     with np.errstate(all="ignore"):
-        pure = abs(gate.D - 1) < PURE_TOL
-        X, Y, Z = _standard_xyz(*form)
+        X, Y, Z, w = _standard_xyz(*form)
+        pure = w < PURE_TOL
         radicand = X * X + Y * Z
         root = np.sqrt(radicand)
         value = np.where(X >= 0, (X + root) / (2 * Y), Z / (2 * (root - X)))
         settled = np.isfinite(radicand) & (radicand >= 0) & np.isfinite(value)
         value = np.where(0.0 > value, 0.0, value)  # max(value, 0.0), -0.0 kept
-        return np.where(pure, (gate.A - 1) / 4, value), ~pure & ~settled
+        return np.where(pure, (a * a - 1) / 4, value), ~pure & ~settled
 
 
 def gip_special(sf: StandardForm) -> float:

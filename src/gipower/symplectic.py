@@ -62,7 +62,9 @@ CHECK_TOL = 1e-9
 #: sit at most ~5e-12 below the bona fide surface after a floating-point
 #: congruence, but heavily locally squeezed inputs sit further below.
 GATE_TOL = 1e-7
-#: |D - 1| below this counts as pure; the general closed form is 0/0 there.
+#: Pure-state switch: the closed form is pure where w = D - 1, formed from the
+#: standard form (a, b, c, d) as the factor it divides by, is below this (0/0
+#: there); fidelity()'s pure-pair switch reads |det sigma - 1| < PURE_TOL.
 PURE_TOL = 1e-7
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000

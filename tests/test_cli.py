@@ -110,16 +110,16 @@ class TestIp:
         assert "Traceback" not in result.stderr
 
     def test_pure_state_off_the_pure_branch_prints_no_traceback(self):
-        """Rounded tmsv(1e6): det sigma misses the pure switch and 2Y = 0.
-
-        A numerical failure with a message or a value, never a traceback; the
-        exit code is not pinned.
-        """
+        """Rounded tmsv(1e6): det sigma misses PURE_TOL, but w from (a, b, c, d) is
+        under it, so the exact limit (a^2 - 1)/4 and exit 0."""
         result = subprocess.run([sys.executable, "-m", "gipower", "ip", "--a", "1e6", "--b", "1e6",
                                  "--c", "999999.9999995", "--d", "-999999.9999995"],
                                 capture_output=True, text=True, timeout=60)
         assert "Traceback" not in result.stderr
-        assert result.returncode == 0 or result.stderr.startswith("error: numerical failure:")
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["value"] == 249999999999.75
+        assert report["branch"] == "pure"
 
     def test_one_factor_per_quantity(self, capsys, tmp_path, cholesky_calls):
         # The report reads every quantity off the closed form's gate record.
