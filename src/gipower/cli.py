@@ -81,16 +81,11 @@ def _state_report(cm: CovarianceMatrix) -> dict:
     """The ip report, from one physicality gate: the closed form (with the
     standard frame's (a, b, c, d)) and the spectra all read its record."""
     sigma, gate = _require_physical(cm)
-    result = _closed_form(gate, _standard_frame(sigma)[0])
+    value, branch = _closed_form(gate, _standard_frame(sigma)[0])
     return {
-        "value": result.value,
-        "branch": result.branch,
-        "invariants": {
-            "A": result.invariants.A,
-            "B": result.invariants.B,
-            "C": result.invariants.C,
-            "D": result.invariants.D,
-        },
+        "value": value,
+        "branch": branch,
+        "invariants": {"A": gate.A, "B": gate.B, "C": gate.C, "D": gate.D},
         "n_bar_A": mean_photon_A(cm),
         "log_negativity": gate.log_negativity,
         "nu_minus": gate.nu_minus,

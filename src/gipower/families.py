@@ -481,7 +481,7 @@ def _kept_columns(draws) -> _Columns:
     gate, rejected = _gates(_standard_entries(*form))
     p_g, left = _closed_form_columns(form)
     for i in np.flatnonzero(rejected | left):
-        p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i]).value
+        p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i])[0]
     a = form[0]
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
                     gate.log_negativity, p_g, gate.separable, gate.nu_tilde)

@@ -14,7 +14,8 @@ the symplectic eigenvalues of the state's Williamson decomposition, which
 in standard form is plain 2x2 arithmetic.  worst_case_qfi minimises it
 over every (zeta, theta), with no window: the minimum is the root of a
 2x2 pencil in the standard form, so local squeezing of the input cannot
-move it.
+move it.  The form Q (_qfi_form) reads the standard form alone and the map T
+into its frame (_generator_map) the mode-A frame alone; only qfi and the argmin read T.
 """
 
 from __future__ import annotations
@@ -147,16 +148,33 @@ def fidelity(cm1, cm2) -> float:
     return float(f)
 
 
-def _qfi_form(frame) -> tuple[list, list]:
-    """(Q, T) as nested lists: the QFI at (zeta, theta) is h0^T Q h0, h0 = T h.
+def _generator_map(frame) -> list:
+    """T as a nested list: h0 = T h are the (G, Z, X) coefficients of F_A^-1 H F_A,
+    H = p G + u Z + v X, h = (p, u, v), frame = F_A as (f00, f01, f10, f11) from
+    symplectic._standard_frame.  T preserves J = diag(1, -1, -1): T^T J T = J."""
+    f00, f01, f10, f11 = frame
+    # p G + u Z + v X = Omega_1^T S with S = [[p + v, -u], [-u, p - v]], and
+    # F_A^-1 Omega_1^T S F_A = Omega_1^T F_A^T S F_A for a symplectic F_A:
+    # column k of T is (p, u, v) of F_A^T S_k F_A, S_k = I, -X, Z for G, Z, X.
+    n0, n1 = f00 * f00 + f10 * f10, f01 * f01 + f11 * f11
+    z0, z1 = f00 * f00 - f10 * f10, f01 * f01 - f11 * f11
+    e0, e1 = f00 * f10, f01 * f11
+    return [[(n0 + n1) / 2, -(e0 + e1), (z0 + z1) / 2],
+            [-(f00 * f01 + f10 * f11), f00 * f11 + f10 * f01, f10 * f11 - f00 * f01],
+            [(n0 - n1) / 2, e1 - e0, (z0 - z1) / 2]]
+
+
+def _qfi_form(standard) -> list:
+    """Q as a nested list: the QFI at (zeta, theta) is h0^T Q h0, h0 = T h (_generator_map).
 
     The black box anchored at m = S(zeta) R(theta) rotates m sigma m^T,
     which is sigma itself moved by the generator H = m^-1 G m in sp(2);
     H = p G + u Z + v X with h = (p, u, v) as in _qfi_at.  The QFI is taken
     in the frame of the standard form s = F^-1 sigma F^-T, F = F_A (+) F_B,
-    read from frame = symplectic._standard_frame(sigma), so local squeezing
-    of the input does not reach the arithmetic below.  There the generator
-    is F_A^-1 H F_A, with coefficients h0 = T h.
+    where the generator is F_A^-1 H F_A, with coefficients h0 = T h.  Q
+    reads standard = (a, b, c, d) of symplectic._standard_frame(sigma)
+    alone and T the frame F_A alone, so local squeezing of the input does
+    not reach the arithmetic below.
 
     In (q_A, q_B, p_A, p_B) order s = sigma_q (+) sigma_p, sigma_q =
     [[a, c], [c, b]] and sigma_p = [[a, d], [d, b]], and its Williamson
@@ -180,16 +198,7 @@ def _qfi_form(frame) -> tuple[list, list]:
     cancellation and is 0 where nu- = nu+.  Z carries only alpha and gamma
     and G, X only beta and delta, so the Z row and column of Q are exactly 0.
     """
-    (a, b, c, d), (f00, f01, f10, f11) = frame
-    # p G + u Z + v X = Omega_1^T S with S = [[p + v, -u], [-u, p - v]], and
-    # F_A^-1 Omega_1^T S F_A = Omega_1^T F_A^T S F_A for a symplectic F_A:
-    # column k of T is (p, u, v) of F_A^T S_k F_A, S_k = I, -X, Z for G, Z, X.
-    n0, n1 = f00 * f00 + f10 * f10, f01 * f01 + f11 * f11
-    z0, z1 = f00 * f00 - f10 * f10, f01 * f01 - f11 * f11
-    e0, e1 = f00 * f10, f01 * f11
-    t = [[(n0 + n1) / 2, -(e0 + e1), (z0 + z1) / 2],
-         [-(f00 * f01 + f10 * f11), f00 * f11 + f10 * f01, f10 * f11 - f00 * f01],
-         [(n0 - n1) / 2, e1 - e0, (z0 - z1) / 2]]
+    a, b, c, d = standard
     try:
         # L_q = [[l0, 0], [l1, l2]] and W = L_q^T sigma_p L_q
         l0 = math.sqrt(a)
@@ -223,10 +232,9 @@ def _qfi_form(frame) -> tuple[list, list]:
     qxx = wa00 * s00 * s00 + wa11 * s11 * s11 + 2 * (wc01 * t01 * t01 + wa01 * s01 * s01)
     qgx = -(wa00 * s00 * t00 + wa11 * s11 * t11 + 2 * (wc01 + wa01) * s01 * t01)
     qzz = wa00 * g00 * g00 + wa11 * g11 * g11 + 2 * (wc01 * a01 * a01 + wa01 * g01 * g01)
-    form = [[qgg, 0.0, qgx], [0.0, qzz, 0.0], [qgx, 0.0, qxx]]
     if not all(map(math.isfinite, (qgg, qzz, qxx, qgx))):
         raise NumericalError("QFI form evaluation produced a non-finite value")
-    return form, t
+    return [[qgg, 0.0, qgx], [0.0, qzz, 0.0], [qgx, 0.0, qxx]]
 
 
 def _qfi_at(form, zeta, theta):
@@ -241,7 +249,7 @@ def _qfi_at(form, zeta, theta):
 
 
 def _form_at(form, p, u, v):
-    """h0^T Q h0 with h0 = T (p, u, v), the form of _qfi_form.
+    """h0^T Q h0 with h0 = T (p, u, v), form = (Q, T) of _qfi_form and _generator_map.
 
     Plain arithmetic, so it works on floats and on stacked arrays alike.
     """
@@ -258,7 +266,8 @@ def qfi(cm, zeta, theta):
     Defined as -2 d^2F/d_eps^2 at eps = 0 where F(eps) is the fidelity
     between the black-box outputs at phase 0 and phase eps; the base phase
     drops out because the family's unitaries commute.  Evaluated exactly
-    from the phase-space form of _qfi_form, which is built once per call:
+    from the phase-space form of _qfi_form and the map of _generator_map,
+    both built once per call:
     zeta and theta broadcast against each other, and array input returns
     an array of values (a float for scalar input).  Every zeta must be
     finite and positive and every theta finite (InvalidStateError); raises
@@ -266,13 +275,14 @@ def qfi(cm, zeta, theta):
     float range).
     """
     sigma, _ = _require_physical(cm)
+    standard, frame = _standard_frame(sigma)
     zeta, theta = np.asarray(zeta, dtype=float), np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(zeta) & (zeta > 0)):
         raise InvalidStateError(f"squeezing parameters must be finite and > 0, got {zeta}")
     if not np.all(np.isfinite(theta)):
         raise InvalidStateError(f"orientation angles must be finite, got {theta}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = np.maximum(_qfi_at(_qfi_form(_standard_frame(sigma)), zeta, theta), 0.0)
+        value = np.maximum(_qfi_at((_qfi_form(standard), _generator_map(frame)), zeta, theta), 0.0)
     if not np.all(np.isfinite(value)):
         raise NumericalError(f"QFI at zeta = {zeta} overflowed")
     return float(value) if value.ndim == 0 else value
@@ -282,8 +292,8 @@ def qfi(cm, zeta, theta):
 _LN4 = math.log(4.0)
 
 
-def _sheet_minimum(form):
-    """(lam, u, v): the minimum of the QFI over the sheet h^T J h = 1, h[0] > 0, and its point.
+def _sheet_minimum(q):
+    """(lam, (p0, v0), norm): the QFI's minimum on the sheet h^T J h = 1, h[0] > 0, and its direction.
 
     With J = diag(1, -1, -1), h^T J h = p^2 - u^2 - v^2 is the determinant
     of p G + u Z + v X, which conjugation preserves: T^T J T = J.  The QFI
@@ -292,21 +302,20 @@ def _sheet_minimum(form):
     frame of _qfi_form, where the Z row and column of Q vanish, so it is
     the 2x2 pencil on (G, X): lam = (Q_GG - Q_XX)/2 + root with
     root = sqrt(mean^2 - Q_GX^2), mean = (Q_GG + Q_XX)/2, and
-    h0 = (Q_XX + lam, 0, -Q_GX).  With Q >= 0 this, the largest eigenvalue,
-    is the one whose eigenvector has h0^T J h0 > 0, so the sheet has one
-    stationary point: the minimum.  Q_XX + lam = mean + root and
-    h0^T J h0 = 2 root (mean + root), so nothing cancels; root > 0 because
-    mean -+ Q_GX is the QFI of a shear G -+ X, which moves every state.
-    lam = Q_GG - Q_GX^2/(mean + root) reads Q alone, so it depends on the
-    standard form only; the point maps back by h = T^-1 h0 = J T^T J h0.
+    h0 = (p0, 0, v0) = (Q_XX + lam, 0, -Q_GX).  With Q >= 0 this, the largest
+    eigenvalue, is the one whose eigenvector has h0^T J h0 > 0, so the sheet
+    has one stationary point: the minimum.  Q_XX + lam = mean + root and
+    norm = h0^T J h0 = 2 root (mean + root), so nothing cancels; root > 0
+    in exact arithmetic because mean -+ Q_GX is the QFI of a shear G -+ X,
+    which moves every state.  lam = Q_GG - Q_GX^2/(mean + root) reads Q alone, so it depends
+    on the standard form only; worst_case_qfi maps the point h0/sqrt(norm)
+    back by h = T^-1 h0 = J T^T J h0.
     """
-    ((q_gg, _, q_gx), _, (_, _, q_xx)), t = form
+    (q_gg, _, q_gx), _, (_, _, q_xx) = q
     mean = (q_gg + q_xx) / 2
     root = math.sqrt(max((mean - q_gx) * (mean + q_gx), 0.0))
-    p0, v0 = mean + root, -q_gx
-    scale = math.sqrt(2 * root * p0)
-    u, v = ((t[2][i] * v0 - t[0][i] * p0) / scale for i in (1, 2))
-    return q_gg - q_gx * (q_gx / p0), u, v
+    p0 = mean + root
+    return q_gg - q_gx * (q_gx / p0), (p0, -q_gx), 2 * root * p0
 
 
 def worst_case_qfi(cm) -> WorstCaseResult:
@@ -318,16 +327,22 @@ def worst_case_qfi(cm) -> WorstCaseResult:
     an eigenvector of a 2x2 pencil (_sheet_minimum), is its global
     minimum; of its twins the one with theta < pi/2 is reported, unless
     the QFI at zeta = 1 is within TIE_REL (relative) of the minimum, which
-    is then reported as (1, 0).  Raises NumericalError if the QFI form
-    overflows.
+    is then reported as (1, 0); any other is mapped back through T.  Raises
+    NumericalError if the QFI form overflows, or if that map meets a
+    degenerate pencil (root 0: h0 on the light cone h0^T J h0 = 0).
     """
     sigma, _ = _require_physical(cm)
-    form = _qfi_form(_standard_frame(sigma))
-    value, u, v = _sheet_minimum(form)
+    standard, frame = _standard_frame(sigma)
+    q, t = _qfi_form(standard), _generator_map(frame)
+    value, (p0, v0), norm = _sheet_minimum(q)
     # The QFI at zeta = 1, h = (1, 0, 0): where it overflows it is nan or inf and ties nothing.
-    if _form_at(form, 1.0, 0.0, 0.0) <= value + TIE_REL * max(1.0, value):
+    if _form_at((q, t), 1.0, 0.0, 0.0) <= value + TIE_REL * max(1.0, value):
         zeta, theta = 1.0, 0.0
     else:
+        if not norm > 0:
+            raise NumericalError(f"degenerate pencil: h0^T J h0 = {norm}, so the argmin is on the light cone")
+        scale = math.sqrt(norm)
+        u, v = ((t[2][i] * v0 - t[0][i] * p0) / scale for i in (1, 2))
         s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
         lz, theta = min((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi), key=lambda twin: twin[1])
         zeta = 2.0**lz

@@ -46,7 +46,7 @@ class IpResult:
 
     branch is "general" or "pure" (w = D - 1 < PURE_TOL, w formed from the
     standard form (a, b, c, d): the exact limit).  invariants.D is the
-    gate's (det L)**2, reported only.
+    gate's (det L)**2, reported only.  cross_validate and the sampler build none.
     """
 
     value: float
@@ -89,7 +89,7 @@ def gip_closed_form(cm) -> IpResult:
     from sigma entries of ~1e39 on).
     """
     sigma, gate = _require_physical(cm)
-    return _closed_form(gate, _standard_frame(sigma)[0])
+    return IpResult(*_closed_form(gate, _standard_frame(sigma)[0]), LocalInvariants(*gate[:4]))
 
 
 def _standard_xyz(a, b, c, d):
@@ -116,12 +116,11 @@ def _standard_xyz(a, b, c, d):
     return X, Y, Z, w
 
 
-def _closed_form(gate, form) -> IpResult:
-    """gip_closed_form's arithmetic on the gate's record and the standard form (a, b, c, d)."""
-    inv = LocalInvariants(gate.A, gate.B, gate.C, gate.D)
+def _closed_form(gate, form) -> tuple[float, str]:
+    """(value, branch) of gip_closed_form from the gate's record and the standard form (a, b, c, d)."""
     X, Y, Z, w = _standard_xyz(*form)
     if w < PURE_TOL:
-        return IpResult(value=(gate.A - 1) / 4, branch="pure", invariants=inv)
+        return (gate.A - 1) / 4, "pure"
     radicand = X * X + Y * Z
     if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
         # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
@@ -135,7 +134,7 @@ def _closed_form(gate, form) -> IpResult:
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
         raise NumericalError(f"closed formula gave {value} at det sigma = {gate.D}")
-    return IpResult(value=max(value, 0.0), branch="general", invariants=inv)
+    return max(value, 0.0), "general"
 
 
 def _closed_form_columns(form):
@@ -197,7 +196,8 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
     form = (sf.a, sf.b, sf.c, sf.d)
-    return _closed_form(_gate(_standard_entries(*form)), form)
+    gate = _gate(_standard_entries(*form))
+    return IpResult(*_closed_form(gate, form), LocalInvariants(*gate[:4]))
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
@@ -205,18 +205,20 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
 
     Passes iff |closed - oracle/4| <= tol * max(1, closed); tol must be
     finite and non-negative.  sigma passes the physicality gate once and
-    goes to its standard frame (symplectic._standard_frame) once: the
-    closed form reads the gate's record and the frame's (a, b, c, d), the
-    oracle reads the frame alone: worst_case_qfi's value, the root of the
-    pencil of fidelity._sheet_minimum, with no argmin.  The oracle runs
-    first, so a QFI form that overflows raises its own NumericalError.
+    goes to its standard form (symplectic._standard_frame) once, and both
+    sides compute values alone: the closed form reads the gate's record and
+    (a, b, c, d) and builds no IpResult; the oracle reads (a, b, c, d)
+    alone: worst_case_qfi's value, the root of the pencil of
+    fidelity._sheet_minimum on fidelity._qfi_form's Q, with no map T and no
+    argmin.  It runs first, so a QFI form that overflows raises its own
+    NumericalError.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     sigma, gate = _require_physical(cm)
-    frame = _standard_frame(sigma)
-    oracle = max(_sheet_minimum(_qfi_form(frame))[0], 0.0) / 4
-    closed = _closed_form(gate, frame[0]).value
+    standard = _standard_frame(sigma)[0]
+    oracle = max(_sheet_minimum(_qfi_form(standard))[0], 0.0) / 4
+    closed = _closed_form(gate, standard)[0]
     diff = abs(closed - oracle)
     return CrossValidation(
         closed=closed,

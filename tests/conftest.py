@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -41,6 +42,28 @@ def cholesky_calls(monkeypatch):
         return cholesky(e)
 
     monkeypatch.setattr(symplectic, "_cholesky", counted)
+    return calls
+
+
+@pytest.fixture
+def value_builds(monkeypatch):
+    """{"T": n, "IpResult": n}: the generator maps T (fidelity._generator_map) and the
+    IpResults (power.IpResult) built from here on."""
+    calls = {"T": 0, "IpResult": 0}
+    # gipower.fidelity and gipower.power are also names of functions in gipower
+    fidelity, power = (importlib.import_module(f"gipower.{name}") for name in ("fidelity", "power"))
+    generator_map, ip_result = fidelity._generator_map, power.IpResult
+
+    def counted_map(frame):
+        calls["T"] += 1
+        return generator_map(frame)
+
+    def counted_result(*args, **kwargs):
+        calls["IpResult"] += 1
+        return ip_result(*args, **kwargs)
+
+    monkeypatch.setattr(fidelity, "_generator_map", counted_map)
+    monkeypatch.setattr(power, "IpResult", counted_result)
     return calls
 
 

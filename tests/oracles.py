@@ -278,7 +278,7 @@ def _local_frame(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def qfi_form_kron(sigma) -> tuple[list, list]:
-    """(Q, T) as gipower.fidelity._qfi_form returns them, by a 16x16 pseudo-inverse.
+    """(Q, T) as gipower.fidelity._qfi_form and _generator_map return them, by a 16x16 pseudo-inverse.
 
     The QFI at (zeta, theta) is h0^T Q h0 with h0 = T h, h as in
     gipower.fidelity._qfi_at.  The QFI is taken in the local frame

@@ -173,6 +173,15 @@ class TestVerify:
         assert failed and int(failed[1]) >= 1, out
         assert "PASS" not in out
 
+    def test_huge_b_fails_without_traceback(self):
+        """At b ~ 1e30 the oracle's Q is off (its pencil degenerate), so states fail the
+        check: exit 1 with a FAIL line, not a traceback from mapping an argmin back."""
+        result = subprocess.run([sys.executable, "-m", "gipower", "verify", "--seed", "1", "--n", "5",
+                                 "--a-max", "1", "--b-max", "1e30"], capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1, result.stderr
+        assert re.search(r"^FAIL \(\d+ states beyond tolerance\)$", result.stdout, re.MULTILINE), result.stdout
+
     @pytest.mark.parametrize("flags", [
         ("--n", "-5"), ("--n", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
     ])

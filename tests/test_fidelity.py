@@ -31,7 +31,7 @@ from gipower import (
     worst_case_qfi,
 )
 
-from gipower.fidelity import _qfi_at, _qfi_form
+from gipower.fidelity import _generator_map, _qfi_at, _qfi_form
 from gipower.symplectic import TIE_REL, _standard_frame
 
 from conftest import random_physical_cm
@@ -350,7 +350,8 @@ class TestQfiForm:
                        for delta in np.logspace(-12, -4, 9)]
         worst = (0.0, "")
         for label, sigma in states:
-            form = _qfi_form(_standard_frame(sigma))
+            standard, frame = _standard_frame(sigma)
+            form = (_qfi_form(standard), _generator_map(frame))
             (_, q_gz, _), (_, _, q_zx), _ = form[0]
             assert q_gz == 0.0 and q_zx == 0.0, label
             zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
@@ -369,7 +370,8 @@ class TestQfiForm:
         # splitter with nu+ = 1/nu- the naive weight (nu+ - nu-)^2/(nu+ nu- - 1)
         # divides by ~0; the form must stay finite and positive semidefinite.
         for i, nu, sigma in gate_admitted_mixtures(rng):
-            form = _qfi_form(_standard_frame(sigma))
+            standard, frame = _standard_frame(sigma)
+            form = (_qfi_form(standard), _generator_map(frame))
             (q_gg, _, q_gx), _, (_, _, q_xx) = form[0]
             assert q_gg * q_xx >= q_gx * q_gx
             zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
@@ -459,11 +461,21 @@ class TestWorstCase:
                 raised += 1
         for a in np.logspace(60, 150, 46):
             try:
-                _qfi_form(_standard_frame(from_standard_form(tmsv(a)).sigma))
+                _qfi_form(_standard_frame(from_standard_form(tmsv(a)).sigma)[0])
             except NumericalError as error:
                 assert "QFI form" in str(error)
                 raised += 1
         assert raised >= 10
+
+    def test_degenerate_pencil_raises_numerical_error(self):
+        # On the product states (1, b, 0, 0) with b from 1e25 on, the rounded Q
+        # can put the pencil's root at 0 and h0 on the light cone: mapping the
+        # argmin back is then a NumericalError, never a ZeroDivisionError.
+        for b in np.logspace(25, 150, 126):
+            try:
+                assert math.isfinite(worst_case_qfi(from_standard_form(StandardForm(1.0, b, 0.0, 0.0))).value)
+            except NumericalError as error:
+                assert "degenerate pencil" in str(error)
 
     def test_deterministic(self, rng):
         cm = random_physical_cm(rng, conjugate=True)

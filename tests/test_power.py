@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import math
 from fractions import Fraction
@@ -299,6 +300,17 @@ class TestStandardFormDispatch:
         assert result.value == gip_closed_form(from_standard_form(StandardForm(2.0, 3.0, 1.0, -0.5))).value
 
 
+def oracle_states(rng):
+    """100 standard-form, 100 locally conjugated and 100 mode-A squeezed (by up to 2^6) states."""
+    for kind in ("standard", "conjugated", "squeezed"):
+        for i in range(100):
+            cm = random_physical_cm(rng, conjugate=kind != "standard")
+            if kind == "squeezed":
+                s_a = rotation(rng.uniform(0, np.pi)) @ squeeze(2.0 ** (i % 7))
+                cm = apply_local_symplectic(cm, s_a, np.eye(2))
+            yield cm
+
+
 class TestCrossValidation:
     def test_spot_states(self):
         for sf in (S231, tmsv(2.0), StandardForm(2.0, 3.0, 0.0, 0.0)):
@@ -346,13 +358,36 @@ class TestCrossValidation:
     def test_oracle_is_worst_case_qfi(self, rng):
         # The shared-gate path gives the public oracle's value bit for bit,
         # also on states squeezed on mode A by up to 2^6.
-        for kind in ("standard", "conjugated", "squeezed"):
-            for i in range(100):
-                cm = random_physical_cm(rng, conjugate=kind != "standard")
-                if kind == "squeezed":
-                    s_a = rotation(rng.uniform(0, np.pi)) @ squeeze(2.0 ** (i % 7))
-                    cm = apply_local_symplectic(cm, s_a, np.eye(2))
-                assert cross_validate(cm).oracle == worst_case_qfi(cm).value / 4
+        for cm in oracle_states(rng):
+            assert cross_validate(cm).oracle == worst_case_qfi(cm).value / 4
+
+    def test_closed_is_gip_closed_form(self, rng):
+        # The value-only closed form gives the public one's value bit for bit:
+        # on the states above, on tmsv(a) (the pure branch, where the gate
+        # admits them) and on product states.
+        cms = list(oracle_states(rng))
+        branches = collections.Counter()
+        for a in np.logspace(0.5, 5, 46):
+            with contextlib.suppress(InvalidStateError):
+                cm = from_standard_form(tmsv(a))
+                branches[gip_closed_form(cm).branch] += 1
+                cms.append(cm)
+        assert branches["pure"] >= 30, branches
+        cms += [from_standard_form(StandardForm(*rng.uniform(1, 50, size=2), 0.0, 0.0)) for _ in range(50)]
+        for cm in cms:
+            assert cross_validate(cm).closed == gip_closed_form(cm).value
+
+    def test_values_alone(self, rng, value_builds):
+        # cross_validate builds no generator map T and no IpResult; the public
+        # functions build theirs: worst_case_qfi one T, gip_closed_form one IpResult.
+        for cm in oracle_states(rng):
+            value_builds.update(T=0, IpResult=0)
+            cross_validate(cm)
+            assert value_builds == {"T": 0, "IpResult": 0}
+            worst_case_qfi(cm)
+            assert value_builds == {"T": 1, "IpResult": 0}
+            gip_closed_form(cm)
+            assert value_builds == {"T": 1, "IpResult": 1}
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_tolerance(self, tol):
