@@ -64,7 +64,6 @@ from .symplectic import (
     StandardForm,
     apply_local_symplectic,
     apply_loss_B,
-    block_determinants,
     from_standard_form,
     is_separable,
     local_invariants,

@@ -473,14 +473,14 @@ def _kept_columns(draws) -> _Columns:
 
     One stacked gate (_gates) and one pass of _closed_form_columns give
     every number bit for bit as the scalar gate and _closed_form give it
-    per draw.  The draws those leave, a gate that would reject or a
-    closed form that rescales, clamps or raises, go through _gate and
-    _closed_form in order, so the first error is the scalar one.
+    per draw, and every kept draw passes the gate (its scalar nu_minus is
+    >= 1 - CHECK_TOL).  The draws whose closed form rescales, clamps or raises
+    go through _gate and _closed_form in order, so the first error is the scalar one.
     """
     form = tuple(np.array(draws).T)
-    gate, rejected = _gates(_standard_entries(*form))
+    gate = _gates(_standard_entries(*form))
     p_g, left = _closed_form_columns(form)
-    for i in np.flatnonzero(rejected | left):
+    for i in np.flatnonzero(left):
         p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i])[0]
     a = form[0]
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4

@@ -213,8 +213,15 @@ def _qfi_form(standard) -> list:
         nu0 = math.sqrt(mean + radius)
         m1 = d / l0
         nu1 = a * l2 * math.sqrt(b - m1 * m1) / nu0
-        omega = math.atan2(w01, half) / 2
-        cos, sin = math.cos(omega), math.sin(omega)
+        # R(omega), 2 omega = atan2(w01, half), by half-angle formulas: exact where w01 = 0
+        if radius == 0:
+            cos, sin = 1.0, 0.0
+        elif half >= 0:
+            cos = math.sqrt((1 + half / radius) / 2)
+            sin = w01 / (2 * radius * cos)
+        else:
+            sin = math.copysign(math.sqrt((1 - half / radius) / 2), w01)
+            cos = w01 / (2 * radius * sin)
         r0, r1 = math.sqrt(nu0), math.sqrt(nu1)
         x0, x1 = r0 * (cos - sin * l1 / l2) / l0, -r1 * (sin + cos * l1 / l2) / l0
         y0, y1 = l0 * cos / r0, -l0 * sin / r1

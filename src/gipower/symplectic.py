@@ -22,7 +22,6 @@ __all__ = [
     "StandardForm",
     "LocalInvariants",
     "BonaFideReport",
-    "block_determinants",
     "validate_bona_fide",
     "symplectic_eigenvalues",
     "local_invariants",
@@ -231,13 +230,8 @@ def _sigma_of(cm) -> np.ndarray:
 
 
 def _entries(sigma):
-    """sigma's upper triangle (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33), the gate's input.
-
-    Ten floats for one 4x4 matrix, ten arrays for a stack (..., 4, 4).
-    """
-    s = np.asarray(sigma, dtype=float)
-    s = s.tolist() if s.ndim == 2 else np.moveaxis(s, (-2, -1), (0, 1))
-    (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = s
+    """The upper triangle (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33) of one 4x4 sigma, as floats: the gate's input."""
+    (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = sigma.tolist()
     return s00, s01, s02, s03, s11, s12, s13, s22, s23, s33
 
 
@@ -260,34 +254,6 @@ def _blocks(e):
     """
     s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
     return s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12
-
-
-def _invariants(e):
-    """Invariants (A, B, C, AB - D) by plain arithmetic on sigma's entries e (_entries).
-
-    AB - D = tr(alpha K beta K^T) - C^2 with K = -Omega gamma Omega, the
-    cofactor matrix of gamma: it vanishes with gamma instead of cancelling
-    between AB and D near product states.  Broadcasts over arrays.
-    """
-    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
-    A, B, C = _blocks(e)
-    # K beta K^T, with rows (s13, -s12) and (-s03, s02) of K
-    m00 = s22 * s13 * s13 - 2 * s23 * s12 * s13 + s33 * s12 * s12
-    m11 = s22 * s03 * s03 - 2 * s23 * s02 * s03 + s33 * s02 * s02
-    m01 = s23 * (s12 * s03 + s13 * s02) - s22 * s13 * s03 - s33 * s12 * s02
-    E = s00 * m00 + 2 * s01 * m01 + s11 * m11 - C * C
-    return A, B, C, E
-
-
-def block_determinants(sigma: np.ndarray):
-    """Determinants (A, B, C, D) of the mode blocks and the full matrix.
-
-    Works on stacked symmetric inputs of shape (..., 4, 4).  D is
-    AB - (AB - D) from _invariants, which loses ~eps AB: local_invariants
-    of one state takes the gate's (det L)**2 instead.
-    """
-    A, B, C, E = _invariants(_entries(sigma))
-    return A, B, C, A * B - E
 
 
 def _cholesky(e):
@@ -402,18 +368,15 @@ def _gate(e):
 
 
 def _gates(e):
-    """(_Gate of arrays, rejected): _gate on each state of a stack of entries e, from one factor.
+    """_gate on each state of a stack of entries e, from one factor, unchecked: a _Gate of arrays.
 
     numpy's + - * / sqrt round as floats do and the hypots are math.hypot
     state by state, so every number is bit for bit _gate's on that state's
-    floats.  rejected marks the states _gate would reject
-    (nu_minus < 1 - GATE_TOL, or nan where sigma is not > 0); their numbers
-    mean nothing, and _gate on them gives the error.
+    floats; on a state _gate would reject they mean nothing.
     """
     with np.errstate(all="ignore"):
         nu_minus, nu_plus, nu_tilde, det_root = _spectra(_cholesky(e), _hypot_each)
-        gate = _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
-    return gate, ~(nu_minus >= 1 - GATE_TOL)
+        return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
 def _hypot_each(p, q, r):
@@ -430,13 +393,14 @@ def _require_physical(cm):
 def local_invariants(cm) -> LocalInvariants:
     """Local symplectic invariants (A, B, C, D) of a covariance matrix.
 
-    Where sigma is positive definite D is the gate's (det L)**2, bit for bit
-    the D of gip_closed_form; elsewhere it is block_determinants' AB - E.
+    D is the gate's (det L)**2, bit for bit the D of gip_closed_form.
+    Raises InvalidStateError unless sigma is positive definite.
     """
     e = _entries(_sigma_of(cm))
-    A, B, C, E = _invariants(e)
     nu = _nu_pair(e)
-    return LocalInvariants(A, B, C, A * B - E if nu is None else nu[3] * nu[3])
+    if nu is None:
+        raise InvalidStateError("sigma is not positive definite")
+    return LocalInvariants(*_blocks(e), nu[3] * nu[3])
 
 
 def _unsqueeze(b00, b01, b11):

@@ -173,14 +173,23 @@ class TestVerify:
         assert failed and int(failed[1]) >= 1, out
         assert "PASS" not in out
 
-    def test_huge_b_fails_without_traceback(self):
-        """At b ~ 1e30 the oracle's Q is off (its pencil degenerate), so states fail the
-        check: exit 1 with a FAIL line, not a traceback from mapping an argmin back."""
+    def test_huge_b_passes_without_traceback(self):
+        """Product states (1, b, 0, 0) up to b ~ 1e30: the oracle's Q is exact there, so they pass."""
+        for b_max in ("1e20", "1e30"):
+            result = subprocess.run([sys.executable, "-m", "gipower", "verify", "--seed", "1", "--n", "5",
+                                     "--a-max", "1", "--b-max", b_max],
+                                    capture_output=True, text=True, timeout=60)
+            assert "Traceback" not in result.stderr
+            assert result.returncode == 0, result.stderr
+            assert re.search(r"^PASS$", result.stdout, re.MULTILINE), result.stdout
+
+    def test_overflowing_b_is_a_numerical_failure(self):
+        """At b ~ 1e100 the closed form's X, Y and Z overflow: exit 1 with the message, no traceback."""
         result = subprocess.run([sys.executable, "-m", "gipower", "verify", "--seed", "1", "--n", "5",
-                                 "--a-max", "1", "--b-max", "1e30"], capture_output=True, text=True, timeout=60)
-        assert "Traceback" not in result.stderr
-        assert result.returncode == 1, result.stderr
-        assert re.search(r"^FAIL \(\d+ states beyond tolerance\)$", result.stdout, re.MULTILINE), result.stdout
+                                 "--a-max", "1", "--b-max", "1e100"], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr == ("error: numerical failure: closed formula gave nan "
+                                 "at det sigma = 9.033812380335597e+199\n")
 
     @pytest.mark.parametrize("flags", [
         ("--n", "-5"), ("--n", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),

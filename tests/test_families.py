@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import gipower.families as families
-import gipower.symplectic as symplectic
 from gipower import (
     CovarianceMatrix,
     FamilySpec,
@@ -424,16 +423,6 @@ class TestSampling:
                 sample(np.random.default_rng(1), 200, 1e45, 1e45)
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
-
-    def test_gate_verdict_on_columns(self, monkeypatch):
-        """A kept row the gate would reject raises the scalar gate's error."""
-        monkeypatch.setattr(symplectic, "GATE_TOL", -1.0)
-        for sample, entangled_only in SAMPLERS:
-            with pytest.raises(InvalidStateError, match="state is unphysical: nu_minus") as exc:
-                sample(np.random.default_rng(1), 300)
-            want = outcome(sample_records_scalar, np.random.default_rng(1), 300, 5.0, 5.0,
-                           entangled_only)
-            assert str(exc.value) == want
 
     def test_no_matrix_per_draw_or_record(self, monkeypatch):
         """Draws, their re-decisions in the band (widened to hold all) and records stay on (a, b, c, d)."""

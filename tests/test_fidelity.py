@@ -380,6 +380,16 @@ class TestQfiForm:
             assert error.max() <= 1e-6, (i, nu)
             assert math.isfinite(worst_case_qfi(sigma).value)
 
+    def test_axis_aligned_product_forms(self):
+        # On (1, b, 0, 0) and (a, 1, 0, 0) Q_GG = Q_GX = 0: within 4 eps of Q_XX,
+        # since nu = sqrt(b) sqrt(b)/b rounds.  The Jacobi rotation there is a
+        # quarter turn, and cos(pi/2) = 6e-17 would put Q_GG at Q_XX from b ~ 1e15 on.
+        eps = np.finfo(float).eps
+        for x in np.logspace(0, 150, 301):
+            for standard in ((1.0, x, 0.0, 0.0), (x, 1.0, 0.0, 0.0)):
+                (q_gg, _, q_gx), _, (_, _, q_xx) = _qfi_form(standard)
+                assert max(abs(q_gg), abs(q_gx)) <= 4 * eps * q_xx, standard
+
 
 class TestWorstCase:
     def test_one_factor_per_call(self, rng, cholesky_calls):
@@ -468,9 +478,9 @@ class TestWorstCase:
         assert raised >= 10
 
     def test_degenerate_pencil_raises_numerical_error(self):
-        # On the product states (1, b, 0, 0) with b from 1e25 on, the rounded Q
-        # can put the pencil's root at 0 and h0 on the light cone: mapping the
-        # argmin back is then a NumericalError, never a ZeroDivisionError.
+        # Where a rounded Q puts the pencil's root at 0 and h0 on the light cone,
+        # mapping the argmin back is a NumericalError, never a ZeroDivisionError.
+        # The product states (1, b, 0, 0) with b from 1e25 on probe it.
         for b in np.logspace(25, 150, 126):
             try:
                 assert math.isfinite(worst_case_qfi(from_standard_form(StandardForm(1.0, b, 0.0, 0.0))).value)

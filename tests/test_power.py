@@ -389,6 +389,17 @@ class TestCrossValidation:
             gip_closed_form(cm)
             assert value_builds == {"T": 1, "IpResult": 1}
 
+    def test_product_forms_up_to_huge_b(self):
+        # (a, b, 0, 0) and near-product forms up to b = 1e30: on the axis-aligned
+        # forms the oracle's Jacobi rotation is exact, (cos, sin) = (0, 1), so
+        # its Q does not grow as eps b^2 and every state passes.
+        forms = [(a, b, 0.0, 0.0) for a in (1.0, 1.5, 7.0, 1e3) for b in np.logspace(0, 30, 61)]
+        forms += [(a, b, c, d) for a in (1.5, 7.0, 1e3) for b in np.logspace(0.5, 30, 60)
+                  for c, d in ((1e-3, -1e-3), (1e-3, 5e-4), (1e-6, 0.0))]
+        for form in forms:
+            report = cross_validate(from_standard_form(StandardForm(*form)))
+            assert report.passed, (form, report)
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(InvalidStateError):

@@ -16,7 +16,6 @@ from gipower import (
     StandardForm,
     apply_local_symplectic,
     apply_loss_B,
-    block_determinants,
     from_standard_form,
     gip_closed_form,
     is_separable,
@@ -36,7 +35,7 @@ from gipower import (
 )
 import gipower.symplectic as symplectic
 from gipower.fidelity import rotation
-from gipower.symplectic import _entries, _invariants
+from gipower.symplectic import _entries
 
 from conftest import random_physical_cm
 from oracles import block_determinants_det, symplectic_spectrum_from_eigs
@@ -229,9 +228,10 @@ class TestLocalInvariants:
             assert local_invariants(cm).D == gip_closed_form(cm).invariants.D
 
     def test_D_off_the_positive_definite_set(self):
-        # No Cholesky factor: D falls back to block_determinants' AB - E.
-        sigma = np.diag([1.0, 2.0, -1.0, -3.0])
-        assert local_invariants(sigma).astuple() == tuple(block_determinants(sigma))
+        # No Cholesky factor, so no D: the same error as symplectic_eigenvalues.
+        for sigma in (np.diag([1.0, 2.0, -1.0, -3.0]), -np.eye(4)):
+            with pytest.raises(InvalidStateError, match="sigma is not positive definite"):
+                local_invariants(sigma)
 
 
 class TestInvariantKernel:
@@ -255,39 +255,21 @@ class TestInvariantKernel:
             sigma, nu_min = partial_transpose_B(cm).sigma, pt_min_symplectic_eigenvalue(cm)
         else:
             sigma, nu_min = cm.sigma, symplectic_eigenvalues(cm)[0]
-        A, B, C, E = _invariants(_entries(sigma))
         ref = block_determinants_det(sigma)
         size = np.abs(sigma).max() ** 2
-        for got, want, degree in zip((A, B, C, A * B - E), ref, (1, 1, 1, 2)):
+        for got, want, degree in zip(local_invariants(sigma).astuple(), ref, (1, 1, 1, 2)):
             assert got == pytest.approx(want, abs=1e-12 * size**degree)
-        assert E >= 0
         assert nu_min == pytest.approx(symplectic_spectrum_from_eigs(sigma)[0], abs=1e-9)
 
     def test_stacked_gate_is_the_scalar_gate(self, rng):
-        """_gates on a stack gives each state's _gate bit for bit, and rejects what _gate rejects."""
+        """_gates on a stack of physical states gives each state's _gate bit for bit."""
         cms = [random_physical_cm(rng, 20.0, 20.0, conjugate=k % 2 == 1) for k in range(200)]
         cms += [from_standard_form(sf) for sf in (tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3))]
-        cms += [CovarianceMatrix(np.diag([0.5, 0.5, 1.0, 1.0])),  # nu_minus < 1
-                CovarianceMatrix(np.diag([1.0, -1.0, 1.0, 1.0]))]  # not positive definite
         stack = np.stack([cm.sigma for cm in cms])
-        gates, rejected = symplectic._gates(_entries(stack))
+        gates = symplectic._gates(tuple(stack[:, i, j] for i, j in zip(*np.triu_indices(4))))
         for i, cm in enumerate(cms):
-            e = _entries(cm.sigma)
-            assert rejected[i] == (i >= len(cms) - 2), i
-            if rejected[i]:
-                with pytest.raises(InvalidStateError, match="state is unphysical"):
-                    symplectic._gate(e)
-                continue
-            want = [float(x).hex() for x in symplectic._gate(e)]
+            want = [float(x).hex() for x in symplectic._gate(_entries(cm.sigma))]
             assert [float(field[i]).hex() for field in gates] == want, i
-
-    def test_block_determinants_broadcast(self, rng):
-        stack = np.stack([random_physical_cm(rng, conjugate=True).sigma for _ in range(6)])
-        stack = stack.reshape(2, 3, 4, 4)
-        got = np.stack(block_determinants(stack), axis=-1)
-        for idx in np.ndindex(2, 3):
-            size = np.abs(stack[idx]).max() ** 2
-            assert got[idx] == pytest.approx(block_determinants_det(stack[idx]), abs=1e-12 * size)
 
 
 class TestStandardFormReduction:
