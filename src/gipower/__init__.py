@@ -4,6 +4,9 @@ Covariance-matrix algebra, Gaussian-state fidelity, worst-case quantum
 Fisher information over local Gaussian black boxes, the closed-form
 interferometric power, extremal state families, and random-state
 sampling for scaling and boundary analyses.
+
+numpy is executed on first array use (see _lazy): importing the package
+runs none of it, and OMEGA, a numpy array, is built when first read.
 """
 
 from .exceptions import (
@@ -57,7 +60,6 @@ from .power import (
     gip_special,
 )
 from .symplectic import (
-    OMEGA,
     BonaFideReport,
     CovarianceMatrix,
     LocalInvariants,
@@ -79,3 +81,13 @@ from .symplectic import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """symplectic.OMEGA, read on first use (PEP 562) and kept."""
+    if name != "OMEGA":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .symplectic import OMEGA
+
+    globals()["OMEGA"] = OMEGA
+    return OMEGA

@@ -10,27 +10,28 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
+from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
 from .families import (
     FamilySpec,
+    _random_state,
     _sample_columns,
+    _Uniforms,
     build_family,
     lower_bound,
     nu_zero,
-    random_state,
     upper_bound,
 )
-from .power import _closed_form, cross_validate
+from .power import _closed_form, _cross_check
 from .symplectic import (
     ORACLE_TOL,
     CovarianceMatrix,
     from_standard_form,
     StandardForm,
-    _require_physical,
+    _entries,
+    _gate,
+    _standard_entries,
     _standard_frame,
-    mean_photon_A,
 )
 
 EXIT_OK = 0
@@ -77,16 +78,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _state_report(cm: CovarianceMatrix) -> dict:
-    """The ip report, from one physicality gate: the closed form (with the
-    standard frame's (a, b, c, d)) and the spectra all read its record."""
-    sigma, gate = _require_physical(cm)
-    value, branch = _closed_form(gate, _standard_frame(sigma)[0])
+def _state_report(e) -> dict:
+    """The ip report of sigma's entries e, from one physicality gate: the closed
+    form (with the standard frame's (a, b, c, d)) and the spectra all read its record."""
+    gate = _gate(e)
+    value, branch = _closed_form(gate, _standard_frame(e)[0])
     return {
         "value": value,
         "branch": branch,
         "invariants": {"A": gate.A, "B": gate.B, "C": gate.C, "D": gate.D},
-        "n_bar_A": mean_photon_A(cm),
+        "n_bar_A": (e[0] + e[4] - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
         "log_negativity": gate.log_negativity,
         "nu_minus": gate.nu_minus,
         "nu_plus": gate.nu_plus,
@@ -98,13 +99,14 @@ def _state_report(cm: CovarianceMatrix) -> dict:
 def cmd_ip(args) -> int:
     flags = (args.a, args.b, args.c, args.d)
     if args.input is None and None not in flags:
-        cm = from_standard_form(StandardForm(*flags))
+        sf = StandardForm(*flags)
+        e = _standard_entries(sf.a, sf.b, sf.c, sf.d)  # from_standard_form's, without numpy
     elif args.input is not None and flags == (None,) * 4:
         with open(args.input) as handle:
-            cm = CovarianceMatrix.from_dict(json.load(handle))
+            e = _entries(CovarianceMatrix.from_dict(json.load(handle)).sigma)
     else:
         raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
-    report = _state_report(cm)
+    report = _state_report(e)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -112,13 +114,13 @@ def cmd_ip(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise InvalidStateError(f"state count must be >= 1, got {args.n}")
-    rng = np.random.default_rng(args.seed)
+    uniforms = _Uniforms(args.seed)  # default_rng(args.seed).random, without numpy
     worst = 0.0
     worst_sf = None
     failures = 0
     for _ in range(args.n):
-        sf = random_state(rng, args.a_max, args.b_max)
-        check = cross_validate(from_standard_form(sf), tol=args.tol)
+        sf = _random_state(uniforms, args.a_max, args.b_max)
+        check = _cross_check(_standard_entries(sf.a, sf.b, sf.c, sf.d), args.tol)
         if check.abs_diff > worst:
             worst = check.abs_diff
             worst_sf = sf

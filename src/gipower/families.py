@@ -8,12 +8,13 @@ extremal performance per mean photon number at fixed entanglement.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 
-import numpy as np
-
+from ._lazy import np
 from .exceptions import InvalidStateError
 from .power import _closed_form, _closed_form_columns
 from .symplectic import (
@@ -59,12 +60,13 @@ _BLOCK = 32
 _CHUNK = 256
 
 # numpy's SeedSequence hash constants and PCG64's multiplier: child streams are
-# seeded with the (state, inc) that PCG64(rng.bit_generator.seed_seq.spawn(n)[i]) gets.
+# seeded with the (state, inc) that PCG64(rng.bit_generator.seed_seq.spawn(n)[i]) gets,
+# and _Uniforms(seed) with default_rng(seed)'s.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ def en_threshold() -> float:
 
 
 def _check_bounds(a_max, b_max) -> tuple[float, float]:
-    if not (a_max >= 1 and b_max >= 1 and np.isfinite(a_max * a_max * b_max * b_max)):
+    if not (a_max >= 1 and b_max >= 1 and math.isfinite(a_max * a_max * b_max * b_max)):
         raise InvalidStateError(f"need a_max, b_max >= 1, a_max^2 b_max^2 finite: {a_max}, {b_max}")
     return float(a_max), float(b_max)
 
@@ -313,9 +315,17 @@ def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.
     rejected, and InvalidStateError is raised after MAX_DRAWS draws.
     Each draw reads four numbers of rng.random().
     """
+    return _random_state(lambda k: rng.random(k).tolist(), a_max, b_max)
+
+
+def _random_state(random, a_max: float, b_max: float) -> StandardForm:
+    """random_state on random(k), the next k uniforms on [0, 1) as a list of floats.
+
+    Plain math, no numpy, where random is a _Uniforms.
+    """
     a_max, b_max = _check_bounds(a_max, b_max)
     for _ in range(MAX_DRAWS):
-        draw = _draw(rng.random(4).tolist(), a_max, b_max)
+        draw = _draw(random(4), a_max, b_max)
         if _nu_minus_pt(*draw)[0] >= 1 - CHECK_TOL:
             return StandardForm(*draw)
     raise InvalidStateError(f"no physical state in {MAX_DRAWS} draws")
@@ -350,7 +360,7 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
 
 def _words(x) -> list[int]:
     """The uint32 words SeedSequence reads from an int (little-endian) or a sequence of ints."""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int) or isinstance(x, np.integer):  # numpy is not loaded for an int
         x = int(x)
         return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
     return [word for item in x for word in _words(item)]
@@ -402,12 +412,61 @@ def _child_streams(seq: np.random.SeedSequence, first: int, count: int):
     b = _hash_constants(_INIT_B, _MULT_B, 8)
     seeds = _hashmix(pool[np.arange(8) % size], _column(b[:-1]), _column(b[1:]))
     states, incs = [], []
-    # generate_state(4, uint64) pairs words little-endian; srandom reads (s0 s1, s2 s3)
-    for s0, s1, s2, s3 in np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8").tolist():
-        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-        states.append(((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128)
+    # generate_state(4, uint64) pairs words little-endian
+    for words in np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8").tolist():
+        state, inc = _srandom(*words)
+        states.append(state)
         incs.append(inc)
     return states, incs
+
+
+def _srandom(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
+    """PCG64's (state, inc) from generate_state(4, uint64)'s words: srandom reads (s0 s1, s2 s3)."""
+    inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class _Uniforms:
+    """default_rng(seed).random's doubles by int arithmetic, without numpy.
+
+    SeedSequence(seed)'s pool is numpy's mix of the seed's words, each
+    hashmix by the next hash constant; then generate_state(4, uint64) and
+    srandom as for _child_streams.  Each double steps PCG64 and takes its
+    XSL-RR output x as (x >> 11) 2**-53.  seed must be a non-negative int.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise InvalidStateError("expected non-negative integer")  # numpy's message
+        words, size = _words(seed), 4  # SeedSequence's default pool_size
+        constants = pairwise(_hash_constants(_INIT_A, _MULT_A, size * max(len(words), size)))
+
+        def hashmix(value):
+            return _hashmix(value, *next(constants))
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(size)]
+        for src in range(size):
+            for dst in range(size):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[size:]:
+            for dst in range(size):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        b = _hash_constants(_INIT_B, _MULT_B, 8)
+        seeds = [_hashmix(pool[i % size], b[i], b[i + 1]) for i in range(8)]
+        self.state, self.inc = _srandom(*(seeds[i] | seeds[i + 1] << 32 for i in range(0, 8, 2)))
+
+    def __call__(self, k: int) -> list[float]:
+        """The next k doubles: default_rng(seed).random(k).tolist() at the same point."""
+        state, inc, out = self.state, self.inc, []
+        for _ in range(k):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+            out.append((((word >> rot | word << 64 - rot) & _MASK64) >> 11) * 2.0**-53)
+        self.state = state
+        return out
 
 
 @lru_cache

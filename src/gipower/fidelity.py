@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
-from .symplectic import CHECK_TOL, OMEGA, PURE_TOL, TIE_REL, CovarianceMatrix
-from .symplectic import _require_physical, _sigma_of, _standard_frame
+from .symplectic import CHECK_TOL, PURE_TOL, TIE_REL, CovarianceMatrix
+from .symplectic import _entries, _gate, _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
     "BlackBoxParams",
@@ -54,11 +53,11 @@ class BlackBoxParams:
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.zeta) and self.zeta > 0):
+        if not (math.isfinite(self.zeta) and self.zeta > 0):
             raise InvalidStateError(f"squeezing parameter must be > 0, got {self.zeta}")
-        if not (np.isfinite(self.phi) and np.isfinite(self.theta)):
+        if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
             raise InvalidStateError("black-box parameters must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % np.pi)
+        object.__setattr__(self, "theta", float(self.theta) % math.pi)
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,12 @@ def fidelity(cm1, cm2) -> float:
     Raises InvalidStateError for unphysical input and NumericalError if the
     main radicand is negative beyond CHECK_TOL or F is not finite.
     """
-    s1, g1 = _require_physical(cm1)
-    s2, g2 = _require_physical(cm2)
+    from .symplectic import OMEGA  # built on first use
+
+    s1 = _sigma_of(cm1)
+    g1 = _gate(_entries(s1))
+    s2 = _sigma_of(cm2)
+    g2 = _gate(_entries(s2))
     lam1, lam2 = (max((g.nu_minus * g.nu_minus - 1) * (g.nu_plus * g.nu_plus - 1), 0.0)
                   for g in (g1, g2))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
@@ -281,8 +284,7 @@ def qfi(cm, zeta, theta):
     NumericalError if a value overflows (zeta^4 times the form beyond the
     float range).
     """
-    sigma, _ = _require_physical(cm)
-    standard, frame = _standard_frame(sigma)
+    standard, frame = _standard_frame(_require_physical(cm)[0])
     zeta, theta = np.asarray(zeta, dtype=float), np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(zeta) & (zeta > 0)):
         raise InvalidStateError(f"squeezing parameters must be finite and > 0, got {zeta}")
@@ -338,8 +340,7 @@ def worst_case_qfi(cm) -> WorstCaseResult:
     NumericalError if the QFI form overflows, or if that map meets a
     degenerate pencil (root 0: h0 on the light cone h0^T J h0 = 0).
     """
-    sigma, _ = _require_physical(cm)
-    standard, frame = _standard_frame(sigma)
+    standard, frame = _standard_frame(_require_physical(cm)[0])
     q, t = _qfi_form(standard), _generator_map(frame)
     value, (p0, v0), norm = _sheet_minimum(q)
     # The QFI at zeta = 1, h = (1, 0, 0): where it overflows it is nan or inf and ties nothing.

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
 from .fidelity import _qfi_form, _sheet_minimum
 from .symplectic import (
@@ -22,8 +21,10 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
+    _entries,
     _gate,
     _require_physical,
+    _sigma_of,
     _standard_entries,
     _standard_frame,
 )
@@ -88,8 +89,8 @@ def gip_closed_form(cm) -> IpResult:
     only.  Raises NumericalError if the value is not finite (X overflows
     from sigma entries of ~1e39 on).
     """
-    sigma, gate = _require_physical(cm)
-    return IpResult(*_closed_form(gate, _standard_frame(sigma)[0]), LocalInvariants(*gate[:4]))
+    e, gate = _require_physical(cm)
+    return IpResult(*_closed_form(gate, _standard_frame(e)[0]), LocalInvariants(*gate[:4]))
 
 
 def _standard_xyz(a, b, c, d):
@@ -185,7 +186,7 @@ def gip_pure(a: float) -> float:
 
     Equals n(n + 1) with n = (a - 1)/2 the mean photon number of either mode.
     """
-    if not np.isfinite(a) or a < 1:
+    if not math.isfinite(a) or a < 1:
         raise InvalidStateError(f"pure-state parameter must satisfy a >= 1, got {a}")
     return (a * a - 1) / 4
 
@@ -204,9 +205,18 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     """Check the closed formula against the worst-case QFI optimizer.
 
     Passes iff |closed - oracle/4| <= tol * max(1, closed); tol must be
-    finite and non-negative.  sigma passes the physicality gate once and
-    goes to its standard form (symplectic._standard_frame) once, and both
-    sides compute values alone: the closed form reads the gate's record and
+    finite and non-negative.  The check itself (_cross_check) reads sigma's
+    entries alone.
+    """
+    return _cross_check(_entries(_sigma_of(cm)), tol)
+
+
+def _cross_check(e, tol: float) -> CrossValidation:
+    """cross_validate on sigma's entries e: _entries of a matrix, or _standard_entries of a form.
+
+    Plain math, no numpy.  sigma passes the physicality gate once and goes
+    to its standard form (symplectic._standard_frame) once, and both sides
+    compute values alone: the closed form reads the gate's record and
     (a, b, c, d) and builds no IpResult; the oracle reads (a, b, c, d)
     alone: worst_case_qfi's value, the root of the pencil of
     fidelity._sheet_minimum on fidelity._qfi_form's Q, with no map T and no
@@ -215,8 +225,8 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
-    sigma, gate = _require_physical(cm)
-    standard = _standard_frame(sigma)[0]
+    gate = _gate(e)
+    standard = _standard_frame(e)[0]
     oracle = max(_sheet_minimum(_qfi_form(standard))[0], 0.0) / 4
     closed = _closed_form(gate, standard)[0]
     diff = abs(closed - oracle)

@@ -12,8 +12,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .exceptions import InvalidStateError, InvalidTransformError
 
 __all__ = [
@@ -38,18 +37,18 @@ __all__ = [
     "random_local_symplectic",
 ]
 
-_OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-#: Two-mode symplectic form, [[0,1],[-1,0]] on each mode.
-OMEGA = np.block([[_OMEGA1, np.zeros((2, 2))], [np.zeros((2, 2)), _OMEGA1]])
-OMEGA.setflags(write=False)
+def __getattr__(name):
+    """OMEGA, the two-mode symplectic form [[0, 1], [-1, 0]] on each mode, built
+    on first use (PEP 562), since building it executes numpy; read-only."""
+    if name != "OMEGA":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    omega1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega = np.block([[omega1, np.zeros((2, 2))], [np.zeros((2, 2)), omega1]])
+    omega.setflags(write=False)
+    globals()["OMEGA"] = omega
+    return omega
 
-# Momentum flip on mode B (partial transposition in phase space).
-_PT_B = np.diag([1.0, 1.0, 1.0, -1.0])
-
-# Permutation taking (q_A, p_A, q_B, p_B) -> (q_B, p_B, q_A, p_A).
-_SWAP = np.zeros((4, 4))
-_SWAP[0, 2] = _SWAP[1, 3] = _SWAP[2, 0] = _SWAP[3, 1] = 1.0
 
 _ORDERING = "qA,pA,qB,pB"
 
@@ -238,12 +237,14 @@ def _entries(sigma):
 def _standard_entries(a, b, c, d):
     """_entries of the standard form (a, b, c, d): floats, or arrays of standard forms.
 
-    Bit for bit those of from_standard_form's matrix, whose symmetrisation
-    keeps (x + x)/2 = x short of overflow and 0.0 off the pattern; scalars
-    become Python floats, as tolist() makes them.
+    On one form, bit for bit those of from_standard_form's matrix: Python
+    floats, as tolist() makes them, symmetrised as (x + x)/2, which is x
+    short of overflow and inf beyond, and 0.0 off the pattern.  Arrays (the
+    sampler's draws, bounded so that (x + x)/2 = x) are taken as they are.
     """
-    if not isinstance(a, np.ndarray):
+    if not getattr(a, "ndim", 0):
         a, b, c, d = float(a), float(b), float(c), float(d)
+        a, b, c, d = (a + a) / 2, (b + b) / 2, (c + c) / 2, (d + d) / 2
     return a, 0.0, c, 0.0, a, 0.0, d, b, 0.0, b
 
 
@@ -385,9 +386,9 @@ def _hypot_each(p, q, r):
 
 
 def _require_physical(cm):
-    """sigma and its _Gate, if nu_minus >= 1 - GATE_TOL."""
-    sigma = _sigma_of(cm)
-    return sigma, _gate(_entries(sigma))
+    """sigma's entries (_entries) and its _Gate, if nu_minus >= 1 - GATE_TOL."""
+    e = _entries(_sigma_of(cm))
+    return e, _gate(e)
 
 
 def local_invariants(cm) -> LocalInvariants:
@@ -416,8 +417,8 @@ def _unsqueeze(b00, b01, b11):
     return scale, ((n00 + 1) / norm, n01 / norm, (n11 + 1) / norm)
 
 
-def _standard_frame(sigma):
-    """((a, b, c, d), F_A): the standard form of sigma and its mode-A frame.
+def _standard_frame(e):
+    """((a, b, c, d), F_A): the standard form of sigma and its mode-A frame, from its entries e (_entries).
 
     sigma = F sigma_s F^T with sigma_s the standard form and F = F_A (+) F_B
     local symplectics, F_A = L_A R(phi_A) as (f00, f01, f10, f11).
@@ -433,7 +434,7 @@ def _standard_frame(sigma):
     at c = |d| (pure states), a double root of x^2 - (c^2 + d^2) x + C^2,
     whose roots lose ~sqrt(eps) c there.
     """
-    (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = sigma.tolist()
+    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
     a, (la00, la01, la11) = _unsqueeze(s00, s01, s11)
     b, (lb00, lb01, lb11) = _unsqueeze(s22, s23, s33)
     # [[p, q], [r, s]] = L_A^-1 gamma L_B^-1
@@ -452,8 +453,7 @@ def _standard_frame(sigma):
 
 def to_standard_form(cm) -> StandardForm:
     """Reduce a physical state to standard form (a, b, c, d), by _standard_frame."""
-    sigma, _ = _require_physical(cm)
-    return StandardForm(*_standard_frame(sigma)[0])
+    return StandardForm(*_standard_frame(_require_physical(cm)[0])[0])
 
 
 def from_standard_form(sf: StandardForm) -> CovarianceMatrix:
@@ -465,8 +465,8 @@ def from_standard_form(sf: StandardForm) -> CovarianceMatrix:
 
 def partial_transpose_B(cm) -> CovarianceMatrix:
     """Momentum flip on mode B: returns P sigma P with P = diag(1, 1, 1, -1)."""
-    sigma = _sigma_of(cm)
-    return CovarianceMatrix(_PT_B @ sigma @ _PT_B)
+    p = np.diag([1.0, 1.0, 1.0, -1.0])
+    return CovarianceMatrix(p @ _sigma_of(cm) @ p)
 
 
 def pt_min_symplectic_eigenvalue(cm) -> float:
@@ -500,8 +500,8 @@ def mean_photon_A(cm) -> float:
 
 def swap_modes(cm) -> CovarianceMatrix:
     """Exchange modes A and B (congruence by the swap permutation)."""
-    sigma = _sigma_of(cm)
-    return CovarianceMatrix(_SWAP @ sigma @ _SWAP.T)
+    swap = np.eye(4)[[2, 3, 0, 1]]  # (q_A, p_A, q_B, p_B) -> (q_B, p_B, q_A, p_A)
+    return CovarianceMatrix(swap @ _sigma_of(cm) @ swap.T)
 
 
 def apply_local_symplectic(cm, s_a: np.ndarray, s_b: np.ndarray) -> CovarianceMatrix:

@@ -202,6 +202,11 @@ class TestVerify:
         assert captured.err.startswith("error: invalid input:")
         assert "PASS" not in captured.out
 
+    def test_negative_seed_exit_2(self, capsys):
+        """numpy refuses SeedSequence(-3), and the numpy-free stream refuses it alike."""
+        assert main(["verify", "--seed", "-3", "--n", "5"]) == 2
+        assert capsys.readouterr().err == "error: invalid input: expected non-negative integer\n"
+
 
 class TestSample:
     def test_fig2_schema_and_revalidation(self, capsys, tmp_path):
@@ -523,3 +528,42 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+#: Runs in a fresh interpreter, numpy blocked if argv[1] is "block": imports the
+#: package and its CLI, reports the submodules, calls the scalar public
+#: functions, then gipower's main on argv[2:].
+SCALAR_RUN = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # import numpy now raises
+import gipower, gipower.cli
+from gipower import BlackBoxParams, InvalidStateError, gip_pure
+print(all(f"gipower.{name}" in sys.modules for name in ("cli", "families", "power", "fidelity", "symplectic")))
+print(repr(gip_pure(2.5)), BlackBoxParams(0.25, 2.0, 7.0))
+for call in (lambda: gip_pure(float("nan")), lambda: BlackBoxParams(0.0, -1.0, 0.0)):
+    try:
+        call()
+    except InvalidStateError as error:
+        print(error)
+sys.exit(gipower.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify", "--seed", seed, "--n", "300"] for seed in ("1", "2", "3")),
+    ["verify", "--seed", "-3", "--n", "5"],
+    ["ip", "--a", "2", "--b", "2", "--c", "1.7320508075688772", "--d", "-1.7320508075688772"],  # pure
+    ["ip", "--a", "2", "--b", "3", "--c", "0", "--d", "0"],  # product
+    ["ip", "--a", "2", "--b", "3", "--c", "1", "--d", "-1"],
+    ["ip", "--a", "1e308", "--b", "1", "--c", "0", "--d", "0"],  # (a + a)/2 overflows
+    ["ip", "--a", "1", "--b", "1", "--c", "0.5", "--d", "-0.5"],  # fails the gate
+])
+def test_scalar_paths_load_no_numpy(argv):
+    """verify and ip from flags run with numpy blocked, with a plain run's bytes and exit code."""
+    blocked, plain = (subprocess.run([sys.executable, "-c", SCALAR_RUN, mode, *argv],
+                                     capture_output=True, text=True, timeout=60)
+                      for mode in ("block", "plain"))
+    assert blocked.stdout.startswith("True\n"), blocked.stderr
+    assert "Traceback" not in blocked.stderr
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (plain.returncode, plain.stdout, plain.stderr)

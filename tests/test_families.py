@@ -37,7 +37,7 @@ from gipower import (
     validate_bona_fide,
 )
 from gipower.power import _closed_form
-from gipower.symplectic import _gate, _nu_pair, _require_physical, _standard_entries
+from gipower.symplectic import _entries, _gate, _nu_pair, _require_physical, _standard_entries
 from oracles import random_state_scalar, sample_records_scalar
 
 
@@ -336,6 +336,19 @@ class TestStandardFormGate:
         want = gate_bits(lambda: _require_physical(from_standard_form(StandardForm(a, b, c, d)))[1])
         assert got == want, (a, b, c, d)
 
+    def test_entries_are_the_matrix_entries(self):
+        """Bit for bit, from floats, ints or numpy floats, (x + x)/2 = inf past 2**1023 included."""
+        top = 2.0**1023  # the least x whose x + x overflows
+        forms = [(2.0, 3.0, 1.0, -1.0), (2, 3, 1, -1), (np.float64(2.5), 1.0, 0.5, -0.0),
+                 (top, 1.0, 0.0, 0.0), (math.nextafter(top, 0), 1.0, 0.0, 0.0),
+                 (1.5, 1e308, 0.0, 0.0), (1e308, 1e308, 1e308, -1e308)]
+        for form in forms:
+            with np.errstate(over="ignore"):
+                want = _entries(from_standard_form(StandardForm(*form)).sigma)
+            got = _standard_entries(*form)
+            assert all(type(x) is float for x in got), form
+            assert [x.hex() for x in got] == [x.hex() for x in want], form
+
     @pytest.mark.parametrize("bounds", [(5.0, 5.0), (1.05, 1.05), (100.0, 100.0)])
     def test_draws(self, bounds):
         for u in np.random.default_rng(8).random((10_000, 4)).tolist():
@@ -606,3 +619,35 @@ class TestChildStreams:
         want = [np.random.Generator(np.random.PCG64(child)).random(12 * block)
                 for child in seq.spawn(5)]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+#: Seeds of the numpy-free stream: one, two, three and five uint32 words, and a
+#: 200-bit int, whose words beyond the pool size are mixed in last.
+STREAM_SEEDS = [*range(60), 2**32, 2**64 + 5, 2**128 + 1, 2**199 + 0x5DEECE66D * 2**97 + 11]
+
+
+class TestUniforms:
+    """verify's numpy-free stream (families._Uniforms) against default_rng(seed).random."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_equals_default_rng(self, seed):
+        for k in (1, 4, 7, 128):
+            assert families._Uniforms(seed)(k) == np.random.default_rng(seed).random(k).tolist()
+        # reads of each size in turn, so each crosses the ends of the reads before it
+        uniforms, rng = families._Uniforms(seed), np.random.default_rng(seed)
+        for k in (1, 4, 7, 128, 7, 4, 1, 128):
+            assert uniforms(k) == rng.random(k).tolist(), k
+
+    def test_random_state_reads_it_as_a_generator(self):
+        """_random_state on the stream: random_state's states, rejections included."""
+        for seed, bounds in ((1, (5.0, 5.0)), (2, (1.05, 1.05)), (3, (40.0, 1.5))):
+            uniforms, rng = families._Uniforms(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                assert families._random_state(uniforms, *bounds) == random_state(rng, *bounds)
+
+    def test_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(-3)
+        with pytest.raises(InvalidStateError) as error:
+            families._Uniforms(-3)
+        assert str(error.value) == str(numpy_error.value) == "expected non-negative integer"

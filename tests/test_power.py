@@ -37,6 +37,8 @@ from gipower import (
 )
 
 import gipower.symplectic as symplectic
+from gipower.power import _cross_check
+from gipower.symplectic import _standard_entries
 from conftest import random_physical_cm
 from oracles import closed_form_mp
 
@@ -312,6 +314,15 @@ def oracle_states(rng):
 
 
 class TestCrossValidation:
+    def test_check_on_standard_entries_is_cross_validate(self, rng):
+        """verify's numpy-free check on (a, b, c, d) equals cross_validate on the matrix."""
+        forms = [random_state(rng) for _ in range(300)] + [tmsv(a) for a in (1.0, 2.0, 300.0)]
+        forms += [StandardForm(1.0, b, 0.0, 0.0) for b in (1.0, 1e20, 1e30)]
+        for sf in forms:
+            for tol in (0.0, 1e-4):
+                want = cross_validate(from_standard_form(sf), tol)
+                assert _cross_check(_standard_entries(sf.a, sf.b, sf.c, sf.d), tol) == want, sf
+
     def test_spot_states(self):
         for sf in (S231, tmsv(2.0), StandardForm(2.0, 3.0, 0.0, 0.0)):
             report = cross_validate(from_standard_form(sf), tol=1e-3)
