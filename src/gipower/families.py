@@ -25,6 +25,9 @@ from .symplectic import (
     StandardForm,
     _gate,
     _gates,
+    _hypot_each,
+    _hypot_nested,
+    _log_negativity,
     _nu_pair,
     _standard_entries,
 )
@@ -223,11 +226,14 @@ def nu_zero() -> float:
     return x
 
 
+def _branch1_g(nu):
+    """g(nu) = 1 / lower_bound_branch1(nu), whose root of g = 1 en_threshold finds."""
+    return 2 / (nu + 1) - 2 / (nu - 1) - 2 * np.sqrt(2) / np.sqrt(nu + 1) - 1
+
+
 def lower_bound_branch1(nu):
     """Lower boundary of power per photon on the thermal branch (nu > nu_zero)."""
-    nu = np.asarray(nu, dtype=float)
-    g = 2 / (nu + 1) - 2 / (nu - 1) - 2 * np.sqrt(2) / np.sqrt(nu + 1) - 1
-    return 1.0 / g
+    return 1.0 / _branch1_g(np.asarray(nu, dtype=float))
 
 
 def lower_bound_branch2(nu):
@@ -265,7 +271,7 @@ def en_threshold() -> float:
     """
     x = 0.32
     for _ in range(64):
-        g = 2 / (x + 1) - 2 / (x - 1) - 2 * np.sqrt(2) / np.sqrt(x + 1) - 1
+        g = _branch1_g(x)
         dg = -2 / (x + 1) ** 2 + 2 / (x - 1) ** 2 + np.sqrt(2) / (x + 1) ** 1.5
         step = (g - 1) / dg
         x -= step
@@ -297,11 +303,8 @@ def _draw(u, a_max: float, b_max: float):
 
 
 def _nu_minus_pt(a, b, c, d):
-    """nu_minus of the standard form (a, b, c, d) and of its partial transpose, floats or arrays.
-
-    validate_bona_fide's numbers, from one factor (_nu_pair): 0 where
-    sigma is not positive definite.
-    """
+    """nu_minus of the standard form (a, b, c, d), floats, and of its partial transpose:
+    validate_bona_fide's numbers from one factor (_nu_pair), 0 where sigma is not > 0."""
     nu_minus, _, nu_tilde, _ = _nu_pair(_standard_entries(a, b, c, d)) or (0.0,) * 4
     return nu_minus, nu_tilde
 
@@ -339,10 +342,11 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are rebuilt from their
     uniforms by scalar arithmetic and decided on floats, as random_state
     decides them and as is_separable would (one factor gives both), which
-    fixes every decision to theirs.
+    fixes every decision to theirs.  A sigma not > 0 gives nu = nan, so it is in the band.
     """
     a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
-    nu, nu_pt = _nu_minus_pt(a, b, c, d)
+    gate = _gates(_standard_entries(a, b, c, d), _hypot_nested)
+    nu, nu_pt = gate.nu_minus, gate.nu_tilde
     threshold, band = 1 - CHECK_TOL, GUARD_BAND * a * b
     physical = nu >= threshold
     near = ~(np.abs(nu - threshold) > band)
@@ -537,13 +541,13 @@ def _kept_columns(draws) -> _Columns:
     go through _gate and _closed_form in order, so the first error is the scalar one.
     """
     form = tuple(np.array(draws).T)
-    gate = _gates(_standard_entries(*form))
+    gate = _gates(_standard_entries(*form), _hypot_each)
     p_g, left = _closed_form_columns(form)
     for i in np.flatnonzero(left):
         p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i])[0]
-    a = form[0]
+    a, e_n = form[0], np.array(list(map(_log_negativity, gate.nu_tilde.tolist())))
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
-                    gate.log_negativity, p_g, gate.separable, gate.nu_tilde)
+                    e_n, p_g, gate.separable, gate.nu_tilde)
 
 
 def _sample_columns(seq: np.random.SeedSequence, n, a_max, b_max, entangled_only) -> _Columns:

@@ -68,8 +68,8 @@ PURE_TOL = 1e-7
 MAX_DRAWS = 10_000
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
 #: which the batched sampler's array-computed nu decisions are redone on
-#: floats.  The gate kernel's two paths differ by rounding only (nested
-#: np.hypot against math.hypot): for nu in (0.5, 2) by at most 4.2e-16 a*b
+#: floats.  They read _gates with _hypot_nested, which differs from _nu_pair's
+#: math.hypot by rounding only: for nu in (0.5, 2) by at most 4.2e-16 a*b
 #: (40,000 draws at each of six (a_max, b_max) from (1.05, 1.05) to (1e4, 1e4)).
 GUARD_BAND = 1e-13
 #: |det S - 1| allowed of each block of a local symplectic S_A (+) S_B.
@@ -86,9 +86,9 @@ ROOT_STEP = 1e-16
 class CovarianceMatrix:
     """4x4 real symmetric second-moment matrix of a two-mode Gaussian state.
 
-    First moments are fixed to zero.  The constructor symmetrizes its input
-    as (M + M^T)/2 (absorbing e.g. file round-trip asymmetry) and freezes
-    the result; instances are immutable and safe to share across threads.
+    First moments are fixed to zero.  The constructor symmetrizes its input as
+    (M + M^T)/2 (absorbing e.g. file round-trip asymmetry), refuses a result that
+    is not finite and freezes it; instances are immutable and thread-safe.
     """
 
     __slots__ = ("sigma",)
@@ -97,9 +97,10 @@ class CovarianceMatrix:
         arr = np.array(sigma, dtype=float)
         if arr.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {arr.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = (arr + arr.T) / 2
         if not np.all(np.isfinite(arr)):
-            raise InvalidStateError("covariance matrix has non-finite entries")
-        arr = (arr + arr.T) / 2
+            raise InvalidStateError("covariance matrix has non-finite entries or overflows")
         arr.setflags(write=False)
         self.sigma = arr
 
@@ -141,8 +142,9 @@ class CovarianceMatrix:
 class StandardForm:
     """The four scalars (a, b, c, d) of the locally-reduced covariance matrix.
 
-    Constraints a, b >= 1 and c >= |d| >= 0 are enforced up to a small
-    tolerance; physicality is not (check the reconstructed matrix).
+    Stored as floats.  a, b >= 1 and c >= |d| >= 0 are enforced up to a small
+    tolerance, and x + x finite (the matrix's symmetrisation must not overflow);
+    physicality is not (check the reconstructed matrix).
     """
 
     a: float
@@ -152,8 +154,12 @@ class StandardForm:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            if not math.isfinite(getattr(self, name)):
+            x = getattr(self, name)
+            if not math.isfinite(x):
                 raise InvalidStateError(f"standard form has non-finite {name}")
+            object.__setattr__(self, name, x := float(x))
+            if not math.isfinite(x + x):
+                raise InvalidStateError(f"standard form {name} = {x} overflows the covariance matrix")
         if self.a < 1 - CHECK_TOL or self.b < 1 - CHECK_TOL:
             raise InvalidStateError(f"standard form requires a, b >= 1, got ({self.a}, {self.b})")
         if self.c < abs(self.d) - CHECK_TOL:
@@ -205,11 +211,9 @@ class _Gate(namedtuple("_Gate", "A B C D nu_minus nu_plus nu_tilde")):
     __slots__ = ()
 
     @property
-    def log_negativity(self):
-        """max{0, -ln nu_tilde}, by math.log state by state."""
-        if isinstance(self.nu_tilde, float):
-            return _log_negativity(self.nu_tilde)
-        return np.array(list(map(_log_negativity, self.nu_tilde.tolist())))
+    def log_negativity(self) -> float:
+        """max{0, -ln nu_tilde} of one state."""
+        return _log_negativity(self.nu_tilde)
 
     @property
     def separable(self):
@@ -237,14 +241,10 @@ def _entries(sigma):
 def _standard_entries(a, b, c, d):
     """_entries of the standard form (a, b, c, d): floats, or arrays of standard forms.
 
-    On one form, bit for bit those of from_standard_form's matrix: Python
-    floats, as tolist() makes them, symmetrised as (x + x)/2, which is x
-    short of overflow and inf beyond, and 0.0 off the pattern.  Arrays (the
-    sampler's draws, bounded so that (x + x)/2 = x) are taken as they are.
+    On a StandardForm's fields, bit for bit those of from_standard_form's
+    matrix: its symmetrisation (x + x)/2 is x, since StandardForm stops
+    short of overflow, and the entries off the pattern are 0.0.
     """
-    if not getattr(a, "ndim", 0):
-        a, b, c, d = float(a), float(b), float(c), float(d)
-        a, b, c, d = (a + a) / 2, (b + b) / 2, (c + c) / 2, (d + d) / 2
     return a, 0.0, c, 0.0, a, 0.0, d, b, 0.0, b
 
 
@@ -257,35 +257,28 @@ def _blocks(e):
     return s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12
 
 
-def _cholesky(e):
+def _cholesky(e, sqrt):
     """Lower Cholesky factor of sigma by plain arithmetic on its entries e, row by row.
 
-    On floats, by math: None unless sigma > 0.  On arrays, by numpy under
-    the caller's errstate: where math finds a pivot <= 0, l00, l11 or l22
-    is not > 0, or l33 is nan.
+    Broadcasts, with the caller's sqrt: math.sqrt on floats, where a pivot < 0,
+    or = 0 before the last, raises ValueError or ZeroDivisionError; np.sqrt on
+    arrays, under the caller's errstate, where those states give l22 * l33 = nan.
     """
     s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
-    sqrt = math.sqrt if isinstance(s00, float) else np.sqrt
-    try:
-        l00 = sqrt(s00)
-        l10, l20, l30 = s01 / l00, s02 / l00, s03 / l00
-        l11 = sqrt(s11 - l10 * l10)
-        l21, l31 = (s12 - l20 * l10) / l11, (s13 - l30 * l10) / l11
-        l22 = sqrt(s22 - l20 * l20 - l21 * l21)
-        l32 = (s23 - l30 * l20 - l31 * l21) / l22
-        l33 = sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
-    except (ValueError, ZeroDivisionError):  # a pivot <= 0, on floats
-        return None
+    l00 = sqrt(s00)
+    l10, l20, l30 = s01 / l00, s02 / l00, s03 / l00
+    l11 = sqrt(s11 - l10 * l10)
+    l21, l31 = (s12 - l20 * l10) / l11, (s13 - l30 * l10) / l11
+    l22 = sqrt(s22 - l20 * l20 - l21 * l21)
+    l32 = (s23 - l30 * l20 - l31 * l21) / l22
+    l33 = sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
     return (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33)
 
 
 def _nu_pair(e):
-    """(nu-, nu+, nu~, det L) of sigma from its entries e, nu~ the nu- of its partial transpose.
+    """(nu-, nu+, nu~, det L) of sigma from its entries e (floats), nu~ the nu- of its partial transpose.
 
-    On floats, by math: None unless sigma > 0.  On arrays, by numpy under
-    one errstate: all four are 0 where sigma is not > 0, that is where
-    math would find a pivot <= 0.  The two agree to a few ulps, nested
-    np.hypot being no bit-copy of the 3-argument math.hypot.
+    By math: None unless sigma > 0.  _gates is the same kernel on stacks.
 
     Williamson by Cholesky: with sigma = L L^T, the antisymmetric
     M = L^T Omega L has eigenvalues +-i nu-, +-i nu+.  Its self-dual and
@@ -300,15 +293,11 @@ def _nu_pair(e):
     error ~eps cond(sigma); AB - (AB - D) loses ~eps AB, which on a pure
     state with a ~ 300 already exceeds PURE_TOL.
     """
-    if isinstance(e[0], float):
-        factor = _cholesky(e)
-        return None if factor is None else _spectra(factor, math.hypot)
-    with np.errstate(all="ignore"):
-        factor = _cholesky(e)
-        (l00,), (_, l11), (_, _, l22), (_, _, _, l33) = factor
-        positive = (l00 > 0) & (l11 > 0) & (l22 > 0) & (l33 >= 0)
-        spectra = _spectra(factor, lambda p, q, r: np.hypot(np.hypot(p, q), r))
-        return tuple(np.where(positive, v, 0.0) for v in spectra)
+    try:
+        factor = _cholesky(e, math.sqrt)
+    except (ValueError, ZeroDivisionError):  # a pivot <= 0
+        return None
+    return _spectra(factor, math.hypot)
 
 
 def _spectra(factor, hypot):
@@ -327,15 +316,20 @@ def _spectra(factor, hypot):
     return det_root / nu_plus, nu_plus, det_root / nu_plus_pt, det_root
 
 
+def _definite_nu(e):
+    """_nu_pair of sigma's entries e; InvalidStateError unless sigma is positive definite."""
+    nu = _nu_pair(e)
+    if nu is None:
+        raise InvalidStateError("sigma is not positive definite")
+    return nu
+
+
 def symplectic_eigenvalues(cm) -> tuple[float, float]:
     """Symplectic eigenvalues (nu_minus, nu_plus) of a two-mode state.
 
     Raises InvalidStateError unless sigma is positive definite.
     """
-    nu = _nu_pair(_entries(_sigma_of(cm)))
-    if nu is None:
-        raise InvalidStateError("sigma is not positive definite")
-    return nu[:2]
+    return _definite_nu(_entries(_sigma_of(cm)))[:2]
 
 
 def validate_bona_fide(cm) -> BonaFideReport:
@@ -368,21 +362,27 @@ def _gate(e):
     return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
-def _gates(e):
+def _gates(e, hypot):
     """_gate on each state of a stack of entries e, from one factor, unchecked: a _Gate of arrays.
 
-    numpy's + - * / sqrt round as floats do and the hypots are math.hypot
-    state by state, so every number is bit for bit _gate's on that state's
-    floats; on a state _gate would reject they mean nothing.
+    The kernel's one stack entry, with the caller's hypot(p, q, r): numpy's + - * / sqrt
+    round as floats do, so with _hypot_each every number is _gate's on that state's floats
+    bit for bit, and with _hypot_nested to a few ulps (GUARD_BAND).  nu_minus, nu_tilde and
+    D are nan where _nu_pair gives None; on another state _gate rejects they mean nothing.
     """
     with np.errstate(all="ignore"):
-        nu_minus, nu_plus, nu_tilde, det_root = _spectra(_cholesky(e), _hypot_each)
+        nu_minus, nu_plus, nu_tilde, det_root = _spectra(_cholesky(e, np.sqrt), hypot)
         return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
 def _hypot_each(p, q, r):
     """math.hypot(p, q, r) of each element of three arrays."""
     return np.array(list(map(math.hypot, p.tolist(), q.tolist(), r.tolist())))
+
+
+def _hypot_nested(p, q, r):
+    """|(p, q, r)| of arrays by nested np.hypot, no bit-copy of the 3-argument math.hypot."""
+    return np.hypot(np.hypot(p, q), r)
 
 
 def _require_physical(cm):
@@ -398,10 +398,8 @@ def local_invariants(cm) -> LocalInvariants:
     Raises InvalidStateError unless sigma is positive definite.
     """
     e = _entries(_sigma_of(cm))
-    nu = _nu_pair(e)
-    if nu is None:
-        raise InvalidStateError("sigma is not positive definite")
-    return LocalInvariants(*_blocks(e), nu[3] * nu[3])
+    det_root = _definite_nu(e)[3]
+    return LocalInvariants(*_blocks(e), det_root * det_root)
 
 
 def _unsqueeze(b00, b01, b11):
@@ -476,10 +474,7 @@ def pt_min_symplectic_eigenvalue(cm) -> float:
     sufficient for 1x1-mode Gaussian states).  Raises InvalidStateError
     unless sigma is positive definite.
     """
-    nu = _nu_pair(_entries(_sigma_of(cm)))
-    if nu is None:
-        raise InvalidStateError("sigma is not positive definite")
-    return nu[2]
+    return _definite_nu(_entries(_sigma_of(cm)))[2]
 
 
 def log_negativity(cm) -> float:

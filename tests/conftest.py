@@ -30,6 +30,12 @@ def rng():
     return np.random.default_rng(20240801)
 
 
+@pytest.fixture(autouse=True)
+def child_warning_policy(monkeypatch):
+    """Child processes turn RuntimeWarning into an error, as pyproject's filterwarnings does here."""
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+
+
 @pytest.fixture
 def cholesky_calls(monkeypatch):
     """[scalar, stacked]: the Cholesky factorisations made from here on, of one state
@@ -37,9 +43,9 @@ def cholesky_calls(monkeypatch):
     calls = [0, 0]
     cholesky = symplectic._cholesky
 
-    def counted(e):
+    def counted(e, sqrt):
         calls[0 if isinstance(e[0], float) else 1] += 1
-        return cholesky(e)
+        return cholesky(e, sqrt)
 
     monkeypatch.setattr(symplectic, "_cholesky", counted)
     return calls

@@ -384,6 +384,15 @@ class TestBounds:
         code, _ = run_cli(capsys, "bounds", "--grid", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_out_to_a_directory_exit_2_leaves_no_temporary(self, capsys, tmp_path):
+        """The rename onto a directory fails: the temporary file is removed, and the exit is 2."""
+        target = tmp_path / "dir"
+        target.mkdir()
+        assert main(["bounds", "--grid", "3", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: [Errno 21] Is a directory: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["dir"]
+        assert not any(target.iterdir())
+
 
 class TestFamily:
     def test_tmsv_round_trip(self, capsys, tmp_path):
@@ -507,6 +516,31 @@ def test_parser_reused_without_leaks(capsys, tmp_path):
         assert result.stdout == out
     for i in (1, 3):
         assert (tmp_path / f"warm-{i}.csv").read_bytes() == (tmp_path / f"fresh-{i}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (["ip", "--input", "{tmp}/huge.json"], 2, "overflows"),  # diag(1e308, 1e308, 1, 1)
+    (["ip", "--a", "1e308", "--b", "1", "--c", "0", "--d", "0"], 2, "overflows the covariance matrix"),
+    (["ip", "--input", "{tmp}/big.json"], 1, "det sigma = inf"),  # diag(1e150, 1e150, 2e150, 2e150)
+    (["verify", "--seed", "1", "--n", "5", "--a-max", "1", "--b-max", "1e100"], 1, "closed formula gave nan"),
+    (["sample", "--seed", "1", "--n", "3", "--which", "fig3", "--a-max", "1", "--b-max", "1",
+      "--out", "{tmp}/x.csv"], 2, "no entangled state"),  # product states only
+    (["sample", "--seed", "1", "--n", "3", "--which", "fig2", "--out", "{tmp}/dir"], 2, "Is a directory"),
+], ids=["huge-input", "huge-flags", "big-input", "verify-huge-b", "fig3-no-entangled", "out-dir"])
+def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
+    """One stderr line, the error's, with its exit code: no warning, no traceback, no temporary file left."""
+    (tmp_path / "dir").mkdir()
+    for name, diagonal in (("huge.json", [1e308, 1e308, 1.0, 1.0]),
+                           ("big.json", [1e150, 1e150, 2e150, 2e150])):
+        (tmp_path / name).write_text(json.dumps({"sigma": np.diag(diagonal).tolist()}))
+    result = subprocess.run([sys.executable, "-m", "gipower", *(x.format(tmp=tmp_path) for x in argv)],
+                            capture_output=True, text=True, timeout=60)
+    prefix = {1: "error: numerical failure: ", 2: "error: invalid input: "}[code]
+    assert result.returncode == code, result.stderr
+    assert result.stderr.startswith(prefix) and result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.endswith("\n") and reason in result.stderr and result.stdout == ""
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    assert not list(tmp_path.rglob(".gipower-*.tmp"))
 
 
 def test_module_entry_point():

@@ -37,7 +37,16 @@ from gipower import (
     validate_bona_fide,
 )
 from gipower.power import _closed_form
-from gipower.symplectic import _entries, _gate, _nu_pair, _require_physical, _standard_entries
+from gipower.symplectic import (
+    _entries,
+    _gate,
+    _gates,
+    _hypot_each,
+    _hypot_nested,
+    _nu_pair,
+    _require_physical,
+    _standard_entries,
+)
 from oracles import random_state_scalar, sample_records_scalar
 
 
@@ -123,6 +132,10 @@ class TestSeparableExtremal:
         sf = separable_extremal(1.0, 7.0)
         assert gip_closed_form(from_standard_form(sf)).value == pytest.approx(0.0, abs=1e-13)
 
+    def test_rejects_a_or_b_below_one(self):
+        with pytest.raises(InvalidStateError, match=r"^separable_extremal requires a, b >= 1, got \(2.0, 0.5\)$"):
+            separable_extremal(2.0, 0.5)
+
     def test_always_separable(self):
         for a, b in ((1.5, 1.5), (2.0, 9.0), (4.0, 2.0)):
             cm = from_standard_form(separable_extremal(a, b))
@@ -147,6 +160,10 @@ class TestEntangledStNu:
         with pytest.raises(InvalidStateError):
             entangled_st_nu(2.0, 3.0, 1.0)
 
+    def test_rejects_a_or_b_below_one(self):
+        with pytest.raises(InvalidStateError, match=r"^entangled_st_nu requires a, b >= 1, got \(0.5, 3.0\)$"):
+            entangled_st_nu(0.5, 3.0, 0.5)
+
 
 class TestUpperBoundary:
     def test_sits_on_physicality_boundary(self):
@@ -169,6 +186,11 @@ class TestUpperBoundary:
 
     def test_limit_at_weak_entanglement(self):
         assert upper_bound(1 - 1e-9) == pytest.approx(1.0, abs=1e-8)
+
+    def test_rejects_bad_nu(self):
+        for nu in (0.0, 1.0):
+            with pytest.raises(InvalidStateError, match=rf"^upper_boundary_state requires 0 < nu < 1, got {nu}$"):
+                upper_boundary_state(nu, 50.0)
 
 
 class TestLowerBranch1:
@@ -220,6 +242,11 @@ class TestLowerBranch2:
 
     def test_limit_at_weak_entanglement(self):
         assert float(lower_bound_branch2(1 - 1e-9)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_rejects_bad_nu(self):
+        for nu in (0.0, 1.0):
+            with pytest.raises(InvalidStateError, match=rf"^lower_branch2_state requires 0 < nu < 1, got {nu}$"):
+                lower_branch2_state(nu)
 
 
 class TestBranchPoint:
@@ -337,17 +364,25 @@ class TestStandardFormGate:
         assert got == want, (a, b, c, d)
 
     def test_entries_are_the_matrix_entries(self):
-        """Bit for bit, from floats, ints or numpy floats, (x + x)/2 = inf past 2**1023 included."""
+        """Bit for bit through StandardForm, from floats, ints or numpy floats, up to the
+        largest x whose x + x is finite; past it StandardForm and CovarianceMatrix refuse."""
         top = 2.0**1023  # the least x whose x + x overflows
         forms = [(2.0, 3.0, 1.0, -1.0), (2, 3, 1, -1), (np.float64(2.5), 1.0, 0.5, -0.0),
-                 (top, 1.0, 0.0, 0.0), (math.nextafter(top, 0), 1.0, 0.0, 0.0),
-                 (1.5, 1e308, 0.0, 0.0), (1e308, 1e308, 1e308, -1e308)]
+                 (math.nextafter(top, 0), 1.0, 0.0, 0.0), (1e307, 1e307, 1e307, -1e307)]
         for form in forms:
-            with np.errstate(over="ignore"):
-                want = _entries(from_standard_form(StandardForm(*form)).sigma)
-            got = _standard_entries(*form)
+            sf = StandardForm(*form)
+            want = _entries(from_standard_form(sf).sigma)
+            got = _standard_entries(sf.a, sf.b, sf.c, sf.d)
             assert all(type(x) is float for x in got), form
             assert [x.hex() for x in got] == [x.hex() for x in want], form
+        for form in [(top, 1.0, 0.0, 0.0), (1.5, 1e308, 0.0, 0.0), (1e308, 1e308, 1e308, -1e308),
+                     (np.float64(1e308), 1.0, 0.0, 0.0)]:
+            with pytest.raises(InvalidStateError, match="overflows the covariance matrix"):
+                StandardForm(*form)
+            a, b, c, d = form
+            pattern = [[a, 0, c, 0], [0, a, 0, d], [c, 0, b, 0], [0, d, 0, b]]
+            with pytest.raises(InvalidStateError, match="non-finite entries or overflows"):
+                CovarianceMatrix(pattern)
 
     @pytest.mark.parametrize("bounds", [(5.0, 5.0), (1.05, 1.05), (100.0, 100.0)])
     def test_draws(self, bounds):
@@ -367,6 +402,11 @@ class TestRandomState:
             assert 1.0 <= sf.b <= 3.0
             assert sf.c >= abs(sf.d)
             assert validate_bona_fide(from_standard_form(sf)).physical
+
+    def test_no_physical_state_raises(self):
+        """A stream whose every draw is unphysical (a = b = 3, c and d near c_max) runs out of draws."""
+        with pytest.raises(InvalidStateError, match=r"^no physical state in 10000 draws$"):
+            families._random_state(lambda k: [0.5, 0.5, 0.999, 0.999], 5.0, 5.0)
 
     def test_deterministic_given_seed(self):
         draws1 = [random_state(np.random.default_rng(7)) for _ in range(1)]
@@ -499,16 +539,43 @@ class TestBatchedSampler:
                 assert got == want, (seed, sample.__name__)
 
     def test_array_nu_matches_scalar(self):
-        """_nu_pair on a stack of draws against _nu_pair on each draw's floats, far inside GUARD_BAND."""
+        """_gates with _hypot_nested on a stack of draws against _nu_pair per draw, far inside GUARD_BAND."""
         u = np.random.default_rng(5).random((1000, 4))
         for bounds in ((5.0, 5.0), (1.05, 1.05), (100.0, 100.0)):
             a, b, c, d = families._draw(u.T, *bounds)
-            nu, _, nu_pt, _ = _nu_pair(_standard_entries(a, b, c, d))
+            gate = _gates(_standard_entries(a, b, c, d), _hypot_nested)
+            nu, nu_pt = gate.nu_minus, gate.nu_tilde
             for i in range(len(u)):
                 scalar = _nu_pair(_standard_entries(*families._draw(u[i].tolist(), *bounds)))
                 for got, pt in ((nu[i], False), (nu_pt[i], True)):
                     want = (scalar or (0.0,) * 4)[2 if pt else 0]
                     assert abs(got - want) <= 1e-14 * a[i] * b[i] * max(1.0, want), (bounds, i, pt)
+
+    def test_stack_nan_where_scalar_none(self, monkeypatch):
+        """A stack mixing positive-definite and other sigma: _gates is nan exactly where
+        _nu_pair gives None, and _accept decides every row as the scalar checks do."""
+        u = np.random.default_rng(6).random((40, 4))
+        forms = [*map(tuple, np.transpose(families._draw(u.T, 5.0, 5.0)).tolist()),
+                 (2.0, 2.0, 1.7, -1.7), (1.0, 1.0, 0.5, -0.5),  # entangled; not physical
+                 (1.0, 1.0, 2.0, 0.0), (1.0, 1.0, 1.0, 0.0),  # ab < c^2; ab = c^2
+                 (2.0, 2.0, 0.0, 3.0), (1.0, 1.0, 0.0, 1.0),  # ab < d^2; ab = d^2, last pivot 0
+                 (0.0, 1.0, 0.0, 0.0), (-1.0, 2.0, 0.0, 0.0), (2.0, -1.0, 0.0, 0.0)]
+        scalar = [_nu_pair(_standard_entries(*form)) for form in forms]
+        assert sum(nu is None for nu in scalar) == 6
+        assert scalar[-4][0] == 0.0  # a zero last pivot gives nu = 0, not None
+        for hypot in (_hypot_each, _hypot_nested):
+            gate = _gates(_standard_entries(*map(np.array, zip(*forms))), hypot)
+            for field in (gate.nu_minus, gate.nu_tilde, gate.D):
+                assert np.isnan(field).tolist() == [nu is None for nu in scalar]
+        monkeypatch.setattr(families, "_draw", lambda u, a_max, b_max: u)  # u holds the forms
+        threshold = 1 - families.CHECK_TOL
+        for entangled_only in (False, True):
+            physical, accepted = families._accept(np.array(forms), 5.0, 5.0, entangled_only)
+            want = [families._nu_minus_pt(*form) for form in forms]
+            assert physical.tolist() == [nu >= threshold for nu, _ in want]
+            assert accepted.tolist() == [nu >= threshold and not (entangled_only and nu_pt >= threshold)
+                                         for nu, nu_pt in want]
+        assert physical.any() and accepted.any() and not physical.all()
 
     def test_scalar_decisions_inside_the_band(self, monkeypatch):
         """A band wide enough to hold every draw hands every decision to the scalar checks."""

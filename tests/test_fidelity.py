@@ -136,6 +136,15 @@ class TestBlackBoxSymplectic:
         with pytest.raises(InvalidStateError):
             BlackBoxParams(0.0, 0.0, 0.0)
 
+    def test_params_finite(self):
+        for params in ((math.nan, 1.5, 0.2), (0.3, 1.5, math.inf)):
+            with pytest.raises(InvalidStateError, match="^black-box parameters must be finite$"):
+                BlackBoxParams(*params)
+
+    def test_tuple_input(self):
+        assert np.array_equal(blackbox_symplectic((0.3, 1.5, 4.0)),
+                              blackbox_symplectic(BlackBoxParams(0.3, 1.5, 4.0)))
+
 
 class TestApplyBlackbox:
     def test_product_with_unit_squeeze_unchanged(self, rng):
@@ -209,6 +218,14 @@ class TestFidelity:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
             fidelity(np.diag([0.5, 0.5, 1.0, 1.0]), np.eye(4))
+
+    def test_negative_radicand_raises_numerical_error(self, monkeypatch):
+        """A radicand s^2 - Upsilon below -CHECK_TOL max(1, s^2) raises, never a clamp to 0.
+        A zero symplectic form makes Gamma = det(-I)/16 on the thermal state 2I, so
+        s = 1/4 + 9/4 and s^2 - Upsilon = 6.25 - 16."""
+        monkeypatch.setattr(sys.modules["gipower.symplectic"], "OMEGA", np.zeros((4, 4)))
+        with pytest.raises(NumericalError, match=r"^fidelity radicand -9\.7\d* negative beyond tolerance$"):
+            fidelity(2 * np.eye(4), 2 * np.eye(4))
 
     def test_states_the_gate_admits_below_the_bound(self, rng):
         # lam = det(sigma + i Omega) as D - (A + B + 2C) + 1 reads ~ -1e-6 on

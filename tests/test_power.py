@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestClosedForm:
         result = gip_closed_form(from_standard_form(tmsv(2.0)))
         assert result.value == pytest.approx(0.75, abs=1e-12)
         assert result.branch == "pure"
+
+    def test_negative_radicand_raises_numerical_error(self, monkeypatch):
+        """A radicand X^2 + YZ below -CHECK_TOL max(1, X^2) raises, never a clamp to 0.
+        gipower.power is also a function, so the module comes from sys.modules."""
+        monkeypatch.setattr(sys.modules["gipower.power"], "_standard_xyz",
+                            lambda *form: (1.0, 1.0, -5.0, 1.0))
+        with pytest.raises(NumericalError, match=r"^negative radicand -4\.0 in closed formula$"):
+            gip_from_standard_form(S231)
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
@@ -252,6 +261,11 @@ class TestSpecialForm:
         with pytest.raises(InvalidStateError):
             gip_special(StandardForm(1.2, 1.2, 1.2, 1.2))
 
+    def test_tuple_input(self):
+        assert gip_special((2.0, 3.0, 1.0, -1.0)) == gip_special(S231)
+        with pytest.raises(InvalidStateError, match=r"requires c >= \|d\|, got \(0.5, 1.0\)"):
+            gip_special((2.0, 2.0, 0.5, 1.0))
+
 
 class TestPureFormula:
     def test_examples(self):
@@ -274,6 +288,11 @@ class TestStandardFormDispatch:
         result = gip_from_standard_form(S231)
         assert result.branch == "general"
         assert result.value == pytest.approx(1 / 12, abs=1e-12)
+
+    def test_tuple_input(self):
+        assert gip_from_standard_form((2.0, 3.0, 1.0, -1.0)) == gip_from_standard_form(S231)
+        with pytest.raises(InvalidStateError, match="overflows the covariance matrix"):
+            gip_from_standard_form((1e308, 1.0, 0.0, 0.0))
 
     def test_pure_branch_wins(self):
         result = gip_from_standard_form(tmsv(2.0))

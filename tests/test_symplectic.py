@@ -66,6 +66,18 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidStateError):
             CovarianceMatrix(m)
 
+    def test_rejects_overflow_of_the_symmetrisation(self):
+        """Finite entries whose (M + M^T)/2 overflows are refused, with no numpy warning."""
+        m = np.eye(4)
+        m[0, 1] = m[1, 0] = 1e308
+        with pytest.raises(InvalidStateError, match="non-finite entries or overflows"):
+            CovarianceMatrix(m)
+
+    def test_repr(self):
+        assert repr(CovarianceMatrix(np.diag([2.0, 2.0, 3.0, 3.0]))) == (
+            "CovarianceMatrix([[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0], "
+            "[0.0, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 3.0]])")
+
     def test_immutable(self):
         cm = CovarianceMatrix(np.eye(4))
         with pytest.raises(ValueError):
@@ -110,6 +122,11 @@ class TestStandardForm:
 
     def test_json_round_trip(self):
         sf = StandardForm.from_dict(S231.to_dict())
+        assert sf == S231
+
+    def test_fields_are_floats(self):
+        sf = StandardForm(2, np.float64(3.0), np.int64(1), -1)
+        assert [type(x) for x in (sf.a, sf.b, sf.c, sf.d)] == [float] * 4
         assert sf == S231
 
 
@@ -266,7 +283,8 @@ class TestInvariantKernel:
         cms = [random_physical_cm(rng, 20.0, 20.0, conjugate=k % 2 == 1) for k in range(200)]
         cms += [from_standard_form(sf) for sf in (tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3))]
         stack = np.stack([cm.sigma for cm in cms])
-        gates = symplectic._gates(tuple(stack[:, i, j] for i, j in zip(*np.triu_indices(4))))
+        gates = symplectic._gates(tuple(stack[:, i, j] for i, j in zip(*np.triu_indices(4))),
+                                  symplectic._hypot_each)
         for i, cm in enumerate(cms):
             want = [float(x).hex() for x in symplectic._gate(_entries(cm.sigma))]
             assert [float(field[i]).hex() for field in gates] == want, i
@@ -327,6 +345,12 @@ class TestFromStandardForm:
         sigma = from_standard_form(StandardForm(2, 2, c, -c)).sigma
         expected = np.array([[2, 0, c, 0], [0, 2, 0, -c], [c, 0, 2, 0], [0, -c, 0, 2]])
         assert np.allclose(sigma, expected, atol=0)
+
+    def test_tuple_input(self):
+        assert np.array_equal(from_standard_form((2.0, 3.0, 1.0, -1.0)).sigma,
+                              from_standard_form(S231).sigma)
+        with pytest.raises(InvalidStateError, match=r"requires a, b >= 1, got \(0.5, 1.0\)"):
+            from_standard_form((0.5, 1.0, 0.0, 0.0))
 
     def test_round_trip_identity(self):
         for sf in (StandardForm(1, 1, 0, 0), S231, tmsv(1.7), StandardForm(2.5, 1.5, 0.8, 0.3)):
@@ -419,6 +443,12 @@ class TestLocalSymplectic:
     def test_rejects_non_symplectic(self):
         with pytest.raises(InvalidTransformError):
             apply_local_symplectic(np.eye(4), 2 * np.eye(2), np.eye(2))
+
+    def test_rejects_non_finite(self):
+        for s_a, s_b, name in ((np.diag([np.nan, 1.0]), np.eye(2), "S_A"),
+                               (np.eye(2), [[1.0, np.inf], [0.0, 1.0]], "S_B")):
+            with pytest.raises(InvalidTransformError, match=f"^{name} must be a finite 2x2 matrix$"):
+                apply_local_symplectic(np.eye(4), s_a, s_b)
 
     def test_pure_iff_unit_determinant(self, rng):
         for a in (1.0, 1.5, 2.0, 4.0):
