@@ -3,7 +3,7 @@
 Random separable probes never beat the shot-noise line P = n_bar, and
 random entangled probes never beat the Heisenberg curve P = n_bar(n_bar+1);
 two named families saturate those envelopes.  Same data as
-`gipower sample --which fig2`.
+`gipower sample --which fig2 --seed 7 --n 2000`, row for row.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from gipower import (
 )
 
 N = 2000
-records = sample_figure2(np.random.default_rng(7), N)
+records = sample_figure2(7, N)
 
 separable = [r for r in records if r.separable]
 entangled = [r for r in records if not r.separable]

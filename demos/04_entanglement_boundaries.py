@@ -4,7 +4,7 @@ At fixed entanglement (log-negativity, equivalently the partial-transpose
 eigenvalue nu), the normalized power P / n_bar is pinched between two
 curves.  Highly thermalized states sit on the upper one; pure two-mode
 squeezed states become the *worst* probes once entanglement is strong.
-Same data as `gipower sample --which fig3` / `gipower bounds`.
+Same rows as `gipower sample --which fig3 --seed 11 --n 2000`; see also `gipower bounds`.
 """
 
 import numpy as np
@@ -55,7 +55,7 @@ print(f"  lower pure family,    nu = 0.1: P/n_bar = "
       f"(curve {float(lower_bound_branch2(0.1)):.5f})")
 
 N = 2000
-records = sample_figure3(np.random.default_rng(11), N)
+records = sample_figure3(11, N)
 inside = 0
 for r in records:
     from gipower import pt_min_symplectic_eigenvalue

@@ -24,6 +24,7 @@ from .families import (
 )
 from .power import _closed_form, _cross_check
 from .symplectic import (
+    MAX_GRID,
     ORACLE_TOL,
     CovarianceMatrix,
     from_standard_form,
@@ -78,11 +79,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _state_report(e) -> dict:
-    """The ip report of sigma's entries e, from one physicality gate: the closed
-    form (with the standard frame's (a, b, c, d)) and the spectra all read its record."""
+def _state_report(e, form=None) -> dict:
+    """The ip report of sigma's entries e and its standard form (a, b, c, d), from one
+    physicality gate: the closed form and the spectra all read its record.  Without a
+    form, the standard frame's is used, built only once the gate has passed."""
     gate = _gate(e)
-    value, branch = _closed_form(gate, _standard_frame(e)[0])
+    value, branch = _closed_form(gate, form or _standard_frame(e)[0])
     return {
         "value": value,
         "branch": branch,
@@ -100,13 +102,15 @@ def cmd_ip(args) -> int:
     flags = (args.a, args.b, args.c, args.d)
     if args.input is None and None not in flags:
         sf = StandardForm(*flags)
-        e = _standard_entries(sf.a, sf.b, sf.c, sf.d)  # from_standard_form's, without numpy
+        form = (sf.a, sf.b, sf.c, sf.d)
+        e = _standard_entries(*form)  # from_standard_form's, without numpy
     elif args.input is not None and flags == (None,) * 4:
         with open(args.input) as handle:
             e = _entries(CovarianceMatrix.from_dict(json.load(handle)).sigma)
+        form = None
     else:
         raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
-    report = _state_report(e)
+    report = _state_report(e, form)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -136,8 +140,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     fig3 = args.which == "fig3"
-    seq = np.random.SeedSequence(args.seed)  # default_rng(args.seed)'s, so rows are its children
-    kept = _sample_columns(seq, args.n, args.a_max, args.b_max, entangled_only=fig3)
+    kept = _sample_columns(args.seed, args.n, args.a_max, args.b_max, entangled_only=fig3)
     n_bar_A, nu_tilde = kept.n_bar_A, kept.nu_tilde
     if fig3:
         columns = [kept.e_n, kept.p_g / n_bar_A, nu_tilde, lower_bound(nu_tilde),
@@ -151,8 +154,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.grid < 1:
-        raise InvalidStateError(f"grid size must be >= 1, got {args.grid}")
+    if not 1 <= args.grid <= MAX_GRID:
+        raise InvalidStateError(f"grid size must be in 1 .. {MAX_GRID}, got {args.grid}")
     branch_point = nu_zero()
     nus = [(i + 1) / (args.grid + 1) for i in range(args.grid)]
     rows = ((nu, -np.log(nu), upper_bound(nu), lower_bound(nu),

@@ -9,6 +9,7 @@ extremal performance per mean photon number at fixed entanglement.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +30,7 @@ from .symplectic import (
     _hypot_nested,
     _log_negativity,
     _nu_pair,
+    _separable,
     _standard_entries,
 )
 
@@ -63,7 +65,7 @@ _BLOCK = 32
 _CHUNK = 256
 
 # numpy's SeedSequence hash constants and PCG64's multiplier: child streams are
-# seeded with the (state, inc) that PCG64(rng.bit_generator.seed_seq.spawn(n)[i]) gets,
+# seeded with the (state, inc) that PCG64 gets from child i of SeedSequence(seed),
 # and _Uniforms(seed) with default_rng(seed)'s.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -209,21 +211,23 @@ def build_family(spec: FamilySpec) -> StandardForm:
         raise InvalidStateError(f"wrong parameter count for {spec.kind!r}: {exc}") from exc
 
 
+def _newton(step, x):
+    """x - step(x), repeated: at most 64 Newton steps, stopping after one below ROOT_STEP."""
+    for _ in range(64):
+        dx = step(x)
+        x -= dx
+        if abs(dx) < ROOT_STEP:
+            break
+    return x
+
+
 @lru_cache(maxsize=1)
 def nu_zero() -> float:
     """Branch point of the lower boundary: real root of x^3 + x^2 + 7x - 1.
 
     Newton iteration from 0.14; the residual converges below 1e-12.
     """
-    x = 0.14
-    for _ in range(64):
-        p = x**3 + x**2 + 7 * x - 1
-        dp = 3 * x**2 + 2 * x + 7
-        step = p / dp
-        x -= step
-        if abs(step) < ROOT_STEP:
-            break
-    return x
+    return _newton(lambda x: (x**3 + x**2 + 7 * x - 1) / (3 * x**2 + 2 * x + 7), 0.14)
 
 
 def _branch1_g(nu):
@@ -269,15 +273,11 @@ def en_threshold() -> float:
     Solves lower_bound_branch1(nu) = 1 by Newton iteration with the
     analytic derivative and returns -ln(nu) of the root (about 1.135).
     """
-    x = 0.32
-    for _ in range(64):
-        g = _branch1_g(x)
+    def step(x):
         dg = -2 / (x + 1) ** 2 + 2 / (x - 1) ** 2 + np.sqrt(2) / (x + 1) ** 1.5
-        step = (g - 1) / dg
-        x -= step
-        if abs(step) < ROOT_STEP:
-            break
-    return float(-np.log(x))
+        return (_branch1_g(x) - 1) / dg
+
+    return float(-np.log(_newton(step, 0.32)))
 
 
 def _check_bounds(a_max, b_max) -> tuple[float, float]:
@@ -345,8 +345,7 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     fixes every decision to theirs.  A sigma not > 0 gives nu = nan, so it is in the band.
     """
     a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
-    gate = _gates(_standard_entries(a, b, c, d), _hypot_nested)
-    nu, nu_pt = gate.nu_minus, gate.nu_tilde
+    nu, _, nu_pt, _ = _gates(_standard_entries(a, b, c, d), _hypot_nested)
     threshold, band = 1 - CHECK_TOL, GUARD_BAND * a * b
     physical = nu >= threshold
     near = ~(np.abs(nu - threshold) > band)
@@ -360,14 +359,6 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
         physical[i] = nu_i >= threshold
         accepted[i] = physical[i] and not (entangled_only and nu_pt_i >= threshold)
     return physical, accepted
-
-
-def _words(x) -> list[int]:
-    """The uint32 words SeedSequence reads from an int (little-endian) or a sequence of ints."""
-    if isinstance(x, int) or isinstance(x, np.integer):  # numpy is not loaded for an int
-        x = int(x)
-        return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
-    return [word for item in x for word in _words(item)]
 
 
 def _hash_constants(h: int, multiplier: int, count: int) -> list[int]:
@@ -393,35 +384,39 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _column(values) -> np.ndarray:
-    """values as a uint32 column, one row each."""
-    return np.array(values, dtype=np.uint32)[:, None]
+def _pool(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """SeedSequence(seed)'s pool, ints, and the pairs of hash constants that follow its mix.
 
-
-def _child_streams(seq: np.random.SeedSequence, first: int, count: int):
-    """PCG64 (states, incs), lists of ints, of the children first .. first + count - 1 of seq.
-
-    SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, i)) for child i, then PCG64's
-    seeding, in array arithmetic.  A child's pool is seq.pool, numpy's mix of seq's words
-    (entropy zero-padded to pool_size, then spawn_key), with its last word i mixed in: on
-    an array, one row per pool word, by the hash constants that follow the size * words
-    seq's mix used.  generate_state(4, uint64) and PCG64's srandom follow.  i must be
-    below 2**32, one word.
+    numpy mixes the seed's uint32 words (little-endian, zero-padded to the pool size 4)
+    into the pool, each word hashmix by the next pair of hash constants.  Child i of
+    SeedSequence(seed), for i < 2**32, has the spawn key word i after those words, so its
+    pool is this one with i mixed into pool word k by the k-th pair returned.
     """
-    size = seq.pool_size
-    words = max(len(_words(seq.entropy)), size) + len(_words(seq.spawn_key))
-    a = _hash_constants(_INIT_A * pow(_MULT_A, size * words, 2**32) & _MASK32, _MULT_A, size)
-    index = np.arange(first, first + count, dtype=np.uint32)
-    pool = _mix(_column(seq.pool), _hashmix(index, _column(a[:-1]), _column(a[1:])))
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidStateError("expected non-negative integer")  # numpy's message
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pairs = pairwise(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 4))
+
+    def hashmix(value):
+        return _hashmix(value, *next(pairs))
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, list(pairs)
+
+
+def _state_words(pool) -> list:
+    """generate_state(8, uint32) of a SeedSequence pool of four words: ints, or uint32 arrays."""
     b = _hash_constants(_INIT_B, _MULT_B, 8)
-    seeds = _hashmix(pool[np.arange(8) % size], _column(b[:-1]), _column(b[1:]))
-    states, incs = [], []
-    # generate_state(4, uint64) pairs words little-endian
-    for words in np.ascontiguousarray(seeds.T, dtype="<u4").view("<u8").tolist():
-        state, inc = _srandom(*words)
-        states.append(state)
-        incs.append(inc)
-    return states, incs
+    return [_hashmix(pool[i % 4], b[i], b[i + 1]) for i in range(8)]
 
 
 def _srandom(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
@@ -430,37 +425,39 @@ def _srandom(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
     return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
 
 
+def _child_streams(mixed, first: int, count: int):
+    """PCG64 (states, incs), lists of ints, of the children first .. first + count - 1 of
+    SeedSequence(seed), as PCG64 seeds itself from the children numpy spawns.
+
+    mixed is _pool(seed), computed once per seed by the caller.  Each child's index is
+    mixed into its pool words on uint32 arrays of one element per child, then _state_words
+    and srandom.  Indices must be below 2**32, one word.
+    """
+    pool, pairs = mixed
+    index = np.arange(first, first + count, dtype=np.uint32)
+    words = _state_words([_mix(word, _hashmix(index, *pair)) for word, pair in zip(pool, pairs)])
+    states, incs = [], []
+    # generate_state(4, uint64) pairs words little-endian
+    for s in np.ascontiguousarray(np.transpose(words), dtype="<u4").view("<u8").tolist():
+        state, inc = _srandom(*s)
+        states.append(state)
+        incs.append(inc)
+    return states, incs
+
+
 class _Uniforms:
     """default_rng(seed).random's doubles by int arithmetic, without numpy.
 
-    SeedSequence(seed)'s pool is numpy's mix of the seed's words, each
-    hashmix by the next hash constant; then generate_state(4, uint64) and
-    srandom as for _child_streams.  Each double steps PCG64 and takes its
-    XSL-RR output x as (x >> 11) 2**-53.  seed must be a non-negative int.
+    PCG64 seeded from _pool(seed) by _state_words, its words paired
+    little-endian, and srandom, as for _child_streams.  Each double steps PCG64 and takes its XSL-RR output x
+    as (x >> 11) 2**-53.  seed must be a non-negative int.
     """
 
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise InvalidStateError("expected non-negative integer")  # numpy's message
-        words, size = _words(seed), 4  # SeedSequence's default pool_size
-        constants = pairwise(_hash_constants(_INIT_A, _MULT_A, size * max(len(words), size)))
-
-        def hashmix(value):
-            return _hashmix(value, *next(constants))
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(size)]
-        for src in range(size):
-            for dst in range(size):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in words[size:]:
-            for dst in range(size):
-                pool[dst] = _mix(pool[dst], hashmix(word))
-        b = _hash_constants(_INIT_B, _MULT_B, 8)
-        seeds = [_hashmix(pool[i % size], b[i], b[i + 1]) for i in range(8)]
-        self.state, self.inc = _srandom(*(seeds[i] | seeds[i + 1] << 32 for i in range(0, 8, 2)))
+        w = _state_words(_pool(seed)[0])
+        self.state, self.inc = _srandom(*(w[i] | w[i + 1] << 32 for i in range(0, 8, 2)))
 
     def __call__(self, k: int) -> list[float]:
         """The next k doubles: default_rng(seed).random(k).tolist() at the same point."""
@@ -534,44 +531,43 @@ def _first_accepted(generator, states, incs, a_max: float, b_max: float,
 def _kept_columns(draws) -> _Columns:
     """The _Columns of kept draws, a list of (a, b, c, d) floats, in their order.
 
-    One stacked gate (_gates) and one pass of _closed_form_columns give
-    every number bit for bit as the scalar gate and _closed_form give it
-    per draw, and every kept draw passes the gate (its scalar nu_minus is
+    One stacked factor (_gates) and one pass of _closed_form_columns give
+    every number bit for bit as _nu_pair and _closed_form give it per draw,
+    and every kept draw passes the gate (its scalar nu_minus is
     >= 1 - CHECK_TOL).  The draws whose closed form rescales, clamps or raises
     go through _gate and _closed_form in order, so the first error is the scalar one.
     """
     form = tuple(np.array(draws).T)
-    gate = _gates(_standard_entries(*form), _hypot_each)
+    nu_tilde = _gates(_standard_entries(*form), _hypot_each)[2]
     p_g, left = _closed_form_columns(form)
     for i in np.flatnonzero(left):
         p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i])[0]
-    a, e_n = form[0], np.array(list(map(_log_negativity, gate.nu_tilde.tolist())))
+    a, e_n = form[0], np.array(list(map(_log_negativity, nu_tilde.tolist())))
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
-                    e_n, p_g, gate.separable, gate.nu_tilde)
+                    e_n, p_g, _separable(nu_tilde), nu_tilde)
 
 
-def _sample_columns(seq: np.random.SeedSequence, n, a_max, b_max, entangled_only) -> _Columns:
+def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
     """The _Columns of n rows from independent per-row substreams, sorted canonically.
 
-    Row i takes the first accepted draw of child seq.n_children_spawned + i of seq,
-    the PCG64 stream that seq.spawn would give it: the draw random_state (and, if
-    entangled_only, a loop over it that skips separable states) would return from
-    that stream.  seq is left as it is.  The streams are seeded by array arithmetic,
-    decided and their rows built _CHUNK at a time; the first stream that fails
-    raises, after the rows of the streams before it.  Rows are sorted by
+    Row i takes the first accepted draw of child i of SeedSequence(seed), the PCG64
+    stream of the i-th child default_rng(seed) spawns: the draw random_state (and, if
+    entangled_only, a loop over it that skips separable states) would return from that
+    stream.  n <= 2**32 - 1 keeps every child index in one word.  The streams are seeded
+    by array arithmetic, decided and their rows built _CHUNK at a time; the first stream
+    that fails raises, after the rows of the streams before it.  Rows are sorted by
     (a, b, c, d), stably.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
+    if n > _MASK32:
+        raise InvalidStateError(f"sample count must be <= 2**32 - 1, got {n}")
     a_max, b_max = _check_bounds(a_max, b_max)
-    first = seq.n_children_spawned
-    if first + n > _MASK32:
-        raise InvalidStateError(f"child streams {first} to {first + n - 1} pass numpy's "
-                                f"spawn count limit of 2**32 - 1")
+    mixed = _pool(seed)
     generator = np.random.Generator(np.random.PCG64(0))  # set to each stream before it draws
     chunks = []
     for start in range(0, n, _CHUNK):
-        states, incs = _child_streams(seq, first + start, min(_CHUNK, n - start))
+        states, incs = _child_streams(mixed, start, min(_CHUNK, n - start))
         outcomes = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
         failed = next((k for k, outcome in enumerate(outcomes) if isinstance(outcome, str)),
                       len(outcomes))
@@ -584,43 +580,28 @@ def _sample_columns(seq: np.random.SeedSequence, n, a_max, b_max, entangled_only
     return _Columns(*(column[order] for column in columns))
 
 
-def _seed_sequence(rng) -> np.random.SeedSequence:
-    """The SeedSequence that rng.spawn spawns from; rng must be a Generator over PCG64."""
-    bit_generator = getattr(rng, "bit_generator", None)
-    seq = getattr(bit_generator, "seed_seq", None)
-    if type(bit_generator) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence:
-        raise TypeError("sampling needs a numpy Generator over PCG64 seeded by a SeedSequence, "
-                        f"such as default_rng(seed); got {rng!r}")
-    return seq
-
-
-def _sample_records(rng, n, a_max, b_max, entangled_only) -> list[SampleRecord]:
-    """_sample_columns of rng's next n children, as records of Python floats.
-
-    rng then counts those children spawned, as rng.spawn(n) would.
-    """
-    seq = _seed_sequence(rng)
-    columns = _sample_columns(seq, n, a_max, b_max, entangled_only)
-    for start in range(0, n, _CHUNK):  # a chunk at a time, so memory stays flat in n
-        seq.spawn(min(_CHUNK, n - start))
+def _sample_records(seed, n, a_max, b_max, entangled_only) -> list[SampleRecord]:
+    """_sample_columns as records of Python floats."""
+    columns = _sample_columns(seed, n, a_max, b_max, entangled_only)
     return [SampleRecord(StandardForm(*row[:4]), *row[4:])
             for row in zip(*(column.tolist() for column in columns))]
 
 
-def sample_figure2(rng: np.random.Generator, n: int, a_max: float = 5.0,
+def sample_figure2(seed: int, n: int, a_max: float = 5.0,
                    b_max: float = 5.0) -> list[SampleRecord]:
     """Random states with power, photon number and separability per record.
 
-    rng must be a Generator over PCG64, as default_rng(seed) gives: record i comes from
-    the i-th child stream that rng.spawn(n) would give, and rng counts those spawned.
+    seed is a non-negative int: record i comes from child i of SeedSequence(seed), the
+    stream of the i-th child default_rng(seed) spawns.  These are the rows `gipower
+    sample --which fig2 --seed seed` writes.
     """
-    return _sample_records(rng, n, a_max, b_max, entangled_only=False)
+    return _sample_records(seed, n, a_max, b_max, entangled_only=False)
 
 
-def sample_figure3(rng: np.random.Generator, n: int, a_max: float = 5.0,
+def sample_figure3(seed: int, n: int, a_max: float = 5.0,
                    b_max: float = 5.0) -> list[SampleRecord]:
     """Entangled-only random states (for power-versus-entanglement data).
 
-    rng and its child streams as for sample_figure2.
+    seed and its child streams as for sample_figure2; the rows of `--which fig3`.
     """
-    return _sample_records(rng, n, a_max, b_max, entangled_only=True)
+    return _sample_records(seed, n, a_max, b_max, entangled_only=True)

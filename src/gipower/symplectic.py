@@ -66,6 +66,8 @@ GATE_TOL = 1e-7
 PURE_TOL = 1e-7
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
+#: Largest `gipower bounds --grid`: every row is built before the first is written.
+MAX_GRID = 10**6
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
 #: which the batched sampler's array-computed nu decisions are redone on
 #: floats.  They read _gates with _hypot_nested, which differs from _nu_pair's
@@ -202,10 +204,8 @@ class BonaFideReport:
 
 
 class _Gate(namedtuple("_Gate", "A B C D nu_minus nu_plus nu_tilde")):
-    """What the gate reads off a physical sigma, by name: A, B, C from _blocks,
-    D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus.
-
-    Floats for one state (_gate), arrays for a stack of states (_gates).
+    """What the gate reads off one physical sigma, by name, as floats: A, B, C from
+    _blocks, D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus.
     """
 
     __slots__ = ()
@@ -216,9 +216,14 @@ class _Gate(namedtuple("_Gate", "A B C D nu_minus nu_plus nu_tilde")):
         return _log_negativity(self.nu_tilde)
 
     @property
-    def separable(self):
-        """The PPT criterion: nu_tilde >= 1 - CHECK_TOL."""
-        return self.nu_tilde >= 1 - CHECK_TOL
+    def separable(self) -> bool:
+        """The PPT criterion (_separable) on nu_tilde."""
+        return _separable(self.nu_tilde)
+
+
+def _separable(nu_tilde):
+    """The PPT criterion: nu_tilde >= 1 - CHECK_TOL, on a float or elementwise on an array."""
+    return nu_tilde >= 1 - CHECK_TOL
 
 
 def _log_negativity(nu_tilde: float) -> float:
@@ -342,7 +347,7 @@ def validate_bona_fide(cm) -> BonaFideReport:
     """
     nu_min, _, nu_tilde, _ = _nu_pair(_entries(_sigma_of(cm))) or (0.0,) * 4
     return BonaFideReport(physical=bool(nu_min >= 1 - CHECK_TOL), nu_min=nu_min,
-                          separable=bool(nu_tilde >= 1 - CHECK_TOL))
+                          separable=_separable(nu_tilde))
 
 
 def _gate(e):
@@ -363,16 +368,16 @@ def _gate(e):
 
 
 def _gates(e, hypot):
-    """_gate on each state of a stack of entries e, from one factor, unchecked: a _Gate of arrays.
+    """_nu_pair on each state of a stack of entries e, from one factor, unchecked: arrays
+    (nu-, nu+, nu~, det L).
 
     The kernel's one stack entry, with the caller's hypot(p, q, r): numpy's + - * / sqrt
-    round as floats do, so with _hypot_each every number is _gate's on that state's floats
-    bit for bit, and with _hypot_nested to a few ulps (GUARD_BAND).  nu_minus, nu_tilde and
-    D are nan where _nu_pair gives None; on another state _gate rejects they mean nothing.
+    round as floats do, so with _hypot_each every number is _nu_pair's on that state's
+    floats bit for bit, and with _hypot_nested to a few ulps (GUARD_BAND).  All four are
+    nan where _nu_pair gives None; on another state _gate rejects they mean nothing.
     """
     with np.errstate(all="ignore"):
-        nu_minus, nu_plus, nu_tilde, det_root = _spectra(_cholesky(e, np.sqrt), hypot)
-        return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
+        return _spectra(_cholesky(e, np.sqrt), hypot)
 
 
 def _hypot_each(p, q, r):
@@ -484,7 +489,7 @@ def log_negativity(cm) -> float:
 
 def is_separable(cm) -> bool:
     """True iff the partial transpose is physical within CHECK_TOL (PPT criterion)."""
-    return pt_min_symplectic_eigenvalue(cm) >= 1 - CHECK_TOL
+    return _separable(pt_min_symplectic_eigenvalue(cm))
 
 
 def mean_photon_A(cm) -> float:

@@ -217,11 +217,11 @@ def _record_from(sf: StandardForm) -> SampleRecord:
     )
 
 
-def sample_records_scalar(rng, n, a_max, b_max, entangled_only):
+def sample_records_scalar(seed, n, a_max, b_max, entangled_only):
     """families._sample_records before batching: one validated draw at a time.
 
-    Record i draws from the i-th child stream spawned from rng, at most
-    MAX_DRAWS times; a draw is tested before its record is built.
+    Record i draws from the i-th child stream numpy's default_rng(seed).spawn(n)
+    gives, at most MAX_DRAWS times; a draw is tested before its record is built.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
@@ -234,7 +234,7 @@ def sample_records_scalar(rng, n, a_max, b_max, entangled_only):
         raise InvalidStateError(
             f"no entangled state in {families.MAX_DRAWS} draws; raise a_max or b_max")
 
-    records = [make(stream) for stream in rng.spawn(n)]
+    records = [make(stream) for stream in np.random.default_rng(seed).spawn(n)]
     records.sort(key=lambda r: (r.sf.a, r.sf.b, r.sf.c, r.sf.d))
     return records
 

@@ -153,8 +153,7 @@ def test_criterion_4_faithfulness():
 
 
 def test_criterion_5_scaling_caps():
-    rng = np.random.default_rng(505)
-    records = sample_figure2(rng, SAMPLES)
+    records = sample_figure2(505, SAMPLES)
     sep_viol = sum(
         1 for r in records if r.separable and r.p_g > r.n_bar_A * (1 + 1e-6)
     )
@@ -186,8 +185,7 @@ def test_criterion_5_scaling_caps():
 
 
 def test_criterion_6_boundary_reproduction():
-    rng = np.random.default_rng(606)
-    records = sample_figure3(rng, SAMPLES)
+    records = sample_figure3(606, SAMPLES)
     nu = np.array([pt_min_symplectic_eigenvalue(from_standard_form(r.sf)) for r in records])
     ratio = np.array([r.p_g / r.n_bar_A for r in records])
     viol = int(np.count_nonzero(~((lower_bound(nu) - 1e-6 <= ratio) & (ratio <= upper_bound(nu) + 1e-6))))

@@ -17,13 +17,19 @@ from gipower import (
     CovarianceMatrix,
     from_standard_form,
     gip_closed_form,
+    gip_from_standard_form,
     is_separable,
     log_negativity,
+    lower_bound,
     mean_photon_A,
     pt_min_symplectic_eigenvalue,
+    random_state,
+    sample_figure2,
+    sample_figure3,
     StandardForm,
     symplectic_eigenvalues,
     tmsv,
+    upper_bound,
 )
 import gipower.families as families
 from gipower import cli
@@ -37,6 +43,18 @@ def run_cli(capsys, *argv):
 
 
 class TestIp:
+    def test_flags_report_the_form_given(self, capsys):
+        """--a --b --c --d are read as given, not moved through the standard frame:
+        value and branch are gip_from_standard_form's bit for bit."""
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            sf = random_state(rng, 20.0, 20.0)
+            flags = [x for name in "abcd" for x in (f"--{name}", repr(getattr(sf, name)))]
+            code, out = run_cli(capsys, "ip", *flags)
+            assert code == 0
+            report, want = json.loads(out), gip_from_standard_form(sf)
+            assert (report["value"].hex(), report["branch"]) == (want.value.hex(), want.branch), sf
+
     def test_pure_tmsv_flags(self, capsys):
         code, out = run_cli(
             capsys, "ip", "--a", "2", "--b", "2", "--c", "1.7320508", "--d", "-1.7320508"
@@ -249,6 +267,28 @@ class TestSample:
             )
             assert e_n > 0
 
+    @pytest.mark.parametrize("bounds", [(), ("--a-max", "1.05", "--b-max", "1.05")],
+                             ids=["default", "1.05"])
+    @pytest.mark.parametrize("which, sample", [("fig2", sample_figure2), ("fig3", sample_figure3)])
+    def test_rows_are_the_library_records(self, capsys, tmp_path, bounds, which, sample):
+        """sample_figure2/3(seed, n) return the rows `sample --seed seed --n n` writes."""
+        for seed in (1, 2, 3):
+            path = tmp_path / f"{which}-{seed}.csv"
+            code, _ = run_cli(capsys, "sample", "--seed", str(seed), "--n", "300", "--which", which,
+                              *bounds, "--out", str(path))
+            assert code == 0
+            records = sample(seed, 300, *map(float, bounds[1::2]))
+            n_bar, nu = (np.array([getattr(r, k) for r in records]) for k in ("n_bar_A", "nu_tilde"))
+            p_g = np.array([r.p_g for r in records])
+            if which == "fig3":
+                columns = [[r.e_n for r in records], p_g / n_bar, nu, lower_bound(nu), upper_bound(nu)]
+            else:
+                columns = [n_bar, p_g, ["true" if r.separable else "false" for r in records],
+                           n_bar, n_bar * (n_bar + 1)]
+            columns += [[getattr(r.sf, k) for r in records] for k in "abcd"]
+            rows = zip(*(np.asarray(column).tolist() for column in columns))
+            assert path.read_text() == cli._csv(which, rows), seed
+
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         paths = [tmp_path / f"out{i}.csv" for i in range(2)]
         for path in paths:
@@ -383,6 +423,17 @@ class TestBounds:
     def test_bad_grid_exit_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "bounds", "--grid", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("grid", [cli.MAX_GRID + 1, 10**20])
+    def test_grid_past_the_cap_exit_2(self, capsys, tmp_path, grid):
+        """Refused before a row is built: at once, one error line, no file."""
+        start = time.perf_counter()
+        code = main(["bounds", "--grid", str(grid), "--out", str(tmp_path / "x.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: grid size must be in 1 .. 1000000, got {grid}\n")
+        assert not any(tmp_path.iterdir())
 
     def test_out_to_a_directory_exit_2_leaves_no_temporary(self, capsys, tmp_path):
         """The rename onto a directory fails: the temporary file is removed, and the exit is 2."""
@@ -522,16 +573,20 @@ def test_parser_reused_without_leaks(capsys, tmp_path):
     (["ip", "--input", "{tmp}/huge.json"], 2, "overflows"),  # diag(1e308, 1e308, 1, 1)
     (["ip", "--a", "1e308", "--b", "1", "--c", "0", "--d", "0"], 2, "overflows the covariance matrix"),
     (["ip", "--input", "{tmp}/big.json"], 1, "det sigma = inf"),  # diag(1e150, 1e150, 2e150, 2e150)
+    (["ip", "--input", "{tmp}/zero.json"], 2, "not positive definite"),  # diag(0, 0, 1, 1)
+    (["ip", "--input", "{tmp}/negative.json"], 2, "not positive definite"),  # diag(-1, -1, 1, 1)
     (["verify", "--seed", "1", "--n", "5", "--a-max", "1", "--b-max", "1e100"], 1, "closed formula gave nan"),
     (["sample", "--seed", "1", "--n", "3", "--which", "fig3", "--a-max", "1", "--b-max", "1",
       "--out", "{tmp}/x.csv"], 2, "no entangled state"),  # product states only
     (["sample", "--seed", "1", "--n", "3", "--which", "fig2", "--out", "{tmp}/dir"], 2, "Is a directory"),
-], ids=["huge-input", "huge-flags", "big-input", "verify-huge-b", "fig3-no-entangled", "out-dir"])
+], ids=["huge-input", "huge-flags", "big-input", "zero-input", "negative-input", "verify-huge-b", "fig3-no-entangled", "out-dir"])
 def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     """One stderr line, the error's, with its exit code: no warning, no traceback, no temporary file left."""
     (tmp_path / "dir").mkdir()
     for name, diagonal in (("huge.json", [1e308, 1e308, 1.0, 1.0]),
-                           ("big.json", [1e150, 1e150, 2e150, 2e150])):
+                           ("big.json", [1e150, 1e150, 2e150, 2e150]),
+                           ("zero.json", [0.0, 0.0, 1.0, 1.0]),
+                           ("negative.json", [-1.0, -1.0, 1.0, 1.0])):
         (tmp_path / name).write_text(json.dumps({"sigma": np.diag(diagonal).tolist()}))
     result = subprocess.run([sys.executable, "-m", "gipower", *(x.format(tmp=tmp_path) for x in argv)],
                             capture_output=True, text=True, timeout=60)

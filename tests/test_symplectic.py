@@ -279,14 +279,15 @@ class TestInvariantKernel:
         assert nu_min == pytest.approx(symplectic_spectrum_from_eigs(sigma)[0], abs=1e-9)
 
     def test_stacked_gate_is_the_scalar_gate(self, rng):
-        """_gates on a stack of physical states gives each state's _gate bit for bit."""
+        """_gates on a stack of physical states gives each state's _nu_pair, the spectra
+        and det L its _gate reads, bit for bit."""
         cms = [random_physical_cm(rng, 20.0, 20.0, conjugate=k % 2 == 1) for k in range(200)]
         cms += [from_standard_form(sf) for sf in (tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3))]
         stack = np.stack([cm.sigma for cm in cms])
         gates = symplectic._gates(tuple(stack[:, i, j] for i, j in zip(*np.triu_indices(4))),
                                   symplectic._hypot_each)
         for i, cm in enumerate(cms):
-            want = [float(x).hex() for x in symplectic._gate(_entries(cm.sigma))]
+            want = [float(x).hex() for x in symplectic._nu_pair(_entries(cm.sigma))]
             assert [float(field[i]).hex() for field in gates] == want, i
 
 
