@@ -14,6 +14,7 @@ from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
 from .families import (
     FamilySpec,
+    _check_bounds,
     _random_state,
     _sample_columns,
     _Uniforms,
@@ -24,7 +25,7 @@ from .families import (
 )
 from .power import _closed_form, _cross_check
 from .symplectic import (
-    MAX_GRID,
+    MAX_ROWS,
     ORACLE_TOL,
     CovarianceMatrix,
     from_standard_form,
@@ -139,6 +140,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_bounds(args.a_max, args.b_max)  # refused first, whatever n is
+    if args.n > MAX_ROWS:
+        raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {args.n}")
     fig3 = args.which == "fig3"
     kept = _sample_columns(args.seed, args.n, args.a_max, args.b_max, entangled_only=fig3)
     n_bar_A, nu_tilde = kept.n_bar_A, kept.nu_tilde
@@ -154,13 +158,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if not 1 <= args.grid <= MAX_GRID:
-        raise InvalidStateError(f"grid size must be in 1 .. {MAX_GRID}, got {args.grid}")
-    branch_point = nu_zero()
-    nus = [(i + 1) / (args.grid + 1) for i in range(args.grid)]
-    rows = ((nu, -np.log(nu), upper_bound(nu), lower_bound(nu),
-             "branch1" if nu > branch_point else "branch2") for nu in nus)
-    _emit(_csv("bounds", rows), args.out)
+    if not 1 <= args.grid <= MAX_ROWS:
+        raise InvalidStateError(f"grid size must be in 1 .. {MAX_ROWS}, got {args.grid}")
+    nu = np.arange(1, args.grid + 1) / (args.grid + 1)
+    branch = ("branch1" if thermal else "branch2" for thermal in nu > nu_zero())
+    _emit(_csv("bounds", zip(nu, -np.log(nu), upper_bound(nu), lower_bound(nu), branch)), args.out)
     return EXIT_OK
 
 

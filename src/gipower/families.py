@@ -110,7 +110,7 @@ def tmsv(a: float) -> StandardForm:
     """Two-mode squeezed vacuum: b = a, -d = c = sqrt(a^2 - 1)."""
     if a < 1:
         raise InvalidStateError(f"tmsv requires a >= 1, got {a}")
-    c = np.sqrt(a * a - 1)
+    c = math.sqrt(a * a - 1)
     return StandardForm(a, a, c, -c)
 
 
@@ -132,7 +132,7 @@ def separable_extremal(a: float, b: float) -> StandardForm:
     """
     if a < 1 or b < 1:
         raise InvalidStateError(f"separable_extremal requires a, b >= 1, got ({a}, {b})")
-    c = np.sqrt((a - 1) * (b - 1))
+    c = math.sqrt((a - 1) * (b - 1))
     return StandardForm(a, b, c, c)
 
 
@@ -146,7 +146,7 @@ def entangled_st_nu(a: float, b: float, nu: float) -> StandardForm:
         raise InvalidStateError(f"entangled_st_nu requires 0 < nu < 1, got {nu}")
     if a < 1 or b < 1:
         raise InvalidStateError(f"entangled_st_nu requires a, b >= 1, got ({a}, {b})")
-    c = np.sqrt((a - nu) * (b - nu))
+    c = math.sqrt((a - nu) * (b - nu))
     return _validated(StandardForm(a, b, c, -c), "entangled_st_nu")
 
 
@@ -171,8 +171,8 @@ def lower_branch1_state(nu: float) -> StandardForm:
     """
     if not nu_zero() < nu < 1:
         raise InvalidStateError(f"lower_branch1_state requires nu_zero < nu < 1, got {nu}")
-    a = (np.sqrt(2 * (nu + 1) ** 3) + 3 * nu + 1) / (1 - nu)
-    b = np.sqrt(2 * (nu + 1)) + nu + 2
+    a = (math.sqrt(2 * (nu + 1) ** 3) + 3 * nu + 1) / (1 - nu)
+    b = math.sqrt(2 * (nu + 1)) + nu + 2
     return entangled_st_nu(a, b, nu)
 
 
@@ -350,14 +350,14 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     physical = nu >= threshold
     near = ~(np.abs(nu - threshold) > band)
     if entangled_only:
-        accepted = physical & (nu_pt < threshold)
+        accepted = physical & ~_separable(nu_pt)
         near |= physical & ~(np.abs(nu_pt - threshold) > band)
     else:
         accepted = physical.copy()
     for i in zip(*np.nonzero(near)):
         nu_i, nu_pt_i = _nu_minus_pt(*_draw(u[i].tolist(), a_max, b_max))
         physical[i] = nu_i >= threshold
-        accepted[i] = physical[i] and not (entangled_only and nu_pt_i >= threshold)
+        accepted[i] = physical[i] and not (entangled_only and _separable(nu_pt_i))
     return physical, accepted
 
 

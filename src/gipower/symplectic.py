@@ -66,8 +66,8 @@ GATE_TOL = 1e-7
 PURE_TOL = 1e-7
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
-#: Largest `gipower bounds --grid`: every row is built before the first is written.
-MAX_GRID = 10**6
+#: Largest `bounds --grid` and `sample --n`, which build every row first: ~0.85 KB per fig2 row.
+MAX_ROWS = 10**6
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
 #: which the batched sampler's array-computed nu decisions are redone on
 #: floats.  They read _gates with _hypot_nested, which differs from _nu_pair's

@@ -22,6 +22,7 @@ from gipower import (
     log_negativity,
     lower_bound,
     mean_photon_A,
+    nu_zero,
     pt_min_symplectic_eigenvalue,
     random_state,
     sample_figure2,
@@ -382,6 +383,18 @@ class TestSample:
         assert result.stderr.startswith("error: invalid input:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("which", ["fig2", "fig3"])
+    def test_n_past_the_cap_exit_2(self, capsys, tmp_path, which):
+        """Refused before any stream is seeded: at once, one error line, no file."""
+        start = time.perf_counter()
+        code = main(["sample", "--which", which, "--seed", "1", "--n", str(cli.MAX_ROWS + 1),
+                     "--out", str(tmp_path / "x.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: sample count must be <= 1000000, got 1000001\n")
+        assert not any(tmp_path.iterdir())
+
     def test_bad_bounds_exit_2_before_any_stream(self, capsys, tmp_path):
         """Bounds are checked before the streams are seeded, so n does not delay the exit."""
         t0 = time.perf_counter()
@@ -420,11 +433,40 @@ class TestBounds:
         assert cli._csv("bounds", [(x, x, x, x, "b")]) == (
             "nu_tilde,E_N,upper,lower,branch\n" + ",".join([f"{x:.12g}"] * 4 + ["b"]) + "\n")
 
+    def test_curves_evaluated_once_on_the_grid(self, capsys, tmp_path, monkeypatch):
+        """Each boundary curve is called once, on the whole nu grid, not once per row."""
+        calls = {}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def counted(nu):
+                calls[name] = calls.get(name, 0) + 1
+                return original(nu)
+            return counted
+
+        for name in ("upper_bound", "lower_bound"):
+            monkeypatch.setattr(cli, name, counting(name))
+        code, _ = run_cli(capsys, "bounds", "--grid", "997", "--out", str(tmp_path / "b.csv"))
+        assert code == 0
+        assert calls == {"upper_bound": 1, "lower_bound": 1}
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 7, 997])
+    def test_rows_are_the_curves_at_each_nu(self, capsys, tmp_path, grid):
+        """The array pass writes the bytes of every curve called on each nu alone."""
+        path = tmp_path / "b.csv"
+        code, _ = run_cli(capsys, "bounds", "--grid", str(grid), "--out", str(path))
+        assert code == 0
+        rows = [(nu, -np.log(nu), upper_bound(nu), lower_bound(nu),
+                 "branch1" if nu > nu_zero() else "branch2")
+                for nu in ((i + 1) / (grid + 1) for i in range(grid))]
+        assert path.read_text() == cli._csv("bounds", rows)
+
     def test_bad_grid_exit_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "bounds", "--grid", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
-    @pytest.mark.parametrize("grid", [cli.MAX_GRID + 1, 10**20])
+    @pytest.mark.parametrize("grid", [cli.MAX_ROWS + 1, 10**20])
     def test_grid_past_the_cap_exit_2(self, capsys, tmp_path, grid):
         """Refused before a row is built: at once, one error line, no file."""
         start = time.perf_counter()
@@ -579,7 +621,10 @@ def test_parser_reused_without_leaks(capsys, tmp_path):
     (["sample", "--seed", "1", "--n", "3", "--which", "fig3", "--a-max", "1", "--b-max", "1",
       "--out", "{tmp}/x.csv"], 2, "no entangled state"),  # product states only
     (["sample", "--seed", "1", "--n", "3", "--which", "fig2", "--out", "{tmp}/dir"], 2, "Is a directory"),
-], ids=["huge-input", "huge-flags", "big-input", "zero-input", "negative-input", "verify-huge-b", "fig3-no-entangled", "out-dir"])
+    *((["sample", "--seed", "1", "--n", "1000001", "--which", which, "--out", "{tmp}/x.csv"], 2,
+       "sample count must be <= 1000000") for which in ("fig2", "fig3")),
+], ids=["huge-input", "huge-flags", "big-input", "zero-input", "negative-input", "verify-huge-b",
+        "fig3-no-entangled", "out-dir", "fig2-n-past-the-cap", "fig3-n-past-the-cap"])
 def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     """One stderr line, the error's, with its exit code: no warning, no traceback, no temporary file left."""
     (tmp_path / "dir").mkdir()
@@ -595,7 +640,7 @@ def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     assert result.stderr.startswith(prefix) and result.stderr.count("\n") == 1, result.stderr
     assert result.stderr.endswith("\n") and reason in result.stderr and result.stdout == ""
     assert "Warning" not in result.stderr and "Traceback" not in result.stderr
-    assert not list(tmp_path.rglob(".gipower-*.tmp"))
+    assert not list(tmp_path.rglob(".gipower-*.tmp")) and not (tmp_path / "x.csv").exists()
 
 
 def test_module_entry_point():

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -307,7 +310,42 @@ class TestBoundCurves:
             upper_bound(1.0)
 
 
+#: Two parameter sets of each family kind, the second at or near a domain edge.
+FAMILY_PARAMS = {
+    "tmsv": [(2.5,), (1.0,)],
+    "squeezed_thermal": [(2.0, 3.0, 1.0), (1.5, 1.5, 0.5)],
+    "mixed_thermal": [(2.0, 3.0, 1.0), (3.0, 2.0, 0.5)],
+    "separable_extremal": [(2.0, 3.0), (1.0, 7.0)],
+    "entangled_st_nu": [(2.0, 3.0, 0.5), (4.0, 1.5, 0.9)],
+    "upper_boundary": [(0.5, 3.0), (0.2, 10.0)],
+    "lower_branch1": [(0.5,), (0.9,)],
+    "lower_branch2": [(0.5,), (0.05,)],
+}
+
+#: Runs in a fresh interpreter, numpy blocked if argv[1] is "block": builds each
+#: state of the JSON {kind: [params, ...]} argv[2] and prints its fields as hex.
+FAMILY_RUN = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # import numpy now raises
+from gipower import FamilySpec, build_family
+for kind, sets in json.loads(sys.argv[2]).items():
+    for params in sets:
+        sf = build_family(FamilySpec(kind, tuple(params)))
+        print(kind, params, *(x.hex() for x in (sf.a, sf.b, sf.c, sf.d)))
+"""
+
+
 class TestBuildFamily:
+    def test_every_kind_builds_without_numpy(self):
+        """The constructors are plain math: with numpy blocked, every kind gives a plain run's fields."""
+        assert set(FAMILY_PARAMS) == set(families.FAMILY_KINDS)
+        blocked, plain = (subprocess.run([sys.executable, "-c", FAMILY_RUN, mode, json.dumps(FAMILY_PARAMS)],
+                                         capture_output=True, text=True, timeout=60)
+                          for mode in ("block", "plain"))
+        assert blocked.returncode == 0, blocked.stderr
+        assert blocked.stdout == plain.stdout and blocked.stdout.count("\n") == 16
+
     def test_dispatch(self):
         sf = build_family(FamilySpec("tmsv", (2.0,)))
         assert sf == tmsv(2.0)
