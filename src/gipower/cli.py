@@ -42,7 +42,7 @@ EXIT_INVALID_INPUT = 2
 
 
 #: CSV number format: '.' decimal separator, 12 significant digits;
-#: '%.12g' % x gives the bytes of f"{x:.12g}".
+#: '%.12g' % x gives the bytes of f"{x:.12g}", for a float and a numpy float64 cell alike.
 _NUMBER = "%.12g"
 #: Header and one %-format per row, of each CSV the CLI writes.
 _CSV = {
@@ -53,31 +53,33 @@ _CSV = {
 }
 
 
-def _csv(kind: str, rows) -> str:
-    """The CSV text of kind (a key of _CSV) with rows, tuples of numbers and strings."""
+def _csv(kind: str, rows):
+    """kind's CSV (a key of _CSV) as lines: the header, then each row as it is pulled."""
     header, row_format = _CSV[kind]
-    return "\n".join([header, *(row_format % row for row in rows)]) + "\n"
+    yield header + "\n"
+    for row in rows:
+        yield row_format % row + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path via a temporary file and atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gipower-", suffix=".tmp")
+def _emit(lines, out: str | None) -> None:
+    """Write lines to stdout, or to out: into a temporary file, made before the first line is
+    pulled, then renamed onto out."""
+    if not out:
+        sys.stdout.writelines(lines)
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                                   prefix=".gipower-", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from exc
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+            handle.writelines(lines)
+        os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _state_report(e, form=None) -> dict:
@@ -112,7 +114,7 @@ def cmd_ip(args) -> int:
     else:
         raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
     report = _state_report(e, form)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit([json.dumps(report, indent=2) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -139,10 +141,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
-def cmd_sample(args) -> int:
-    _check_bounds(args.a_max, args.b_max)  # refused first, whatever n is
-    if args.n > MAX_ROWS:
-        raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {args.n}")
+def _sample_rows(args):
+    """The rows of `sample`, drawn when the first is pulled."""
     fig3 = args.which == "fig3"
     kept = _sample_columns(args.seed, args.n, args.a_max, args.b_max, entangled_only=fig3)
     n_bar_A, nu_tilde = kept.n_bar_A, kept.nu_tilde
@@ -150,19 +150,30 @@ def cmd_sample(args) -> int:
         columns = [kept.e_n, kept.p_g / n_bar_A, nu_tilde, lower_bound(nu_tilde),
                    upper_bound(nu_tilde)]
     else:
-        columns = [n_bar_A, kept.p_g, np.where(kept.separable, "true", "false"), n_bar_A,
-                   n_bar_A * (n_bar_A + 1)]
-    columns += [kept.a, kept.b, kept.c, kept.d]
-    _emit(_csv(args.which, zip(*(column.tolist() for column in columns))), args.out)
+        columns = [n_bar_A, kept.p_g, ("true" if s else "false" for s in kept.separable),
+                   n_bar_A, n_bar_A * (n_bar_A + 1)]
+    yield from zip(*columns, kept.a, kept.b, kept.c, kept.d)
+
+
+def cmd_sample(args) -> int:
+    _check_bounds(args.a_max, args.b_max)  # refused first, whatever n is
+    if args.n > MAX_ROWS:
+        raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {args.n}")
+    _emit(_csv(args.which, _sample_rows(args)), args.out)
     return EXIT_OK
+
+
+def _bounds_rows(grid: int):
+    """The rows of `bounds`, computed when the first is pulled: each curve runs once."""
+    nu = np.arange(1, grid + 1) / (grid + 1)
+    branch = ("branch1" if thermal else "branch2" for thermal in nu > nu_zero())
+    yield from zip(nu, -np.log(nu), upper_bound(nu), lower_bound(nu), branch)
 
 
 def cmd_bounds(args) -> int:
     if not 1 <= args.grid <= MAX_ROWS:
         raise InvalidStateError(f"grid size must be in 1 .. {MAX_ROWS}, got {args.grid}")
-    nu = np.arange(1, args.grid + 1) / (args.grid + 1)
-    branch = ("branch1" if thermal else "branch2" for thermal in nu > nu_zero())
-    _emit(_csv("bounds", zip(nu, -np.log(nu), upper_bound(nu), lower_bound(nu), branch)), args.out)
+    _emit(_csv("bounds", _bounds_rows(args.grid)), args.out)
     return EXIT_OK
 
 
@@ -173,7 +184,7 @@ def cmd_family(args) -> int:
         raise InvalidStateError(f"could not parse --params {args.params!r}") from exc
     sf = build_family(FamilySpec(kind=args.kind, params=params))
     cm = from_standard_form(sf)
-    _emit(json.dumps(cm.to_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(cm.to_dict(), indent=2) + "\n"], args.out)
     return EXIT_OK
 
 

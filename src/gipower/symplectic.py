@@ -66,7 +66,8 @@ GATE_TOL = 1e-7
 PURE_TOL = 1e-7
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
-#: Largest `bounds --grid` and `sample --n`, which build every row first: ~0.85 KB per fig2 row.
+#: Largest `bounds --grid` and `sample --n`.  The CLI writes rows as it formats them, so the
+#: cap bounds the run time (~19 us per fig2 row) and the sampler's sorted columns.
 MAX_ROWS = 10**6
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
 #: which the batched sampler's array-computed nu decisions are redone on

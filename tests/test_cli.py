@@ -288,7 +288,7 @@ class TestSample:
                            n_bar, n_bar * (n_bar + 1)]
             columns += [[getattr(r.sf, k) for r in records] for k in "abcd"]
             rows = zip(*(np.asarray(column).tolist() for column in columns))
-            assert path.read_text() == cli._csv(which, rows), seed
+            assert path.read_text() == "".join(cli._csv(which, rows)), seed
 
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         paths = [tmp_path / f"out{i}.csv" for i in range(2)]
@@ -430,7 +430,7 @@ class TestBounds:
     def test_row_format_is_fstring_g12(self, x):
         """One %-format per row gives the bytes of f"{x:.12g}" per field."""
         assert cli._NUMBER % x == f"{x:.12g}"
-        assert cli._csv("bounds", [(x, x, x, x, "b")]) == (
+        assert "".join(cli._csv("bounds", [(x, x, x, x, "b")])) == (
             "nu_tilde,E_N,upper,lower,branch\n" + ",".join([f"{x:.12g}"] * 4 + ["b"]) + "\n")
 
     def test_curves_evaluated_once_on_the_grid(self, capsys, tmp_path, monkeypatch):
@@ -460,7 +460,7 @@ class TestBounds:
         rows = [(nu, -np.log(nu), upper_bound(nu), lower_bound(nu),
                  "branch1" if nu > nu_zero() else "branch2")
                 for nu in ((i + 1) / (grid + 1) for i in range(grid))]
-        assert path.read_text() == cli._csv("bounds", rows)
+        assert path.read_text() == "".join(cli._csv("bounds", rows))
 
     def test_bad_grid_exit_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "bounds", "--grid", "0", "--out", str(tmp_path / "x.csv"))
@@ -516,6 +516,57 @@ class TestFamily:
         code, _ = run_cli(capsys, "family", "--kind", "tmsv", "--params", "abc",
                           "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+
+class TestEmit:
+    """Rows go to the file as they are formatted, through one writer."""
+
+    def test_csv_header_before_any_row(self):
+        """_csv yields the header without pulling a row."""
+        class Unpulled:
+            def __iter__(self):
+                raise AssertionError("a row was pulled")
+
+        assert next(cli._csv("bounds", Unpulled())) == "nu_tilde,E_N,upper,lower,branch\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_lines_leave_no_file(self, tmp_path, existing):
+        """A lines iterator that raises after its first line leaves no temporary file,
+        and a file already at out keeps its bytes."""
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_bytes(b"old bytes\n")
+
+        def lines():
+            yield "header\n"
+            raise RuntimeError("row 2 failed")
+
+        with pytest.raises(RuntimeError, match="row 2 failed"):
+            cli._emit(lines(), str(out))
+        assert not list(tmp_path.glob(".gipower-*.tmp"))
+        assert [path.name for path in tmp_path.iterdir()] == (["x.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("argv, computes", [
+        (["sample", "--seed", "1", "--n", "10", "--which", "fig2"], "_sample_columns"),
+        (["sample", "--seed", "1", "--n", "10", "--which", "fig3"], "_sample_columns"),
+        (["bounds", "--grid", "10"], "upper_bound"),
+    ], ids=["fig2", "fig3", "bounds"])
+    def test_missing_directory_exit_2_before_any_row(self, capsys, tmp_path, monkeypatch,
+                                                      argv, computes):
+        """An --out in a missing directory is refused before a row is computed, by one
+        stderr line that names the path given."""
+        def computed(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, computes, computed)
+        out = str(tmp_path / "nodir" / "x.csv")
+        code = main([*argv, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: invalid input: [Errno 2] No such file or directory: {out!r}\n"
+        assert not list(tmp_path.rglob("*"))
 
 
 # Flag values for the fuzz test: numbers, extremes and junk.
