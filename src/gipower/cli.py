@@ -4,6 +4,7 @@ figure-data emission (plot-ready CSV; plotting itself is out of scope)."""
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -11,13 +12,13 @@ import sys
 import tempfile
 
 from ._lazy import np
+from ._streams import _Uniforms
 from .exceptions import InvalidStateError, NumericalError
 from .families import (
     FamilySpec,
     _check_bounds,
     _random_state,
     _sample_columns,
-    _Uniforms,
     build_family,
     lower_bound,
     nu_zero,
@@ -63,10 +64,12 @@ def _csv(kind: str, rows):
 
 def _emit(lines, out: str | None) -> None:
     """Write lines to stdout, or to out: into a temporary file, made before the first line is
-    pulled, then renamed onto out."""
+    pulled, then renamed onto out.  An out that is a directory is refused first."""
     if not out:
         sys.stdout.writelines(lines)
         return
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
                                    prefix=".gipower-", suffix=".tmp")
@@ -157,8 +160,6 @@ def _sample_rows(args):
 
 def cmd_sample(args) -> int:
     _check_bounds(args.a_max, args.b_max)  # refused first, whatever n is
-    if args.n > MAX_ROWS:
-        raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {args.n}")
     _emit(_csv(args.which, _sample_rows(args)), args.out)
     return EXIT_OK
 

@@ -9,19 +9,19 @@ extremal performance per mean photon number at fixed entanglement.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
 
 from ._lazy import np
+from ._streams import _MASK128, _child_streams, _jump, _pool
 from .exceptions import InvalidStateError
 from .power import _closed_form, _closed_form_columns
 from .symplectic import (
     CHECK_TOL,
     GUARD_BAND,
     MAX_DRAWS,
+    MAX_ROWS,
     ROOT_STEP,
     StandardForm,
     _gate,
@@ -63,15 +63,6 @@ __all__ = [
 _BLOCK = 32
 #: Sampling streams whose blocks are decided together, so memory stays flat in n.
 _CHUNK = 256
-
-# numpy's SeedSequence hash constants and PCG64's multiplier: child streams are
-# seeded with the (state, inc) that PCG64 gets from child i of SeedSequence(seed),
-# and _Uniforms(seed) with default_rng(seed)'s.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -361,171 +352,51 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     return physical, accepted
 
 
-def _hash_constants(h: int, multiplier: int, count: int) -> list[int]:
-    """SeedSequence's hash constant h and the count after it, each the last times multiplier."""
-    constants = [h]
-    for _ in range(count):
-        constants.append(constants[-1] * multiplier & _MASK32)
-    return constants
-
-
-def _hashmix(value, h, h_next):
-    """SeedSequence's hashmix of value between hash constants h and h_next.
-
-    On ints, and on uint32 arrays, whose products wrap mod 2**32 as numpy's do.
-    """
-    value = (value ^ h) * h_next & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool words: ints, or uint32 arrays."""
-    value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
-    return value ^ value >> 16
-
-
-def _pool(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """SeedSequence(seed)'s pool, ints, and the pairs of hash constants that follow its mix.
-
-    numpy mixes the seed's uint32 words (little-endian, zero-padded to the pool size 4)
-    into the pool, each word hashmix by the next pair of hash constants.  Child i of
-    SeedSequence(seed), for i < 2**32, has the spawn key word i after those words, so its
-    pool is this one with i mixed into pool word k by the k-th pair returned.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidStateError("expected non-negative integer")  # numpy's message
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pairs = pairwise(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 4))
-
-    def hashmix(value):
-        return _hashmix(value, *next(pairs))
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, list(pairs)
-
-
-def _state_words(pool) -> list:
-    """generate_state(8, uint32) of a SeedSequence pool of four words: ints, or uint32 arrays."""
-    b = _hash_constants(_INIT_B, _MULT_B, 8)
-    return [_hashmix(pool[i % 4], b[i], b[i + 1]) for i in range(8)]
-
-
-def _srandom(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
-    """PCG64's (state, inc) from generate_state(4, uint64)'s words: srandom reads (s0 s1, s2 s3)."""
-    inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-def _child_streams(mixed, first: int, count: int):
-    """PCG64 (states, incs), lists of ints, of the children first .. first + count - 1 of
-    SeedSequence(seed), as PCG64 seeds itself from the children numpy spawns.
-
-    mixed is _pool(seed), computed once per seed by the caller.  Each child's index is
-    mixed into its pool words on uint32 arrays of one element per child, then _state_words
-    and srandom.  Indices must be below 2**32, one word.
-    """
-    pool, pairs = mixed
-    index = np.arange(first, first + count, dtype=np.uint32)
-    words = _state_words([_mix(word, _hashmix(index, *pair)) for word, pair in zip(pool, pairs)])
-    states, incs = [], []
-    # generate_state(4, uint64) pairs words little-endian
-    for s in np.ascontiguousarray(np.transpose(words), dtype="<u4").view("<u8").tolist():
-        state, inc = _srandom(*s)
-        states.append(state)
-        incs.append(inc)
-    return states, incs
-
-
-class _Uniforms:
-    """default_rng(seed).random's doubles by int arithmetic, without numpy.
-
-    PCG64 seeded from _pool(seed) by _state_words, its words paired
-    little-endian, and srandom, as for _child_streams.  Each double steps PCG64 and takes its XSL-RR output x
-    as (x >> 11) 2**-53.  seed must be a non-negative int.
-    """
-
-    __slots__ = ("state", "inc")
-
-    def __init__(self, seed: int):
-        w = _state_words(_pool(seed)[0])
-        self.state, self.inc = _srandom(*(w[i] | w[i + 1] << 32 for i in range(0, 8, 2)))
-
-    def __call__(self, k: int) -> list[float]:
-        """The next k doubles: default_rng(seed).random(k).tolist() at the same point."""
-        state, inc, out = self.state, self.inc, []
-        for _ in range(k):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-            out.append((((word >> rot | word << 64 - rot) & _MASK64) >> 11) * 2.0**-53)
-        self.state = state
-        return out
-
-
-@lru_cache
-def _jump(steps: int) -> tuple[int, int]:
-    """(A, C) with PCG64's state after `steps` steps from s equal to (A s + C inc) mod 2**128."""
-    a, c = 1, 0
-    for _ in range(steps):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    return a, c
-
-
 def _first_accepted(generator, states, incs, a_max: float, b_max: float,
-                    entangled_only: bool) -> list:
-    """Per stream, in order: its first accepted draw (a, b, c, d), or why it failed.
+                    entangled_only: bool) -> tuple[list, dict]:
+    """(draws, errors): stream k's first accepted draw (a, b, c, d) is draws[k], or None
+    where errors[k] says why it failed.
 
     Stream k is PCG64 at (states[k], incs[k]); generator, a Generator over PCG64, is set
-    to it to draw, and states[k] moves on by the draws taken.  A stream reads
-    4 * _BLOCK uniforms at a time, and gets another block until a draw is accepted or a
-    budget runs out: MAX_DRAWS unphysical draws in a row ("no physical state",
-    random_state's count), or MAX_DRAWS physical separable draws when entangled_only.
-    The pending streams' blocks are decided together.
+    to it to draw, and states[k] moves on by the draws taken.  The pending streams' next
+    4 * _BLOCK uniforms are decided together, then each stream's draws are scanned in
+    order, as random_state draws them, up to an accepted draw or a spent budget:
+    MAX_DRAWS unphysical draws in a row ("no physical state", random_state's count), or
+    MAX_DRAWS physical separable draws when entangled_only.
     """
     bit_generator = generator.bit_generator
     state = bit_generator.state  # set to each stream in turn
-    outcomes = [None] * len(states)
-    pending = np.arange(len(states))
-    run = np.zeros(len(states), dtype=np.int64)  # unphysical draws since the last physical one
-    separable = np.zeros(len(states), dtype=np.int64)  # physical draws rejected as separable
-    j = np.arange(_BLOCK)
-    while pending.size:
-        u = np.empty((pending.size, 4 * _BLOCK))
-        for row, k in enumerate(pending.tolist()):
+    draws, errors = [None] * len(states), {}
+    # pending stream: (unphysical draws since the last physical one, separable draws)
+    pending = dict.fromkeys(range(len(states)), (0, 0))
+    while pending:
+        u = np.empty((len(pending), 4 * _BLOCK))
+        for row, k in enumerate(pending):
             state["state"] = {"state": states[k], "inc": incs[k]}
             bit_generator.state = state
             generator.random(out=u[row])
         u = u.reshape(-1, _BLOCK, 4)
-        physical, accepted = _accept(u, a_max, b_max, entangled_only)
-        last_physical = np.maximum.accumulate(np.where(physical, j, -1), axis=1)
-        run_at = np.where(last_physical >= 0, j - last_physical, j + 1 + run[pending, None])
-        separable_at = separable[pending, None] + np.cumsum(physical & ~accepted, axis=1)
-        stop = accepted | (run_at >= MAX_DRAWS) | (separable_at >= MAX_DRAWS)
-        done = stop.any(axis=1)
-        for row in np.flatnonzero(done):
-            at = stop[row].argmax()
-            if accepted[row, at]:
-                outcome = _draw(u[row, at].tolist(), a_max, b_max)
-            elif run_at[row, at] >= MAX_DRAWS:
-                outcome = f"no physical state in {MAX_DRAWS} draws"
+        physical, accepted = (mask.tolist() for mask in _accept(u, a_max, b_max, entangled_only))
+        going = {}
+        for row, (k, (run, separable)) in enumerate(pending.items()):
+            for at, kept in enumerate(accepted[row]):
+                if kept:
+                    draws[k] = _draw(u[row, at].tolist(), a_max, b_max)
+                    break
+                run, separable = (0, separable + 1) if physical[row][at] else (run + 1, separable)
+                if run >= MAX_DRAWS:
+                    errors[k] = f"no physical state in {MAX_DRAWS} draws"
+                    break
+                if separable >= MAX_DRAWS:
+                    errors[k] = f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max"
+                    break
             else:
-                outcome = f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max"
-            outcomes[pending[row]] = outcome
-        run[pending] = run_at[:, -1]
-        separable[pending] = separable_at[:, -1]
-        pending = pending[~done]
+                going[k] = run, separable
+        pending = going
         a, c = _jump(4 * _BLOCK)
-        for k in pending.tolist():
+        for k in pending:
             states[k] = (a * states[k] + c * incs[k]) & _MASK128
-    return outcomes
+    return draws, errors
 
 
 def _kept_columns(draws) -> _Columns:
@@ -553,28 +424,27 @@ def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
     Row i takes the first accepted draw of child i of SeedSequence(seed), the PCG64
     stream of the i-th child default_rng(seed) spawns: the draw random_state (and, if
     entangled_only, a loop over it that skips separable states) would return from that
-    stream.  n <= 2**32 - 1 keeps every child index in one word.  The streams are seeded
+    stream.  n <= MAX_ROWS keeps every child index in one word.  The streams are seeded
     by array arithmetic, decided and their rows built _CHUNK at a time; the first stream
     that fails raises, after the rows of the streams before it.  Rows are sorted by
     (a, b, c, d), stably.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
-    if n > _MASK32:
-        raise InvalidStateError(f"sample count must be <= 2**32 - 1, got {n}")
+    if n > MAX_ROWS:
+        raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {n}")
     a_max, b_max = _check_bounds(a_max, b_max)
     mixed = _pool(seed)
     generator = np.random.Generator(np.random.PCG64(0))  # set to each stream before it draws
     chunks = []
     for start in range(0, n, _CHUNK):
         states, incs = _child_streams(mixed, start, min(_CHUNK, n - start))
-        outcomes = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
-        failed = next((k for k, outcome in enumerate(outcomes) if isinstance(outcome, str)),
-                      len(outcomes))
+        draws, errors = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
+        failed = min(errors, default=len(draws))
         if failed:
-            chunks.append(_kept_columns(outcomes[:failed]))
-        if failed < len(outcomes):
-            raise InvalidStateError(outcomes[failed])
+            chunks.append(_kept_columns(draws[:failed]))
+        if errors:
+            raise InvalidStateError(errors[failed])
     columns = [np.concatenate(column) for column in zip(*chunks)]
     order = np.lexsort(columns[3::-1])  # by a, then b, c, d
     return _Columns(*(column[order] for column in columns))

@@ -478,11 +478,12 @@ class TestBounds:
         assert not any(tmp_path.iterdir())
 
     def test_out_to_a_directory_exit_2_leaves_no_temporary(self, capsys, tmp_path):
-        """The rename onto a directory fails: the temporary file is removed, and the exit is 2."""
+        """A directory as out is refused by one line that names it, and the exit is 2."""
         target = tmp_path / "dir"
         target.mkdir()
         assert main(["bounds", "--grid", "3", "--out", str(target)]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid input: [Errno 21] Is a directory: ")
+        assert capsys.readouterr().err == (
+            f"error: invalid input: [Errno 21] Is a directory: {str(target)!r}\n")
         assert [path.name for path in tmp_path.iterdir()] == ["dir"]
         assert not any(target.iterdir())
 
@@ -518,6 +519,18 @@ class TestFamily:
         assert code == 2
 
 
+#: The commands that write CSV rows, with the function whose call computes them.
+ROW_COMMANDS = pytest.mark.parametrize("argv, computes", [
+    (["sample", "--seed", "1", "--n", "10", "--which", "fig2"], "_sample_columns"),
+    (["sample", "--seed", "1", "--n", "10", "--which", "fig3"], "_sample_columns"),
+    (["bounds", "--grid", "10"], "upper_bound"),
+], ids=["fig2", "fig3", "bounds"])
+
+
+def _no_row(*args, **kwargs):
+    raise AssertionError("a row was computed")
+
+
 class TestEmit:
     """Rows go to the file as they are formatted, through one writer."""
 
@@ -548,25 +561,32 @@ class TestEmit:
         if existing:
             assert out.read_bytes() == b"old bytes\n"
 
-    @pytest.mark.parametrize("argv, computes", [
-        (["sample", "--seed", "1", "--n", "10", "--which", "fig2"], "_sample_columns"),
-        (["sample", "--seed", "1", "--n", "10", "--which", "fig3"], "_sample_columns"),
-        (["bounds", "--grid", "10"], "upper_bound"),
-    ], ids=["fig2", "fig3", "bounds"])
+    @ROW_COMMANDS
     def test_missing_directory_exit_2_before_any_row(self, capsys, tmp_path, monkeypatch,
                                                       argv, computes):
         """An --out in a missing directory is refused before a row is computed, by one
         stderr line that names the path given."""
-        def computed(*args, **kwargs):
-            raise AssertionError("a row was computed")
-
-        monkeypatch.setattr(cli, computes, computed)
+        monkeypatch.setattr(cli, computes, _no_row)
         out = str(tmp_path / "nodir" / "x.csv")
         code = main([*argv, "--out", out])
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: invalid input: [Errno 2] No such file or directory: {out!r}\n"
         assert not list(tmp_path.rglob("*"))
+
+    @ROW_COMMANDS
+    def test_directory_exit_2_before_any_row(self, capsys, tmp_path, monkeypatch,
+                                             argv, computes):
+        """An --out that is a directory is refused before a row is computed, by one stderr
+        line that names it, and the directory is left empty."""
+        monkeypatch.setattr(cli, computes, _no_row)
+        out = tmp_path / "dir"
+        out.mkdir()
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: invalid input: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert list(tmp_path.rglob("*")) == [out]
 
 
 # Flag values for the fuzz test: numbers, extremes and junk.

@@ -39,6 +39,7 @@ from gipower import (
     upper_boundary_state,
     validate_bona_fide,
 )
+from gipower._streams import _child_streams, _pool, _Uniforms
 from gipower.power import _closed_form
 from gipower.symplectic import (
     _entries,
@@ -623,7 +624,7 @@ class TestBatchedSampler:
                 want = bits(sample_records_scalar(seed, 23, 1.05, 1.05, entangled_only))
                 assert got == want, (seed, sample.__name__)
 
-    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("block", [None, 1, 2, 5])
     @pytest.mark.parametrize("bounds", [(1.05, 1.05), (2.0, 1.01)])
     def test_budgets_match_scalar_sampler(self, monkeypatch, block, bounds):
         """With MAX_DRAWS = 3, each seed returns, or raises the same error, as the scalar sampler.
@@ -661,7 +662,7 @@ class TestChildStreams:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeds_equal_numpy_spawn(self, seed):
-        states, incs = families._child_streams(families._pool(seed), 0, 40)
+        states, incs = _child_streams(_pool(seed), 0, 40)
         want = [np.random.PCG64(child).state["state"]
                 for child in np.random.SeedSequence(seed).spawn(40)]
         assert [{"state": s, "inc": i} for s, i in zip(states, incs)] == want
@@ -670,16 +671,20 @@ class TestChildStreams:
     def test_seeds_of_children_near_two_to_the_32(self, seed):
         """The last one-word child indices, checked against children built by index."""
         first = 2**32 - 3
-        states, incs = families._child_streams(families._pool(seed), first, 3)
+        states, incs = _child_streams(_pool(seed), first, 3)
         for k in range(3):
             child = np.random.SeedSequence(seed, spawn_key=(first + k,))
             assert np.random.PCG64(child).state["state"] == {"state": states[k], "inc": incs[k]}
 
-    def test_child_indices_past_the_spawn_counter_raise(self):
-        """numpy counts children spawned in 32 bits: n past 2**32 - 1 is refused before
-        any stream is seeded, so every child index stays in one word."""
-        for n in (2**32, 2**64):
-            with pytest.raises(InvalidStateError, match=r"sample count must be <= 2\*\*32 - 1"):
+    def test_child_indices_past_the_spawn_counter_raise(self, monkeypatch):
+        """numpy counts children spawned in 32 bits: n past MAX_ROWS (< 2**32) is refused
+        before any stream is seeded, so every child index stays in one word."""
+        def seeded(seed):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(families, "_pool", seeded)
+        for n in (families.MAX_ROWS + 1, 2**32, 2**64):
+            with pytest.raises(InvalidStateError, match=f"^sample count must be <= 1000000, got {n}$"):
                 families._sample_columns(1, n, 5.0, 5.0, False)
 
     @pytest.mark.parametrize("block", [1, 3, 32])
@@ -711,28 +716,28 @@ STREAM_SEEDS = [*range(60), *(seed for seed in SEEDS if seed >= 60), 2**64 + 5, 
 
 
 class TestUniforms:
-    """verify's numpy-free stream (families._Uniforms) against default_rng(seed).random."""
+    """verify's numpy-free stream (_streams._Uniforms) against default_rng(seed).random."""
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_equals_default_rng(self, seed):
         for k in (1, 4, 7, 128):
-            assert families._Uniforms(seed)(k) == np.random.default_rng(seed).random(k).tolist()
+            assert _Uniforms(seed)(k) == np.random.default_rng(seed).random(k).tolist()
         # reads of each size in turn, so each crosses the ends of the reads before it
-        uniforms, rng = families._Uniforms(seed), np.random.default_rng(seed)
+        uniforms, rng = _Uniforms(seed), np.random.default_rng(seed)
         for k in (1, 4, 7, 128, 7, 4, 1, 128):
             assert uniforms(k) == rng.random(k).tolist(), k
 
     def test_random_state_reads_it_as_a_generator(self):
         """_random_state on the stream: random_state's states, rejections included."""
         for seed, bounds in ((1, (5.0, 5.0)), (2, (1.05, 1.05)), (3, (40.0, 1.5))):
-            uniforms, rng = families._Uniforms(seed), np.random.default_rng(seed)
+            uniforms, rng = _Uniforms(seed), np.random.default_rng(seed)
             for _ in range(300):
                 assert families._random_state(uniforms, *bounds) == random_state(rng, *bounds)
 
     def test_negative_seed_is_refused_as_numpy_refuses_it(self):
         with pytest.raises(ValueError) as numpy_error:
             np.random.SeedSequence(-3)
-        for refuse in (families._Uniforms, lambda seed: sample_figure2(seed, 5)):
+        for refuse in (_Uniforms, lambda seed: sample_figure2(seed, 5)):
             with pytest.raises(InvalidStateError) as error:
                 refuse(-3)
             assert str(error.value) == str(numpy_error.value) == "expected non-negative integer"
