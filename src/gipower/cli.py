@@ -90,7 +90,7 @@ def _state_report(e, form=None) -> dict:
     physicality gate: the closed form and the spectra all read its record.  Without a
     form, the standard frame's is used, built only once the gate has passed."""
     gate = _gate(e)
-    value, branch = _closed_form(gate, form or _standard_frame(e)[0])
+    value, branch = _closed_form(gate.A, gate.D, form or _standard_frame(e)[0])
     return {
         "value": value,
         "branch": branch,
@@ -122,8 +122,8 @@ def cmd_ip(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
-        raise InvalidStateError(f"state count must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_ROWS:
+        raise InvalidStateError(f"state count must be in 1 .. {MAX_ROWS}, got {args.n}")
     uniforms = _Uniforms(args.seed)  # default_rng(args.seed).random, without numpy
     worst = 0.0
     worst_sf = None

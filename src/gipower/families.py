@@ -412,7 +412,8 @@ def _kept_columns(draws) -> _Columns:
     nu_tilde = _gates(_standard_entries(*form), _hypot_each)[2]
     p_g, left = _closed_form_columns(form)
     for i in np.flatnonzero(left):
-        p_g[i] = _closed_form(_gate(_standard_entries(*draws[i])), draws[i])[0]
+        gate = _gate(_standard_entries(*draws[i]))
+        p_g[i] = _closed_form(gate.A, gate.D, draws[i])[0]
     a, e_n = form[0], np.array(list(map(_log_negativity, nu_tilde.tolist())))
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
                     e_n, p_g, _separable(nu_tilde), nu_tilde)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
 from .symplectic import CHECK_TOL, PURE_TOL, TIE_REL, CovarianceMatrix
-from .symplectic import _entries, _gate, _require_physical, _sigma_of, _standard_frame
+from .symplectic import _entries, _gate, _mode_a_frame, _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
     "BlackBoxParams",
@@ -153,9 +153,12 @@ def fidelity(cm1, cm2) -> float:
 
 def _generator_map(frame) -> list:
     """T as a nested list: h0 = T h are the (G, Z, X) coefficients of F_A^-1 H F_A,
-    H = p G + u Z + v X, h = (p, u, v), frame = F_A as (f00, f01, f10, f11) from
-    symplectic._standard_frame.  T preserves J = diag(1, -1, -1): T^T J T = J."""
-    f00, f01, f10, f11 = frame
+    H = p G + u Z + v X, h = (p, u, v).  T preserves J = diag(1, -1, -1): T^T J T = J.
+
+    frame is symplectic._standard_frame's; F_A = (f00, f01, f10, f11) is built from it
+    here (symplectic._mode_a_frame), once per T, so only qfi and worst_case_qfi take its angle.
+    """
+    f00, f01, f10, f11 = _mode_a_frame(*frame)
     # p G + u Z + v X = Omega_1^T S with S = [[p + v, -u], [-u, p - v]], and
     # F_A^-1 Omega_1^T S F_A = Omega_1^T F_A^T S F_A for a symplectic F_A:
     # column k of T is (p, u, v) of F_A^T S_k F_A, S_k = I, -X, Z for G, Z, X.

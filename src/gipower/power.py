@@ -21,8 +21,10 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
+    _blocks,
     _entries,
     _gate,
+    _physical_nu,
     _require_physical,
     _sigma_of,
     _standard_entries,
@@ -90,7 +92,7 @@ def gip_closed_form(cm) -> IpResult:
     from sigma entries of ~1e39 on).
     """
     e, gate = _require_physical(cm)
-    return IpResult(*_closed_form(gate, _standard_frame(e)[0]), LocalInvariants(*gate[:4]))
+    return IpResult(*_closed_form(gate.A, gate.D, _standard_frame(e)[0]), LocalInvariants(*gate[:4]))
 
 
 def _standard_xyz(a, b, c, d):
@@ -117,11 +119,14 @@ def _standard_xyz(a, b, c, d):
     return X, Y, Z, w
 
 
-def _closed_form(gate, form) -> tuple[float, str]:
-    """(value, branch) of gip_closed_form from the gate's record and the standard form (a, b, c, d)."""
+def _closed_form(A, D, form) -> tuple[float, str]:
+    """(value, branch) of gip_closed_form from the gate's A and D and the standard form (a, b, c, d).
+
+    A gives the pure value (A - 1)/4; D is read only by the error message.
+    """
     X, Y, Z, w = _standard_xyz(*form)
     if w < PURE_TOL:
-        return (gate.A - 1) / 4, "pure"
+        return (A - 1) / 4, "pure"
     radicand = X * X + Y * Z
     if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
         # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
@@ -134,7 +139,7 @@ def _closed_form(gate, form) -> tuple[float, str]:
     root = math.sqrt(max(radicand, 0.0))
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
-        raise NumericalError(f"closed formula gave {value} at det sigma = {gate.D}")
+        raise NumericalError(f"closed formula gave {value} at det sigma = {D}")
     return max(value, 0.0), "general"
 
 
@@ -198,7 +203,7 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
         sf = StandardForm(*sf)
     form = (sf.a, sf.b, sf.c, sf.d)
     gate = _gate(_standard_entries(*form))
-    return IpResult(*_closed_form(gate, form), LocalInvariants(*gate[:4]))
+    return IpResult(*_closed_form(gate.A, gate.D, form), LocalInvariants(*gate[:4]))
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
@@ -214,21 +219,22 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
 def _cross_check(e, tol: float) -> CrossValidation:
     """cross_validate on sigma's entries e: _entries of a matrix, or _standard_entries of a form.
 
-    Plain math, no numpy.  sigma passes the physicality gate once and goes
-    to its standard form (symplectic._standard_frame) once, and both sides
-    compute values alone: the closed form reads the gate's record and
-    (a, b, c, d) and builds no IpResult; the oracle reads (a, b, c, d)
-    alone: worst_case_qfi's value, the root of the pencil of
+    Plain math, no numpy.  sigma passes the physicality check
+    (symplectic._physical_nu) once and goes to its standard form
+    (symplectic._standard_frame) once, and both sides compute values alone,
+    with no gate record and no mode-A frame: the closed form reads A,
+    D = (det L)**2 and (a, b, c, d) and builds no IpResult; the oracle reads
+    (a, b, c, d) alone: worst_case_qfi's value, the root of the pencil of
     fidelity._sheet_minimum on fidelity._qfi_form's Q, with no map T and no
     argmin.  It runs first, so a QFI form that overflows raises its own
     NumericalError.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
-    gate = _gate(e)
+    det_root = _physical_nu(e)[3]
     standard = _standard_frame(e)[0]
     oracle = max(_sheet_minimum(_qfi_form(standard))[0], 0.0) / 4
-    closed = _closed_form(gate, standard)[0]
+    closed = _closed_form(_blocks(e)[0], det_root * det_root, standard)[0]
     diff = abs(closed - oracle)
     return CrossValidation(
         closed=closed,

@@ -66,8 +66,9 @@ GATE_TOL = 1e-7
 PURE_TOL = 1e-7
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
-#: Largest `bounds --grid` and `sample --n`.  The CLI writes rows as it formats them, so the
-#: cap bounds the run time (~19 us per fig2 row) and the sampler's sorted columns.
+#: Largest `bounds --grid`, `sample --n` and `verify --n`.  The CLI writes rows as it formats
+#: them and checks states as it draws them, so the cap bounds the run time (~19 us per fig2
+#: row, ~35 us per verified state) and the sampler's sorted columns.
 MAX_ROWS = 10**6
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
 #: which the batched sampler's array-computed nu decisions are redone on
@@ -307,7 +308,12 @@ def _nu_pair(e):
 
 
 def _spectra(factor, hypot):
-    """_nu_pair's formulas on a Cholesky factor, with hypot(p, q, r) = |(p, q, r)|."""
+    """_nu_pair's formulas on a Cholesky factor, with hypot(p, q, r) = |(p, q, r)|.
+
+    Straight-line arithmetic, the same on floats and on arrays: the terms
+    y02 -+ y13 and y03 +- y12 shared by nu+ and nu~+ are formed once, and
+    nu+ and nu~+ are one expression each.
+    """
     (l00,), (_, l11), (l20, l21, l22), (l30, l31, l32, l33) = factor
     x = l00 * l11
     y01, y23 = l20 * l31 - l30 * l21, l22 * l33
@@ -315,9 +321,10 @@ def _spectra(factor, hypot):
     y03, y12 = l20 * l33, l21 * l32 - l31 * l22
     # (|u| + |w|)/2 for y and for -y: rounding is odd, so |y02 -+ y13| and
     # |y03 +- y12| serve both, and x - y01 - y23 is x + (-y01) + (-y23) bit for bit.
-    nu_plus, nu_plus_pt = ((hypot(x1 + z, y02 - y13, y03 + y12)
-                            + hypot(x1 - z, y02 + y13, y03 - y12)) / 2
-                           for x1, z in ((x + y01, y23), (x - y01, -y23)))
+    d02, s02, s03, d03 = y02 - y13, y02 + y13, y03 + y12, y03 - y12
+    x_plus, x_minus = x + y01, x - y01
+    nu_plus = (hypot(x_plus + y23, d02, s03) + hypot(x_plus - y23, s02, d03)) / 2
+    nu_plus_pt = (hypot(x_minus - y23, d02, s03) + hypot(x_minus + y23, s02, d03)) / 2
     det_root = x * l22 * l33
     return det_root / nu_plus, nu_plus, det_root / nu_plus_pt, det_root
 
@@ -351,20 +358,29 @@ def validate_bona_fide(cm) -> BonaFideReport:
                           separable=_separable(nu_tilde))
 
 
-def _gate(e):
-    """The _Gate of sigma's entries e (floats), if nu_minus >= 1 - GATE_TOL.
+def _physical_nu(e):
+    """_nu_pair of sigma's entries e (floats), if nu_minus >= 1 - GATE_TOL; InvalidStateError otherwise.
 
-    One Cholesky factor (_nu_pair) gives the spectra and D = (det L)**2,
-    so no caller factors sigma again or squares det L itself.  Every gate
-    of one state is built here, from a matrix (_require_physical) or from
-    a standard form's _standard_entries.
+    The one physicality check of one state: _gate builds its record on it,
+    and power._cross_check, which reads det L alone, calls it directly.
     """
     nu = _nu_pair(e)
     if nu is None:
         raise InvalidStateError("state is unphysical: sigma is not positive definite")
-    nu_minus, nu_plus, nu_tilde, det_root = nu
-    if nu_minus < 1 - GATE_TOL:
-        raise InvalidStateError(f"state is unphysical: nu_minus = {nu_minus} < 1")
+    if nu[0] < 1 - GATE_TOL:
+        raise InvalidStateError(f"state is unphysical: nu_minus = {nu[0]} < 1")
+    return nu
+
+
+def _gate(e):
+    """The _Gate of sigma's entries e (floats), if nu_minus >= 1 - GATE_TOL (_physical_nu).
+
+    One Cholesky factor (_nu_pair) gives the spectra and D = (det L)**2,
+    so no caller factors sigma again or squares det L itself.  Every record
+    of one state is built here, from a matrix (_require_physical) or from
+    a standard form's _standard_entries.
+    """
+    nu_minus, nu_plus, nu_tilde, det_root = _physical_nu(e)
     return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
@@ -422,10 +438,14 @@ def _unsqueeze(b00, b01, b11):
 
 
 def _standard_frame(e):
-    """((a, b, c, d), F_A): the standard form of sigma and its mode-A frame, from its entries e (_entries).
+    """((a, b, c, d), frame): the standard form of sigma from its entries e (_entries), and
+    frame = (la00, la01, la11, e, f, h, g), L_A and the coefficients below, from which
+    _mode_a_frame builds sigma's mode-A frame F_A.
 
     sigma = F sigma_s F^T with sigma_s the standard form and F = F_A (+) F_B
-    local symplectics, F_A = L_A R(phi_A) as (f00, f01, f10, f11).
+    local symplectics, F_A = L_A R(phi_A).  Only the builders of the map T
+    (fidelity._generator_map) build F_A; every other caller reads (a, b, c, d)
+    alone, so no angle, cos or sin is taken for them.
     L = L_A (+) L_B from _unsqueeze takes both mode blocks to a I and b I,
     a = sqrt(A) and b = sqrt(B), so local squeezing of sigma does not reach
     what is computed from sigma_s.  Rotations R(phi_A) (+) R(phi_B) then
@@ -448,11 +468,16 @@ def _standard_frame(e):
     r, s = m10 * lb11 - m11 * lb01, m11 * lb00 - m10 * lb01
     e, f, h, g = (p + s) / 2, (r - q) / 2, (p - s) / 2, (q + r) / 2
     rot, ref = math.hypot(e, f), math.hypot(h, g)
+    return (a, b, rot + ref, rot - ref), (la00, la01, la11, e, f, h, g)
+
+
+def _mode_a_frame(la00, la01, la11, e, f, h, g):
+    """F_A = L_A R(phi_A) as (f00, f01, f10, f11), from _standard_frame's frame:
+    L_A = (la00, la01, la11) and phi_A = (atan2(f, e) + atan2(g, h))/2."""
     phi = (math.atan2(f, e) + math.atan2(g, h)) / 2
     cos, sin = math.cos(phi), math.sin(phi)
-    frame = (la00 * cos + la01 * sin, la01 * cos - la00 * sin,
-             la01 * cos + la11 * sin, la11 * cos - la01 * sin)
-    return (a, b, rot + ref, rot - ref), frame
+    return (la00 * cos + la01 * sin, la01 * cos - la00 * sin,
+            la01 * cos + la11 * sin, la11 * cos - la01 * sin)
 
 
 def to_standard_form(cm) -> StandardForm:

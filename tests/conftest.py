@@ -53,22 +53,29 @@ def cholesky_calls(monkeypatch):
 
 @pytest.fixture
 def value_builds(monkeypatch):
-    """{"T": n, "IpResult": n}: the generator maps T (fidelity._generator_map) and the
-    IpResults (power.IpResult) built from here on."""
-    calls = {"T": 0, "IpResult": 0}
+    """{"T": n, "frame": n, "IpResult": n}: the generator maps T (fidelity._generator_map),
+    the mode-A frames F_A (symplectic._mode_a_frame, which _generator_map alone calls) and
+    the IpResults (power.IpResult) built from here on."""
+    calls = {"T": 0, "frame": 0, "IpResult": 0}
     # gipower.fidelity and gipower.power are also names of functions in gipower
     fidelity, power = (importlib.import_module(f"gipower.{name}") for name in ("fidelity", "power"))
-    generator_map, ip_result = fidelity._generator_map, power.IpResult
+    generator_map, mode_a_frame = fidelity._generator_map, fidelity._mode_a_frame
+    ip_result = power.IpResult
 
     def counted_map(frame):
         calls["T"] += 1
         return generator_map(frame)
+
+    def counted_frame(*frame):
+        calls["frame"] += 1
+        return mode_a_frame(*frame)
 
     def counted_result(*args, **kwargs):
         calls["IpResult"] += 1
         return ip_result(*args, **kwargs)
 
     monkeypatch.setattr(fidelity, "_generator_map", counted_map)
+    monkeypatch.setattr(fidelity, "_mode_a_frame", counted_frame)
     monkeypatch.setattr(power, "IpResult", counted_result)
     return calls
 

@@ -210,8 +210,20 @@ class TestVerify:
         assert result.stderr == ("error: numerical failure: closed formula gave nan "
                                  "at det sigma = 9.033812380335597e+199\n")
 
+    @pytest.mark.parametrize("seed, sha256", [
+        (1, "fab7161052623d7e7f846e6c8a17beb427cb58e3373e569f8ed8580a12b924f7"),
+        (2, "a4ddc5599c60e32f8ee066ca575353b55925b1d8270eee798a52889fddc62d62"),
+        (3, "9e5709f8774510791a57eba6d174660ec89b3edfe5d62844abdd4234f41fb9b5"),
+    ])
+    def test_pinned_digest(self, capsys, seed, sha256):
+        """Pinned stdout of 200 checks: a moved draw, closed form, oracle or digit fails."""
+        code, out = run_cli(capsys, "verify", "--seed", str(seed), "--n", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("flags", [
-        ("--n", "-5"), ("--n", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--n", "-5"), ("--n", "0"), ("--n", str(cli.MAX_ROWS + 1)), ("--tol", "-1"), ("--tol", "nan"),
+        ("--tol", "inf"),
     ])
     def test_bad_count_or_tolerance_exit_2(self, capsys, flags):
         args = {"--seed": "3", "--n": "2", **dict([flags])}

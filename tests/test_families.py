@@ -490,10 +490,11 @@ class TestSampling:
         for i, draw in enumerate(draws):
             gate = _gate(_standard_entries(*draw))
             want = (*draw, (draw[0] + draw[0] - 2) / 4, gate.log_negativity,
-                    _closed_form(gate, draw)[0], gate.separable, gate.nu_tilde)
+                    _closed_form(gate.A, gate.D, draw)[0], gate.separable, gate.nu_tilde)
             got = tuple(column[i].item() for column in columns)
             assert bits_of(got) == bits_of(want), i
-        assert _closed_form(_gate(_standard_entries(*draws[-5])), draws[-5])[1] == "pure"
+        gate = _gate(_standard_entries(*draws[-5]))
+        assert _closed_form(gate.A, gate.D, draws[-5])[1] == "pure"
 
     @pytest.mark.parametrize("bound", [1e3, 1e20])
     def test_fallback_rows_equal_scalar_sampler(self, monkeypatch, bound):

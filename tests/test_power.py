@@ -408,16 +408,18 @@ class TestCrossValidation:
             assert cross_validate(cm).closed == gip_closed_form(cm).value
 
     def test_values_alone(self, rng, value_builds):
-        # cross_validate builds no generator map T and no IpResult; the public
-        # functions build theirs: worst_case_qfi one T, gip_closed_form one IpResult.
+        # cross_validate builds no generator map T, no mode-A frame and no IpResult;
+        # the public functions build theirs: worst_case_qfi one T on one frame,
+        # gip_closed_form one IpResult and no frame, to_standard_form neither.
         for cm in oracle_states(rng):
-            value_builds.update(T=0, IpResult=0)
+            value_builds.update(T=0, frame=0, IpResult=0)
             cross_validate(cm)
-            assert value_builds == {"T": 0, "IpResult": 0}
+            assert value_builds == {"T": 0, "frame": 0, "IpResult": 0}
             worst_case_qfi(cm)
-            assert value_builds == {"T": 1, "IpResult": 0}
+            assert value_builds == {"T": 1, "frame": 1, "IpResult": 0}
             gip_closed_form(cm)
-            assert value_builds == {"T": 1, "IpResult": 1}
+            to_standard_form(cm)
+            assert value_builds == {"T": 1, "frame": 1, "IpResult": 1}
 
     def test_product_forms_up_to_huge_b(self):
         # (a, b, 0, 0) and near-product forms up to b = 1e30: on the axis-aligned

@@ -278,6 +278,16 @@ class TestInvariantKernel:
             assert got == pytest.approx(want, abs=1e-12 * size**degree)
         assert nu_min == pytest.approx(symplectic_spectrum_from_eigs(sigma)[0], abs=1e-9)
 
+    def test_nu_tilde_is_the_partial_transpose_nu_minus(self, rng):
+        """The one factor's nu~ is nu- of the partial transpose's own factor, bit for bit:
+        random states to a_max = b_max = 20, every other one locally conjugated, and pure ones."""
+        cms = [random_physical_cm(rng, 20.0, 20.0, conjugate=k % 2 == 1) for k in range(3000)]
+        cms += [from_standard_form(sf) for sf in (tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3))]
+        for cm in cms:
+            nu_tilde = symplectic._nu_pair(_entries(cm.sigma))[2]
+            want = symplectic._nu_pair(_entries(partial_transpose_B(cm).sigma))[0]
+            assert nu_tilde.hex() == want.hex(), cm
+
     def test_stacked_gate_is_the_scalar_gate(self, rng):
         """_gates on a stack of physical states gives each state's _nu_pair, the spectra
         and det L its _gate reads, bit for bit."""
