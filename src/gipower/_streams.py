@@ -76,7 +76,7 @@ def _pool(seed: int) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def _state_words(pool) -> list:
-    """generate_state(8, uint32) of a SeedSequence pool of four words: ints, or uint32 arrays."""
+    """generate_state(8, uint32) of a SeedSequence pool of four int words."""
     b = _hash_constants(_INIT_B, _MULT_B, 8)
     return [_hashmix(pool[i % 4], b[i], b[i + 1]) for i in range(8)]
 
@@ -92,15 +92,19 @@ def _child_streams(mixed, first: int, count: int):
     SeedSequence(seed), as PCG64 seeds itself from the children numpy spawns.
 
     mixed is _pool(seed), computed once per seed by the caller.  Each child's index is
-    mixed into its pool words on uint32 arrays of one element per child, then _state_words
-    and srandom.  Indices must be below 2**32, one word.
+    mixed into its four pool words in one (4, count) uint32 pass, and its eight state
+    words are formed as _state_words forms them in one (8, count) pass; srandom then runs
+    per child on ints.  Indices must be below 2**32, one word.
     """
     pool, pairs = mixed
+    h, h_next = np.array(pairs[:4], dtype=np.uint32).T[:, :, None]
     index = np.arange(first, first + count, dtype=np.uint32)
-    words = _state_words([_mix(word, _hashmix(index, *pair)) for word, pair in zip(pool, pairs)])
+    words = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(index, h, h_next))
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    words = _hashmix(np.concatenate((words, words)), b[:-1], b[1:])  # word i hashes pool word i % 4
     states, incs = [], []
     # generate_state(4, uint64) pairs words little-endian
-    for s in np.ascontiguousarray(np.transpose(words), dtype="<u4").view("<u8").tolist():
+    for s in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
         state, inc = _srandom(*s)
         states.append(state)
         incs.append(inc)

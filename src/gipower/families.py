@@ -25,13 +25,11 @@ from .symplectic import (
     ROOT_STEP,
     StandardForm,
     _gate,
-    _gates,
     _hypot_each,
-    _hypot_nested,
     _log_negativity,
-    _nu_pair,
     _separable,
     _standard_entries,
+    _standard_nu,
 )
 
 __all__ = [
@@ -295,9 +293,11 @@ def _draw(u, a_max: float, b_max: float):
 
 def _nu_minus_pt(a, b, c, d):
     """nu_minus of the standard form (a, b, c, d), floats, and of its partial transpose:
-    validate_bona_fide's numbers from one factor (_nu_pair), 0 where sigma is not > 0."""
-    nu_minus, _, nu_tilde, _ = _nu_pair(_standard_entries(a, b, c, d)) or (0.0,) * 4
-    return nu_minus, nu_tilde
+    validate_bona_fide's numbers (_standard_nu), 0 where sigma is not > 0."""
+    try:
+        return _standard_nu(a, b, c, d, math.sqrt, math.hypot)
+    except (ValueError, ZeroDivisionError):  # a pivot < 0, or a = 0
+        return 0.0, 0.0
 
 
 def random_state(rng: np.random.Generator, a_max: float = 5.0, b_max: float = 5.0) -> StandardForm:
@@ -328,15 +328,18 @@ def _random_state(random, a_max: float, b_max: float) -> StandardForm:
 def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     """(physical, accepted) masks of the draws of uniforms u, shape (..., 4).
 
-    Decided on arrays, except where nu_minus or, for a physical draw that
-    must be entangled, the partial transpose's nu_minus lies within
-    GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are rebuilt from their
-    uniforms by scalar arithmetic and decided on floats, as random_state
-    decides them and as is_separable would (one factor gives both), which
-    fixes every decision to theirs.  A sigma not > 0 gives nu = nan, so it is in the band.
+    Decided on arrays by _standard_nu with np.hypot, except where nu_minus or,
+    for a physical draw that must be entangled, the partial transpose's
+    nu_minus lies within GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are
+    rebuilt from their uniforms by scalar arithmetic and decided on floats
+    (_nu_minus_pt), as random_state decides them and as is_separable would,
+    which fixes every decision to theirs.  A sigma not > 0 gives nu = nan,
+    which is in the band, or 0 at a zero pivot, which is unphysical on arrays
+    and on floats alike.
     """
     a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
-    nu, _, nu_pt, _ = _gates(_standard_entries(a, b, c, d), _hypot_nested)
+    with np.errstate(all="ignore"):
+        nu, nu_pt = _standard_nu(a, b, c, d, np.sqrt, np.hypot)
     threshold, band = 1 - CHECK_TOL, GUARD_BAND * a * b
     physical = nu >= threshold
     near = ~(np.abs(nu - threshold) > band)
@@ -402,14 +405,14 @@ def _first_accepted(generator, states, incs, a_max: float, b_max: float,
 def _kept_columns(draws) -> _Columns:
     """The _Columns of kept draws, a list of (a, b, c, d) floats, in their order.
 
-    One stacked factor (_gates) and one pass of _closed_form_columns give
-    every number bit for bit as _nu_pair and _closed_form give it per draw,
-    and every kept draw passes the gate (its scalar nu_minus is
-    >= 1 - CHECK_TOL).  The draws whose closed form rescales, clamps or raises
+    One stacked kernel (_standard_nu, with math.hypot per element) and one pass
+    of _closed_form_columns give every number bit for bit as _nu_pair and
+    _closed_form give it per draw, and every kept draw passes the gate (its
+    scalar nu_minus is >= 1 - CHECK_TOL).  The draws whose closed form rescales, clamps or raises
     go through _gate and _closed_form in order, so the first error is the scalar one.
     """
     form = tuple(np.array(draws).T)
-    nu_tilde = _gates(_standard_entries(*form), _hypot_each)[2]
+    nu_tilde = _standard_nu(*form, np.sqrt, _hypot_each)[1]
     p_g, left = _closed_form_columns(form)
     for i in np.flatnonzero(left):
         gate = _gate(_standard_entries(*draws[i]))

@@ -287,7 +287,7 @@ def qfi(cm, zeta, theta):
     NumericalError if a value overflows (zeta^4 times the form beyond the
     float range).
     """
-    standard, frame = _standard_frame(_require_physical(cm)[0])
+    standard, frame = _standard_frame(_require_physical(cm))
     zeta, theta = np.asarray(zeta, dtype=float), np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(zeta) & (zeta > 0)):
         raise InvalidStateError(f"squeezing parameters must be finite and > 0, got {zeta}")
@@ -343,7 +343,7 @@ def worst_case_qfi(cm) -> WorstCaseResult:
     NumericalError if the QFI form overflows, or if that map meets a
     degenerate pencil (root 0: h0 on the light cone h0^T J h0 = 0).
     """
-    standard, frame = _standard_frame(_require_physical(cm)[0])
+    standard, frame = _standard_frame(_require_physical(cm))
     q, t = _qfi_form(standard), _generator_map(frame)
     value, (p0, v0), norm = _sheet_minimum(q)
     # The QFI at zeta = 1, h = (1, 0, 0): where it overflows it is nan or inf and ties nothing.

@@ -25,7 +25,6 @@ from .symplectic import (
     _entries,
     _gate,
     _physical_nu,
-    _require_physical,
     _sigma_of,
     _standard_entries,
     _standard_frame,
@@ -91,7 +90,8 @@ def gip_closed_form(cm) -> IpResult:
     only.  Raises NumericalError if the value is not finite (X overflows
     from sigma entries of ~1e39 on).
     """
-    e, gate = _require_physical(cm)
+    e = _entries(_sigma_of(cm))
+    gate = _gate(e)
     return IpResult(*_closed_form(gate.A, gate.D, _standard_frame(e)[0]), LocalInvariants(*gate[:4]))
 
 

@@ -72,9 +72,11 @@ MAX_DRAWS = 10_000
 MAX_ROWS = 10**6
 #: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
 #: which the batched sampler's array-computed nu decisions are redone on
-#: floats.  They read _gates with _hypot_nested, which differs from _nu_pair's
+#: floats.  They read _standard_nu with np.hypot, which differs from _nu_pair's
 #: math.hypot by rounding only: for nu in (0.5, 2) by at most 4.2e-16 a*b
-#: (40,000 draws at each of six (a_max, b_max) from (1.05, 1.05) to (1e4, 1e4)).
+#: (40,000 draws at each of six (a_max, b_max) from (1.05, 1.05) to (1e4, 1e4),
+#: measured on the general stacked kernel with nested np.hypot, whose values
+#: _standard_nu's are bit for bit, so the bound still holds).
 GUARD_BAND = 1e-13
 #: |det S - 1| allowed of each block of a local symplectic S_A (+) S_B.
 SYMPLECTIC_TOL = 1e-10
@@ -246,7 +248,7 @@ def _entries(sigma):
 
 
 def _standard_entries(a, b, c, d):
-    """_entries of the standard form (a, b, c, d): floats, or arrays of standard forms.
+    """_entries of the standard form (a, b, c, d), floats.
 
     On a StandardForm's fields, bit for bit those of from_standard_form's
     matrix: its symmetrisation (x + x)/2 is x, since StandardForm stops
@@ -256,36 +258,31 @@ def _standard_entries(a, b, c, d):
 
 
 def _blocks(e):
-    """Block determinants (A, B, C) by plain arithmetic on sigma's entries e (_entries).
-
-    Broadcasts over arrays.
-    """
+    """Block determinants (A, B, C) by plain arithmetic on sigma's entries e (_entries)."""
     s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
     return s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12
 
 
-def _cholesky(e, sqrt):
-    """Lower Cholesky factor of sigma by plain arithmetic on its entries e, row by row.
+def _cholesky(e):
+    """Lower Cholesky factor of sigma by plain arithmetic on its float entries e, row by row.
 
-    Broadcasts, with the caller's sqrt: math.sqrt on floats, where a pivot < 0,
-    or = 0 before the last, raises ValueError or ZeroDivisionError; np.sqrt on
-    arrays, under the caller's errstate, where those states give l22 * l33 = nan.
+    Where a pivot is < 0, or = 0 before the last, raises ValueError or ZeroDivisionError.
     """
     s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
-    l00 = sqrt(s00)
+    l00 = math.sqrt(s00)
     l10, l20, l30 = s01 / l00, s02 / l00, s03 / l00
-    l11 = sqrt(s11 - l10 * l10)
+    l11 = math.sqrt(s11 - l10 * l10)
     l21, l31 = (s12 - l20 * l10) / l11, (s13 - l30 * l10) / l11
-    l22 = sqrt(s22 - l20 * l20 - l21 * l21)
+    l22 = math.sqrt(s22 - l20 * l20 - l21 * l21)
     l32 = (s23 - l30 * l20 - l31 * l21) / l22
-    l33 = sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
+    l33 = math.sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
     return (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33)
 
 
 def _nu_pair(e):
     """(nu-, nu+, nu~, det L) of sigma from its entries e (floats), nu~ the nu- of its partial transpose.
 
-    By math: None unless sigma > 0.  _gates is the same kernel on stacks.
+    By math: None unless sigma > 0.  _standard_nu is the same kernel on standard forms.
 
     Williamson by Cholesky: with sigma = L L^T, the antisymmetric
     M = L^T Omega L has eigenvalues +-i nu-, +-i nu+.  Its self-dual and
@@ -301,18 +298,17 @@ def _nu_pair(e):
     state with a ~ 300 already exceeds PURE_TOL.
     """
     try:
-        factor = _cholesky(e, math.sqrt)
+        factor = _cholesky(e)
     except (ValueError, ZeroDivisionError):  # a pivot <= 0
         return None
-    return _spectra(factor, math.hypot)
+    return _spectra(factor)
 
 
-def _spectra(factor, hypot):
-    """_nu_pair's formulas on a Cholesky factor, with hypot(p, q, r) = |(p, q, r)|.
+def _spectra(factor):
+    """_nu_pair's formulas on a Cholesky factor, with math.hypot(p, q, r) = |(p, q, r)|.
 
-    Straight-line arithmetic, the same on floats and on arrays: the terms
-    y02 -+ y13 and y03 +- y12 shared by nu+ and nu~+ are formed once, and
-    nu+ and nu~+ are one expression each.
+    Straight-line arithmetic: the terms y02 -+ y13 and y03 +- y12 shared by
+    nu+ and nu~+ are formed once, and nu+ and nu~+ are one expression each.
     """
     (l00,), (_, l11), (l20, l21, l22), (l30, l31, l32, l33) = factor
     x = l00 * l11
@@ -323,8 +319,8 @@ def _spectra(factor, hypot):
     # |y03 +- y12| serve both, and x - y01 - y23 is x + (-y01) + (-y23) bit for bit.
     d02, s02, s03, d03 = y02 - y13, y02 + y13, y03 + y12, y03 - y12
     x_plus, x_minus = x + y01, x - y01
-    nu_plus = (hypot(x_plus + y23, d02, s03) + hypot(x_plus - y23, s02, d03)) / 2
-    nu_plus_pt = (hypot(x_minus - y23, d02, s03) + hypot(x_minus + y23, s02, d03)) / 2
+    nu_plus = (math.hypot(x_plus + y23, d02, s03) + math.hypot(x_plus - y23, s02, d03)) / 2
+    nu_plus_pt = (math.hypot(x_minus - y23, d02, s03) + math.hypot(x_minus + y23, s02, d03)) / 2
     det_root = x * l22 * l33
     return det_root / nu_plus, nu_plus, det_root / nu_plus_pt, det_root
 
@@ -361,8 +357,8 @@ def validate_bona_fide(cm) -> BonaFideReport:
 def _physical_nu(e):
     """_nu_pair of sigma's entries e (floats), if nu_minus >= 1 - GATE_TOL; InvalidStateError otherwise.
 
-    The one physicality check of one state: _gate builds its record on it,
-    and power._cross_check, which reads det L alone, calls it directly.
+    The one physicality check of one state: _gate builds its record on it, and
+    _require_physical and power._cross_check, which read no record, call it directly.
     """
     nu = _nu_pair(e)
     if nu is None:
@@ -377,40 +373,48 @@ def _gate(e):
 
     One Cholesky factor (_nu_pair) gives the spectra and D = (det L)**2,
     so no caller factors sigma again or squares det L itself.  Every record
-    of one state is built here, from a matrix (_require_physical) or from
-    a standard form's _standard_entries.
+    of one state is built here, from a matrix's _entries or from a standard
+    form's _standard_entries.
     """
     nu_minus, nu_plus, nu_tilde, det_root = _physical_nu(e)
     return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
-def _gates(e, hypot):
-    """_nu_pair on each state of a stack of entries e, from one factor, unchecked: arrays
-    (nu-, nu+, nu~, det L).
+def _standard_nu(a, b, c, d, sqrt, hypot):
+    """(nu-, nu~) of the standard form (a, b, c, d), from _cholesky and _spectra with the
+    standard form's exact zeros left out: floats, or arrays of standard forms.
 
-    The kernel's one stack entry, with the caller's hypot(p, q, r): numpy's + - * / sqrt
-    round as floats do, so with _hypot_each every number is _nu_pair's on that state's
-    floats bit for bit, and with _hypot_nested to a few ulps (GUARD_BAND).  All four are
-    nan where _nu_pair gives None; on another state _gate rejects they mean nothing.
+    On _standard_entries, l10 = l30 = l21 = l32 = 0 and l11 = l00, so y02 = y13 = 0
+    and each three-term hypot of _spectra is hypot(p, r), two-term.  Every dropped
+    term is a product with an exact 0, so with math.sqrt and math.hypot the values
+    are _nu_pair's bit for bit (math.hypot(p, 0.0, r) == math.hypot(p, r)), and with
+    np.sqrt and np.hypot within rounding of them (GUARD_BAND).  Where
+    sigma is not > 0, math raises ValueError or ZeroDivisionError and arrays give
+    nan (under the caller's errstate), but a zero pivot l22 or l33 gives nu = 0.
     """
-    with np.errstate(all="ignore"):
-        return _spectra(_cholesky(e, np.sqrt), hypot)
+    l00 = sqrt(a)
+    l20, l31 = c / l00, d / l00
+    l22, l33 = sqrt(b - l20 * l20), sqrt(b - l31 * l31)
+    x, y01, y23 = l00 * l00, l20 * l31, l22 * l33
+    y03, neg_y12 = l20 * l33, l31 * l22
+    s03, d03 = y03 - neg_y12, y03 + neg_y12
+    x_plus, x_minus = x + y01, x - y01
+    det_root = x * l22 * l33
+    nu_plus = (hypot(x_plus + y23, s03) + hypot(x_plus - y23, d03)) / 2
+    nu_plus_pt = (hypot(x_minus - y23, s03) + hypot(x_minus + y23, d03)) / 2
+    return det_root / nu_plus, det_root / nu_plus_pt
 
 
-def _hypot_each(p, q, r):
-    """math.hypot(p, q, r) of each element of three arrays."""
-    return np.array(list(map(math.hypot, p.tolist(), q.tolist(), r.tolist())))
-
-
-def _hypot_nested(p, q, r):
-    """|(p, q, r)| of arrays by nested np.hypot, no bit-copy of the 3-argument math.hypot."""
-    return np.hypot(np.hypot(p, q), r)
+def _hypot_each(p, r):
+    """math.hypot(p, r) of each element of two arrays."""
+    return np.array(list(map(math.hypot, p.tolist(), r.tolist())))
 
 
 def _require_physical(cm):
-    """sigma's entries (_entries) and its _Gate, if nu_minus >= 1 - GATE_TOL."""
+    """sigma's entries (_entries), if nu_minus >= 1 - GATE_TOL (_physical_nu)."""
     e = _entries(_sigma_of(cm))
-    return e, _gate(e)
+    _physical_nu(e)
+    return e
 
 
 def local_invariants(cm) -> LocalInvariants:
@@ -482,7 +486,7 @@ def _mode_a_frame(la00, la01, la11, e, f, h, g):
 
 def to_standard_form(cm) -> StandardForm:
     """Reduce a physical state to standard form (a, b, c, d), by _standard_frame."""
-    return StandardForm(*_standard_frame(_require_physical(cm)[0])[0])
+    return StandardForm(*_standard_frame(_require_physical(cm))[0])
 
 
 def from_standard_form(sf: StandardForm) -> CovarianceMatrix:
@@ -510,7 +514,7 @@ def pt_min_symplectic_eigenvalue(cm) -> float:
 
 def log_negativity(cm) -> float:
     """Logarithmic negativity max{0, -ln nu_tilde} of a physical state."""
-    return _require_physical(cm)[1].log_negativity
+    return _gate(_entries(_sigma_of(cm))).log_negativity
 
 
 def is_separable(cm) -> bool:

@@ -38,16 +38,31 @@ def child_warning_policy(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """[scalar, stacked]: the Cholesky factorisations made from here on, of one state
-    (float entries) and of a stack of states (array entries), counted apart."""
-    calls = [0, 0]
+    """[count]: the Cholesky factorisations of one state made from here on."""
+    calls = [0]
     cholesky = symplectic._cholesky
 
-    def counted(e, sqrt):
-        calls[0 if isinstance(e[0], float) else 1] += 1
-        return cholesky(e, sqrt)
+    def counted(e):
+        calls[0] += 1
+        return cholesky(e)
 
     monkeypatch.setattr(symplectic, "_cholesky", counted)
+    return calls
+
+
+@pytest.fixture
+def standard_nu_calls(monkeypatch):
+    """[scalar, stacked]: the sampler's _standard_nu calls made from here on, on one
+    standard form (floats) and on a stack of them (arrays), counted apart."""
+    families = importlib.import_module("gipower.families")
+    calls = [0, 0]
+    standard_nu = families._standard_nu
+
+    def counted(a, b, c, d, sqrt, hypot):
+        calls[0 if isinstance(a, float) else 1] += 1
+        return standard_nu(a, b, c, d, sqrt, hypot)
+
+    monkeypatch.setattr(families, "_standard_nu", counted)
     return calls
 
 

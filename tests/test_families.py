@@ -44,12 +44,10 @@ from gipower.power import _closed_form
 from gipower.symplectic import (
     _entries,
     _gate,
-    _gates,
     _hypot_each,
-    _hypot_nested,
     _nu_pair,
-    _require_physical,
     _standard_entries,
+    _standard_nu,
 )
 from oracles import random_state_scalar, sample_records_scalar
 
@@ -399,7 +397,7 @@ class TestStandardFormGate:
     @staticmethod
     def assert_same_gate(a, b, c, d):
         got = gate_bits(lambda: _gate(_standard_entries(a, b, c, d)))
-        want = gate_bits(lambda: _require_physical(from_standard_form(StandardForm(a, b, c, d)))[1])
+        want = gate_bits(lambda: _gate(_entries(from_standard_form(StandardForm(a, b, c, d)).sigma)))
         assert got == want, (a, b, c, d)
 
     def test_entries_are_the_matrix_entries(self):
@@ -431,6 +429,41 @@ class TestStandardFormGate:
     def test_family_constructors(self):
         for sf in constructed_states():
             self.assert_same_gate(sf.a, sf.b, sf.c, sf.d)
+
+
+#: (a_max, b_max) of the _standard_nu checks, from near-product draws to a far from b.
+NU_BOUNDS = [(1.05, 1.05), (5.0, 5.0), (100.0, 100.0), (1e4, 1e4), (1e6, 3.0)]
+
+
+class TestStandardNu:
+    """_standard_nu against _nu_pair of _standard_entries, (nu-, nu~) bit for bit."""
+
+    @staticmethod
+    def forms(bounds):
+        """3000 draws at bounds, tmsv states and one state of each family constructor."""
+        u = np.random.default_rng(9).random((3000, 4)).tolist()
+        states = constructed_states() + [tmsv(a) for a in (1.0 + 2**-40, 10.0, 300.0, 1e4)]
+        return [families._draw(row, *bounds) for row in u] + [(sf.a, sf.b, sf.c, sf.d) for sf in states]
+
+    @staticmethod
+    def scalar(form):
+        """_nu_pair's (nu-, nu~) of form, as hex; every form here is positive definite."""
+        nu_minus, _, nu_tilde, _ = _nu_pair(_standard_entries(*form))
+        return nu_minus.hex(), nu_tilde.hex()
+
+    @pytest.mark.parametrize("bounds", NU_BOUNDS)
+    def test_floats(self, bounds):
+        for form in self.forms(bounds):
+            got = _standard_nu(*form, math.sqrt, math.hypot)
+            assert (got[0].hex(), got[1].hex()) == self.scalar(form), form
+
+    @pytest.mark.parametrize("bounds", NU_BOUNDS)
+    def test_stacks(self, bounds):
+        """On arrays, with math.hypot per element (_hypot_each), as _kept_columns reads it."""
+        forms = self.forms(bounds)
+        stacked = _standard_nu(*map(np.array, zip(*forms)), np.sqrt, _hypot_each)
+        got = [(nu.hex(), nu_tilde.hex()) for nu, nu_tilde in zip(*(field.tolist() for field in stacked))]
+        assert got == [self.scalar(form) for form in forms]
 
 
 class TestRandomState:
@@ -474,10 +507,11 @@ class TestSampling:
             assert r.separable == is_separable(cm)
             assert r.nu_tilde == pt_min_symplectic_eigenvalue(cm)
 
-    def test_one_factor_per_record(self, cholesky_calls):
-        """The kept rows of a chunk share one stacked factor; no row factors its state alone."""
+    def test_one_factor_per_record(self, cholesky_calls, standard_nu_calls):
+        """The kept rows of a chunk share one stacked _standard_nu; no row factors its state alone."""
         families._kept_columns([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)])
-        assert cholesky_calls == [0, 1]
+        assert standard_nu_calls == [0, 1]
+        assert cholesky_calls == [0]
 
     def test_columns_equal_scalar_gate(self, rng):
         """Every column, bit for bit, as _gate and _closed_form give it row by row: random,
@@ -569,11 +603,13 @@ class TestBatchedSampler:
                 assert got == want, (seed, sample.__name__)
 
     def test_array_nu_matches_scalar(self):
-        """_gates with _hypot_nested on a stack of draws against _nu_pair per draw, far inside GUARD_BAND."""
+        """_standard_nu with np.hypot, as _accept reads it, on a stack of draws against
+        _nu_pair per draw, far inside GUARD_BAND."""
         u = np.random.default_rng(5).random((1000, 4))
         for bounds in ((5.0, 5.0), (1.05, 1.05), (100.0, 100.0)):
             a, b, c, d = families._draw(u.T, *bounds)
-            nu, _, nu_pt, _ = _gates(_standard_entries(a, b, c, d), _hypot_nested)
+            with np.errstate(all="ignore"):
+                nu, nu_pt = _standard_nu(a, b, c, d, np.sqrt, np.hypot)
             for i in range(len(u)):
                 scalar = _nu_pair(_standard_entries(*families._draw(u[i].tolist(), *bounds)))
                 for got, pt in ((nu[i], False), (nu_pt[i], True)):
@@ -581,8 +617,10 @@ class TestBatchedSampler:
                     assert abs(got - want) <= 1e-14 * a[i] * b[i] * max(1.0, want), (bounds, i, pt)
 
     def test_stack_nan_where_scalar_none(self, monkeypatch):
-        """A stack mixing positive-definite and other sigma: _gates is nan exactly where
-        _nu_pair gives None, and _accept decides every row as the scalar checks do."""
+        """A stack mixing positive-definite and other sigma: _standard_nu is nan where
+        _nu_pair gives None, except at a zero pivot, where it is 0; _nu_minus_pt gives
+        _nu_pair's (nu-, nu~), or (0, 0) where it gives None; and _accept decides every
+        row as the scalar checks do."""
         u = np.random.default_rng(6).random((40, 4))
         forms = [*map(tuple, np.transpose(families._draw(u.T, 5.0, 5.0)).tolist()),
                  (2.0, 2.0, 1.7, -1.7), (1.0, 1.0, 0.5, -0.5),  # entangled; not physical
@@ -592,14 +630,20 @@ class TestBatchedSampler:
         scalar = [_nu_pair(_standard_entries(*form)) for form in forms]
         assert sum(nu is None for nu in scalar) == 6
         assert scalar[-4][0] == 0.0  # a zero last pivot gives nu = 0, not None
-        for hypot in (_hypot_each, _hypot_nested):
-            for field in _gates(_standard_entries(*map(np.array, zip(*forms))), hypot):
-                assert np.isnan(field).tolist() == [nu is None for nu in scalar]
+        zero_pivot = [form in ((1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1.0)) for form in forms]  # ab = c^2, d^2
+        nan = [nu is None and not zero for nu, zero in zip(scalar, zero_pivot)]
+        for hypot in (_hypot_each, np.hypot):
+            with np.errstate(all="ignore"):
+                stacked = _standard_nu(*map(np.array, zip(*forms)), np.sqrt, hypot)
+            for field in stacked:
+                assert np.isnan(field).tolist() == nan
+                assert field[zero_pivot].tolist() == [0.0, 0.0]
+        want = [(nu[0], nu[2]) if nu else (0.0, 0.0) for nu in scalar]
+        assert [families._nu_minus_pt(*form) for form in forms] == want
         monkeypatch.setattr(families, "_draw", lambda u, a_max, b_max: u)  # u holds the forms
         threshold = 1 - families.CHECK_TOL
         for entangled_only in (False, True):
             physical, accepted = families._accept(np.array(forms), 5.0, 5.0, entangled_only)
-            want = [families._nu_minus_pt(*form) for form in forms]
             assert physical.tolist() == [nu >= threshold for nu, _ in want]
             assert accepted.tolist() == [nu >= threshold and not (entangled_only and nu_pt >= threshold)
                                          for nu, nu_pt in want]
@@ -676,6 +720,15 @@ class TestChildStreams:
         for k in range(3):
             child = np.random.SeedSequence(seed, spawn_key=(first + k,))
             assert np.random.PCG64(child).state["state"] == {"state": states[k], "inc": incs[k]}
+
+    @pytest.mark.parametrize("first, count", [(250, 256), (250, 1), (0, 1)])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeds_from_a_later_child(self, seed, first, count):
+        """A chunk that starts past child 0, and a chunk of one child, against numpy's spawn."""
+        states, incs = _child_streams(_pool(seed), first, count)
+        want = [np.random.PCG64(child).state["state"]
+                for child in np.random.SeedSequence(seed).spawn(first + count)[first:]]
+        assert [{"state": s, "inc": i} for s, i in zip(states, incs, strict=True)] == want
 
     def test_child_indices_past_the_spawn_counter_raise(self, monkeypatch):
         """numpy counts children spawned in 32 bits: n past MAX_ROWS (< 2**32) is refused

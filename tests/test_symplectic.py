@@ -25,6 +25,7 @@ from gipower import (
     mean_photon_A,
     partial_transpose_B,
     pt_min_symplectic_eigenvalue,
+    qfi,
     random_local_symplectic,
     random_state,
     swap_modes,
@@ -32,6 +33,7 @@ from gipower import (
     to_standard_form,
     tmsv,
     validate_bona_fide,
+    worst_case_qfi,
 )
 import gipower.symplectic as symplectic
 from gipower.fidelity import rotation
@@ -289,16 +291,15 @@ class TestInvariantKernel:
             assert nu_tilde.hex() == want.hex(), cm
 
     def test_stacked_gate_is_the_scalar_gate(self, rng):
-        """_gates on a stack of physical states gives each state's _nu_pair, the spectra
-        and det L its _gate reads, bit for bit."""
-        cms = [random_physical_cm(rng, 20.0, 20.0, conjugate=k % 2 == 1) for k in range(200)]
-        cms += [from_standard_form(sf) for sf in (tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3))]
-        stack = np.stack([cm.sigma for cm in cms])
-        gates = symplectic._gates(tuple(stack[:, i, j] for i, j in zip(*np.triu_indices(4))),
-                                  symplectic._hypot_each)
-        for i, cm in enumerate(cms):
-            want = [float(x).hex() for x in symplectic._nu_pair(_entries(cm.sigma))]
-            assert [float(field[i]).hex() for field in gates] == want, i
+        """_standard_nu on a stack of standard forms, with math.hypot per element, gives each
+        state's _nu_pair (nu-, nu~), bit for bit."""
+        forms = [random_state(rng, 20.0, 20.0) for _ in range(200)]
+        forms += [tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3), StandardForm(3.0, 2.0, 0.0, 0.0)]
+        stack = (np.array([getattr(sf, name) for sf in forms]) for name in "abcd")
+        stacked = symplectic._standard_nu(*stack, np.sqrt, symplectic._hypot_each)
+        for i, sf in enumerate(forms):
+            nu = symplectic._nu_pair(symplectic._standard_entries(sf.a, sf.b, sf.c, sf.d))
+            assert [float(field[i]).hex() for field in stacked] == [nu[0].hex(), nu[2].hex()], i
 
 
 class TestStandardFormReduction:
@@ -344,6 +345,54 @@ class TestStandardFormReduction:
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
+            to_standard_form(np.diag([0.5, 0.5, 1.0, 1.0]))
+
+
+class TestGateRecords:
+    """Only the callers that read the gate's record build one."""
+
+    S_A, S_B = np.array([[2.0, 0.5], [0.0, 0.5]]), np.array([[1.0, 0.0], [0.7, 1.0]])
+    #: to_standard_form's (a, b, c, d), qfi(cm, 1.3, 0.4) and worst_case_qfi's (value, zeta, theta)
+    #: of each state of the test, as the gate record built for each call gave them.
+    PINNED = {
+        S231: ["0x1.ffffffffffffep+0", "0x1.8000000000001p+1", "0x1.0000000000000p+0",
+               "-0x1.ffffffffffffdp-1", "0x1.1a704b70b91c3p+5", "0x1.5555555555554p-2",
+               "0x1.085c8be3faed0p+1", "0x1.8234d7f6ecb9dp+0"],
+        StandardForm(3.0, 2.0, 2.0, -1.5): [
+            "0x1.7ffffffffffffp+1", "0x1.0000000000000p+1", "0x1.0000000000000p+1",
+            "-0x1.7fffffffffffep+0", "0x1.a7b85efec0e1fp+5", "0x1.d10c439c4b678p+0",
+            "0x1.ed7482012b03dp+0", "0x1.830a64559ac86p+0"],
+        tmsv(2.0): ["0x1.ffffffffffffep+0", "0x1.0000000000000p+1", "0x1.bb67ae8584cabp+0",
+                    "-0x1.bb67ae8584ca9p+0", "0x1.3a9a82dd144c4p+6", "0x1.8000000000001p+1",
+                    "0x1.085c8be3faed0p+1", "0x1.8234d7f6ecb9dp+0"],
+    }
+
+    def test_checks_alone_build_no_record(self, monkeypatch):
+        """to_standard_form, qfi and worst_case_qfi check physicality and build no _Gate, with
+        the values they had when each built one; gip_closed_form and log_negativity build one each."""
+        built = [0]
+
+        class CountedGate(symplectic._Gate):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built[0] += 1
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(symplectic, "_Gate", CountedGate)
+        for sf, want in self.PINNED.items():
+            cm = apply_local_symplectic(from_standard_form(sf), self.S_A @ rotation(0.3), self.S_B)
+            got = to_standard_form(cm)
+            result = worst_case_qfi(cm)
+            values = [got.a, got.b, got.c, got.d, qfi(cm, 1.3, 0.4), result.value, result.zeta_opt,
+                      result.theta_opt]
+            assert [value.hex() for value in values] == want, sf
+            assert built == [0]
+            gip_closed_form(cm)
+            log_negativity(cm)
+            assert built == [2]
+            built[0] = 0
+        with pytest.raises(InvalidStateError, match="state is unphysical"):
             to_standard_form(np.diag([0.5, 0.5, 1.0, 1.0]))
 
 
