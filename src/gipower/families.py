@@ -275,20 +275,25 @@ def _check_bounds(a_max, b_max) -> tuple[float, float]:
     return float(a_max), float(b_max)
 
 
-def _draw(u, a_max: float, b_max: float):
+def _draw(u, a_max: float, b_max: float, power=pow):
     """(a, b, c, d) of one rejection-sampling draw from its four uniforms u on [0, 1).
 
     Each entry is rng.uniform(lo, hi), which is lo + (hi - lo) * u bit for
-    bit.  Elementwise on arrays, where numpy's ** 0.25 may differ from
-    Python's in the last bit.
+    bit.  Elementwise on arrays, where numpy's ** 0.25 (power = pow) may differ
+    from Python's in the last bit, and with power = _pow_each does not.
     """
     u_a, u_b, u_c, u_d = u
     a = 1.0 + (a_max - 1.0) * u_a
     b = 1.0 + (b_max - 1.0) * u_b
-    c_max = ((a * a - 1) * (b * b - 1)) ** 0.25
+    c_max = power((a * a - 1) * (b * b - 1), 0.25)
     c = 0.0 + (c_max - 0.0) * u_c
     d = -c + (c - -c) * u_d
     return a, b, c, d
+
+
+def _pow_each(x, y: float):
+    """Python's x ** y of each element of an array x."""
+    return np.array([v**y for v in x.tolist()])
 
 
 def _nu_minus_pt(a, b, c, d):
@@ -328,30 +333,47 @@ def _random_state(random, a_max: float, b_max: float) -> StandardForm:
 def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     """(physical, accepted) masks of the draws of uniforms u, shape (..., 4).
 
-    Decided on arrays by _standard_nu with np.hypot, except where nu_minus or,
-    for a physical draw that must be entangled, the partial transpose's
-    nu_minus lies within GUARD_BAND * a * b of 1 - CHECK_TOL: those draws are
-    rebuilt from their uniforms by scalar arithmetic and decided on floats
-    (_nu_minus_pt), as random_state decides them and as is_separable would,
-    which fixes every decision to theirs.  A sigma not > 0 gives nu = nan,
-    which is in the band, or 0 at a zero pivot, which is unphysical on arrays
-    and on floats alike.
+    Decided on arrays by polynomials in the invariants, as random_state decides on
+    floats (_nu_minus_pt) and as is_separable would.  With p = ab - c^2, q = ab - d^2,
+    D = pq, Delta = a^2 + b^2 + 2cd and tau = (1 - CHECK_TOL)^2, nu_minus >= 1 - CHECK_TOL
+    iff sigma > 0 (a, p, q > 0), f = tau^2 - Delta tau + D >= 0 and Delta >= 2 tau: tau
+    lies below both roots nu_minus^2, nu_plus^2 of x^2 - Delta x + D.  The partial
+    transpose has the same D and Delta~ = a^2 + b^2 - 2cd, in f~.  A draw is decided so
+    where f, and f~ of a physical draw that must be entangled, lies further from 0 than
+    the band 3 GUARD_BAND ab (a + b)^2 that GUARD_BAND's comment derives, compared in
+    units of (a + b)^2 so that nothing overflows.  The draws inside it are rebuilt from
+    their uniforms by scalar arithmetic and decided together by _standard_nu with
+    math.hypot per element, which gives _nu_minus_pt's numbers bit for bit, or nan where
+    _nu_minus_pt gives 0 (sigma not > 0): unphysical either way.
     """
-    a, b, c, d = _draw(np.moveaxis(u, -1, 0), a_max, b_max)
-    with np.errstate(all="ignore"):
-        nu, nu_pt = _standard_nu(a, b, c, d, np.sqrt, np.hypot)
-    threshold, band = 1 - CHECK_TOL, GUARD_BAND * a * b
-    physical = nu >= threshold
-    near = ~(np.abs(nu - threshold) > band)
+    a, b, c, d = _draw([u[..., k] for k in range(4)], a_max, b_max)
+    ab = a * b
+    p, q = ab - c * c, ab - d * d
+    squares, cross = a * a + b * b, 2 * c * d
+    tau = (1 - CHECK_TOL) ** 2
+    det_tau2, scale, band = p * q + tau * tau, (a + b) * (a + b), 3 * GUARD_BAND * ab
+
+    def sides(delta):
+        """(tau below both roots, f within the band) of x^2 - delta x + D, read off
+        f / (a + b)^2 = (tau^2 - delta tau + D) / (a + b)^2 against band."""
+        f = (det_tau2 - delta * tau) / scale
+        return (f > band) & (delta > 2 * tau), np.abs(f) <= band
+
+    physical, near = sides(squares + cross)
+    physical &= np.minimum(np.minimum(a, p), q) > 0  # sigma > 0
+    accepted = physical
     if entangled_only:
-        accepted = physical & ~_separable(nu_pt)
-        near |= physical & ~(np.abs(nu_pt - threshold) > band)
-    else:
-        accepted = physical.copy()
-    for i in zip(*np.nonzero(near)):
-        nu_i, nu_pt_i = _nu_minus_pt(*_draw(u[i].tolist(), a_max, b_max))
-        physical[i] = nu_i >= threshold
-        accepted[i] = physical[i] and not (entangled_only and _separable(nu_pt_i))
+        separable, near_pt = sides(squares - cross)
+        accepted = physical & ~separable
+        near |= physical & near_pt
+    if near.any():
+        at = np.nonzero(near)
+        form = _draw(u[at].T, a_max, b_max, _pow_each)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            nu, nu_pt = _standard_nu(*form, np.sqrt, _hypot_each)
+        physical[at] = nu >= 1 - CHECK_TOL
+        if entangled_only:
+            accepted[at] = physical[at] & ~_separable(nu_pt)
     return physical, accepted
 
 

@@ -67,16 +67,20 @@ PURE_TOL = 1e-7
 #: Rejection-sampling draws allowed per returned state.
 MAX_DRAWS = 10_000
 #: Largest `bounds --grid`, `sample --n` and `verify --n`.  The CLI writes rows as it formats
-#: them and checks states as it draws them, so the cap bounds the run time (~19 us per fig2
+#: them and checks states as it draws them, so the cap bounds the run time (~15 us per fig2
 #: row, ~35 us per verified state) and the sampler's sorted columns.
 MAX_ROWS = 10**6
-#: Half-width, per unit of a*b, of the band around 1 - CHECK_TOL inside
-#: which the batched sampler's array-computed nu decisions are redone on
-#: floats.  They read _standard_nu with np.hypot, which differs from _nu_pair's
-#: math.hypot by rounding only: for nu in (0.5, 2) by at most 4.2e-16 a*b
-#: (40,000 draws at each of six (a_max, b_max) from (1.05, 1.05) to (1e4, 1e4),
-#: measured on the general stacked kernel with nested np.hypot, whose values
-#: _standard_nu's are bit for bit, so the bound still holds).
+#: Bound, per unit of a*b, on the forward error of nu_minus and nu~ as the scalar
+#: standard-form kernel gives them (_standard_nu with math.sqrt and math.hypot): at most
+#: 6.5e-16 a*b against an mpmath reference, on 10^4 draws at each of nine (a_max, b_max)
+#: from (1, 1) to (1e150, 1), tmsv and the boundary families.  The sampler decides its
+#: draws by f = tau^2 - Delta tau + D, tau = (1 - CHECK_TOL)^2, and re-decides by that
+#: kernel those within the band 3 GUARD_BAND a*b (a + b)^2 of f = 0.  To first order
+#: in e = GUARD_BAND*a*b, a nu_minus within e of 1 - CHECK_TOL puts f within 2 Delta e
+#: of 0, since |df/dnu_minus| <= 2 Delta <= 2 (a + b)^2; f's own rounding, with the
+#: ulp by which numpy's ** 0.25 can move c_max, adds less than 20 eps a*b (a + b)^2,
+#: well inside the third GUARD_BAND a*b (a + b)^2.  Where e is not small (a*b from
+#: ~1e13) the band rests on the sampler's decision-equivalence tests.
 GUARD_BAND = 1e-13
 #: |det S - 1| allowed of each block of a local symplectic S_A (+) S_B.
 SYMPLECTIC_TOL = 1e-10
@@ -387,10 +391,10 @@ def _standard_nu(a, b, c, d, sqrt, hypot):
     On _standard_entries, l10 = l30 = l21 = l32 = 0 and l11 = l00, so y02 = y13 = 0
     and each three-term hypot of _spectra is hypot(p, r), two-term.  Every dropped
     term is a product with an exact 0, so with math.sqrt and math.hypot the values
-    are _nu_pair's bit for bit (math.hypot(p, 0.0, r) == math.hypot(p, r)), and with
-    np.sqrt and np.hypot within rounding of them (GUARD_BAND).  Where
-    sigma is not > 0, math raises ValueError or ZeroDivisionError and arrays give
-    nan (under the caller's errstate), but a zero pivot l22 or l33 gives nu = 0.
+    are _nu_pair's bit for bit (math.hypot(p, 0.0, r) == math.hypot(p, r)), and so
+    are they on arrays with np.sqrt and _hypot_each.  Where sigma is not > 0, math
+    raises ValueError or ZeroDivisionError and arrays give nan (under the caller's
+    errstate), but a zero pivot l22 or l33 gives nu = 0.
     """
     l00 = sqrt(a)
     l20, l31 = c / l00, d / l00
@@ -513,8 +517,8 @@ def pt_min_symplectic_eigenvalue(cm) -> float:
 
 
 def log_negativity(cm) -> float:
-    """Logarithmic negativity max{0, -ln nu_tilde} of a physical state."""
-    return _gate(_entries(_sigma_of(cm))).log_negativity
+    """Logarithmic negativity max{0, -ln nu_tilde} of a physical state (_physical_nu)."""
+    return _log_negativity(_physical_nu(_entries(_sigma_of(cm)))[2])
 
 
 def is_separable(cm) -> bool:

@@ -113,6 +113,30 @@ def closed_form_mp(sigma: np.ndarray) -> float:
         return float((mp(X) + mpmath.sqrt(mp(X * X + Y * Z))) / (2 * mp(Y)))
 
 
+def standard_nu_mp(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """(nu-, nu~) of the standard form (a, b, c, d) to 50 digits, 0 where sigma is not > 0.
+
+    From the invariants alone, exact in integers: with every entry a multiple of 1/s
+    for a power of two s, D s^4 = (ab - c^2)(ab - d^2) s^4, Delta s^2 = (a^2 + b^2 + 2cd) s^2
+    for sigma and (a^2 + b^2 - 2cd) s^2 for its partial transpose; nu-^2 is the smaller
+    root of x^2 - Delta x + D, 2D/(Delta + sqrt(Delta^2 - 4D)), which does not cancel.
+    """
+    ratios = [float(x).as_integer_ratio() for x in (a, b, c, d)]
+    s = max(den for _, den in ratios)
+    a, b, c, d = (num * (s // den) for num, den in ratios)
+    p, q = a * b - c * c, a * b - d * d
+    if not (a > 0 and p > 0 and q > 0):
+        return 0.0, 0.0
+    det = p * q
+
+    def nu_minus(delta):
+        with mpmath.workdps(50):
+            root = mpmath.sqrt(mpmath.mpf(delta * delta - 4 * det))
+            return float(mpmath.sqrt(2 * mpmath.mpf(det) / (delta + root)) / s)
+
+    return nu_minus(a * a + b * b + 2 * c * d), nu_minus(a * a + b * b - 2 * c * d)
+
+
 _OMEGA_MP = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 

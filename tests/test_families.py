@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from gipower import (
 from gipower._streams import _child_streams, _pool, _Uniforms
 from gipower.power import _closed_form
 from gipower.symplectic import (
+    GUARD_BAND,
     _entries,
     _gate,
     _hypot_each,
@@ -49,7 +51,7 @@ from gipower.symplectic import (
     _standard_entries,
     _standard_nu,
 )
-from oracles import random_state_scalar, sample_records_scalar
+from oracles import random_state_scalar, sample_records_scalar, standard_nu_mp
 
 
 def ratio_of(sf) -> float:
@@ -433,6 +435,22 @@ class TestStandardFormGate:
 
 #: (a_max, b_max) of the _standard_nu checks, from near-product draws to a far from b.
 NU_BOUNDS = [(1.05, 1.05), (5.0, 5.0), (100.0, 100.0), (1e4, 1e4), (1e6, 3.0)]
+#: (a_max, b_max) of the sampler's decision sweep: the vacuum corner and a hair above it,
+#: NU_BOUNDS, and bounds where GUARD_BAND * a * b is past 1, the last at a*b ~ 1e150.
+SWEEP = [(1.0, 1.0), (1.0, 1 + 1e-7), *NU_BOUNDS, (1e20, 1e20), (1e150, 1.0)]
+#: The bound pairs of SWEEP whose every draw lies in _accept's band: the vacuum corner and
+#: a hair above it, whose draws (1, b, 0, 0) have f = (1 - tau)(b^2 - tau) < 1e-15, and
+#: (1e150, 1), where the band, ~1e137 (a + b)^2, holds every f.  No draw of the others does.
+IN_BAND = [(1.0, 1.0), (1.0, 1 + 1e-7), (1e150, 1.0)]
+
+
+def scalar_decisions(forms):
+    """([physical], [physical and entangled]) of each (a, b, c, d) of forms, as random_state
+    decides it and as is_separable would: _nu_minus_pt on floats."""
+    threshold = 1 - families.CHECK_TOL
+    nu = [families._nu_minus_pt(*form) for form in forms]
+    return ([nu_minus >= threshold for nu_minus, _ in nu],
+            [nu_minus >= threshold > nu_tilde for nu_minus, nu_tilde in nu])
 
 
 class TestStandardNu:
@@ -456,6 +474,29 @@ class TestStandardNu:
         for form in self.forms(bounds):
             got = _standard_nu(*form, math.sqrt, math.hypot)
             assert (got[0].hex(), got[1].hex()) == self.scalar(form), form
+
+    @staticmethod
+    def assert_within_guard_band(forms):
+        """_nu_minus_pt's nu- and nu~ of each form within GUARD_BAND * a * b of standard_nu_mp's."""
+        for form in forms:
+            got, want = families._nu_minus_pt(*form), standard_nu_mp(*form)
+            for x, y in zip(got, want):
+                assert abs(x - y) <= GUARD_BAND * form[0] * form[1], (form, got, want)
+
+    @pytest.mark.parametrize("bounds", SWEEP)
+    def test_forward_error_within_guard_band(self, bounds):
+        """GUARD_BAND's premise on 10^4 draws at each bound pair of the sweep."""
+        u = np.random.default_rng(10).random((10_000, 4)).tolist()
+        self.assert_within_guard_band({families._draw(row, *bounds) for row in u})
+
+    def test_forward_error_on_pure_and_boundary_states(self):
+        """GUARD_BAND's premise on tmsv to a = 1e7 and the three boundary families."""
+        nus = np.linspace(0.01, 0.99, 99).tolist()
+        states = [tmsv(a) for a in np.geomspace(1.0, 1e7, 300).tolist()]
+        states += [upper_boundary_state(nu, b) for nu in nus for b in (100.0, 1e3, 1e6)]
+        states += [lower_branch1_state(nu) for nu in nus if nu > nu_zero()]
+        states += [lower_branch2_state(nu) for nu in np.linspace(1e-4, 0.9999, 300).tolist()]
+        self.assert_within_guard_band([(sf.a, sf.b, sf.c, sf.d) for sf in states])
 
     @pytest.mark.parametrize("bounds", NU_BOUNDS)
     def test_stacks(self, bounds):
@@ -508,9 +549,17 @@ class TestSampling:
             assert r.nu_tilde == pt_min_symplectic_eigenvalue(cm)
 
     def test_one_factor_per_record(self, cholesky_calls, standard_nu_calls):
-        """The kept rows of a chunk share one stacked _standard_nu; no row factors its state alone."""
-        families._kept_columns([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)])
+        """The kept rows of a chunk share one stacked _standard_nu; no row factors its state
+        alone.  Draw decisions call it only on the draws in the band: never at the default
+        bounds here, and once per round at the vacuum corner, where every draw is in it."""
+        u = np.random.default_rng(4).random((8, 32, 4))
+        for entangled_only in (False, True):
+            families._accept(u, 5.0, 5.0, entangled_only)
+        assert standard_nu_calls == [0, 0]
+        families._accept(u, 1.0, 1.0, True)
         assert standard_nu_calls == [0, 1]
+        families._kept_columns([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)])
+        assert standard_nu_calls == [0, 2]
         assert cholesky_calls == [0]
 
     def test_columns_equal_scalar_gate(self, rng):
@@ -602,25 +651,29 @@ class TestBatchedSampler:
                 want = bits(sample_records_scalar(seed, n, *bounds, entangled_only))
                 assert got == want, (seed, sample.__name__)
 
-    def test_array_nu_matches_scalar(self):
-        """_standard_nu with np.hypot, as _accept reads it, on a stack of draws against
-        _nu_pair per draw, far inside GUARD_BAND."""
-        u = np.random.default_rng(5).random((1000, 4))
-        for bounds in ((5.0, 5.0), (1.05, 1.05), (100.0, 100.0)):
-            a, b, c, d = families._draw(u.T, *bounds)
-            with np.errstate(all="ignore"):
-                nu, nu_pt = _standard_nu(a, b, c, d, np.sqrt, np.hypot)
-            for i in range(len(u)):
-                scalar = _nu_pair(_standard_entries(*families._draw(u[i].tolist(), *bounds)))
-                for got, pt in ((nu[i], False), (nu_pt[i], True)):
-                    want = (scalar or (0.0,) * 4)[2 if pt else 0]
-                    assert abs(got - want) <= 1e-14 * a[i] * b[i] * max(1.0, want), (bounds, i, pt)
+    @pytest.mark.parametrize("bounds", SWEEP)
+    def test_decisions_equal_scalar(self, bounds, standard_nu_calls):
+        """_accept's masks on 10^5 draws, fig2's and fig3's, against _nu_minus_pt per draw,
+        with no RuntimeWarning; the float kernel runs once per call where draws lie in the
+        band (IN_BAND), and not at all elsewhere."""
+        u = np.random.default_rng(5).random((3125, 32, 4))
+        forms = [families._draw(row, *bounds) for row in u.reshape(-1, 4).tolist()]
+        physical, entangled = scalar_decisions(forms)
+        for entangled_only, want in ((False, physical), (True, entangled)):
+            standard_nu_calls[:] = [0, 0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = families._accept(u, *bounds, entangled_only)
+            assert got[0].reshape(-1).tolist() == physical, entangled_only
+            assert got[1].reshape(-1).tolist() == want, entangled_only
+            assert standard_nu_calls == [0, int(bounds in IN_BAND)]
 
-    def test_stack_nan_where_scalar_none(self, monkeypatch):
+    def test_stack_nan_where_scalar_none(self, monkeypatch, standard_nu_calls):
         """A stack mixing positive-definite and other sigma: _standard_nu is nan where
         _nu_pair gives None, except at a zero pivot, where it is 0; _nu_minus_pt gives
         _nu_pair's (nu-, nu~), or (0, 0) where it gives None; and _accept decides every
-        row as the scalar checks do."""
+        row as the scalar checks do, by the polynomials (no _standard_nu call) and, with a
+        band that holds every row, by one stacked _standard_nu per call."""
         u = np.random.default_rng(6).random((40, 4))
         forms = [*map(tuple, np.transpose(families._draw(u.T, 5.0, 5.0)).tolist()),
                  (2.0, 2.0, 1.7, -1.7), (1.0, 1.0, 0.5, -0.5),  # entangled; not physical
@@ -632,21 +685,25 @@ class TestBatchedSampler:
         assert scalar[-4][0] == 0.0  # a zero last pivot gives nu = 0, not None
         zero_pivot = [form in ((1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 1.0)) for form in forms]  # ab = c^2, d^2
         nan = [nu is None and not zero for nu, zero in zip(scalar, zero_pivot)]
-        for hypot in (_hypot_each, np.hypot):
-            with np.errstate(all="ignore"):
-                stacked = _standard_nu(*map(np.array, zip(*forms)), np.sqrt, hypot)
-            for field in stacked:
-                assert np.isnan(field).tolist() == nan
-                assert field[zero_pivot].tolist() == [0.0, 0.0]
+        with np.errstate(all="ignore"):
+            stacked = _standard_nu(*map(np.array, zip(*forms)), np.sqrt, _hypot_each)
+        for field in stacked:
+            assert np.isnan(field).tolist() == nan
+            assert field[zero_pivot].tolist() == [0.0, 0.0]
         want = [(nu[0], nu[2]) if nu else (0.0, 0.0) for nu in scalar]
         assert [families._nu_minus_pt(*form) for form in forms] == want
-        monkeypatch.setattr(families, "_draw", lambda u, a_max, b_max: u)  # u holds the forms
+        assert standard_nu_calls == [len(forms), 0]
+        monkeypatch.setattr(families, "_draw", lambda u, a_max, b_max, power=pow: u)  # u holds the forms
         threshold = 1 - families.CHECK_TOL
-        for entangled_only in (False, True):
-            physical, accepted = families._accept(np.array(forms), 5.0, 5.0, entangled_only)
-            assert physical.tolist() == [nu >= threshold for nu, _ in want]
-            assert accepted.tolist() == [nu >= threshold and not (entangled_only and nu_pt >= threshold)
-                                         for nu, nu_pt in want]
+        for band, stacked_calls in ((families.GUARD_BAND, 0), (1e3, 1)):
+            monkeypatch.setattr(families, "GUARD_BAND", band)
+            for entangled_only in (False, True):
+                standard_nu_calls[:] = [0, 0]
+                physical, accepted = families._accept(np.array(forms), 5.0, 5.0, entangled_only)
+                assert physical.tolist() == [nu >= threshold for nu, _ in want]
+                assert accepted.tolist() == [nu >= threshold and not (entangled_only and nu_pt >= threshold)
+                                             for nu, nu_pt in want]
+                assert standard_nu_calls == [0, stacked_calls], band
         assert physical.any() and accepted.any() and not physical.all()
 
     def test_scalar_decisions_inside_the_band(self, monkeypatch):

@@ -369,7 +369,7 @@ class TestGateRecords:
 
     def test_checks_alone_build_no_record(self, monkeypatch):
         """to_standard_form, qfi and worst_case_qfi check physicality and build no _Gate, with
-        the values they had when each built one; gip_closed_form and log_negativity build one each."""
+        the values they had when each built one; gip_closed_form builds one, log_negativity none."""
         built = [0]
 
         class CountedGate(symplectic._Gate):
@@ -389,8 +389,10 @@ class TestGateRecords:
             assert [value.hex() for value in values] == want, sf
             assert built == [0]
             gip_closed_form(cm)
-            log_negativity(cm)
-            assert built == [2]
+            assert built == [1]
+            value = log_negativity(cm)
+            assert built == [1]
+            assert value.hex() == symplectic._gate(_entries(cm.sigma)).log_negativity.hex(), sf
             built[0] = 0
         with pytest.raises(InvalidStateError, match="state is unphysical"):
             to_standard_form(np.diag([0.5, 0.5, 1.0, 1.0]))
