@@ -96,10 +96,18 @@ def _validated(sf: StandardForm, kind: str) -> StandardForm:
 
 
 def tmsv(a: float) -> StandardForm:
-    """Two-mode squeezed vacuum: b = a, -d = c = sqrt(a^2 - 1)."""
+    """Two-mode squeezed vacuum: b = a, -d = c = sqrt(a^2 - 1).
+
+    c is sqrt((a - 1)(a + 1)) rounded, stepped down an ulp at a time until
+    a^2 - c^2 >= 1 holds exactly, so the state as given is physical; an
+    infinite c is left to StandardForm, which refuses it.
+    """
+    from fractions import Fraction  # ~2.5 ms to import, so not at `import gipower`
     if a < 1:
         raise InvalidStateError(f"tmsv requires a >= 1, got {a}")
-    c = math.sqrt(a * a - 1)
+    c = math.sqrt((a - 1) * (a + 1))
+    while math.isfinite(c) and Fraction(c) ** 2 > Fraction(float(a)) ** 2 - 1:
+        c = math.nextafter(c, 0.0)
     return StandardForm(a, a, c, -c)
 
 

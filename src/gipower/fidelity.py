@@ -14,8 +14,8 @@ the symplectic eigenvalues of the state's Williamson decomposition, which
 in standard form is plain 2x2 arithmetic.  worst_case_qfi minimises it
 over every (zeta, theta), with no window: the minimum is the root of a
 2x2 pencil in the standard form, so local squeezing of the input cannot
-move it.  The form Q (_qfi_form) reads the standard form alone and the map T
-into its frame (_generator_map) the mode-A frame alone; only qfi and the argmin read T.
+move it.  _qfi_form gives Q's four entries and that root from the standard form alone;
+T (_generator_map) reads the mode-A frame alone, and only qfi and the argmin read it.
 """
 
 from __future__ import annotations
@@ -170,8 +170,12 @@ def _generator_map(frame) -> list:
             [(n0 - n1) / 2, e1 - e0, (z0 - z1) / 2]]
 
 
-def _qfi_form(standard) -> list:
-    """Q as a nested list: the QFI at (zeta, theta) is h0^T Q h0, h0 = T h (_generator_map).
+def _qfi_form(standard) -> tuple:
+    """(q_gg, q_gx, q_xx, q_zz, lam, p0, norm): Q's entries and the QFI's minimum on the sheet.
+
+    The QFI at (zeta, theta) is h0^T Q h0, h0 = T h (_generator_map), with
+    Q = [[q_gg, 0, q_gx], [0, q_zz, 0], [q_gx, 0, q_xx]] on (G, Z, X); its
+    sheet minimum (lam, p0, norm) is the root of a 2x2 pencil in Q (below).
 
     The black box anchored at m = S(zeta) R(theta) rotates m sigma m^T,
     which is sigma itself moved by the generator H = m^-1 G m in sp(2);
@@ -202,7 +206,23 @@ def _qfi_form(standard) -> list:
     (nu+ - nu-) + (nu- - 1)(nu+ + 1), with nu- - 1 clamped at 0 for states
     the gate admits just below nu- = 1, so w^c <= nu+ - nu- comes without
     cancellation and is 0 where nu- = nu+.  Z carries only alpha and gamma
-    and G, X only beta and delta, so the Z row and column of Q are exactly 0.
+    and G, X only beta and delta, so the Z row and column of Q are exactly 0
+    off the diagonal.
+
+    With J = diag(1, -1, -1), h^T J h = p^2 - u^2 - v^2 is the determinant
+    of p G + u Z + v X, which conjugation preserves: T^T J T = J.  The QFI
+    h^T P h, P = T^T Q T, is stationary on the sheet h^T J h = 1, h[0] > 0,
+    where P h = lam J h, and there lam = h^T P h.  This is the pencil
+    Q h0 = lam J h0, which the zero Z couplings make a 2x2 pencil on (G, X):
+    lam = (Q_GG - Q_XX)/2 + root, root = sqrt(mean^2 - Q_GX^2), mean = (Q_GG + Q_XX)/2, and
+    h0 = (p0, 0, v0) = (Q_XX + lam, 0, -Q_GX).  With Q >= 0 this, the largest
+    eigenvalue, is the one whose eigenvector has h0^T J h0 > 0, so the sheet
+    has one stationary point: the minimum.  Q_XX + lam = mean + root and
+    norm = h0^T J h0 = 2 root (mean + root), so nothing cancels; root > 0
+    in exact arithmetic because mean -+ Q_GX is the QFI of a shear G -+ X,
+    which moves every state.  lam = Q_GG - Q_GX^2/(mean + root) reads Q alone,
+    so it depends on the standard form only; worst_case_qfi maps the point
+    h0/sqrt(norm) back by h = T^-1 h0 = J T^T J h0.
     """
     a, b, c, d = standard
     try:
@@ -245,9 +265,12 @@ def _qfi_form(standard) -> list:
     qxx = wa00 * s00 * s00 + wa11 * s11 * s11 + 2 * (wc01 * t01 * t01 + wa01 * s01 * s01)
     qgx = -(wa00 * s00 * t00 + wa11 * s11 * t11 + 2 * (wc01 + wa01) * s01 * t01)
     qzz = wa00 * g00 * g00 + wa11 * g11 * g11 + 2 * (wc01 * a01 * a01 + wa01 * g01 * g01)
-    if not all(map(math.isfinite, (qgg, qzz, qxx, qgx))):
+    if not (math.isfinite(qgg) and math.isfinite(qzz) and math.isfinite(qxx) and math.isfinite(qgx)):
         raise NumericalError("QFI form evaluation produced a non-finite value")
-    return [[qgg, 0.0, qgx], [0.0, qzz, 0.0], [qgx, 0.0, qxx]]
+    mean = (qgg + qxx) / 2
+    root = math.sqrt(max((mean - qgx) * (mean + qgx), 0.0))
+    p0 = mean + root
+    return qgg, qgx, qxx, qzz, qgg - qgx * (qgx / p0), p0, 2 * root * p0
 
 
 def _qfi_at(form, zeta, theta):
@@ -262,15 +285,14 @@ def _qfi_at(form, zeta, theta):
 
 
 def _form_at(form, p, u, v):
-    """h0^T Q h0 with h0 = T (p, u, v), form = (Q, T) of _qfi_form and _generator_map.
+    """h0^T Q h0 with h0 = T (p, u, v), form = (_qfi_form's entries, T of _generator_map).
 
     Plain arithmetic, so it works on floats and on stacked arrays alike.
     """
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = form[0]
+    q_gg, q_gx, q_xx, q_zz = form[0][:4]
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = form[1]
     h0, h1, h2 = t00 * p + t01 * u + t02 * v, t10 * p + t11 * u + t12 * v, t20 * p + t21 * u + t22 * v
-    return (h0 * (q00 * h0 + q01 * h1 + q02 * h2) + h1 * (q10 * h0 + q11 * h1 + q12 * h2)
-            + h2 * (q20 * h0 + q21 * h1 + q22 * h2))
+    return h0 * (q_gg * h0 + q_gx * h2) + h1 * (q_zz * h1) + h2 * (q_gx * h0 + q_xx * h2)
 
 
 def qfi(cm, zeta, theta):
@@ -304,39 +326,13 @@ def qfi(cm, zeta, theta):
 _LN4 = math.log(4.0)
 
 
-def _sheet_minimum(q):
-    """(lam, (p0, v0), norm): the QFI's minimum on the sheet h^T J h = 1, h[0] > 0, and its direction.
-
-    With J = diag(1, -1, -1), h^T J h = p^2 - u^2 - v^2 is the determinant
-    of p G + u Z + v X, which conjugation preserves: T^T J T = J.  The QFI
-    h^T P h, P = T^T Q T, is stationary on the sheet where P h = lam J h,
-    and there lam = h^T P h.  This is the pencil Q h0 = lam J h0 in the
-    frame of _qfi_form, where the Z row and column of Q vanish, so it is
-    the 2x2 pencil on (G, X): lam = (Q_GG - Q_XX)/2 + root with
-    root = sqrt(mean^2 - Q_GX^2), mean = (Q_GG + Q_XX)/2, and
-    h0 = (p0, 0, v0) = (Q_XX + lam, 0, -Q_GX).  With Q >= 0 this, the largest
-    eigenvalue, is the one whose eigenvector has h0^T J h0 > 0, so the sheet
-    has one stationary point: the minimum.  Q_XX + lam = mean + root and
-    norm = h0^T J h0 = 2 root (mean + root), so nothing cancels; root > 0
-    in exact arithmetic because mean -+ Q_GX is the QFI of a shear G -+ X,
-    which moves every state.  lam = Q_GG - Q_GX^2/(mean + root) reads Q alone, so it depends
-    on the standard form only; worst_case_qfi maps the point h0/sqrt(norm)
-    back by h = T^-1 h0 = J T^T J h0.
-    """
-    (q_gg, _, q_gx), _, (_, _, q_xx) = q
-    mean = (q_gg + q_xx) / 2
-    root = math.sqrt(max((mean - q_gx) * (mean + q_gx), 0.0))
-    p0 = mean + root
-    return q_gg - q_gx * (q_gx / p0), (p0, -q_gx), 2 * root * p0
-
-
 def worst_case_qfi(cm) -> WorstCaseResult:
     """Minimum of the QFI over every local Gaussian black box on mode A, and its argmin.
 
     On the sheet (u, v) = q (sin 2theta, cos 2theta), h = (sqrt(1 + u^2 + v^2), u, v),
     the QFI is the quadratic form h^T P h and a twin pair (zeta, theta),
     (1/zeta, theta + pi/2) is one point.  The sheet's one stationary point,
-    an eigenvector of a 2x2 pencil (_sheet_minimum), is its global
+    an eigenvector of a 2x2 pencil (_qfi_form), is its global
     minimum; of its twins the one with theta < pi/2 is reported, unless
     the QFI at zeta = 1 is within TIE_REL (relative) of the minimum, which
     is then reported as (1, 0); any other is mapped back through T.  Raises
@@ -344,16 +340,16 @@ def worst_case_qfi(cm) -> WorstCaseResult:
     degenerate pencil (root 0: h0 on the light cone h0^T J h0 = 0).
     """
     standard, frame = _standard_frame(_require_physical(cm))
-    q, t = _qfi_form(standard), _generator_map(frame)
-    value, (p0, v0), norm = _sheet_minimum(q)
+    form = _qfi_form(standard), _generator_map(frame)
+    (_, q_gx, _, _, value, p0, norm), t = form
     # The QFI at zeta = 1, h = (1, 0, 0): where it overflows it is nan or inf and ties nothing.
-    if _form_at((q, t), 1.0, 0.0, 0.0) <= value + TIE_REL * max(1.0, value):
+    if _form_at(form, 1.0, 0.0, 0.0) <= value + TIE_REL * max(1.0, value):
         zeta, theta = 1.0, 0.0
     else:
         if not norm > 0:
             raise NumericalError(f"degenerate pencil: h0^T J h0 = {norm}, so the argmin is on the light cone")
         scale = math.sqrt(norm)
-        u, v = ((t[2][i] * v0 - t[0][i] * p0) / scale for i in (1, 2))
+        u, v = ((t[2][i] * -q_gx - t[0][i] * p0) / scale for i in (1, 2))  # h0 = (p0, 0, -q_gx)
         s, half = math.asinh(math.hypot(u, v)) / _LN4, math.atan2(u, v) / 2
         lz, theta = min((s, half % math.pi), (-s, (half + math.pi / 2) % math.pi), key=lambda twin: twin[1])
         zeta = 2.0**lz

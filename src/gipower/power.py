@@ -4,7 +4,8 @@ The interferometric power of a two-mode Gaussian probe is one quarter of
 the worst-case quantum Fisher information over the local Gaussian black
 boxes on mode A.  It admits a closed form in the local symplectic
 invariants (A, B, C, D); this module evaluates it in the variables of
-the standard form (a, b, c, d), with the exact limit on pure states.
+the standard form (a, b, c, d), with the exact limit on pure states, and
+checks it against the oracle's value (fidelity._qfi_form) in one frame.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
-from .fidelity import _qfi_form, _sheet_minimum
+from .fidelity import _qfi_form
 from .symplectic import (
     CHECK_TOL,
     ORACLE_TOL,
     PURE_TOL,
     LocalInvariants,
     StandardForm,
-    _blocks,
     _entries,
     _gate,
     _physical_nu,
@@ -219,26 +219,21 @@ def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
 def _cross_check(e, tol: float) -> CrossValidation:
     """cross_validate on sigma's entries e: _entries of a matrix, or _standard_entries of a form.
 
-    Plain math, no numpy.  sigma passes the physicality check
+    Plain math, no numpy, in one frame: sigma passes the physicality check
     (symplectic._physical_nu) once and goes to its standard form
     (symplectic._standard_frame) once, and both sides compute values alone,
-    with no gate record and no mode-A frame: the closed form reads A,
-    D = (det L)**2 and (a, b, c, d) and builds no IpResult; the oracle reads
-    (a, b, c, d) alone: worst_case_qfi's value, the root of the pencil of
-    fidelity._sheet_minimum on fidelity._qfi_form's Q, with no map T and no
-    argmin.  It runs first, so a QFI form that overflows raises its own
-    NumericalError.
+    with no gate record and no mode-A frame.  The oracle reads (a, b, c, d)
+    alone: worst_case_qfi's value, the sheet minimum one fidelity._qfi_form
+    call returns beside Q, with no map T and no argmin.  It runs first, so a
+    QFI form that overflows raises its own NumericalError.  The closed form
+    reads A, D = (det L)**2 and (a, b, c, d) and builds no IpResult.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     det_root = _physical_nu(e)[3]
     standard = _standard_frame(e)[0]
-    oracle = max(_sheet_minimum(_qfi_form(standard))[0], 0.0) / 4
-    closed = _closed_form(_blocks(e)[0], det_root * det_root, standard)[0]
+    oracle = max(_qfi_form(standard)[4], 0.0) / 4
+    # A = det alpha, as symplectic._blocks forms it from e
+    closed = _closed_form(e[0] * e[4] - e[1] * e[1], det_root * det_root, standard)[0]
     diff = abs(closed - oracle)
-    return CrossValidation(
-        closed=closed,
-        oracle=oracle,
-        abs_diff=diff,
-        passed=bool(diff <= tol * max(1.0, closed)),
-    )
+    return CrossValidation(closed, oracle, diff, diff <= tol * max(1.0, closed))

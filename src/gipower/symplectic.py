@@ -68,7 +68,7 @@ PURE_TOL = 1e-7
 MAX_DRAWS = 10_000
 #: Largest `bounds --grid`, `sample --n` and `verify --n`.  The CLI writes rows as it formats
 #: them and checks states as it draws them, so the cap bounds the run time (~15 us per fig2
-#: row, ~35 us per verified state) and the sampler's sorted columns.
+#: row, ~20 us per verified state) and the sampler's sorted columns.
 MAX_ROWS = 10**6
 #: Bound, per unit of a*b, on the forward error of nu_minus and nu~ as the scalar
 #: standard-form kernel gives them (_standard_nu with math.sqrt and math.hypot): at most

@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import gipower.symplectic as symplectic
 from gipower import (
     CovarianceMatrix,
+    StandardForm,
     apply_local_symplectic,
     from_standard_form,
     random_local_symplectic,
@@ -23,6 +25,13 @@ def random_physical_cm(rng, a_max=5.0, b_max=5.0, conjugate=False) -> Covariance
     if conjugate:
         cm = apply_local_symplectic(cm, random_local_symplectic(rng), random_local_symplectic(rng))
     return cm
+
+
+def rounded_tmsv(a: float) -> StandardForm:
+    """(a, a, c, -c) with c = sqrt(a*a - 1) rounded: a near-pure input off the physical set
+    by ~eps a^2 for about half of a, where tmsv steps c down until it is physical."""
+    c = math.sqrt(a * a - 1)
+    return StandardForm(a, a, c, -c)
 
 
 @pytest.fixture
@@ -47,6 +56,23 @@ def cholesky_calls(monkeypatch):
         return cholesky(e)
 
     monkeypatch.setattr(symplectic, "_cholesky", counted)
+    return calls
+
+
+@pytest.fixture
+def qfi_form_calls(monkeypatch):
+    """[count]: the QFI forms (fidelity._qfi_form, also bound in power) built from here on."""
+    calls = [0]
+    # gipower.fidelity is also the name of a function in gipower
+    fidelity, power = (importlib.import_module(f"gipower.{name}") for name in ("fidelity", "power"))
+    qfi_form = fidelity._qfi_form
+
+    def counted(standard):
+        calls[0] += 1
+        return qfi_form(standard)
+
+    monkeypatch.setattr(fidelity, "_qfi_form", counted)
+    monkeypatch.setattr(power, "_qfi_form", counted)
     return calls
 
 

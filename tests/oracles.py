@@ -113,28 +113,63 @@ def closed_form_mp(sigma: np.ndarray) -> float:
         return float((mp(X) + mpmath.sqrt(mp(X * X + Y * Z))) / (2 * mp(Y)))
 
 
-def standard_nu_mp(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """(nu-, nu~) of the standard form (a, b, c, d) to 50 digits, 0 where sigma is not > 0.
+def _isqrt_scaled(n: int) -> tuple[int, int]:
+    """(r, k) with r = isqrt(n 4^k) of at least 120 bits: r / 2^k is sqrt(n) within 2^-120, relatively."""
+    k = max(0, (240 - n.bit_length()) // 2 + 1)
+    return math.isqrt(n << 2 * k), k
 
-    From the invariants alone, exact in integers: with every entry a multiple of 1/s
-    for a power of two s, D s^4 = (ab - c^2)(ab - d^2) s^4, Delta s^2 = (a^2 + b^2 + 2cd) s^2
-    for sigma and (a^2 + b^2 - 2cd) s^2 for its partial transpose; nu-^2 is the smaller
-    root of x^2 - Delta x + D, 2D/(Delta + sqrt(Delta^2 - 4D)), which does not cancel.
+
+def _standard_ints(a: float, b: float, c: float, d: float):
+    """(s, D s^4, Delta s^2, Delta~ s^2) of the standard form, exact ints; None unless sigma > 0.
+
+    Every entry is a multiple of 1/s for a power of two s; D = (ab - c^2)(ab - d^2),
+    Delta = a^2 + b^2 + 2cd for sigma and Delta~ = a^2 + b^2 - 2cd for its partial transpose.
     """
     ratios = [float(x).as_integer_ratio() for x in (a, b, c, d)]
     s = max(den for _, den in ratios)
     a, b, c, d = (num * (s // den) for num, den in ratios)
     p, q = a * b - c * c, a * b - d * d
     if not (a > 0 and p > 0 and q > 0):
+        return None
+    return s, p * q, a * a + b * b + 2 * c * d, a * a + b * b - 2 * c * d
+
+
+def standard_nu_mp(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """(nu-, nu~) of the standard form (a, b, c, d) to ~2^-119, correctly rounded, 0 where sigma is not > 0.
+
+    From the invariants alone, exact in integers (_standard_ints): nu-^2 is the smaller
+    root of x^2 - Delta x + D, 2D/(Delta + sqrt(Delta^2 - 4D)), which does not cancel.
+    Both square roots are math.isqrt's, scaled to 120 bits or more (_isqrt_scaled), and
+    the last step is one integer division, which Python rounds correctly.  standard_nu_50
+    takes the same roots in 50-digit mpmath, at ~4x the cost.
+    """
+    ints = _standard_ints(a, b, c, d)
+    if ints is None:
         return 0.0, 0.0
-    det = p * q
+    s, det, *deltas = ints
+
+    def nu_minus(delta):
+        root, k = _isqrt_scaled(delta * delta - 4 * det)
+        num, den = (2 * det) << k, (delta << k) + root  # nu-^2 s^2 = num/den
+        r, j = _isqrt_scaled(num * den)  # nu- s = sqrt(num den)/den
+        return r / ((den * s) << j)
+
+    return nu_minus(deltas[0]), nu_minus(deltas[1])
+
+
+def standard_nu_50(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """standard_nu_mp with both square roots taken in 50-digit mpmath: its check."""
+    ints = _standard_ints(a, b, c, d)
+    if ints is None:
+        return 0.0, 0.0
+    s, det, *deltas = ints
 
     def nu_minus(delta):
         with mpmath.workdps(50):
             root = mpmath.sqrt(mpmath.mpf(delta * delta - 4 * det))
             return float(mpmath.sqrt(2 * mpmath.mpf(det) / (delta + root)) / s)
 
-    return nu_minus(a * a + b * b + 2 * c * d), nu_minus(a * a + b * b - 2 * c * d)
+    return nu_minus(deltas[0]), nu_minus(deltas[1])
 
 
 _OMEGA_MP = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -302,7 +337,7 @@ def _local_frame(sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def qfi_form_kron(sigma) -> tuple[list, list]:
-    """(Q, T) as gipower.fidelity._qfi_form and _generator_map return them, by a 16x16 pseudo-inverse.
+    """(Q, T) as nested 3x3 lists, by a 16x16 pseudo-inverse; qfi_kron_at evaluates them.
 
     The QFI at (zeta, theta) is h0^T Q h0 with h0 = T h, h as in
     gipower.fidelity._qfi_at.  The QFI is taken in the local frame
@@ -314,7 +349,8 @@ def qfi_form_kron(sigma) -> tuple[list, list]:
     Q_kl = 1/2 vec(dsigma_k)^T M^+ vec(dsigma_l) over (G, Z, X).  The
     pseudo-inverse drops only the exactly-null directions of M: a unitary
     leaves the symplectic eigenvalues unchanged, so dsigma has no component
-    along them and the form stays exact on pure and nu- = 1 states.
+    along them and the form stays exact on pure and nu- = 1 states.  Q is
+    full: the cross block of sigma0 is not diagonal, so Z couples to G and X.
     """
     l_a, l_a_inv, sigma0 = _local_frame(sigma)
     # Column k of T: the (G, Z, X) coefficients of L_A^-1 H_k L_A.
@@ -329,3 +365,17 @@ def qfi_form_kron(sigma) -> tuple[list, list]:
     if not np.all(np.isfinite(form)):
         raise NumericalError("QFI form evaluation produced a non-finite value")
     return form.tolist(), t.tolist()
+
+
+def qfi_kron_at(form, zeta, theta):
+    """h0^T Q h0 at (zeta, theta) for qfi_form_kron's (Q, T): every entry of Q read, by einsum.
+
+    h = (p, q sin 2theta, q cos 2theta), p = (zeta^2 + zeta^-2)/2 and
+    q = (zeta^2 - zeta^-2)/2, as in gipower.fidelity._qfi_at.
+    """
+    q, t = np.asarray(form[0]), np.asarray(form[1])
+    z2 = np.asarray(zeta, dtype=float) ** 2
+    p, r = (z2 + 1 / z2) / 2, (z2 - 1 / z2) / 2
+    h = np.stack(np.broadcast_arrays(p, r * np.sin(2 * theta), r * np.cos(2 * theta)))
+    h0 = np.tensordot(t, h, 1)
+    return np.einsum("i...,ij,j...->...", h0, q, h0)

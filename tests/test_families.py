@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from gipower.symplectic import (
     _standard_entries,
     _standard_nu,
 )
-from oracles import random_state_scalar, sample_records_scalar, standard_nu_mp
+from oracles import random_state_scalar, sample_records_scalar, standard_nu_50, standard_nu_mp
 
 
 def ratio_of(sf) -> float:
@@ -100,6 +101,15 @@ class TestTmsv:
         for a in (1.2, 2.0, 3.5):
             nu = pt_min_symplectic_eigenvalue(from_standard_form(tmsv(a)))
             assert nu == pytest.approx(a - math.sqrt(a * a - 1), abs=1e-12)
+
+    def test_exactly_physical(self):
+        # a^2 - c^2 >= 1 in exact arithmetic on 200 log-spaced a in [1, 10^7.5],
+        # where sqrt(a*a - 1) rounded gives 110 unphysical c; stepping down from
+        # the rounded sqrt((a - 1)(a + 1)) costs at most one ulp of c there.
+        for a in np.logspace(0, 7.5, 200).tolist():
+            c = tmsv(a).c
+            assert Fraction(a) ** 2 - Fraction(c) ** 2 >= 1, a
+            assert math.sqrt((a - 1) * (a + 1)) - c <= math.ulp(c), a
 
     def test_rejects_a_below_one(self):
         with pytest.raises(InvalidStateError):
@@ -488,6 +498,22 @@ class TestStandardNu:
         """GUARD_BAND's premise on 10^4 draws at each bound pair of the sweep."""
         u = np.random.default_rng(10).random((10_000, 4)).tolist()
         self.assert_within_guard_band({families._draw(row, *bounds) for row in u})
+
+    def test_reference_is_mpmath(self):
+        """standard_nu_mp's integer square roots give standard_nu_50's 50-digit floats: equal on
+        300 draws at each bound pair of the sweep and on the boundary families, within one ulp on
+        the pure states (a, a, c, -c).  Their nu~ = a - c is exact, often a tie between two
+        floats, and two references ~1e-50 apart may round a tie apart."""
+        u = np.random.default_rng(11).random((300, 4)).tolist()
+        forms = [families._draw(row, *bounds) for bounds in SWEEP for row in u]
+        nus = np.linspace(0.01, 0.99, 33).tolist()
+        forms += [(sf.a, sf.b, sf.c, sf.d) for sf in [upper_boundary_state(nu, 1e3) for nu in nus]
+                  + [lower_branch1_state(nu) for nu in nus if nu > nu_zero()]]
+        for form in forms:
+            assert standard_nu_mp(*form) == standard_nu_50(*form), form
+        for sf in [tmsv(a) for a in np.geomspace(1.0, 1e7, 50).tolist()] + [lower_branch2_state(nu) for nu in nus]:
+            for x, y in zip(standard_nu_mp(sf.a, sf.b, sf.c, sf.d), standard_nu_50(sf.a, sf.b, sf.c, sf.d)):
+                assert abs(x - y) <= math.ulp(y), sf
 
     def test_forward_error_on_pure_and_boundary_states(self):
         """GUARD_BAND's premise on tmsv to a = 1e7 and the three boundary families."""

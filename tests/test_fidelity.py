@@ -35,11 +35,12 @@ from gipower import (
 from gipower.fidelity import _generator_map, _qfi_at, _qfi_form
 from gipower.symplectic import TIE_REL, _entries, _standard_frame
 
-from conftest import random_physical_cm
+from conftest import random_physical_cm, rounded_tmsv
 from oracles import (
     closed_form_mp,
     qfi_form_kron,
     qfi_grid_minimum,
+    qfi_kron_at,
     qfi_mp,
     thermal_vs_vacuum_fidelity,
 )
@@ -370,11 +371,12 @@ class TestQfiForm:
         for label, sigma in states:
             standard, frame = _standard_frame(_entries(sigma))
             form = (_qfi_form(standard), _generator_map(frame))
-            (_, q_gz, _), (_, _, q_zx), _ = form[0]
-            assert q_gz == 0.0 and q_zx == 0.0, label
+            # The flat form reads no Z coupling; the kron form is full in its own
+            # frame, so each point below also checks that the coupling is 0.
             zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
             values = _qfi_at(form, zeta, theta)
-            expected = _qfi_at(qfi_form_kron(sigma), zeta, theta)
+            assert form[0][4] <= values.min() + 1e-12 * max(1.0, values.min()), label  # the sheet minimum
+            expected = qfi_kron_at(qfi_form_kron(sigma), zeta, theta)
             for value, ref, z, t in zip(values, expected, zeta, theta):
                 error = abs(value - ref) / max(1.0, ref)
                 if error > 1e-10:
@@ -390,10 +392,10 @@ class TestQfiForm:
         for i, nu, sigma in gate_admitted_mixtures(rng):
             standard, frame = _standard_frame(_entries(sigma))
             form = (_qfi_form(standard), _generator_map(frame))
-            (q_gg, _, q_gx), _, (_, _, q_xx) = form[0]
+            q_gg, q_gx, q_xx = form[0][:3]
             assert q_gg * q_xx >= q_gx * q_gx
             zeta, theta = 2.0 ** rng.uniform(-2.5, 2.5, size=20), rng.uniform(0, np.pi, size=20)
-            expected = _qfi_at(qfi_form_kron(sigma), zeta, theta)
+            expected = qfi_kron_at(qfi_form_kron(sigma), zeta, theta)
             error = np.abs(_qfi_at(form, zeta, theta) - expected) / np.maximum(1.0, expected)
             assert error.max() <= 1e-6, (i, nu)
             assert math.isfinite(worst_case_qfi(sigma).value)
@@ -405,7 +407,7 @@ class TestQfiForm:
         eps = np.finfo(float).eps
         for x in np.logspace(0, 150, 301):
             for standard in ((1.0, x, 0.0, 0.0), (x, 1.0, 0.0, 0.0)):
-                (q_gg, _, q_gx), _, (_, _, q_xx) = _qfi_form(standard)
+                q_gg, q_gx, q_xx = _qfi_form(standard)[:3]
                 assert max(abs(q_gg), abs(q_gx)) <= 4 * eps * q_xx, standard
 
 
@@ -415,6 +417,16 @@ class TestWorstCase:
         cholesky_calls[0] = 0
         worst_case_qfi(cm)
         assert cholesky_calls[0] == 1
+
+    def test_one_oracle_form_per_call(self, rng, qfi_form_calls):
+        # worst_case_qfi reads its value, argmin and tie from one _qfi_form; qfi one per call,
+        # at one point or on a grid.
+        cm = random_physical_cm(rng, conjugate=True)
+        for call in (lambda: worst_case_qfi(cm), lambda: qfi(cm, 2.0, 0.3),
+                     lambda: qfi(cm, 2.0 ** np.linspace(-2, 2, 5)[:, None], np.linspace(0, 3, 7))):
+            qfi_form_calls[0] = 0
+            call()
+            assert qfi_form_calls[0] == 1
 
     def test_standard_form_example(self):
         # d = -c: the QFI is flat in theta at zeta = 1, an exact tie that
@@ -474,9 +486,9 @@ class TestWorstCase:
     def test_form_intermediates_raise_numerical_error(self):
         # Near the float range the form's intermediates fail before Q does: on
         # diag(x, x, 2x, 2x) at x = 10^153.8 nu+ overflows and nu- becomes 0,
-        # a divisor; the rounded frames of tmsv(a) from a ~ 1e60 on take the
-        # square root of a negative pivot or divide by a zero one.  Each is the
-        # form's NumericalError, or a finite form.
+        # a divisor; the rounded frames of the rounded tmsv(a) (rounded_tmsv)
+        # from a ~ 1e60 on take the square root of a negative pivot or divide
+        # by a zero one.  Each is the form's NumericalError, or a finite form.
         raised = 0
         for k in range(11):
             cm = np.diag([1.0, 1.0, 2.0, 2.0]) * 10 ** (153 + k / 10)
@@ -489,7 +501,7 @@ class TestWorstCase:
                 raised += 1
         for a in np.logspace(60, 150, 46):
             try:
-                _qfi_form(_standard_frame(_entries(from_standard_form(tmsv(a)).sigma))[0])
+                _qfi_form(_standard_frame(_entries(from_standard_form(rounded_tmsv(a)).sigma))[0])
             except NumericalError as error:
                 assert "QFI form" in str(error)
                 raised += 1
@@ -504,7 +516,8 @@ class TestWorstCase:
         # a NumericalError, never a ZeroDivisionError.  On the vacuum T is the identity
         # and the QFI at zeta = 1 is Q_GG = 1, above the minimum 0, so the map is reached.
         # The module comes from sys.modules: gipower.fidelity is also the function.
-        light_cone = [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
+        # Q = [[1, 0, 1], [0, 0, 0], [1, 0, 1]] flat, with its sheet minimum: lam = 0, p0 = 1, norm = 0.
+        light_cone = (1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
         monkeypatch.setattr(sys.modules["gipower.fidelity"], "_qfi_form", lambda standard: light_cone)
         with pytest.raises(NumericalError, match="degenerate pencil"):
             worst_case_qfi(from_standard_form(StandardForm(1.0, 1.0, 0.0, 0.0)))

@@ -24,7 +24,10 @@ from gipower import (
     is_separable,
     local_invariants,
     log_negativity,
+    lower_branch1_state,
+    lower_branch2_state,
     mean_photon_A,
+    nu_zero,
     random_local_symplectic,
     random_state,
     rotation,
@@ -34,13 +37,14 @@ from gipower import (
     symplectic_eigenvalues,
     tmsv,
     to_standard_form,
+    upper_boundary_state,
     worst_case_qfi,
 )
 
 import gipower.symplectic as symplectic
 from gipower.power import _cross_check
 from gipower.symplectic import _standard_entries
-from conftest import random_physical_cm
+from conftest import random_physical_cm, rounded_tmsv
 from oracles import closed_form_mp
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
@@ -133,18 +137,19 @@ class TestClosedForm:
             assert result.value == pytest.approx(gip_pure(a), rel=1e-12)
 
     def test_pure_states_off_the_pure_branch(self):
-        # From a ~ 1e4 on, the gate's D misses PURE_TOL on the rounded tmsv(a),
-        # but the pure switch reads w = D - 1 from (a, b, c, d), the factor the
-        # general branch divides by: every value is the exact limit
+        # From a ~ 1e4 on, the gate's D misses PURE_TOL on the rounded tmsv(a)
+        # (rounded_tmsv), but the pure switch reads w = D - 1 from (a, b, c, d),
+        # the factor the general branch divides by: every value is the exact limit
         # (a^2 - 1)/4 to the rounded input's ~eps a^2, relative, and
         # cross_validate passes up to a = 1e5, where the oracle holds.  The
         # gate still rejects some of these rounded states (nu_minus dips
         # ~eps a^2 below 1 - GATE_TOL); that rejection is not pinned.
         eps = np.finfo(float).eps
         for a in np.logspace(4.0, 7.5, 71):
-            cm = from_standard_form(tmsv(a))
+            sf = rounded_tmsv(a)
+            cm = from_standard_form(sf)
             exact = (a * a - 1) / 4
-            for call in (lambda: gip_closed_form(cm).value, lambda: gip_from_standard_form(tmsv(a)).value,
+            for call in (lambda: gip_closed_form(cm).value, lambda: gip_from_standard_form(sf).value,
                          lambda: cross_validate(cm).closed):
                 with contextlib.suppress(InvalidStateError):
                     assert abs(call() - exact) <= eps * a * a * exact, a
@@ -332,6 +337,29 @@ def oracle_states(rng):
             yield cm
 
 
+def product_forms():
+    """(a, b, 0, 0) and near-product forms up to b = 1e30."""
+    forms = [(a, b, 0.0, 0.0) for a in (1.0, 1.5, 7.0, 1e3) for b in np.logspace(0, 30, 61)]
+    forms += [(a, b, c, d) for a in (1.5, 7.0, 1e3) for b in np.logspace(0.5, 30, 60)
+              for c, d in ((1e-3, -1e-3), (1e-3, 5e-4), (1e-6, 0.0))]
+    return forms
+
+
+def pure_and_boundary_states():
+    """tmsv(a) for a in 10^[0.5, 7.5] where the gate admits it, and the three boundary families."""
+    nus = np.linspace(0.01, 0.99, 50).tolist()
+    forms = [upper_boundary_state(nu, b) for nu in nus for b in (100.0, 1e3, 1e6)]
+    forms += [lower_branch1_state(nu) for nu in nus if nu > nu_zero()]
+    forms += [lower_branch2_state(nu) for nu in nus]
+    cms = [from_standard_form(sf) for sf in forms]
+    for a in np.logspace(0.5, 7.5, 71).tolist():
+        with contextlib.suppress(InvalidStateError):
+            cm = from_standard_form(tmsv(a))
+            gip_closed_form(cm)  # the gate
+            cms.append(cm)
+    return cms
+
+
 class TestCrossValidation:
     def test_check_on_standard_entries_is_cross_validate(self, rng):
         """verify's numpy-free check on (a, b, c, d) equals cross_validate on the matrix."""
@@ -370,6 +398,13 @@ class TestCrossValidation:
         cross_validate(cm)
         assert cholesky_calls[0] == 1
 
+    def test_one_oracle_form_per_call(self, rng, qfi_form_calls):
+        # The oracle's value and the pencil root come from one _qfi_form.
+        for cm in (random_physical_cm(rng, conjugate=True), from_standard_form(tmsv(2.0))):
+            qfi_form_calls[0] = 0
+            cross_validate(cm)
+            assert qfi_form_calls[0] == 1
+
     def test_one_frame_per_call(self, rng, monkeypatch):
         # The closed form and the oracle share one standard frame, which
         # unsqueezes each mode block once.
@@ -387,8 +422,12 @@ class TestCrossValidation:
 
     def test_oracle_is_worst_case_qfi(self, rng):
         # The shared-gate path gives the public oracle's value bit for bit,
-        # also on states squeezed on mode A by up to 2^6.
-        for cm in oracle_states(rng):
+        # also on states squeezed on mode A by up to 2^6, on pure and boundary
+        # states and on product and near-product forms up to b = 1e30.
+        cms = list(oracle_states(rng)) + pure_and_boundary_states()
+        cms += [from_standard_form(StandardForm(*form)) for form in product_forms()]
+        assert len(cms) > 1000
+        for cm in cms:
             assert cross_validate(cm).oracle == worst_case_qfi(cm).value / 4
 
     def test_closed_is_gip_closed_form(self, rng):
@@ -404,6 +443,7 @@ class TestCrossValidation:
                 cms.append(cm)
         assert branches["pure"] >= 30, branches
         cms += [from_standard_form(StandardForm(*rng.uniform(1, 50, size=2), 0.0, 0.0)) for _ in range(50)]
+        cms += pure_and_boundary_states() + [from_standard_form(StandardForm(*form)) for form in product_forms()]
         for cm in cms:
             assert cross_validate(cm).closed == gip_closed_form(cm).value
 
@@ -425,10 +465,7 @@ class TestCrossValidation:
         # (a, b, 0, 0) and near-product forms up to b = 1e30: on the axis-aligned
         # forms the oracle's Jacobi rotation is exact, (cos, sin) = (0, 1), so
         # its Q does not grow as eps b^2 and every state passes.
-        forms = [(a, b, 0.0, 0.0) for a in (1.0, 1.5, 7.0, 1e3) for b in np.logspace(0, 30, 61)]
-        forms += [(a, b, c, d) for a in (1.5, 7.0, 1e3) for b in np.logspace(0.5, 30, 60)
-                  for c, d in ((1e-3, -1e-3), (1e-3, 5e-4), (1e-6, 0.0))]
-        for form in forms:
+        for form in product_forms():
             report = cross_validate(from_standard_form(StandardForm(*form)))
             assert report.passed, (form, report)
 
