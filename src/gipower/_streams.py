@@ -138,8 +138,11 @@ class _Uniforms:
 
 @lru_cache
 def _jump(steps: int) -> tuple[int, int]:
-    """(A, C) with PCG64's state after `steps` steps from s equal to (A s + C inc) mod 2**128."""
-    a, c = 1, 0
-    for _ in range(steps):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    """(A, C) with PCG64's state after `steps` steps from s equal to (A s + C inc) mod 2**128,
+    by squaring: (m, k), the map s -> m s + k inc of 2**i steps, joins (A, C) where bit i of steps is 1."""
+    a, c, m, k = 1, 0, _PCG_MULT, 1
+    while steps:
+        if steps & 1:
+            a, c = a * m & _MASK128, (c * m + k) & _MASK128
+        m, k, steps = m * m & _MASK128, k * (m + 1) & _MASK128, steps >> 1
     return a, c

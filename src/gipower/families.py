@@ -57,9 +57,9 @@ __all__ = [
 ]
 
 
-#: Draws a sampling stream takes at a time; each reads four uniforms.
+#: Draws in a sampling stream's first block (its later blocks double); each reads four uniforms.
 _BLOCK = 32
-#: Sampling streams whose blocks are decided together, so memory stays flat in n.
+#: Sampling streams decided together; a round holds at most _CHUNK * _BLOCK draws, so memory stays flat.
 _CHUNK = 256
 
 
@@ -386,54 +386,51 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
 
 
 def _first_accepted(generator, states, incs, a_max: float, b_max: float,
-                    entangled_only: bool) -> tuple[list, dict]:
-    """(draws, errors): stream k's first accepted draw (a, b, c, d) is draws[k], or None
-    where errors[k] says why it failed.
+                    entangled_only: bool) -> tuple[np.ndarray, dict]:
+    """(kept, errors): kept[k] holds the uniforms of stream k's first accepted draw, or
+    errors[k] says why stream k failed, and kept[k] is then no draw.
 
     Stream k is PCG64 at (states[k], incs[k]); generator, a Generator over PCG64, is set
-    to it to draw, and states[k] moves on by the draws taken.  The pending streams' next
-    4 * _BLOCK uniforms are decided together, then each stream's draws are scanned in
-    order, as random_state draws them, up to an accepted draw or a spent budget:
-    MAX_DRAWS unphysical draws in a row ("no physical state", random_state's count), or
-    MAX_DRAWS physical separable draws when entangled_only.
+    to it to draw, and states[k] moves on by the draws taken.  The pending streams' blocks
+    are decided together: _BLOCK draws, then twice the last, up to _CHUNK * _BLOCK draws a
+    round and to MAX_DRAWS less the largest count carried in, so only a block's last draw
+    can spend a budget: MAX_DRAWS unphysical draws in a row ("no physical state",
+    random_state's count), or MAX_DRAWS physical separable draws when entangled_only.
     """
     bit_generator = generator.bit_generator
     state = bit_generator.state  # set to each stream in turn
-    draws, errors = [None] * len(states), {}
-    # pending stream: (unphysical draws since the last physical one, separable draws)
-    pending = dict.fromkeys(range(len(states)), (0, 0))
-    while pending:
-        u = np.empty((len(pending), 4 * _BLOCK))
-        for row, k in enumerate(pending):
+    kept, errors = np.empty((len(states), 4)), {}
+    pending, block = np.arange(len(states)), 0
+    run = separable = np.zeros_like(pending)  # unphysical draws since a physical one; separable draws
+    while len(pending):
+        block = min(2 * block or _BLOCK, max(_BLOCK, _CHUNK * _BLOCK // len(pending)),
+                    MAX_DRAWS - int(np.maximum(run, separable).max()))
+        u = np.empty((len(pending), block, 4))
+        for row, k in enumerate(pending.tolist()):
             state["state"] = {"state": states[k], "inc": incs[k]}
             bit_generator.state = state
             generator.random(out=u[row])
-        u = u.reshape(-1, _BLOCK, 4)
-        physical, accepted = (mask.tolist() for mask in _accept(u, a_max, b_max, entangled_only))
-        going = {}
-        for row, (k, (run, separable)) in enumerate(pending.items()):
-            for at, kept in enumerate(accepted[row]):
-                if kept:
-                    draws[k] = _draw(u[row, at].tolist(), a_max, b_max)
-                    break
-                run, separable = (0, separable + 1) if physical[row][at] else (run + 1, separable)
-                if run >= MAX_DRAWS:
-                    errors[k] = f"no physical state in {MAX_DRAWS} draws"
-                    break
-                if separable >= MAX_DRAWS:
-                    errors[k] = f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max"
-                    break
-            else:
-                going[k] = run, separable
-        pending = going
-        a, c = _jump(4 * _BLOCK)
-        for k in pending:
+        physical, accepted = _accept(u, a_max, b_max, entangled_only)
+        kept[pending] = u[np.arange(len(pending)), accepted.argmax(axis=1)]
+        miss = ~accepted.any(axis=1)
+        if not miss.any():
+            break
+        physical, pending, run, separable = physical[miss], pending[miss], run[miss], separable[miss]
+        run = np.where(physical.any(axis=1), physical[:, ::-1].argmax(axis=1), run + block)
+        separable = separable + physical.sum(axis=1)
+        spent = (run >= MAX_DRAWS) | (separable >= MAX_DRAWS)
+        for k, unphysical in zip(pending[spent].tolist(), run[spent].tolist()):
+            errors[k] = (f"no physical state in {MAX_DRAWS} draws" if unphysical >= MAX_DRAWS
+                         else f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max")
+        pending, run, separable = pending[~spent], run[~spent], separable[~spent]
+        a, c = _jump(4 * block)
+        for k in pending.tolist():
             states[k] = (a * states[k] + c * incs[k]) & _MASK128
-    return draws, errors
+    return kept, errors
 
 
-def _kept_columns(draws) -> _Columns:
-    """The _Columns of kept draws, a list of (a, b, c, d) floats, in their order.
+def _kept_columns(form) -> _Columns:
+    """The _Columns of kept draws, form = their (a, b, c, d) arrays, in their order.
 
     One stacked kernel (_standard_nu, with math.hypot per element) and one pass
     of _closed_form_columns give every number bit for bit as _nu_pair and
@@ -441,12 +438,12 @@ def _kept_columns(draws) -> _Columns:
     scalar nu_minus is >= 1 - CHECK_TOL).  The draws whose closed form rescales, clamps or raises
     go through _gate and _closed_form in order, so the first error is the scalar one.
     """
-    form = tuple(np.array(draws).T)
     nu_tilde = _standard_nu(*form, np.sqrt, _hypot_each)[1]
     p_g, left = _closed_form_columns(form)
-    for i in np.flatnonzero(left):
-        gate = _gate(_standard_entries(*draws[i]))
-        p_g[i] = _closed_form(gate.A, gate.D, draws[i])[0]
+    for i in np.flatnonzero(left).tolist():
+        draw = [column.item(i) for column in form]
+        gate = _gate(_standard_entries(*draw))
+        p_g[i] = _closed_form(gate.A, gate.D, draw)[0]
     a, e_n = form[0], np.array(list(map(_log_negativity, nu_tilde.tolist())))
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
                     e_n, p_g, _separable(nu_tilde), nu_tilde)
@@ -459,9 +456,9 @@ def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
     stream of the i-th child default_rng(seed) spawns: the draw random_state (and, if
     entangled_only, a loop over it that skips separable states) would return from that
     stream.  n <= MAX_ROWS keeps every child index in one word.  The streams are seeded
-    by array arithmetic, decided and their rows built _CHUNK at a time; the first stream
-    that fails raises, after the rows of the streams before it.  Rows are sorted by
-    (a, b, c, d), stably.
+    by array arithmetic, decided and their rows built (one _draw pass, the scalar _draw's
+    bit for bit) _CHUNK at a time; the first stream that fails raises, after the rows of
+    the streams before it.  Rows are sorted by (a, b, c, d), stably.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
@@ -473,10 +470,10 @@ def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
     chunks = []
     for start in range(0, n, _CHUNK):
         states, incs = _child_streams(mixed, start, min(_CHUNK, n - start))
-        draws, errors = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
-        failed = min(errors, default=len(draws))
+        kept, errors = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
+        failed = min(errors, default=len(kept))
         if failed:
-            chunks.append(_kept_columns(draws[:failed]))
+            chunks.append(_kept_columns(_draw(kept[:failed].T, a_max, b_max, _pow_each)))
         if errors:
             raise InvalidStateError(errors[failed])
     columns = [np.concatenate(column) for column in zip(*chunks)]

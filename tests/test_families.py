@@ -41,7 +41,7 @@ from gipower import (
     upper_boundary_state,
     validate_bona_fide,
 )
-from gipower._streams import _child_streams, _pool, _Uniforms
+from gipower._streams import _MASK128, _PCG_MULT, _child_streams, _jump, _pool, _Uniforms
 from gipower.power import _closed_form
 from gipower.symplectic import (
     GUARD_BAND,
@@ -584,7 +584,7 @@ class TestSampling:
         assert standard_nu_calls == [0, 0]
         families._accept(u, 1.0, 1.0, True)
         assert standard_nu_calls == [0, 1]
-        families._kept_columns([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)])
+        families._kept_columns(tuple(np.array([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)]).T))
         assert standard_nu_calls == [0, 2]
         assert cholesky_calls == [0]
 
@@ -595,7 +595,7 @@ class TestSampling:
         forms += [StandardForm(3.0, 2.0, 0.0, 0.0), tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3),
                   lower_branch1_state(0.5), upper_boundary_state(0.4, 7.0)]
         draws = [(sf.a, sf.b, sf.c, sf.d) for sf in forms]
-        columns = families._kept_columns(draws)
+        columns = families._kept_columns(tuple(np.array(draws).T))
         for i, draw in enumerate(draws):
             gate = _gate(_standard_entries(*draw))
             want = (*draw, (draw[0] + draw[0] - 2) / 4, gate.log_negativity,
@@ -752,14 +752,16 @@ class TestBatchedSampler:
                 want = bits(sample_records_scalar(seed, 23, 1.05, 1.05, entangled_only))
                 assert got == want, (seed, sample.__name__)
 
-    @pytest.mark.parametrize("block", [None, 1, 2, 5])
+    @pytest.mark.parametrize("max_draws, block", [(3, None), (3, 1), (3, 2), (3, 5), (7, 2)],
+                             ids=["None", "1", "2", "5", "7-2"])
     @pytest.mark.parametrize("bounds", [(1.05, 1.05), (2.0, 1.01)])
-    def test_budgets_match_scalar_sampler(self, monkeypatch, block, bounds):
+    def test_budgets_match_scalar_sampler(self, monkeypatch, max_draws, block, bounds):
         """With MAX_DRAWS = 3, each seed returns, or raises the same error, as the scalar sampler.
 
-        Two streams per call, so a call raises for the first stream that fails.
+        Two streams per call, so a call raises for the first stream that fails.  With
+        MAX_DRAWS = 7 and _BLOCK = 2, blocks grow and are capped by the budget left: 2, 4, 1.
         """
-        monkeypatch.setattr(families, "MAX_DRAWS", 3)
+        monkeypatch.setattr(families, "MAX_DRAWS", max_draws)
         if block is not None:
             monkeypatch.setattr(families, "_BLOCK", block)
         seen = set()
@@ -769,9 +771,27 @@ class TestBatchedSampler:
                 want = outcome(sample_records_scalar, seed, 2, *bounds, entangled_only)
                 assert got == want, (seed, sample.__name__)
                 seen.add(got if isinstance(got, str) else "records")
-        assert {"records", "no physical state in 3 draws"} <= seen
+        assert {"records", f"no physical state in {max_draws} draws"} <= seen
         if bounds == (2.0, 1.01):
-            assert "no entangled state in 3 draws; raise a_max or b_max" in seen
+            assert f"no entangled state in {max_draws} draws; raise a_max or b_max" in seen
+
+    def test_rounds_hold_at_most_a_chunk_of_blocks(self, monkeypatch):
+        """At the vacuum corner every draw is separable, so each fig3 stream spends its whole
+        budget: blocks double for a few streams, but no round decides more than
+        _CHUNK * _BLOCK draws, and each stream's blocks add up to MAX_DRAWS."""
+        monkeypatch.setattr(families, "MAX_DRAWS", 200)
+        shapes = []
+        accept = families._accept
+        monkeypatch.setattr(families, "_accept",
+                            lambda u, *args: shapes.append(u.shape) or accept(u, *args))
+        for n, streams in ((300, families._CHUNK), (40, 40)):
+            shapes.clear()
+            with pytest.raises(InvalidStateError, match="^no entangled state in 200 draws"):
+                sample_figure3(1, n, 1.0, 1.0)
+            assert {pending for pending, _, _ in shapes} == {streams}
+            assert sum(block for _, block, _ in shapes) == 200
+            assert max(pending * block for pending, block, _ in shapes) <= families._CHUNK * families._BLOCK
+        assert [block for _, block, _ in shapes] == [32, 64, 104]
 
     @pytest.mark.parametrize("bounds", [(0.5, 2.0), (float("nan"), 2.0), (1e200, 1e200)])
     def test_bad_bounds(self, bounds):
@@ -824,11 +844,13 @@ class TestChildStreams:
             with pytest.raises(InvalidStateError, match=f"^sample count must be <= 1000000, got {n}$"):
                 families._sample_columns(1, n, 5.0, 5.0, False)
 
-    @pytest.mark.parametrize("block", [1, 3, 32])
+    @pytest.mark.parametrize("block, budget", [(1, 3), (3, 3), (32, 3), (3, 7)],
+                             ids=["1", "3", "32", "3-7"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_draws_equal_numpy_streams(self, monkeypatch, block, seed):
-        """Every uniform of three blocks per stream, bit for bit: no draw is accepted,
-        so each stream reads blocks until MAX_DRAWS = 3 _BLOCK unphysical draws."""
+    def test_draws_equal_numpy_streams(self, monkeypatch, block, budget, seed):
+        """Every uniform of each stream's blocks, bit for bit: no draw is accepted, so each
+        stream reads blocks until MAX_DRAWS = budget _BLOCK unphysical draws, in blocks of
+        _BLOCK and 2 _BLOCK, and 4 _BLOCK more at budget 7."""
         rounds = []
 
         def reject_all(u, *args):
@@ -837,14 +859,38 @@ class TestChildStreams:
             return no, no
 
         monkeypatch.setattr(families, "_BLOCK", block)
-        monkeypatch.setattr(families, "MAX_DRAWS", 3 * block)
+        monkeypatch.setattr(families, "MAX_DRAWS", budget * block)
         monkeypatch.setattr(families, "_accept", reject_all)
-        with pytest.raises(InvalidStateError, match=f"no physical state in {3 * block} draws"):
+        with pytest.raises(InvalidStateError, match=f"no physical state in {budget * block} draws"):
             families._sample_columns(seed, 5, 5.0, 5.0, False)
         got = np.concatenate(rounds, axis=1).reshape(5, -1)
-        want = [np.random.Generator(np.random.PCG64(child)).random(12 * block)
+        want = [np.random.Generator(np.random.PCG64(child)).random(4 * budget * block)
                 for child in np.random.SeedSequence(seed).spawn(5)]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestJump:
+    """_jump(steps), composed by squaring, against PCG64's step applied steps times and
+    against numpy's PCG64.advance."""
+
+    STEPS = [0, 1, 2, 3, 31, 32, 127, 128, 129, 1000, 32768]
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_equals_stepwise(self, steps):
+        a, c = 1, 0
+        for _ in range(steps):
+            a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        assert _jump(steps) == (a, c)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_equals_numpy_advance(self, steps):
+        a, c = _jump(steps)
+        for seed in SEEDS:
+            bit_generator = np.random.PCG64(seed)
+            start = bit_generator.state["state"]
+            bit_generator.advance(steps)
+            assert bit_generator.state["state"] == {
+                "state": (a * start["state"] + c * start["inc"]) & _MASK128, "inc": start["inc"]}, seed
 
 
 #: Seeds of the numpy-free stream: SEEDS, every seed below 60, and two more
