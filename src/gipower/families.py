@@ -9,6 +9,7 @@ extremal performance per mean photon number at fixed entanglement.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +17,7 @@ from functools import lru_cache
 from ._lazy import np
 from ._streams import _MASK128, _child_streams, _jump, _pool
 from .exceptions import InvalidStateError
-from .power import _closed_form, _closed_form_columns
+from .power import _closed_form_columns
 from .symplectic import (
     CHECK_TOL,
     GUARD_BAND,
@@ -24,9 +25,9 @@ from .symplectic import (
     MAX_ROWS,
     ROOT_STEP,
     StandardForm,
-    _gate,
     _hypot_each,
     _log_negativity,
+    _physical_nu,
     _separable,
     _standard_entries,
     _standard_nu,
@@ -61,6 +62,8 @@ __all__ = [
 _BLOCK = 32
 #: Sampling streams decided together; a round holds at most _CHUNK * _BLOCK draws, so memory stays flat.
 _CHUNK = 256
+#: Each thread's Generator over PCG64 (.generator), built on first use; _first_accepted sets it to each stream.
+_threads = threading.local()
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ _Columns = namedtuple("_Columns", "a b c d n_bar_A e_n p_g separable nu_tilde")
 
 def _validated(sf: StandardForm, kind: str) -> StandardForm:
     try:
-        _gate(_standard_entries(sf.a, sf.b, sf.c, sf.d))
+        _physical_nu(_standard_entries(sf.a, sf.b, sf.c, sf.d))
     except InvalidStateError as exc:
         raise InvalidStateError(f"{kind} parameters: {exc}") from None
     return sf
@@ -286,16 +289,16 @@ def _check_bounds(a_max, b_max) -> tuple[float, float]:
 def _draw(u, a_max: float, b_max: float, power=pow):
     """(a, b, c, d) of one rejection-sampling draw from its four uniforms u on [0, 1).
 
-    Each entry is rng.uniform(lo, hi), which is lo + (hi - lo) * u bit for
-    bit.  Elementwise on arrays, where numpy's ** 0.25 (power = pow) may differ
+    Each entry is rng.uniform(lo, hi), lo + (hi - lo) * u bit for bit (c_max * u_c >= +0, and
+    c - -c is c + c).  Elementwise on arrays, where numpy's ** 0.25 (power = pow) may differ
     from Python's in the last bit, and with power = _pow_each does not.
     """
     u_a, u_b, u_c, u_d = u
     a = 1.0 + (a_max - 1.0) * u_a
     b = 1.0 + (b_max - 1.0) * u_b
     c_max = power((a * a - 1) * (b * b - 1), 0.25)
-    c = 0.0 + (c_max - 0.0) * u_c
-    d = -c + (c - -c) * u_d
+    c = c_max * u_c
+    d = -c + (c + c) * u_d
     return a, b, c, d
 
 
@@ -432,18 +435,13 @@ def _first_accepted(generator, states, incs, a_max: float, b_max: float,
 def _kept_columns(form) -> _Columns:
     """The _Columns of kept draws, form = their (a, b, c, d) arrays, in their order.
 
-    One stacked kernel (_standard_nu, with math.hypot per element) and one pass
-    of _closed_form_columns give every number bit for bit as _nu_pair and
+    One stacked kernel (_standard_nu, with math.hypot per element) and
+    _closed_form_columns give every number bit for bit as _nu_pair and
     _closed_form give it per draw, and every kept draw passes the gate (its
-    scalar nu_minus is >= 1 - CHECK_TOL).  The draws whose closed form rescales, clamps or raises
-    go through _gate and _closed_form in order, so the first error is the scalar one.
+    scalar nu_minus is >= 1 - CHECK_TOL); the first row whose closed form
+    fails raises the scalar error.
     """
-    nu_tilde = _standard_nu(*form, np.sqrt, _hypot_each)[1]
-    p_g, left = _closed_form_columns(form)
-    for i in np.flatnonzero(left).tolist():
-        draw = [column.item(i) for column in form]
-        gate = _gate(_standard_entries(*draw))
-        p_g[i] = _closed_form(gate.A, gate.D, draw)[0]
+    nu_tilde, p_g = _standard_nu(*form, np.sqrt, _hypot_each)[1], _closed_form_columns(form)
     a, e_n = form[0], np.array(list(map(_log_negativity, nu_tilde.tolist())))
     return _Columns(*form, (a + a - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
                     e_n, p_g, _separable(nu_tilde), nu_tilde)
@@ -466,11 +464,12 @@ def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
         raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {n}")
     a_max, b_max = _check_bounds(a_max, b_max)
     mixed = _pool(seed)
-    generator = np.random.Generator(np.random.PCG64(0))  # set to each stream before it draws
+    if not hasattr(_threads, "generator"):
+        _threads.generator = np.random.Generator(np.random.PCG64(0))
     chunks = []
     for start in range(0, n, _CHUNK):
         states, incs = _child_streams(mixed, start, min(_CHUNK, n - start))
-        kept, errors = _first_accepted(generator, states, incs, a_max, b_max, entangled_only)
+        kept, errors = _first_accepted(_threads.generator, states, incs, a_max, b_max, entangled_only)
         failed = min(errors, default=len(kept))
         if failed:
             chunks.append(_kept_columns(_draw(kept[:failed].T, a_max, b_max, _pow_each)))

@@ -22,6 +22,7 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
+    _blocks,
     _entries,
     _gate,
     _physical_nu,
@@ -144,25 +145,27 @@ def _closed_form(A, D, form) -> tuple[float, str]:
 
 
 def _closed_form_columns(form):
-    """(values, left): _closed_form's values on a stack of standard forms, form = (a, b, c, d) arrays.
+    """_closed_form's values, bit for bit, on a stack of standard forms, form = (a, b, c, d) arrays.
 
-    Bit for bit _closed_form's value on every state not in left: numpy's
-    + - * / sqrt round as floats do, and the pure value (a*a - 1)/4 is the
-    gate's (A - 1)/4 on _standard_entries.  left marks the general states
-    whose radicand is negative or not finite, or whose value is not
-    finite; _closed_form on those rescales, clamps or raises, and their
-    values here mean nothing.
+    One array pass settles each row whose radicand is finite and >= 0 and whose value is
+    finite: numpy's + - * / sqrt round as floats do, and the pure value (a*a - 1)/4 is the
+    gate's (A - 1)/4 on _standard_entries.  The other rows (entries beyond ~1e19, which
+    _closed_form rescales, or failures) go through _gate and _closed_form in row order,
+    so the first to fail raises the scalar error.
     """
-    a = form[0]
     with np.errstate(all="ignore"):
         X, Y, Z, w = _standard_xyz(*form)
-        pure = w < PURE_TOL
         radicand = X * X + Y * Z
         root = np.sqrt(radicand)
         value = np.where(X >= 0, (X + root) / (2 * Y), Z / (2 * (root - X)))
-        settled = np.isfinite(radicand) & (radicand >= 0) & np.isfinite(value)
+        pure, settled = w < PURE_TOL, np.isfinite(radicand) & (radicand >= 0) & np.isfinite(value)
         value = np.where(0.0 > value, 0.0, value)  # max(value, 0.0), -0.0 kept
-        return np.where(pure, (a * a - 1) / 4, value), ~pure & ~settled
+        value = np.where(pure, (form[0] * form[0] - 1) / 4, value)
+    for i in np.flatnonzero(~pure & ~settled).tolist():
+        row = [column.item(i) for column in form]
+        gate = _gate(_standard_entries(*row))
+        value[i] = _closed_form(gate.A, gate.D, row)[0]
+    return value
 
 
 def gip_special(sf: StandardForm) -> float:
@@ -233,7 +236,6 @@ def _cross_check(e, tol: float) -> CrossValidation:
     det_root = _physical_nu(e)[3]
     standard = _standard_frame(e)[0]
     oracle = max(_qfi_form(standard)[4], 0.0) / 4
-    # A = det alpha, as symplectic._blocks forms it from e
-    closed = _closed_form(e[0] * e[4] - e[1] * e[1], det_root * det_root, standard)[0]
+    closed = _closed_form(_blocks(e)[0], det_root * det_root, standard)[0]
     diff = abs(closed - oracle)
     return CrossValidation(closed, oracle, diff, diff <= tol * max(1.0, closed))

@@ -318,10 +318,13 @@ class TestSample:
              "5fabbc802ec3283fb879d1f9654390f2384bbde2aa1981862e3b9832cd68855c"),
             ("fig3", ("--a-max", "1.05", "--b-max", "1.05"),
              "d21e0ca214453e5281123a1f866fc82ee4d7b55364f8c64c400ee2feb4889af8"),
+            ("fig2", ("--a-max", "1e20", "--b-max", "1e20"),
+             "9587a3822c763d7ff08d582123dc267d07cb579473d9b62a26b52fc9949fc327"),
         ]
     ])
     def test_pinned_digest(self, capsys, tmp_path, which, bounds, sha256):
-        """Pinned CSVs, two of them near the physicality boundary: a moved draw, decision or digit fails."""
+        """Pinned CSVs, two of them near the physicality boundary and one at 1e20, where most rows'
+        closed form rescales (power._closed_form_columns' fallback): a moved draw, decision or digit fails."""
         path = tmp_path / f"{which}.csv"
         code, _ = run_cli(capsys, "sample", "--seed", "1", "--n", "2000", "--which", which,
                           *bounds, "--out", str(path))

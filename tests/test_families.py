@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import gipower.families as families
+import gipower.power as power
 from gipower import (
     CovarianceMatrix,
     FamilySpec,
@@ -72,6 +74,13 @@ def bits(items):
 def bits_of(values):
     """A tuple of floats and bools, floats as hex."""
     return tuple(v if isinstance(v, bool) else float(v).hex() for v in values)
+
+
+def sampled_draws(bound, seed=1, n=200):
+    """(a, b, c, d) arrays of random_state's draw at a_max = b_max = bound from each of the n
+    child streams of default_rng(seed), in stream order: the scalar sampler's draws."""
+    forms = [random_state(stream, bound, bound) for stream in np.random.default_rng(seed).spawn(n)]
+    return tuple(np.array([(sf.a, sf.b, sf.c, sf.d) for sf in forms]).T)
 
 
 def outcome(sample, *args):
@@ -609,22 +618,40 @@ class TestSampling:
     def test_fallback_rows_equal_scalar_sampler(self, monkeypatch, bound):
         """Rows the columns leave to _closed_form (X^2 overflows at 1e20) come out as the scalar sampler's."""
         scalar_calls = []
-        closed_form = families._closed_form
-        monkeypatch.setattr(families, "_closed_form",
-                            lambda *args: scalar_calls.append(1) or closed_form(*args))
+        monkeypatch.setattr(power, "_closed_form", lambda *args: scalar_calls.append(1) or _closed_form(*args))
         got = bits(sample_figure2(1, 200, bound, bound))
         assert bool(scalar_calls) == (bound == 1e20)
         want = bits(sample_records_scalar(1, 200, bound, bound, False))
         assert got == want
 
+    @pytest.mark.parametrize("bound, fallback_rows", [
+        (5.0, range(1)), (1e3, range(1)), (1e20, range(1, 200)), (1e30, range(200, 201))],
+        ids=["5", "1e3", "1e20", "1e30"])
+    def test_closed_form_columns_equal_scalar(self, monkeypatch, bound, fallback_rows):
+        """_closed_form_columns alone gives _closed_form on _gate(_standard_entries(row)), bit for
+        bit, on each of 200 sampled draws: by its array pass up to 1e3, and through its fallback
+        for some rows at 1e20 and for every row at 1e30, where X^2 overflows."""
+        draws = sampled_draws(bound)
+        scalar_calls = []
+        monkeypatch.setattr(power, "_closed_form", lambda *args: scalar_calls.append(1) or _closed_form(*args))
+        got = power._closed_form_columns(draws).tolist()
+        want = []
+        for row in zip(*(column.tolist() for column in draws)):
+            gate = _gate(_standard_entries(*row))
+            want.append(_closed_form(gate.A, gate.D, row)[0])
+        assert bits_of(got) == bits_of(want)
+        assert len(scalar_calls) in fallback_rows
+
     def test_first_error_is_the_scalar_samplers(self):
-        """A row whose closed form fails raises what the scalar sampler raises for it."""
+        """A row whose closed form fails raises what the scalar sampler raises for it, through the
+        sampler and through _closed_form_columns alone on the same draws in stream order."""
         errors = []
-        for sample in (sample_figure2, lambda *args: sample_records_scalar(*args, False)):
+        for sample in (sample_figure2, lambda *args: sample_records_scalar(*args, False),
+                       lambda seed, n, bound, _: power._closed_form_columns(sampled_draws(bound, seed, n))):
             with pytest.raises(NumericalError) as exc:
                 sample(1, 200, 1e45, 1e45)
             errors.append(str(exc.value))
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
 
     def test_no_matrix_per_draw_or_record(self, monkeypatch):
         """Draws, their re-decisions in the band (widened to hold all) and records stay on (a, b, c, d)."""
@@ -676,6 +703,29 @@ class TestBatchedSampler:
                 got = bits(sample(seed, n, *bounds))
                 want = bits(sample_records_scalar(seed, n, *bounds, entangled_only))
                 assert got == want, (seed, sample.__name__)
+
+    def test_threads_draw_from_their_own_generator(self, monkeypatch):
+        """Eight threads sampling at once, switching every microsecond, each get a serial call's
+        rows: long blocks keep each fill, which runs without the GIL, open to a shared generator."""
+        monkeypatch.setattr(families, "_BLOCK", 4096)
+        want = bits(sample_figure3(5, 16))
+        results = [None] * 8
+
+        def run(k):
+            results[k] = bits(sample_figure3(5, 16))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 8
 
     @pytest.mark.parametrize("bounds", SWEEP)
     def test_decisions_equal_scalar(self, bounds, standard_nu_calls):
