@@ -6,7 +6,7 @@ interferometric power, extremal state families, and random-state
 sampling for scaling and boundary analyses.
 
 numpy is executed on first array use (see _lazy): importing the package
-runs none of it, and OMEGA, a numpy array, is built when first read.
+runs none of it.
 """
 
 from .exceptions import (
@@ -39,14 +39,9 @@ from .families import (
     upper_boundary_state,
 )
 from .fidelity import (
-    BlackBoxParams,
     WorstCaseResult,
-    apply_blackbox,
-    blackbox_symplectic,
     fidelity,
     qfi,
-    rotation,
-    squeeze,
     worst_case_qfi,
 )
 from .power import (
@@ -65,29 +60,15 @@ from .symplectic import (
     LocalInvariants,
     StandardForm,
     apply_local_symplectic,
-    apply_loss_B,
     from_standard_form,
     is_separable,
     local_invariants,
     log_negativity,
     mean_photon_A,
-    partial_transpose_B,
     pt_min_symplectic_eigenvalue,
-    random_local_symplectic,
-    swap_modes,
     symplectic_eigenvalues,
     to_standard_form,
     validate_bona_fide,
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    """symplectic.OMEGA, read on first use (PEP 562) and kept."""
-    if name != "OMEGA":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .symplectic import OMEGA
-
-    globals()["OMEGA"] = OMEGA
-    return OMEGA

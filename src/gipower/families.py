@@ -352,10 +352,12 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     transpose has the same D and Delta~ = a^2 + b^2 - 2cd, in f~.  A draw is decided so
     where f, and f~ of a physical draw that must be entangled, lies further from 0 than
     the band 3 GUARD_BAND ab (a + b)^2 that GUARD_BAND's comment derives, compared in
-    units of (a + b)^2 so that nothing overflows.  The draws inside it are rebuilt from
-    their uniforms by scalar arithmetic and decided together by _standard_nu with
-    math.hypot per element, which gives _nu_minus_pt's numbers bit for bit, or nan where
-    _nu_minus_pt gives 0 (sigma not > 0): unphysical either way.
+    units of (a + b)^2 so that nothing overflows.  The draws inside it are decided next
+    by nu_minus (and nu~, if entangled_only) as _standard_nu gives them on these arrays
+    with np.hypot, where each lies further than 3 GUARD_BAND ab from 1 - CHECK_TOL.  Only the
+    rest are rebuilt from their uniforms by scalar arithmetic and decided together by
+    _standard_nu with math.hypot per element, which gives _nu_minus_pt's numbers bit for
+    bit, or nan where _nu_minus_pt gives 0 (sigma not > 0): unphysical either way.
     """
     a, b, c, d = _draw([u[..., k] for k in range(4)], a_max, b_max)
     ab = a * b
@@ -378,11 +380,17 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
         accepted = physical & ~separable
         near |= physical & near_pt
     if near.any():
-        at = np.nonzero(near)
-        form = _draw(u[at].T, a_max, b_max, _pow_each)
+        at, threshold = np.nonzero(near), 1 - CHECK_TOL
         with np.errstate(invalid="ignore", divide="ignore"):
-            nu, nu_pt = _standard_nu(*form, np.sqrt, _hypot_each)
-        physical[at] = nu >= 1 - CHECK_TOL
+            nu, nu_pt = _standard_nu(a[at], b[at], c[at], d[at], np.sqrt, np.hypot)
+            far = np.abs(nu - threshold) > band[at]
+            if entangled_only:
+                far &= np.abs(nu_pt - threshold) > band[at]
+            rest = tuple(index[~far] for index in at)
+            if len(rest[0]):
+                form = _draw(u[rest].T, a_max, b_max, _pow_each)
+                nu[~far], nu_pt[~far] = _standard_nu(*form, np.sqrt, _hypot_each)
+        physical[at] = nu >= threshold
         if entangled_only:
             accepted[at] = physical[at] & ~_separable(nu_pt)
     return physical, accepted

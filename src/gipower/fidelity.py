@@ -8,7 +8,7 @@ between the phi and phi+eps outputs equals the fidelity between
 sigma' = (S R_theta) sigma (S R_theta)^T and its plain rotation by eps.
 The QFI is therefore that of sigma under one generator in sp(2) on mode A,
 a quadratic form in its three coefficients on the basis G = [[0, -1], [1, 0]]
-(which generates rotation(phi)), Z = diag(1, -1) and X = [[0, 1], [1, 0]].
+(which generates the phase rotation R(phi)), Z = diag(1, -1) and X = [[0, 1], [1, 0]].
 The form is exact: Monras's phase-space QFI (arXiv:1303.3682), summed over
 the symplectic eigenvalues of the state's Williamson decomposition, which
 in standard form is plain 2x2 arithmetic.  worst_case_qfi minimises it
@@ -25,40 +25,15 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
-from .symplectic import CHECK_TOL, PURE_TOL, TIE_REL, CovarianceMatrix
+from .symplectic import CHECK_TOL, PURE_TOL, TIE_REL
 from .symplectic import _entries, _gate, _mode_a_frame, _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
-    "BlackBoxParams",
     "WorstCaseResult",
-    "rotation",
-    "squeeze",
-    "blackbox_symplectic",
-    "apply_blackbox",
     "fidelity",
     "qfi",
     "worst_case_qfi",
 ]
-
-@dataclass(frozen=True)
-class BlackBoxParams:
-    """Parameters (phi, zeta, theta) of the local Gaussian black box.
-
-    zeta must be positive; theta is reduced mod pi (the transform has
-    period pi in theta).
-    """
-
-    phi: float
-    zeta: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.zeta) and self.zeta > 0):
-            raise InvalidStateError(f"squeezing parameter must be > 0, got {self.zeta}")
-        if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
-            raise InvalidStateError("black-box parameters must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % math.pi)
-
 
 @dataclass(frozen=True)
 class WorstCaseResult:
@@ -72,39 +47,6 @@ class WorstCaseResult:
     value: float
     zeta_opt: float
     theta_opt: float
-
-
-def rotation(phi) -> np.ndarray:
-    """Phase-space rotation [[cos, -sin], [sin, cos]]; accepts stacked input."""
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
-    return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
-
-
-def squeeze(zeta) -> np.ndarray:
-    """Squeezing transformation diag(zeta, 1/zeta); accepts stacked input."""
-    zeta = np.asarray(zeta, dtype=float)
-    if np.any(zeta <= 0) or not np.all(np.isfinite(zeta)):
-        raise InvalidStateError("squeezing parameter must be positive and finite")
-    zero = np.zeros_like(zeta)
-    return np.moveaxis(np.array([[zeta, zero], [zero, 1.0 / zeta]]), (0, 1), (-2, -1))
-
-
-def blackbox_symplectic(params: BlackBoxParams) -> np.ndarray:
-    """2x2 symplectic R(theta)^T S(zeta) R(phi) S(zeta) R(theta)."""
-    if not isinstance(params, BlackBoxParams):
-        params = BlackBoxParams(*params)
-    r_theta = rotation(params.theta)
-    s = squeeze(params.zeta)
-    return r_theta.T @ s @ rotation(params.phi) @ s @ r_theta
-
-
-def apply_blackbox(cm, params: BlackBoxParams) -> CovarianceMatrix:
-    """Transformed state (T (+) I) sigma (T (+) I)^T after the black box."""
-    sigma = _sigma_of(cm)
-    t = np.eye(4)
-    t[:2, :2] = blackbox_symplectic(params)
-    return CovarianceMatrix(t @ sigma @ t.T)
 
 
 def fidelity(cm1, cm2) -> float:

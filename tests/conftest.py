@@ -12,11 +12,12 @@ from gipower import (
     StandardForm,
     apply_local_symplectic,
     from_standard_form,
-    random_local_symplectic,
     random_state,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import random_local_symplectic
 
 
 def random_physical_cm(rng, a_max=5.0, b_max=5.0, conjugate=False) -> CovarianceMatrix:

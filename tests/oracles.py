@@ -13,16 +13,21 @@ Williamson decomposition became plain arithmetic.
 The random-state sampler has a scalar route: one validated draw at a
 time through rng.uniform, as the library drew before its draws were
 batched.
+The local black box and the state maps the tests move states by (partial
+transposition, mode swap, loss on mode B, random local symplectics) are
+explicit 4x4 congruences in numpy, which no library path builds.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 import gipower.families as families
 from gipower import (
+    CovarianceMatrix,
     SampleRecord,
     StandardForm,
     from_standard_form,
@@ -36,6 +41,74 @@ from gipower import (
 )
 from gipower.exceptions import InvalidStateError, NumericalError
 from gipower.symplectic import OMEGA
+
+
+class BlackBoxParams(NamedTuple):
+    """Parameters (phi, zeta, theta) of the local Gaussian black box; zeta > 0."""
+
+    phi: float
+    zeta: float
+    theta: float
+
+
+def rotation(phi) -> np.ndarray:
+    """Phase-space rotation [[cos, -sin], [sin, cos]]."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def squeeze(zeta) -> np.ndarray:
+    """Squeezing transformation diag(zeta, 1/zeta)."""
+    return np.diag([zeta, 1.0 / zeta])
+
+
+def blackbox_symplectic(params) -> np.ndarray:
+    """2x2 symplectic R(theta)^T S(zeta) R(phi) S(zeta) R(theta) of params = (phi, zeta, theta)."""
+    phi, zeta, theta = params
+    r_theta, s = rotation(theta), squeeze(zeta)
+    return r_theta.T @ s @ rotation(phi) @ s @ r_theta
+
+
+def _sigma(cm) -> np.ndarray:
+    """sigma of a CovarianceMatrix, or a 4x4 array-like as an array."""
+    return cm.sigma if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
+
+
+def apply_blackbox(cm, params) -> CovarianceMatrix:
+    """Transformed state (T (+) I) sigma (T (+) I)^T after the black box."""
+    t = np.eye(4)
+    t[:2, :2] = blackbox_symplectic(params)
+    return CovarianceMatrix(t @ _sigma(cm) @ t.T)
+
+
+def partial_transpose_B(cm) -> CovarianceMatrix:
+    """Momentum flip on mode B: P sigma P with P = diag(1, 1, 1, -1)."""
+    p = np.diag([1.0, 1.0, 1.0, -1.0])
+    return CovarianceMatrix(p @ _sigma(cm) @ p)
+
+
+def swap_modes(cm) -> CovarianceMatrix:
+    """Exchange modes A and B (congruence by the swap permutation)."""
+    swap = np.eye(4)[[2, 3, 0, 1]]  # (q_A, p_A, q_B, p_B) -> (q_B, p_B, q_A, p_A)
+    return CovarianceMatrix(swap @ _sigma(cm) @ swap.T)
+
+
+def apply_loss_B(cm, eta: float) -> CovarianceMatrix:
+    """Pure-loss channel of transmissivity eta in (0, 1] on mode B:
+    sigma -> X sigma X^T + Y, X = I (+) sqrt(eta) I and Y = 0 (+) (1 - eta) I."""
+    x = np.diag([1.0, 1.0, np.sqrt(eta), np.sqrt(eta)])
+    y = np.diag([0.0, 0.0, 1 - eta, 1 - eta])
+    return CovarianceMatrix(x @ _sigma(cm) @ x.T + y)
+
+
+def random_local_symplectic(rng: np.random.Generator) -> np.ndarray:
+    """Random single-mode symplectic R(psi) S(zeta) R(theta) (Euler form).
+
+    psi and theta are uniform on [0, 2*pi); log2(zeta) is uniform on [-1, 1].
+    """
+    psi, theta = rng.uniform(0.0, 2 * np.pi, size=2)
+    zeta = 2.0 ** rng.uniform(-1.0, 1.0)
+    return rotation(psi) @ squeeze(zeta) @ rotation(theta)
 
 
 def thermal_fock_populations(n_bar: float, dim: int) -> np.ndarray:

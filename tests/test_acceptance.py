@@ -13,7 +13,6 @@ import numpy as np
 
 from gipower import (
     apply_local_symplectic,
-    apply_loss_B,
     closed_form_xyz,
     en_threshold,
     fidelity,
@@ -27,7 +26,6 @@ from gipower import (
     mixed_thermal,
     nu_zero,
     pt_min_symplectic_eigenvalue,
-    random_local_symplectic,
     random_state,
     sample_figure2,
     sample_figure3,
@@ -40,7 +38,7 @@ from gipower import (
     worst_case_qfi,
 )
 
-from oracles import thermal_vs_vacuum_fidelity
+from oracles import apply_loss_B, random_local_symplectic, thermal_vs_vacuum_fidelity
 
 SAMPLES = 10_000
 

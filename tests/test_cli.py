@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -753,6 +755,56 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+#: gipower's public names: sorted dir(gipower), without underscores and without its submodules.
+PACKAGE_NAMES = [
+    "BonaFideReport", "CovarianceMatrix", "CrossValidation", "FAMILY_KINDS", "FamilySpec",
+    "GipowerError", "InvalidStateError", "InvalidTransformError", "IpResult", "LocalInvariants",
+    "NumericalError", "SampleRecord", "StandardForm", "WorstCaseResult", "apply_local_symplectic",
+    "build_family", "closed_form_xyz", "cross_validate", "en_threshold", "entangled_st_nu",
+    "fidelity", "from_standard_form", "gip_closed_form", "gip_from_standard_form", "gip_pure",
+    "gip_special", "is_separable", "local_invariants", "log_negativity", "lower_bound",
+    "lower_bound_branch1", "lower_bound_branch2", "lower_branch1_state", "lower_branch2_state",
+    "mean_photon_A", "mixed_thermal", "nu_zero", "pt_min_symplectic_eigenvalue", "qfi",
+    "random_state", "sample_figure2", "sample_figure3", "separable_extremal", "squeezed_thermal",
+    "symplectic_eigenvalues", "tmsv", "to_standard_form", "upper_bound", "upper_boundary_state",
+    "validate_bona_fide", "worst_case_qfi",
+]
+#: Each module's __all__, in its order.
+MODULE_ALL = {
+    "families": [
+        "FamilySpec", "SampleRecord", "FAMILY_KINDS", "build_family", "tmsv", "squeezed_thermal",
+        "mixed_thermal", "separable_extremal", "entangled_st_nu", "upper_boundary_state",
+        "lower_branch1_state", "lower_branch2_state", "nu_zero", "en_threshold", "upper_bound",
+        "lower_bound", "lower_bound_branch1", "lower_bound_branch2", "random_state",
+        "sample_figure2", "sample_figure3",
+    ],
+    "fidelity": ["WorstCaseResult", "fidelity", "qfi", "worst_case_qfi"],
+    "power": [
+        "IpResult", "CrossValidation", "closed_form_xyz", "gip_closed_form", "gip_special",
+        "gip_pure", "gip_from_standard_form", "cross_validate",
+    ],
+    "symplectic": [
+        "OMEGA", "CovarianceMatrix", "StandardForm", "LocalInvariants", "BonaFideReport",
+        "validate_bona_fide", "symplectic_eigenvalues", "local_invariants", "to_standard_form",
+        "from_standard_form", "pt_min_symplectic_eigenvalue", "log_negativity", "is_separable",
+        "mean_photon_A", "apply_local_symplectic",
+    ],
+}
+
+
+def test_public_surface():
+    """The package's public names and each module's __all__ are the literals above, so a
+    change that grows or trims the surface changes this test; OMEGA is symplectic's alone."""
+    import gipower
+
+    public = [name for name in dir(gipower)
+              if not name.startswith("_") and not isinstance(getattr(gipower, name), types.ModuleType)]
+    assert public == PACKAGE_NAMES
+    for module, names in MODULE_ALL.items():
+        assert importlib.import_module(f"gipower.{module}").__all__ == names, module
+    assert not hasattr(gipower, "OMEGA")
+
+
 #: Runs in a fresh interpreter, numpy blocked if argv[1] is "block": imports the
 #: package and its CLI, reports the submodules, calls the scalar public
 #: functions, then gipower's main on argv[2:].
@@ -761,10 +813,10 @@ import sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None  # import numpy now raises
 import gipower, gipower.cli
-from gipower import BlackBoxParams, InvalidStateError, gip_pure
+from gipower import InvalidStateError, StandardForm, gip_pure
 print(all(f"gipower.{name}" in sys.modules for name in ("cli", "families", "power", "fidelity", "symplectic")))
-print(repr(gip_pure(2.5)), BlackBoxParams(0.25, 2.0, 7.0))
-for call in (lambda: gip_pure(float("nan")), lambda: BlackBoxParams(0.0, -1.0, 0.0)):
+print(repr(gip_pure(2.5)), StandardForm(2.0, 3.0, 1.0, -1.0))
+for call in (lambda: gip_pure(float("nan")), lambda: StandardForm(0.5, 1.0, 0.0, 0.0)):
     try:
         call()
     except InvalidStateError as error:

@@ -728,28 +728,43 @@ class TestBatchedSampler:
         assert results == [want] * 8
 
     @pytest.mark.parametrize("bounds", SWEEP)
-    def test_decisions_equal_scalar(self, bounds, standard_nu_calls):
+    def test_decisions_equal_scalar(self, bounds, monkeypatch, standard_nu_calls):
         """_accept's masks on 10^5 draws, fig2's and fig3's, against _nu_minus_pt per draw,
-        with no RuntimeWarning; the float kernel runs once per call where draws lie in the
-        band (IN_BAND), and not at all elsewhere."""
+        with no RuntimeWarning.  The stacked kernel runs only where draws lie in f's band
+        (IN_BAND): once on those draws with np.hypot, then at most once more, with math.hypot
+        per element, on exactly the draws whose nu (and nu~, for fig3) from that first call
+        lies within 3 GUARD_BAND ab of 1 - CHECK_TOL."""
         u = np.random.default_rng(5).random((3125, 32, 4))
         forms = [families._draw(row, *bounds) for row in u.reshape(-1, 4).tolist()]
         physical, entangled = scalar_decisions(forms)
+        stacks, counted = [], families._standard_nu
+        monkeypatch.setattr(families, "_standard_nu", lambda *args: stacks.append(args) or counted(*args))
         for entangled_only, want in ((False, physical), (True, entangled)):
             standard_nu_calls[:] = [0, 0]
+            stacks.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 got = families._accept(u, *bounds, entangled_only)
             assert got[0].reshape(-1).tolist() == physical, entangled_only
             assert got[1].reshape(-1).tolist() == want, entangled_only
-            assert standard_nu_calls == [0, int(bounds in IN_BAND)]
+            assert standard_nu_calls == [0, len(stacks)] and len(stacks) <= 2
+            assert bool(stacks) == (bounds in IN_BAND)
+            if stacks:
+                a, b, *_, hypot = stacks[0]
+                assert hypot is np.hypot
+                with np.errstate(all="ignore"):
+                    nus = _standard_nu(*stacks[0])[:1 + entangled_only]
+                threshold, band = 1 - families.CHECK_TOL, 3 * GUARD_BAND * a * b
+                inside = np.logical_or.reduce([~(np.abs(nu - threshold) > band) for nu in nus])
+                assert [stack[0].tolist() for stack in stacks[1:]] == ([a[inside].tolist()] if inside.any() else [])
 
     def test_stack_nan_where_scalar_none(self, monkeypatch, standard_nu_calls):
         """A stack mixing positive-definite and other sigma: _standard_nu is nan where
         _nu_pair gives None, except at a zero pivot, where it is 0; _nu_minus_pt gives
         _nu_pair's (nu-, nu~), or (0, 0) where it gives None; and _accept decides every
         row as the scalar checks do, by the polynomials (no _standard_nu call) and, with a
-        band that holds every row, by one stacked _standard_nu per call."""
+        band that holds every row and every nu, by two stacked _standard_nu per call: numpy's,
+        then the scalar kernel's on every row."""
         u = np.random.default_rng(6).random((40, 4))
         forms = [*map(tuple, np.transpose(families._draw(u.T, 5.0, 5.0)).tolist()),
                  (2.0, 2.0, 1.7, -1.7), (1.0, 1.0, 0.5, -0.5),  # entangled; not physical
@@ -771,7 +786,7 @@ class TestBatchedSampler:
         assert standard_nu_calls == [len(forms), 0]
         monkeypatch.setattr(families, "_draw", lambda u, a_max, b_max, power=pow: u)  # u holds the forms
         threshold = 1 - families.CHECK_TOL
-        for band, stacked_calls in ((families.GUARD_BAND, 0), (1e3, 1)):
+        for band, stacked_calls in ((families.GUARD_BAND, 0), (1e3, 2)):
             monkeypatch.setattr(families, "GUARD_BAND", band)
             for entangled_only in (False, True):
                 standard_nu_calls[:] = [0, 0]
@@ -781,6 +796,45 @@ class TestBatchedSampler:
                                              for nu, nu_pt in want]
                 assert standard_nu_calls == [0, stacked_calls], band
         assert physical.any() and accepted.any() and not physical.all()
+
+    @pytest.mark.parametrize("bounds", IN_BAND[:2])
+    def test_vacuum_corner_hands_no_draw_to_math_hypot(self, monkeypatch, bounds):
+        """At the vacuum corner and a hair above it every draw (1, b, 0, 0) lies in f's band,
+        but its nu_minus = nu~ = 1 lies 1e-9 from the threshold, far outside the nu band, so
+        none of test_decisions_equal_scalar's 10^5 draws reaches _hypot_each."""
+        handed, hypot_each = [], families._hypot_each
+        monkeypatch.setattr(families, "_hypot_each", lambda p, r: handed.append(len(p)) or hypot_each(p, r))
+        u = np.random.default_rng(5).random((3125, 32, 4))
+        for entangled_only in (False, True):
+            physical, accepted = families._accept(u, *bounds, entangled_only)
+            assert physical.all() and (accepted == (not entangled_only)).all()
+        assert handed == []
+
+    @pytest.mark.parametrize("numpy_nan", [False, True])
+    @pytest.mark.parametrize("bounds", [(1.05, 1.05), (5.0, 5.0), (100.0, 100.0)])
+    def test_decisions_equal_scalar_in_a_wider_band(self, monkeypatch, bounds, numpy_nan):
+        """GUARD_BAND = 1e-4 puts hundreds of draws in f's band.  numpy's kernel settles some
+        by nu and hands the rest to the scalar kernel, or all of them where it gives nan for
+        every nu; every decision is still _nu_minus_pt's."""
+        u = np.random.default_rng(5).random((3125, 32, 4))
+        physical, entangled = scalar_decisions([families._draw(row, *bounds) for row in u.reshape(-1, 4).tolist()])
+        monkeypatch.setattr(families, "GUARD_BAND", 1e-4)
+        sizes, standard_nu = [], families._standard_nu
+
+        def stacked(a, b, c, d, sqrt, hypot):
+            sizes.append(len(a))
+            if numpy_nan and hypot is np.hypot:
+                return np.full_like(a, np.nan), np.full_like(a, np.nan)
+            return standard_nu(a, b, c, d, sqrt, hypot)
+
+        monkeypatch.setattr(families, "_standard_nu", stacked)
+        for entangled_only, want in ((False, physical), (True, entangled)):
+            sizes.clear()
+            got = families._accept(u, *bounds, entangled_only)
+            assert got[0].reshape(-1).tolist() == physical, entangled_only
+            assert got[1].reshape(-1).tolist() == want, entangled_only
+            assert len(sizes) == 2 and sizes[1] > 0, sizes
+            assert (sizes[0] == sizes[1]) == numpy_nan, sizes
 
     def test_scalar_decisions_inside_the_band(self, monkeypatch):
         """A band wide enough to hold every draw hands every decision to the scalar checks."""

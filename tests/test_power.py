@@ -12,7 +12,6 @@ from gipower import (
     NumericalError,
     StandardForm,
     apply_local_symplectic,
-    apply_loss_B,
     closed_form_xyz,
     cross_validate,
     fidelity,
@@ -28,12 +27,8 @@ from gipower import (
     lower_branch2_state,
     mean_photon_A,
     nu_zero,
-    random_local_symplectic,
     random_state,
-    rotation,
     separable_extremal,
-    squeeze,
-    swap_modes,
     symplectic_eigenvalues,
     tmsv,
     to_standard_form,
@@ -45,7 +40,7 @@ import gipower.symplectic as symplectic
 from gipower.power import _cross_check
 from gipower.symplectic import _standard_entries
 from conftest import random_physical_cm, rounded_tmsv
-from oracles import closed_form_mp
+from oracles import apply_loss_B, closed_form_mp, random_local_symplectic, rotation, squeeze, swap_modes
 
 S231 = StandardForm(2.0, 3.0, 1.0, -1.0)
 
