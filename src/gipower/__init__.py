@@ -17,7 +17,6 @@ from .exceptions import (
 )
 from .families import (
     FAMILY_KINDS,
-    FamilySpec,
     SampleRecord,
     build_family,
     en_threshold,

@@ -15,7 +15,6 @@ from ._lazy import np
 from ._streams import _Uniforms
 from .exceptions import InvalidStateError, NumericalError
 from .families import (
-    FamilySpec,
     _check_bounds,
     _random_state,
     _sample_columns,
@@ -24,7 +23,7 @@ from .families import (
     nu_zero,
     upper_bound,
 )
-from .power import _closed_form, _cross_check
+from .power import _cross_check, _ip
 from .symplectic import (
     MAX_ROWS,
     ORACLE_TOL,
@@ -32,9 +31,9 @@ from .symplectic import (
     from_standard_form,
     StandardForm,
     _entries,
-    _gate,
+    _log_negativity,
+    _separable,
     _standard_entries,
-    _standard_frame,
 )
 
 EXIT_OK = 0
@@ -86,21 +85,19 @@ def _emit(lines, out: str | None) -> None:
 
 
 def _state_report(e, form=None) -> dict:
-    """The ip report of sigma's entries e and its standard form (a, b, c, d), from one
-    physicality gate: the closed form and the spectra all read its record.  Without a
-    form, the standard frame's is used, built only once the gate has passed."""
-    gate = _gate(e)
-    value, branch = _closed_form(gate.A, gate.D, form or _standard_frame(e)[0])
+    """The ip report of sigma's entries e and its standard form (a, b, c, d), or the standard
+    frame's without one, from power._ip: the closed form and the spectra read one gate record."""
+    value, branch, gate = _ip(e, form)
     return {
         "value": value,
         "branch": branch,
         "invariants": {"A": gate.A, "B": gate.B, "C": gate.C, "D": gate.D},
         "n_bar_A": (e[0] + e[4] - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
-        "log_negativity": gate.log_negativity,
+        "log_negativity": _log_negativity(gate.nu_tilde),
         "nu_minus": gate.nu_minus,
         "nu_plus": gate.nu_plus,
         "nu_tilde": gate.nu_tilde,
-        "separable": gate.separable,
+        "separable": _separable(gate.nu_tilde),
     }
 
 
@@ -183,7 +180,7 @@ def cmd_family(args) -> int:
         params = tuple(float(p) for p in args.params.split(",")) if args.params else ()
     except ValueError as exc:
         raise InvalidStateError(f"could not parse --params {args.params!r}") from exc
-    sf = build_family(FamilySpec(kind=args.kind, params=params))
+    sf = build_family(args.kind, params)
     cm = from_standard_form(sf)
     _emit([json.dumps(cm.to_dict(), indent=2) + "\n"], args.out)
     return EXIT_OK

@@ -34,7 +34,6 @@ from .symplectic import (
 )
 
 __all__ = [
-    "FamilySpec",
     "SampleRecord",
     "FAMILY_KINDS",
     "build_family",
@@ -64,14 +63,6 @@ _BLOCK = 32
 _CHUNK = 256
 #: Each thread's Generator over PCG64 (.generator), built on first use; _first_accepted sets it to each stream.
 _threads = threading.local()
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family constructor name plus its positional parameters."""
-
-    kind: str
-    params: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -199,16 +190,14 @@ FAMILY_KINDS = {
 }
 
 
-def build_family(spec: FamilySpec) -> StandardForm:
-    """Construct the standard form described by a FamilySpec."""
-    if spec.kind not in FAMILY_KINDS:
-        raise InvalidStateError(
-            f"unknown family kind {spec.kind!r}; choose from {sorted(FAMILY_KINDS)}"
-        )
+def build_family(kind: str, params) -> StandardForm:
+    """The standard form of FAMILY_KINDS[kind] at the positional parameters params."""
+    if kind not in FAMILY_KINDS:
+        raise InvalidStateError(f"unknown family kind {kind!r}; choose from {sorted(FAMILY_KINDS)}")
     try:
-        return FAMILY_KINDS[spec.kind](*spec.params)
+        return FAMILY_KINDS[kind](*params)
     except TypeError as exc:
-        raise InvalidStateError(f"wrong parameter count for {spec.kind!r}: {exc}") from exc
+        raise InvalidStateError(f"wrong parameter count for {kind!r}: {exc}") from exc
 
 
 def _newton(step, x):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ._lazy import np
 from .exceptions import InvalidStateError, NumericalError
 from .symplectic import CHECK_TOL, PURE_TOL, TIE_REL
-from .symplectic import _entries, _gate, _mode_a_frame, _require_physical, _sigma_of, _standard_frame
+from .symplectic import _entries, _mode_a_frame, _physical_nu, _require_physical, _sigma_of, _standard_frame
 
 __all__ = [
     "WorstCaseResult",
@@ -59,27 +59,35 @@ def fidelity(cm1, cm2) -> float:
         Lambda  = lam1 * lam2 / 16        (lam = det(sigma + i Omega))
         Upsilon = det((s1 + s2)/2)
 
-    lam = (nu-^2 - 1)(nu+^2 - 1) comes from the gate's spectra, clamped at 0.
+    lam = (nu-^2 - 1)(nu+^2 - 1) comes from the physicality check's spectra
+    (symplectic._physical_nu), clamped at 0.
 
     For a pair of pure states Lambda = 0 and Gamma = Upsilon identically,
     so F reduces to 1/sqrt(Upsilon), which is evaluated directly instead
-    of through the cancelling radicand s^2 - Upsilon.
+    of through the cancelling radicand s^2 - Upsilon.  The switch reads
+    det sigma = (det L)**2 against PURE_TOL.  Left open on large pure states:
+    Upsilon's rounding puts F(sigma, sigma) at 1 - 2.9e-9 for tmsv(3000), and
+    tmsv(3e4)'s stepped c leaves det sigma - 1 = 2.4e-7, above PURE_TOL, so
+    that pair takes the general form, where s^2 - Upsilon cancels below
+    -CHECK_TOL and raises.
 
-    Symmetric in its arguments, bounded by [0, 1], with F(sigma, sigma) = 1.
+    Symmetric in its arguments, with F(sigma, sigma) = 1, and clamped at 1
+    (Upsilon's rounding took tmsv(300)'s F(sigma, sigma) to 1 + 9.1e-13), so in [0, 1].
     Raises InvalidStateError for unphysical input and NumericalError if the
     main radicand is negative beyond CHECK_TOL or F is not finite.
     """
     from .symplectic import OMEGA  # built on first use
 
-    s1 = _sigma_of(cm1)
-    g1 = _gate(_entries(s1))
-    s2 = _sigma_of(cm2)
-    g2 = _gate(_entries(s2))
-    lam1, lam2 = (max((g.nu_minus * g.nu_minus - 1) * (g.nu_plus * g.nu_plus - 1), 0.0)
-                  for g in (g1, g2))
+    def checked(cm):
+        """(sigma, lam, det sigma) of one state, from one physicality check."""
+        sigma = _sigma_of(cm)
+        nu_minus, nu_plus, _, det_root = _physical_nu(_entries(sigma))
+        return sigma, max((nu_minus * nu_minus - 1) * (nu_plus * nu_plus - 1), 0.0), det_root * det_root
+
+    (s1, lam1, det1), (s2, lam2, det2) = checked(cm1), checked(cm2)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         upsilon = np.linalg.det((s1 + s2) / 2)
-        if abs(g1.D - 1) < PURE_TOL and abs(g2.D - 1) < PURE_TOL:
+        if abs(det1 - 1) < PURE_TOL and abs(det2 - 1) < PURE_TOL:
             f = 1.0 / np.sqrt(upsilon)
         else:
             gamma = np.linalg.det(OMEGA @ s1 @ OMEGA @ s2 - np.eye(4)) / 16
@@ -90,7 +98,7 @@ def fidelity(cm1, cm2) -> float:
             f = (s + np.sqrt(max(radicand, 0.0))) / upsilon
     if not np.isfinite(f):
         raise NumericalError("fidelity evaluation produced a non-finite value")
-    return float(f)
+    return min(float(f), 1.0)
 
 
 def _generator_map(frame) -> list:

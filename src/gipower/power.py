@@ -91,9 +91,8 @@ def gip_closed_form(cm) -> IpResult:
     only.  Raises NumericalError if the value is not finite (X overflows
     from sigma entries of ~1e39 on).
     """
-    e = _entries(_sigma_of(cm))
-    gate = _gate(e)
-    return IpResult(*_closed_form(gate.A, gate.D, _standard_frame(e)[0]), LocalInvariants(*gate[:4]))
+    value, branch, gate = _ip(_entries(_sigma_of(cm)))
+    return IpResult(value, branch, LocalInvariants(*gate[:4]))
 
 
 def _standard_xyz(a, b, c, d):
@@ -144,14 +143,22 @@ def _closed_form(A, D, form) -> tuple[float, str]:
     return max(value, 0.0), "general"
 
 
+def _ip(e, form=None):
+    """(value, branch, gate) of sigma's entries e: its _gate record, then _closed_form on the
+    standard form (a, b, c, d) given, or, without one, on the standard frame's, built only
+    once the gate has passed.  Every ip result of one state is assembled here."""
+    gate = _gate(e)
+    return (*_closed_form(gate.A, gate.D, form or _standard_frame(e)[0]), gate)
+
+
 def _closed_form_columns(form):
     """_closed_form's values, bit for bit, on a stack of standard forms, form = (a, b, c, d) arrays.
 
     One array pass settles each row whose radicand is finite and >= 0 and whose value is
     finite: numpy's + - * / sqrt round as floats do, and the pure value (a*a - 1)/4 is the
     gate's (A - 1)/4 on _standard_entries.  The other rows (entries beyond ~1e19, which
-    _closed_form rescales, or failures) go through _gate and _closed_form in row order,
-    so the first to fail raises the scalar error.
+    _closed_form rescales, or failures) go through _ip in row order, so the first to
+    fail raises the scalar error.
     """
     with np.errstate(all="ignore"):
         X, Y, Z, w = _standard_xyz(*form)
@@ -163,8 +170,7 @@ def _closed_form_columns(form):
         value = np.where(pure, (form[0] * form[0] - 1) / 4, value)
     for i in np.flatnonzero(~pure & ~settled).tolist():
         row = [column.item(i) for column in form]
-        gate = _gate(_standard_entries(*row))
-        value[i] = _closed_form(gate.A, gate.D, row)[0]
+        value[i] = _ip(_standard_entries(*row), row)[0]
     return value
 
 
@@ -205,8 +211,8 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
     form = (sf.a, sf.b, sf.c, sf.d)
-    gate = _gate(_standard_entries(*form))
-    return IpResult(*_closed_form(gate.A, gate.D, form), LocalInvariants(*gate[:4]))
+    value, branch, gate = _ip(_standard_entries(*form), form)
+    return IpResult(value, branch, LocalInvariants(*gate[:4]))
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:

@@ -757,9 +757,9 @@ def test_import_loads_no_scipy():
 
 #: gipower's public names: sorted dir(gipower), without underscores and without its submodules.
 PACKAGE_NAMES = [
-    "BonaFideReport", "CovarianceMatrix", "CrossValidation", "FAMILY_KINDS", "FamilySpec",
-    "GipowerError", "InvalidStateError", "InvalidTransformError", "IpResult", "LocalInvariants",
-    "NumericalError", "SampleRecord", "StandardForm", "WorstCaseResult", "apply_local_symplectic",
+    "BonaFideReport", "CovarianceMatrix", "CrossValidation", "FAMILY_KINDS", "GipowerError",
+    "InvalidStateError", "InvalidTransformError", "IpResult", "LocalInvariants", "NumericalError",
+    "SampleRecord", "StandardForm", "WorstCaseResult", "apply_local_symplectic",
     "build_family", "closed_form_xyz", "cross_validate", "en_threshold", "entangled_st_nu",
     "fidelity", "from_standard_form", "gip_closed_form", "gip_from_standard_form", "gip_pure",
     "gip_special", "is_separable", "local_invariants", "log_negativity", "lower_bound",
@@ -772,7 +772,7 @@ PACKAGE_NAMES = [
 #: Each module's __all__, in its order.
 MODULE_ALL = {
     "families": [
-        "FamilySpec", "SampleRecord", "FAMILY_KINDS", "build_family", "tmsv", "squeezed_thermal",
+        "SampleRecord", "FAMILY_KINDS", "build_family", "tmsv", "squeezed_thermal",
         "mixed_thermal", "separable_extremal", "entangled_st_nu", "upper_boundary_state",
         "lower_branch1_state", "lower_branch2_state", "nu_zero", "en_threshold", "upper_bound",
         "lower_bound", "lower_bound_branch1", "lower_bound_branch2", "random_state",

@@ -13,7 +13,6 @@ import gipower.families as families
 import gipower.power as power
 from gipower import (
     CovarianceMatrix,
-    FamilySpec,
     InvalidStateError,
     NumericalError,
     build_family,
@@ -50,7 +49,9 @@ from gipower.symplectic import (
     _entries,
     _gate,
     _hypot_each,
+    _log_negativity,
     _nu_pair,
+    _separable,
     _standard_entries,
     _standard_nu,
 )
@@ -348,10 +349,10 @@ FAMILY_RUN = """
 import json, sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None  # import numpy now raises
-from gipower import FamilySpec, build_family
+from gipower import build_family
 for kind, sets in json.loads(sys.argv[2]).items():
     for params in sets:
-        sf = build_family(FamilySpec(kind, tuple(params)))
+        sf = build_family(kind, tuple(params))
         print(kind, params, *(x.hex() for x in (sf.a, sf.b, sf.c, sf.d)))
 """
 
@@ -367,16 +368,16 @@ class TestBuildFamily:
         assert blocked.stdout == plain.stdout and blocked.stdout.count("\n") == 16
 
     def test_dispatch(self):
-        sf = build_family(FamilySpec("tmsv", (2.0,)))
+        sf = build_family("tmsv", (2.0,))
         assert sf == tmsv(2.0)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidStateError):
-            build_family(FamilySpec("bogus", ()))
+            build_family("bogus", ())
 
     def test_wrong_arity(self):
         with pytest.raises(InvalidStateError):
-            build_family(FamilySpec("tmsv", (2.0, 3.0)))
+            build_family("tmsv", (2.0, 3.0))
 
 
 def constructed_states() -> list:
@@ -607,8 +608,8 @@ class TestSampling:
         columns = families._kept_columns(tuple(np.array(draws).T))
         for i, draw in enumerate(draws):
             gate = _gate(_standard_entries(*draw))
-            want = (*draw, (draw[0] + draw[0] - 2) / 4, gate.log_negativity,
-                    _closed_form(gate.A, gate.D, draw)[0], gate.separable, gate.nu_tilde)
+            want = (*draw, (draw[0] + draw[0] - 2) / 4, _log_negativity(gate.nu_tilde),
+                    _closed_form(gate.A, gate.D, draw)[0], _separable(gate.nu_tilde), gate.nu_tilde)
             got = tuple(column[i].item() for column in columns)
             assert bits_of(got) == bits_of(want), i
         gate = _gate(_standard_entries(*draws[-5]))

@@ -166,6 +166,11 @@ class TestFidelity:
             cm = from_standard_form(tmsv(a))
             assert fidelity(cm, cm) == pytest.approx(1.0, abs=1e-9), a
 
+    def test_self_fidelity_is_clamped_at_one(self):
+        """Upsilon's rounding puts 1/sqrt(Upsilon) at 1 + 9.1e-13 on tmsv(300): F stays <= 1."""
+        cm = from_standard_form(tmsv(300.0))
+        assert fidelity(cm, cm) == 1.0
+
     def test_thermal_vs_vacuum_matches_fock_oracle(self):
         sigma1 = np.diag([3.0, 3.0, 1.0, 1.0])  # thermal n_bar = 1 on A
         expected = thermal_vs_vacuum_fidelity(n_bar=1.0, dim=40)
