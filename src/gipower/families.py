@@ -341,12 +341,11 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     transpose has the same D and Delta~ = a^2 + b^2 - 2cd, in f~.  A draw is decided so
     where f, and f~ of a physical draw that must be entangled, lies further from 0 than
     the band 3 GUARD_BAND ab (a + b)^2 that GUARD_BAND's comment derives, compared in
-    units of (a + b)^2 so that nothing overflows.  The draws inside it are decided next
-    by nu_minus (and nu~, if entangled_only) as _standard_nu gives them on these arrays
-    with np.hypot, where each lies further than 3 GUARD_BAND ab from 1 - CHECK_TOL.  Only the
-    rest are rebuilt from their uniforms by scalar arithmetic and decided together by
-    _standard_nu with math.hypot per element, which gives _nu_minus_pt's numbers bit for
-    bit, or nan where _nu_minus_pt gives 0 (sigma not > 0): unphysical either way.
+    units of (a + b)^2 so that nothing overflows.  The draws inside it are rebuilt from
+    their uniforms by scalar arithmetic and decided together by nu_minus (and nu~, if
+    entangled_only) as _standard_nu gives them with math.hypot per element: _nu_minus_pt's
+    numbers bit for bit, or nan where _nu_minus_pt gives 0 (sigma not > 0), unphysical
+    either way.
     """
     a, b, c, d = _draw([u[..., k] for k in range(4)], a_max, b_max)
     ab = a * b
@@ -369,17 +368,10 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
         accepted = physical & ~separable
         near |= physical & near_pt
     if near.any():
-        at, threshold = np.nonzero(near), 1 - CHECK_TOL
+        at = np.nonzero(near)
         with np.errstate(invalid="ignore", divide="ignore"):
-            nu, nu_pt = _standard_nu(a[at], b[at], c[at], d[at], np.sqrt, np.hypot)
-            far = np.abs(nu - threshold) > band[at]
-            if entangled_only:
-                far &= np.abs(nu_pt - threshold) > band[at]
-            rest = tuple(index[~far] for index in at)
-            if len(rest[0]):
-                form = _draw(u[rest].T, a_max, b_max, _pow_each)
-                nu[~far], nu_pt[~far] = _standard_nu(*form, np.sqrt, _hypot_each)
-        physical[at] = nu >= threshold
+            nu, nu_pt = _standard_nu(*_draw(u[at].T, a_max, b_max, _pow_each), np.sqrt, _hypot_each)
+        physical[at] = nu >= 1 - CHECK_TOL
         if entangled_only:
             accepted[at] = physical[at] & ~_separable(nu_pt)
     return physical, accepted
@@ -453,13 +445,17 @@ def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
     stream.  n <= MAX_ROWS keeps every child index in one word.  The streams are seeded
     by array arithmetic, decided and their rows built (one _draw pass, the scalar _draw's
     bit for bit) _CHUNK at a time; the first stream that fails raises, after the rows of
-    the streams before it.  Rows are sorted by (a, b, c, d), stably.
+    the streams before it.  Rows are sorted by (a, b, c, d), stably.  With entangled_only
+    and a_max or b_max at 1, c_max is 0 and every draw a product state, so the error every
+    stream would raise is raised up front.
     """
     if n < 1:
         raise InvalidStateError(f"sample count must be >= 1, got {n}")
     if n > MAX_ROWS:
         raise InvalidStateError(f"sample count must be <= {MAX_ROWS}, got {n}")
     a_max, b_max = _check_bounds(a_max, b_max)
+    if entangled_only and min(a_max, b_max) == 1:
+        raise InvalidStateError(f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max")
     mixed = _pool(seed)
     if not hasattr(_threads, "generator"):
         _threads.generator = np.random.Generator(np.random.PCG64(0))

@@ -88,8 +88,8 @@ def gip_closed_form(cm) -> IpResult:
     with X, Y and Z formed from sigma's standard form (_closed_form).
     Pure states (w < PURE_TOL, w = D - 1 formed from the standard form as
     Y's factor) use the exact limit (A - 1)/4; the gate's D is reported
-    only.  Raises NumericalError if the value is not finite (X overflows
-    from sigma entries of ~1e39 on).
+    only.  Raises NumericalError where X, Y, Z or the value is not finite
+    (X overflows from sigma entries of ~1e39 on).
     """
     value, branch, gate = _ip(_entries(_sigma_of(cm)))
     return IpResult(value, branch, LocalInvariants(*gate[:4]))
@@ -119,16 +119,18 @@ def _standard_xyz(a, b, c, d):
     return X, Y, Z, w
 
 
-def _closed_form(A, D, form) -> tuple[float, str]:
-    """(value, branch) of gip_closed_form from the gate's A and D and the standard form (a, b, c, d).
+def _closed_form(A, form) -> tuple[float, str]:
+    """(value, branch) of gip_closed_form from the gate's A and the standard form (a, b, c, d).
 
-    A gives the pure value (A - 1)/4; D is read only by the error message.
+    A gives the pure value (A - 1)/4; the errors name (a, b, c, d).
     """
     X, Y, Z, w = _standard_xyz(*form)
     if w < PURE_TOL:
         return (A - 1) / 4, "pure"
+    if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
+        raise NumericalError(f"closed formula overflows at (a, b, c, d) = {tuple(form)}")
     radicand = X * X + Y * Z
-    if not math.isfinite(radicand) and math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z):
+    if not math.isfinite(radicand):
         # X^2 or YZ overflows (entries beyond ~1e19); the value has degree 0
         # in (X, Y, Z), so scale them by a power of two, which rounds nothing.
         shift = -math.frexp(max(abs(X), abs(Y), abs(Z)))[1]
@@ -139,7 +141,7 @@ def _closed_form(A, D, form) -> tuple[float, str]:
     root = math.sqrt(max(radicand, 0.0))
     value = (X + root) / (2 * Y) if X >= 0 else Z / (2 * (root - X))
     if not math.isfinite(value):
-        raise NumericalError(f"closed formula gave {value} at det sigma = {D}")
+        raise NumericalError(f"closed formula gave {value} at (a, b, c, d) = {tuple(form)}")
     return max(value, 0.0), "general"
 
 
@@ -148,7 +150,7 @@ def _ip(e, form=None):
     standard form (a, b, c, d) given, or, without one, on the standard frame's, built only
     once the gate has passed.  Every ip result of one state is assembled here."""
     gate = _gate(e)
-    return (*_closed_form(gate.A, gate.D, form or _standard_frame(e)[0]), gate)
+    return (*_closed_form(gate.A, form or _standard_frame(e)[0]), gate)
 
 
 def _closed_form_columns(form):
@@ -157,8 +159,8 @@ def _closed_form_columns(form):
     One array pass settles each row whose radicand is finite and >= 0 and whose value is
     finite: numpy's + - * / sqrt round as floats do, and the pure value (a*a - 1)/4 is the
     gate's (A - 1)/4 on _standard_entries.  The other rows (entries beyond ~1e19, which
-    _closed_form rescales, or failures) go through _ip in row order, so the first to
-    fail raises the scalar error.
+    _closed_form rescales, or failures) go through _closed_form in row order, with A = a*a,
+    so the first to fail raises the scalar error.
     """
     with np.errstate(all="ignore"):
         X, Y, Z, w = _standard_xyz(*form)
@@ -170,7 +172,7 @@ def _closed_form_columns(form):
         value = np.where(pure, (form[0] * form[0] - 1) / 4, value)
     for i in np.flatnonzero(~pure & ~settled).tolist():
         row = [column.item(i) for column in form]
-        value[i] = _ip(_standard_entries(*row), row)[0]
+        value[i] = _closed_form(row[0] * row[0], row)[0]
     return value
 
 
@@ -235,13 +237,13 @@ def _cross_check(e, tol: float) -> CrossValidation:
     alone: worst_case_qfi's value, the sheet minimum one fidelity._qfi_form
     call returns beside Q, with no map T and no argmin.  It runs first, so a
     QFI form that overflows raises its own NumericalError.  The closed form
-    reads A, D = (det L)**2 and (a, b, c, d) and builds no IpResult.
+    reads A and (a, b, c, d) and builds no IpResult.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
-    det_root = _physical_nu(e)[3]
+    _physical_nu(e)
     standard = _standard_frame(e)[0]
     oracle = max(_qfi_form(standard)[4], 0.0) / 4
-    closed = _closed_form(_blocks(e)[0], det_root * det_root, standard)[0]
+    closed = _closed_form(_blocks(e)[0], standard)[0]
     diff = abs(closed - oracle)
     return CrossValidation(closed, oracle, diff, diff <= tol * max(1.0, closed))

@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from ._lazy import np
-from .exceptions import InvalidStateError, InvalidTransformError
+from .exceptions import InvalidStateError, InvalidTransformError, NumericalError
 
 __all__ = [
     "OMEGA",
@@ -77,14 +77,7 @@ MAX_ROWS = 10**6
 #: in e = GUARD_BAND*a*b, a nu_minus within e of 1 - CHECK_TOL puts f within 2 Delta e
 #: of 0, since |df/dnu_minus| <= 2 Delta <= 2 (a + b)^2; f's own rounding, with the
 #: ulp by which numpy's ** 0.25 can move c_max, adds less than 20 eps a*b (a + b)^2,
-#: well inside the third GUARD_BAND a*b (a + b)^2.  Inside that band the sampler reads
-#: nu_minus and nu~ first off the same kernel on numpy's draw, with np.sqrt, np.hypot and
-#: c_max from numpy's ** 0.25, and settles those further than 3e from 1 - CHECK_TOL.
-#: np.sqrt rounds correctly, as math.sqrt does; np.hypot is within an ulp of math.hypot;
-#: and an ulp of c_max moves c and d as one rounding of the kernel's inputs would.  So
-#: numpy's nu is within e of the exact one, as the scalar kernel's is (the two measured
-#: at most 3.2e-16 a*b apart on those draws), and a nu further than 3e from
-#: 1 - CHECK_TOL is on the scalar kernel's side of it.  Where e is not small (a*b from
+#: well inside the third GUARD_BAND a*b (a + b)^2.  Where e is not small (a*b from
 #: ~1e13) the band rests on the sampler's decision-equivalence tests.
 GUARD_BAND = 1e-13
 #: |det S - 1| allowed of each block of a local symplectic S_A (+) S_B.
@@ -427,9 +420,13 @@ def _unsqueeze(b00, b01, b11):
 
     L = (l00, l01, l11), the symmetric positive square root of
     block / sqrt(det block), is a symplectic: (N + I)/sqrt(tr N + 2) for
-    N of unit determinant, and L^-1 = [[l11, -l01], [-l01, l00]].
+    N of unit determinant, and L^-1 = [[l11, -l01], [-l01, l00]].  A heavily squeezed
+    block's det can round to 0 or below: NumericalError.
     """
-    scale = math.sqrt(b00 * b11 - b01 * b01)
+    det = b00 * b11 - b01 * b01
+    if not det > 0:
+        raise NumericalError(f"mode block determinant {det} is not > 0")
+    scale = math.sqrt(det)
     n00, n01, n11 = b00 / scale, b01 / scale, b11 / scale
     norm = math.sqrt(n00 + n11 + 2)
     return scale, ((n00 + 1) / norm, n01 / norm, (n11 + 1) / norm)

@@ -318,11 +318,8 @@ def qfi_grid_minimum(cm, log2_zeta_range, n_zeta: int = 201, n_theta: int = 180)
     return float(values[i, j]), float(max(neighbours) - values[i, j])
 
 
-def random_state_scalar(rng, a_max=5.0, b_max=5.0) -> StandardForm:
-    """families.random_state as it drew before batching: four rng.uniform calls per draw.
-
-    Reads the budget families.MAX_DRAWS at call time, as the library does.
-    """
+def _draw_scalar(rng, a_max, b_max) -> tuple[StandardForm, CovarianceMatrix]:
+    """(sf, its matrix) of random_state_scalar's state: each draw's matrix is built once."""
     if not (a_max >= 1 and b_max >= 1 and np.isfinite(a_max * a_max * b_max * b_max)):
         raise InvalidStateError(f"need a_max, b_max >= 1, a_max^2 b_max^2 finite: {a_max}, {b_max}")
     for _ in range(families.MAX_DRAWS):
@@ -332,13 +329,21 @@ def random_state_scalar(rng, a_max=5.0, b_max=5.0) -> StandardForm:
         c = rng.uniform(0.0, c_max)
         d = rng.uniform(-c, c)
         sf = StandardForm(a, b, c, d)
-        if validate_bona_fide(sf.matrix()).physical:
-            return sf
+        cm = from_standard_form(sf)
+        if validate_bona_fide(cm).physical:
+            return sf, cm
     raise InvalidStateError(f"no physical state in {families.MAX_DRAWS} draws")
 
 
-def _record_from(sf: StandardForm) -> SampleRecord:
-    cm = from_standard_form(sf)
+def random_state_scalar(rng, a_max=5.0, b_max=5.0) -> StandardForm:
+    """families.random_state as it drew before batching: four rng.uniform calls per draw.
+
+    Reads the budget families.MAX_DRAWS at call time, as the library does.
+    """
+    return _draw_scalar(rng, a_max, b_max)[0]
+
+
+def _record_from(sf: StandardForm, cm: CovarianceMatrix) -> SampleRecord:
     return SampleRecord(
         sf=sf,
         n_bar_A=mean_photon_A(cm),
@@ -360,9 +365,9 @@ def sample_records_scalar(seed, n, a_max, b_max, entangled_only):
 
     def make(stream) -> SampleRecord:
         for _ in range(families.MAX_DRAWS):
-            sf = random_state_scalar(stream, a_max, b_max)
-            if not entangled_only or not is_separable(sf.matrix()):
-                return _record_from(sf)
+            sf, cm = _draw_scalar(stream, a_max, b_max)
+            if not entangled_only or not is_separable(cm):
+                return _record_from(sf, cm)
         raise InvalidStateError(
             f"no entangled state in {families.MAX_DRAWS} draws; raise a_max or b_max")
 

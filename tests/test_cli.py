@@ -209,8 +209,8 @@ class TestVerify:
         result = subprocess.run([sys.executable, "-m", "gipower", "verify", "--seed", "1", "--n", "5",
                                  "--a-max", "1", "--b-max", "1e100"], capture_output=True, text=True, timeout=60)
         assert result.returncode == 1
-        assert result.stderr == ("error: numerical failure: closed formula gave nan "
-                                 "at det sigma = 9.033812380335597e+199\n")
+        assert result.stderr == ("error: numerical failure: closed formula overflows "
+                                 "at (a, b, c, d) = (1.0, 9.504636963259353e+99, 0.0, 0.0)\n")
 
     @pytest.mark.parametrize("seed, sha256", [
         (1, "fab7161052623d7e7f846e6c8a17beb427cb58e3373e569f8ed8580a12b924f7"),
@@ -369,11 +369,12 @@ class TestSample:
         code = main(["sample", "--which", "fig2", "--seed", "1", "--n", "200", "--a-max", "1e45",
                      "--b-max", "1e45", "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert capsys.readouterr().err == ("error: numerical failure: closed formula gave nan "
-                                           "at det sigma = 8.203995680859794e+177\n")
+        assert capsys.readouterr().err == (
+            "error: numerical failure: closed formula overflows at (a, b, c, d) = (6.990345474368357e+44, "
+            "1.7433552137309582e+44, 2.2520694553864547e+44, -8.098334265802288e+43)\n")
 
     def test_no_entangled_state_exits_2_in_time(self, tmp_path):
-        """Only product states: MAX_DRAWS separable draws, then exit 2, in well under the timeout."""
+        """Only product states: refused before any draw, exit 2, in well under the timeout."""
         t0 = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "gipower", "sample", "--seed", "1", "--n", "3",
@@ -702,19 +703,26 @@ def test_parser_reused_without_leaks(capsys, tmp_path):
         assert (tmp_path / f"warm-{i}.csv").read_bytes() == (tmp_path / f"fresh-{i}.csv").read_bytes()
 
 
+#: A rotated squeezed vacuum on mode A (squeeze factor ~5.5e8), physical (nu_minus = 1.0), whose
+#: mode-A block determinant b00 b11 - b01^2 rounds to 0.0.
+SQUEEZED_A = [[385502830.9378021, -251750850.72400752, 0, 0], [-251750850.72400752, 164404735.2028062, 0, 0],
+              [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
 @pytest.mark.parametrize("argv, code, reason", [
     (["ip", "--input", "{tmp}/huge.json"], 2, "overflows"),  # diag(1e308, 1e308, 1, 1)
     (["ip", "--a", "1e308", "--b", "1", "--c", "0", "--d", "0"], 2, "overflows the covariance matrix"),
-    (["ip", "--input", "{tmp}/big.json"], 1, "det sigma = inf"),  # diag(1e150, 1e150, 2e150, 2e150)
+    (["ip", "--input", "{tmp}/big.json"], 1, "overflows at (a, b, c, d) = (1e+150, 2e+150"),  # diag(1e150, 1e150, 2e150, 2e150)
+    (["ip", "--input", "{tmp}/squeezed.json"], 1, "mode block determinant 0.0 is not > 0"),  # SQUEEZED_A
     (["ip", "--input", "{tmp}/zero.json"], 2, "not positive definite"),  # diag(0, 0, 1, 1)
     (["ip", "--input", "{tmp}/negative.json"], 2, "not positive definite"),  # diag(-1, -1, 1, 1)
-    (["verify", "--seed", "1", "--n", "5", "--a-max", "1", "--b-max", "1e100"], 1, "closed formula gave nan"),
+    (["verify", "--seed", "1", "--n", "5", "--a-max", "1", "--b-max", "1e100"], 1, "closed formula overflows"),
     (["sample", "--seed", "1", "--n", "3", "--which", "fig3", "--a-max", "1", "--b-max", "1",
       "--out", "{tmp}/x.csv"], 2, "no entangled state"),  # product states only
     (["sample", "--seed", "1", "--n", "3", "--which", "fig2", "--out", "{tmp}/dir"], 2, "Is a directory"),
     *((["sample", "--seed", "1", "--n", "1000001", "--which", which, "--out", "{tmp}/x.csv"], 2,
        "sample count must be <= 1000000") for which in ("fig2", "fig3")),
-], ids=["huge-input", "huge-flags", "big-input", "zero-input", "negative-input", "verify-huge-b",
+], ids=["huge-input", "huge-flags", "big-input", "squeezed-input", "zero-input", "negative-input", "verify-huge-b",
         "fig3-no-entangled", "out-dir", "fig2-n-past-the-cap", "fig3-n-past-the-cap"])
 def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     """One stderr line, the error's, with its exit code: no warning, no traceback, no temporary file left."""
@@ -724,6 +732,7 @@ def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
                            ("zero.json", [0.0, 0.0, 1.0, 1.0]),
                            ("negative.json", [-1.0, -1.0, 1.0, 1.0])):
         (tmp_path / name).write_text(json.dumps({"sigma": np.diag(diagonal).tolist()}))
+    (tmp_path / "squeezed.json").write_text(json.dumps({"sigma": SQUEEZED_A}))
     result = subprocess.run([sys.executable, "-m", "gipower", *(x.format(tmp=tmp_path) for x in argv)],
                             capture_output=True, text=True, timeout=60)
     prefix = {1: "error: numerical failure: ", 2: "error: invalid input: "}[code]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -609,11 +610,11 @@ class TestSampling:
         for i, draw in enumerate(draws):
             gate = _gate(_standard_entries(*draw))
             want = (*draw, (draw[0] + draw[0] - 2) / 4, _log_negativity(gate.nu_tilde),
-                    _closed_form(gate.A, gate.D, draw)[0], _separable(gate.nu_tilde), gate.nu_tilde)
+                    _closed_form(gate.A, draw)[0], _separable(gate.nu_tilde), gate.nu_tilde)
             got = tuple(column[i].item() for column in columns)
             assert bits_of(got) == bits_of(want), i
         gate = _gate(_standard_entries(*draws[-5]))
-        assert _closed_form(gate.A, gate.D, draws[-5])[1] == "pure"
+        assert _closed_form(gate.A, draws[-5])[1] == "pure"
 
     @pytest.mark.parametrize("bound", [1e3, 1e20])
     def test_fallback_rows_equal_scalar_sampler(self, monkeypatch, bound):
@@ -639,7 +640,7 @@ class TestSampling:
         want = []
         for row in zip(*(column.tolist() for column in draws)):
             gate = _gate(_standard_entries(*row))
-            want.append(_closed_form(gate.A, gate.D, row)[0])
+            want.append(_closed_form(gate.A, row)[0])
         assert bits_of(got) == bits_of(want)
         assert len(scalar_calls) in fallback_rows
 
@@ -732,9 +733,7 @@ class TestBatchedSampler:
     def test_decisions_equal_scalar(self, bounds, monkeypatch, standard_nu_calls):
         """_accept's masks on 10^5 draws, fig2's and fig3's, against _nu_minus_pt per draw,
         with no RuntimeWarning.  The stacked kernel runs only where draws lie in f's band
-        (IN_BAND): once on those draws with np.hypot, then at most once more, with math.hypot
-        per element, on exactly the draws whose nu (and nu~, for fig3) from that first call
-        lies within 3 GUARD_BAND ab of 1 - CHECK_TOL."""
+        (IN_BAND), once, with math.hypot per element."""
         u = np.random.default_rng(5).random((3125, 32, 4))
         forms = [families._draw(row, *bounds) for row in u.reshape(-1, 4).tolist()]
         physical, entangled = scalar_decisions(forms)
@@ -748,24 +747,15 @@ class TestBatchedSampler:
                 got = families._accept(u, *bounds, entangled_only)
             assert got[0].reshape(-1).tolist() == physical, entangled_only
             assert got[1].reshape(-1).tolist() == want, entangled_only
-            assert standard_nu_calls == [0, len(stacks)] and len(stacks) <= 2
-            assert bool(stacks) == (bounds in IN_BAND)
-            if stacks:
-                a, b, *_, hypot = stacks[0]
-                assert hypot is np.hypot
-                with np.errstate(all="ignore"):
-                    nus = _standard_nu(*stacks[0])[:1 + entangled_only]
-                threshold, band = 1 - families.CHECK_TOL, 3 * GUARD_BAND * a * b
-                inside = np.logical_or.reduce([~(np.abs(nu - threshold) > band) for nu in nus])
-                assert [stack[0].tolist() for stack in stacks[1:]] == ([a[inside].tolist()] if inside.any() else [])
+            assert standard_nu_calls == [0, len(stacks)] and len(stacks) == (bounds in IN_BAND)
+            assert all(stack[-1] is _hypot_each for stack in stacks)
 
     def test_stack_nan_where_scalar_none(self, monkeypatch, standard_nu_calls):
         """A stack mixing positive-definite and other sigma: _standard_nu is nan where
         _nu_pair gives None, except at a zero pivot, where it is 0; _nu_minus_pt gives
         _nu_pair's (nu-, nu~), or (0, 0) where it gives None; and _accept decides every
         row as the scalar checks do, by the polynomials (no _standard_nu call) and, with a
-        band that holds every row and every nu, by two stacked _standard_nu per call: numpy's,
-        then the scalar kernel's on every row."""
+        band that holds every row, by one stacked _standard_nu per call on every row."""
         u = np.random.default_rng(6).random((40, 4))
         forms = [*map(tuple, np.transpose(families._draw(u.T, 5.0, 5.0)).tolist()),
                  (2.0, 2.0, 1.7, -1.7), (1.0, 1.0, 0.5, -0.5),  # entangled; not physical
@@ -787,7 +777,7 @@ class TestBatchedSampler:
         assert standard_nu_calls == [len(forms), 0]
         monkeypatch.setattr(families, "_draw", lambda u, a_max, b_max, power=pow: u)  # u holds the forms
         threshold = 1 - families.CHECK_TOL
-        for band, stacked_calls in ((families.GUARD_BAND, 0), (1e3, 2)):
+        for band, stacked_calls in ((families.GUARD_BAND, 0), (1e3, 1)):
             monkeypatch.setattr(families, "GUARD_BAND", band)
             for entangled_only in (False, True):
                 standard_nu_calls[:] = [0, 0]
@@ -798,25 +788,10 @@ class TestBatchedSampler:
                 assert standard_nu_calls == [0, stacked_calls], band
         assert physical.any() and accepted.any() and not physical.all()
 
-    @pytest.mark.parametrize("bounds", IN_BAND[:2])
-    def test_vacuum_corner_hands_no_draw_to_math_hypot(self, monkeypatch, bounds):
-        """At the vacuum corner and a hair above it every draw (1, b, 0, 0) lies in f's band,
-        but its nu_minus = nu~ = 1 lies 1e-9 from the threshold, far outside the nu band, so
-        none of test_decisions_equal_scalar's 10^5 draws reaches _hypot_each."""
-        handed, hypot_each = [], families._hypot_each
-        monkeypatch.setattr(families, "_hypot_each", lambda p, r: handed.append(len(p)) or hypot_each(p, r))
-        u = np.random.default_rng(5).random((3125, 32, 4))
-        for entangled_only in (False, True):
-            physical, accepted = families._accept(u, *bounds, entangled_only)
-            assert physical.all() and (accepted == (not entangled_only)).all()
-        assert handed == []
-
-    @pytest.mark.parametrize("numpy_nan", [False, True])
     @pytest.mark.parametrize("bounds", [(1.05, 1.05), (5.0, 5.0), (100.0, 100.0)])
-    def test_decisions_equal_scalar_in_a_wider_band(self, monkeypatch, bounds, numpy_nan):
-        """GUARD_BAND = 1e-4 puts hundreds of draws in f's band.  numpy's kernel settles some
-        by nu and hands the rest to the scalar kernel, or all of them where it gives nan for
-        every nu; every decision is still _nu_minus_pt's."""
+    def test_decisions_equal_scalar_in_a_wider_band(self, monkeypatch, bounds):
+        """GUARD_BAND = 1e-4 puts hundreds of draws in f's band, all decided by one call of the
+        scalar kernel; every decision is still _nu_minus_pt's."""
         u = np.random.default_rng(5).random((3125, 32, 4))
         physical, entangled = scalar_decisions([families._draw(row, *bounds) for row in u.reshape(-1, 4).tolist()])
         monkeypatch.setattr(families, "GUARD_BAND", 1e-4)
@@ -824,8 +799,6 @@ class TestBatchedSampler:
 
         def stacked(a, b, c, d, sqrt, hypot):
             sizes.append(len(a))
-            if numpy_nan and hypot is np.hypot:
-                return np.full_like(a, np.nan), np.full_like(a, np.nan)
             return standard_nu(a, b, c, d, sqrt, hypot)
 
         monkeypatch.setattr(families, "_standard_nu", stacked)
@@ -834,8 +807,7 @@ class TestBatchedSampler:
             got = families._accept(u, *bounds, entangled_only)
             assert got[0].reshape(-1).tolist() == physical, entangled_only
             assert got[1].reshape(-1).tolist() == want, entangled_only
-            assert len(sizes) == 2 and sizes[1] > 0, sizes
-            assert (sizes[0] == sizes[1]) == numpy_nan, sizes
+            assert len(sizes) == 1 and sizes[0] > 0, sizes
 
     def test_scalar_decisions_inside_the_band(self, monkeypatch):
         """A band wide enough to hold every draw hands every decision to the scalar checks."""
@@ -881,22 +853,39 @@ class TestBatchedSampler:
             assert f"no entangled state in {max_draws} draws; raise a_max or b_max" in seen
 
     def test_rounds_hold_at_most_a_chunk_of_blocks(self, monkeypatch):
-        """At the vacuum corner every draw is separable, so each fig3 stream spends its whole
+        """With every draw physical and none accepted, each fig3 stream spends its whole
         budget: blocks double for a few streams, but no round decides more than
         _CHUNK * _BLOCK draws, and each stream's blocks add up to MAX_DRAWS."""
         monkeypatch.setattr(families, "MAX_DRAWS", 200)
         shapes = []
-        accept = families._accept
-        monkeypatch.setattr(families, "_accept",
-                            lambda u, *args: shapes.append(u.shape) or accept(u, *args))
+
+        def separable_only(u, *args):
+            shapes.append(u.shape)
+            return np.ones(u.shape[:-1], dtype=bool), np.zeros(u.shape[:-1], dtype=bool)
+
+        monkeypatch.setattr(families, "_accept", separable_only)
         for n, streams in ((300, families._CHUNK), (40, 40)):
             shapes.clear()
             with pytest.raises(InvalidStateError, match="^no entangled state in 200 draws"):
-                sample_figure3(1, n, 1.0, 1.0)
+                sample_figure3(1, n)
             assert {pending for pending, _, _ in shapes} == {streams}
             assert sum(block for _, block, _ in shapes) == 200
             assert max(pending * block for pending, block, _ in shapes) <= families._CHUNK * families._BLOCK
         assert [block for _, block, _ in shapes] == [32, 64, 104]
+
+    @pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, 5.0), (5.0, 1.0)])
+    def test_product_bounds_refused_before_any_draw(self, monkeypatch, bounds):
+        """With a_max or b_max at 1, c_max = 0 and every draw is a product state: fig3 raises the
+        scalar sampler's error before any stream is drawn, at any budget."""
+        calls = []
+        monkeypatch.setattr(families, "_first_accepted", lambda *args: calls.append(args))
+        for max_draws in (10_000, 5):
+            monkeypatch.setattr(families, "MAX_DRAWS", max_draws)
+            want = f"no entangled state in {max_draws} draws; raise a_max or b_max"
+            with pytest.raises(InvalidStateError, match=f"^{re.escape(want)}$"):
+                sample_figure3(1, 3, *bounds)
+        assert outcome(sample_records_scalar, 1, 3, *bounds, True) == want
+        assert calls == []
 
     @pytest.mark.parametrize("bounds", [(0.5, 2.0), (float("nan"), 2.0), (1e200, 1e200)])
     def test_bad_bounds(self, bounds):

@@ -215,6 +215,16 @@ class TestClosedFormPrecision:
                 with pytest.raises(NumericalError):
                     gip_closed_form(cm)
 
+    def test_overflowing_xyz_raises_not_zero(self):
+        """(2, b, 1, -1): P = 1/(4b).  From b ~ 1e77 X = -inf and Y = +inf, which
+        Z / (2(root - X)) would turn into a silent 0.0; the closed form raises there."""
+        assert gip_from_standard_form((2.0, 1e76, 1.0, -1.0)).value == pytest.approx(
+            gip_special(StandardForm(2.0, 1e76, 1.0, -1.0)), rel=1e-12)
+        assert gip_special(StandardForm(2.0, 1e76, 1.0, -1.0)) == pytest.approx(2.5e-77, rel=1e-12)
+        for b in (1e77, 1e100):
+            with pytest.raises(NumericalError, match=r"^closed formula overflows at \(a, b, c, d\) = "):
+                gip_from_standard_form((2.0, b, 1.0, -1.0))
+
 
 class TestOverflow:
     """det sigma overflows at entries of ~1e150 (D = inf), and the formula at ~1e50 (nan)."""

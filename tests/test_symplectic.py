@@ -15,8 +15,10 @@ from gipower import (
     CovarianceMatrix,
     InvalidStateError,
     InvalidTransformError,
+    NumericalError,
     StandardForm,
     apply_local_symplectic,
+    cross_validate,
     fidelity,
     from_standard_form,
     gip_closed_form,
@@ -351,6 +353,21 @@ class TestStandardFormReduction:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
             to_standard_form(np.diag([0.5, 0.5, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("block, det", [
+        ([[385502830.9378021, -251750850.72400752], [-251750850.72400752, 164404735.2028062]], "0.0"),
+        ([[365674750.8172904, 259621049.9251213], [259621049.9251213, 184325249.18270966]], "-8.0"),
+    ])
+    def test_cancelled_block_determinant_raises(self, block, det):
+        """A rotated squeezed vacuum on mode A (squeeze factor ~5.5e8) that the gate admits, whose
+        mode-A block determinant rounds to 0 or below: every reader of the standard frame raises
+        NumericalError, not ZeroDivisionError or a math domain error."""
+        sigma = np.eye(4)
+        sigma[:2, :2] = block
+        assert log_negativity(sigma) == 0.0  # the gate passes
+        for call in (to_standard_form, gip_closed_form, cross_validate, worst_case_qfi):
+            with pytest.raises(NumericalError, match=f"^mode block determinant {re.escape(det)} is not > 0$"):
+                call(sigma)
 
 
 class TestGateRecords:
