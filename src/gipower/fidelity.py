@@ -140,7 +140,9 @@ def _qfi_form(standard) -> tuple:
     [[a, c], [c, b]] and sigma_p = [[a, d], [d, b]], and its Williamson
     decomposition is plain 2x2 arithmetic: s = S (nu (+) nu) S^T with
     S = S_q (+) S_q^-T, S_q = L_q R(omega) diag(nu)^-1/2, L_q the Cholesky
-    factor of sigma_q, R(omega) the Jacobi rotation of W = L_q^T sigma_p L_q
+    factor of sigma_q pivoted on the larger mode (the modes swapped where b > a,
+    so e_A is then the second coordinate: pivoted on a, Q's entries grew as b/a
+    and cancelled in lam), R(omega) the Jacobi rotation of W = L_q^T sigma_p L_q
     and nu^2 its eigenvalues.  With x = S_q^-1 e_A and y = S_q^T e_A the
     generators G, Z, X become P = S^-1 K S = (0, -x x^T; y y^T, 0),
     (x y^T, 0; 0, -y x^T) and (0, x x^T; y y^T, 0) in (q, p) blocks.  Each
@@ -175,6 +177,8 @@ def _qfi_form(standard) -> tuple:
     h0/sqrt(norm) back by h = T^-1 h0 = J T^T J h0.
     """
     a, b, c, d = standard
+    swap = b > a
+    a, b = (b, a) if swap else (a, b)
     try:
         # L_q = [[l0, 0], [l1, l2]] and W = L_q^T sigma_p L_q
         l0 = math.sqrt(a)
@@ -199,8 +203,12 @@ def _qfi_form(standard) -> tuple:
             sin = math.copysign(math.sqrt((1 - half / radius) / 2), w01)
             cos = w01 / (2 * radius * sin)
         r0, r1 = math.sqrt(nu0), math.sqrt(nu1)
-        x0, x1 = r0 * (cos - sin * l1 / l2) / l0, -r1 * (sin + cos * l1 / l2) / l0
-        y0, y1 = l0 * cos / r0, -l0 * sin / r1
+        if swap:
+            x0, x1 = r0 * sin / l2, r1 * cos / l2
+            y0, y1 = (cos * l1 + sin * l2) / r0, (cos * l2 - sin * l1) / r1
+        else:
+            x0, x1 = r0 * (cos - sin * l1 / l2) / l0, -r1 * (sin + cos * l1 / l2) / l0
+            y0, y1 = l0 * cos / r0, -l0 * sin / r1
     except (ValueError, ZeroDivisionError) as error:  # sqrt of a negative, division by 0
         raise NumericalError(f"QFI form evaluation failed: {error}") from None
     # beta and delta of G are -(s, t), of X (t, s); alpha and gamma of Z

@@ -22,7 +22,6 @@ from .symplectic import (
     PURE_TOL,
     LocalInvariants,
     StandardForm,
-    _blocks,
     _entries,
     _gate,
     _physical_nu,
@@ -87,9 +86,9 @@ def gip_closed_form(cm) -> IpResult:
     Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels,
     with X, Y and Z formed from sigma's standard form (_closed_form).
     Pure states (w < PURE_TOL, w = D - 1 formed from the standard form as
-    Y's factor) use the exact limit (A - 1)/4; the gate's D is reported
-    only.  Raises NumericalError where X, Y, Z or the value is not finite
-    (X overflows from sigma entries of ~1e39 on).
+    Y's factor) use the exact limit (a^2 - 1)/4; the gate's invariants are
+    reported only.  Raises NumericalError where X, Y, Z or the value is not
+    finite (X overflows from sigma entries of ~1e39 on).
     """
     value, branch, gate = _ip(_entries(_sigma_of(cm)))
     return IpResult(value, branch, LocalInvariants(*gate[:4]))
@@ -119,14 +118,12 @@ def _standard_xyz(a, b, c, d):
     return X, Y, Z, w
 
 
-def _closed_form(A, form) -> tuple[float, str]:
-    """(value, branch) of gip_closed_form from the gate's A and the standard form (a, b, c, d).
-
-    A gives the pure value (A - 1)/4; the errors name (a, b, c, d).
-    """
+def _closed_form(form) -> tuple[float, str]:
+    """(value, branch) of gip_closed_form from the standard form (a, b, c, d), whose
+    pure value is (a*a - 1)/4; the errors name (a, b, c, d)."""
     X, Y, Z, w = _standard_xyz(*form)
     if w < PURE_TOL:
-        return (A - 1) / 4, "pure"
+        return (form[0] * form[0] - 1) / 4, "pure"
     if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(Z)):
         raise NumericalError(f"closed formula overflows at (a, b, c, d) = {tuple(form)}")
     radicand = X * X + Y * Z
@@ -150,17 +147,16 @@ def _ip(e, form=None):
     standard form (a, b, c, d) given, or, without one, on the standard frame's, built only
     once the gate has passed.  Every ip result of one state is assembled here."""
     gate = _gate(e)
-    return (*_closed_form(gate.A, form or _standard_frame(e)[0]), gate)
+    return (*_closed_form(form or _standard_frame(e)[0]), gate)
 
 
 def _closed_form_columns(form):
     """_closed_form's values, bit for bit, on a stack of standard forms, form = (a, b, c, d) arrays.
 
-    One array pass settles each row whose radicand is finite and >= 0 and whose value is
-    finite: numpy's + - * / sqrt round as floats do, and the pure value (a*a - 1)/4 is the
-    gate's (A - 1)/4 on _standard_entries.  The other rows (entries beyond ~1e19, which
-    _closed_form rescales, or failures) go through _closed_form in row order, with A = a*a,
-    so the first to fail raises the scalar error.
+    One array pass settles each pure row and each row whose radicand is finite and >= 0
+    and whose value is finite: numpy's + - * / sqrt round as floats do.  The other rows
+    (entries beyond ~1e19, which _closed_form rescales, or failures) go through
+    _closed_form in row order, so the first to fail raises the scalar error.
     """
     with np.errstate(all="ignore"):
         X, Y, Z, w = _standard_xyz(*form)
@@ -171,8 +167,7 @@ def _closed_form_columns(form):
         value = np.where(0.0 > value, 0.0, value)  # max(value, 0.0), -0.0 kept
         value = np.where(pure, (form[0] * form[0] - 1) / 4, value)
     for i in np.flatnonzero(~pure & ~settled).tolist():
-        row = [column.item(i) for column in form]
-        value[i] = _closed_form(row[0] * row[0], row)[0]
+        value[i] = _closed_form([column.item(i) for column in form])[0]
     return value
 
 
@@ -237,13 +232,13 @@ def _cross_check(e, tol: float) -> CrossValidation:
     alone: worst_case_qfi's value, the sheet minimum one fidelity._qfi_form
     call returns beside Q, with no map T and no argmin.  It runs first, so a
     QFI form that overflows raises its own NumericalError.  The closed form
-    reads A and (a, b, c, d) and builds no IpResult.
+    reads (a, b, c, d) and builds no IpResult.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")
     _physical_nu(e)
     standard = _standard_frame(e)[0]
     oracle = max(_qfi_form(standard)[4], 0.0) / 4
-    closed = _closed_form(_blocks(e)[0], standard)[0]
+    closed = _closed_form(standard)[0]
     diff = abs(closed - oracle)
     return CrossValidation(closed, oracle, diff, diff <= tol * max(1.0, closed))

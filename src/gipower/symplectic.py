@@ -87,8 +87,6 @@ ORACLE_TOL = 1e-4
 #: worst_case_qfi reports (1, 0) where the QFI at zeta = 1 is this close to the
 #: minimum, relatively: rounding moves a tmsv's argmin by ~1e-13 off zeta = 1.
 TIE_REL = 1e-6
-#: Newton iterations for the boundary constants stop below this step.
-ROOT_STEP = 1e-16
 
 
 class CovarianceMatrix:

@@ -204,6 +204,13 @@ class TestVerify:
             assert result.returncode == 0, result.stderr
             assert re.search(r"^PASS$", result.stdout, re.MULTILINE), result.stdout
 
+    @pytest.mark.parametrize("b_max", ["1e14", "1e20"])
+    def test_asymmetric_states_pass(self, capsys, b_max):
+        """b >> a: 165 and 477 of these 500 states failed while the oracle pivoted on mode A."""
+        code, out = run_cli(capsys, "verify", "--seed", "1", "--n", "500", "--a-max", "2", "--b-max", b_max)
+        assert code == 0
+        assert re.search(r"^PASS$", out, re.MULTILINE), out
+
     def test_overflowing_b_is_a_numerical_failure(self):
         """At b ~ 1e100 the closed form's X, Y and Z overflow: exit 1 with the message, no traceback."""
         result = subprocess.run([sys.executable, "-m", "gipower", "verify", "--seed", "1", "--n", "5",
@@ -213,9 +220,9 @@ class TestVerify:
                                  "at (a, b, c, d) = (1.0, 9.504636963259353e+99, 0.0, 0.0)\n")
 
     @pytest.mark.parametrize("seed, sha256", [
-        (1, "fab7161052623d7e7f846e6c8a17beb427cb58e3373e569f8ed8580a12b924f7"),
-        (2, "a4ddc5599c60e32f8ee066ca575353b55925b1d8270eee798a52889fddc62d62"),
-        (3, "9e5709f8774510791a57eba6d174660ec89b3edfe5d62844abdd4234f41fb9b5"),
+        (1, "865ce31d475bb55ce830f450449c2e8ce0ce3761d019810bb9b5a0e2b895f6d7"),
+        (2, "dfbf8a956cd86a3b8a813d4333a193336a9b41454ea692d05aba1f68c8eb50f8"),
+        (3, "218e39768c84e25ad20facb2cb52eaa480c246b0385cf289043a2f0fc48c553a"),
     ])
     def test_pinned_digest(self, capsys, seed, sha256):
         """Pinned stdout of 200 checks: a moved draw, closed form, oracle or digit fails."""

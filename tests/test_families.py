@@ -7,6 +7,7 @@ import threading
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -283,6 +284,10 @@ class TestBranchPoint:
         assert (0.139**3 + 0.139**2 + 7 * 0.139 - 1) < 0
         assert (0.140**3 + 0.140**2 + 7 * 0.140 - 1) > 0
 
+    def test_correctly_rounded(self):
+        with mpmath.workdps(50):
+            assert nu_zero() == float(mpmath.findroot(lambda x: x**3 + x**2 + 7 * x - 1, 0.14))
+
     def test_branches_agree_at_branch_point(self):
         x = nu_zero()
         assert float(lower_bound_branch1(x)) == pytest.approx(
@@ -300,6 +305,13 @@ class TestBranchPoint:
 class TestEnThreshold:
     def test_quoted_value(self):
         assert en_threshold() == pytest.approx(1.135, abs=0.002)
+
+    def test_correctly_rounded(self):
+        with mpmath.workdps(50):
+            def g(nu):
+                return 2 / (nu + 1) - 2 / (nu - 1) - 2 * mpmath.sqrt(2) / mpmath.sqrt(nu + 1) - 1
+
+            assert en_threshold() == float(-mpmath.log(mpmath.findroot(lambda nu: g(nu) - 1, 0.32)))
 
     def test_root_condition(self):
         assert float(lower_bound_branch1(math.exp(-en_threshold()))) == pytest.approx(
@@ -610,11 +622,10 @@ class TestSampling:
         for i, draw in enumerate(draws):
             gate = _gate(_standard_entries(*draw))
             want = (*draw, (draw[0] + draw[0] - 2) / 4, _log_negativity(gate.nu_tilde),
-                    _closed_form(gate.A, draw)[0], _separable(gate.nu_tilde), gate.nu_tilde)
+                    _closed_form(draw)[0], _separable(gate.nu_tilde), gate.nu_tilde)
             got = tuple(column[i].item() for column in columns)
             assert bits_of(got) == bits_of(want), i
-        gate = _gate(_standard_entries(*draws[-5]))
-        assert _closed_form(gate.A, draws[-5])[1] == "pure"
+        assert _closed_form(draws[-5])[1] == "pure"
 
     @pytest.mark.parametrize("bound", [1e3, 1e20])
     def test_fallback_rows_equal_scalar_sampler(self, monkeypatch, bound):
@@ -630,17 +641,14 @@ class TestSampling:
         (5.0, range(1)), (1e3, range(1)), (1e20, range(1, 200)), (1e30, range(200, 201))],
         ids=["5", "1e3", "1e20", "1e30"])
     def test_closed_form_columns_equal_scalar(self, monkeypatch, bound, fallback_rows):
-        """_closed_form_columns alone gives _closed_form on _gate(_standard_entries(row)), bit for
-        bit, on each of 200 sampled draws: by its array pass up to 1e3, and through its fallback
+        """_closed_form_columns alone gives _closed_form on each row, bit for bit, on each of
+        200 sampled draws: by its array pass up to 1e3, and through its fallback
         for some rows at 1e20 and for every row at 1e30, where X^2 overflows."""
         draws = sampled_draws(bound)
         scalar_calls = []
         monkeypatch.setattr(power, "_closed_form", lambda *args: scalar_calls.append(1) or _closed_form(*args))
         got = power._closed_form_columns(draws).tolist()
-        want = []
-        for row in zip(*(column.tolist() for column in draws)):
-            gate = _gate(_standard_entries(*row))
-            want.append(_closed_form(gate.A, row)[0])
+        want = [_closed_form(row)[0] for row in zip(*(column.tolist() for column in draws))]
         assert bits_of(got) == bits_of(want)
         assert len(scalar_calls) in fallback_rows
 

@@ -610,6 +610,26 @@ class TestWorstCasePrecision:
             worst = max(worst, (error, label))
         assert worst[0] <= 1e-11, f"worst deviation {worst[0]:.2e} on a {worst[1]} state"
 
+    @pytest.mark.parametrize("a_max, b_max", [(2.0, 10.0**k) for k in (2, 4, 8, 13, 16, 20, 30)]
+                             + [(10.0**k, 2.0) for k in (2, 4, 8, 13, 16, 20, 30)])
+    def test_asymmetric_states(self, a_max, b_max):
+        """The QFI form's Cholesky factor pivots on the larger mode, so b >> a loses nothing:
+        pivoted on a, the error grew as b/a, to 5e-1 per max(1, P) at (2, 1e16)."""
+        rng = np.random.default_rng(7)
+        worst = (0.0, None)
+        for _ in range(60):
+            sigma = from_standard_form(random_state(rng, a_max, b_max)).sigma
+            expected = closed_form_mp(sigma)
+            error = abs(worst_case_qfi(sigma).value / 4 - expected) / max(1.0, expected)
+            worst = max(worst, (error, tuple(np.diag(sigma))), key=lambda w: w[0])
+        assert worst[0] <= 1e-15, f"worst deviation {worst[0]:.2e} at {worst[1]}"
+
+    def test_far_asymmetric_states_return(self):
+        """Pivoted on a, 43 of these 100 states met the degenerate-pencil raise."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            assert worst_case_qfi(from_standard_form(random_state(rng, 2.0, 1e30))).value >= 0.0
+
     def test_axis_squeezes(self, rng):
         # diag(2^k, 2^-k) on mode A rounds no entry, so closed_form_mp is that
         # of the unsqueezed state, while the argmin moves to log2 zeta ~ -k.
