@@ -222,7 +222,7 @@ def lower_bound_branch2(nu):
 def upper_bound(nu):
     """Upper boundary of power per photon at fixed nu: (1 + nu)/(2 nu)."""
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu <= 0) or np.any(nu >= 1):
+    if not np.all((nu > 0) & (nu < 1)):  # NaN included
         raise InvalidStateError("boundary curves are defined for 0 < nu < 1")
     return (1 + nu) / (2 * nu)
 
@@ -234,7 +234,7 @@ def lower_bound(nu):
     the pure two-mode squeezed state.
     """
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu <= 0) or np.any(nu >= 1):
+    if not np.all((nu > 0) & (nu < 1)):  # NaN included
         raise InvalidStateError("boundary curves are defined for 0 < nu < 1")
     return np.where(nu > nu_zero(), lower_bound_branch1(nu), lower_bound_branch2(nu))
 

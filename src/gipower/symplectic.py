@@ -240,30 +240,15 @@ def _blocks(e):
     return s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12
 
 
-def _cholesky(e):
-    """Lower Cholesky factor of sigma by plain arithmetic on its float entries e, row by row.
-
-    Where a pivot is < 0, or = 0 before the last, raises ValueError or ZeroDivisionError.
-    """
-    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
-    l00 = math.sqrt(s00)
-    l10, l20, l30 = s01 / l00, s02 / l00, s03 / l00
-    l11 = math.sqrt(s11 - l10 * l10)
-    l21, l31 = (s12 - l20 * l10) / l11, (s13 - l30 * l10) / l11
-    l22 = math.sqrt(s22 - l20 * l20 - l21 * l21)
-    l32 = (s23 - l30 * l20 - l31 * l21) / l22
-    l33 = math.sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
-    return (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33)
-
-
 def _nu_pair(e):
     """(nu-, nu+, nu~, det L) of sigma from its entries e (floats), nu~ the nu- of its partial transpose.
 
-    By math: None unless sigma > 0.  _standard_nu is the same kernel on standard forms.
+    By math: None unless sigma > 0, but a zero last pivot gives nu- = nu~ = det L = 0.
+    _standard_nu is this body on standard forms, their exact zeros left out.
 
     Williamson by Cholesky: with sigma = L L^T, the antisymmetric
     M = L^T Omega L has eigenvalues +-i nu-, +-i nu+.  Its self-dual and
-    anti-self-dual parts, the 3-vectors u and w of _spectra, give
+    anti-self-dual parts, the 3-vectors u and w under the two hypots, give
     nu+ = (|u| + |w|)/2, and nu+ nu- = |Pf M| = det L.  Nothing cancels
     beyond the ~eps |sigma| of forming M, so degenerate spectra (pure
     states) are resolved, which the roots of x^2 - (A + B + 2C) x + D are
@@ -274,31 +259,27 @@ def _nu_pair(e):
     error ~eps cond(sigma); AB - (AB - D) loses ~eps AB, which on a pure
     state with a ~ 300 already exceeds PURE_TOL.
     """
+    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
     try:
-        factor = _cholesky(e)
+        l00 = math.sqrt(s00)
+        l10, l20, l30 = s01 / l00, s02 / l00, s03 / l00
+        l11 = math.sqrt(s11 - l10 * l10)
+        l21, l31 = (s12 - l20 * l10) / l11, (s13 - l30 * l10) / l11
+        l22 = math.sqrt(s22 - l20 * l20 - l21 * l21)
+        l32 = (s23 - l30 * l20 - l31 * l21) / l22
+        l33 = math.sqrt(s33 - l30 * l30 - l31 * l31 - l32 * l32)
     except (ValueError, ZeroDivisionError):  # a pivot <= 0
         return None
-    return _spectra(factor)
-
-
-def _spectra(factor):
-    """_nu_pair's formulas on a Cholesky factor, with math.hypot(p, q, r) = |(p, q, r)|.
-
-    Straight-line arithmetic: the terms y02 -+ y13 and y03 +- y12 shared by
-    nu+ and nu~+ are formed once, and nu+ and nu~+ are one expression each.
-    """
-    (l00,), (_, l11), (l20, l21, l22), (l30, l31, l32, l33) = factor
-    x = l00 * l11
-    y01, y23 = l20 * l31 - l30 * l21, l22 * l33
+    x, y01, y23 = l00 * l11, l20 * l31 - l30 * l21, l22 * l33
     y02, y13 = l20 * l32 - l30 * l22, l21 * l33
     y03, y12 = l20 * l33, l21 * l32 - l31 * l22
     # (|u| + |w|)/2 for y and for -y: rounding is odd, so |y02 -+ y13| and
     # |y03 +- y12| serve both, and x - y01 - y23 is x + (-y01) + (-y23) bit for bit.
     d02, s02, s03, d03 = y02 - y13, y02 + y13, y03 + y12, y03 - y12
     x_plus, x_minus = x + y01, x - y01
+    det_root = x * l22 * l33
     nu_plus = (math.hypot(x_plus + y23, d02, s03) + math.hypot(x_plus - y23, s02, d03)) / 2
     nu_plus_pt = (math.hypot(x_minus - y23, d02, s03) + math.hypot(x_minus + y23, s02, d03)) / 2
-    det_root = x * l22 * l33
     return det_root / nu_plus, nu_plus, det_root / nu_plus_pt, det_root
 
 
@@ -366,11 +347,11 @@ def _gate(e):
 
 
 def _standard_nu(a, b, c, d, sqrt, hypot):
-    """(nu-, nu~) of the standard form (a, b, c, d), from _cholesky and _spectra with the
+    """(nu-, nu~) of the standard form (a, b, c, d), _nu_pair's body line for line with the
     standard form's exact zeros left out: floats, or arrays of standard forms.
 
-    On _standard_entries, l10 = l30 = l21 = l32 = 0 and l11 = l00, so y02 = y13 = 0
-    and each three-term hypot of _spectra is hypot(p, r), two-term.  Every dropped
+    On _standard_entries, l10 = l30 = l21 = l32 = 0 and l11 = l00, so y02 = y13 = 0,
+    y12 = -(l31 l22), and each three-term hypot of _nu_pair is hypot(p, r).  Every dropped
     term is a product with an exact 0, so with math.sqrt and math.hypot the values
     are _nu_pair's bit for bit (math.hypot(p, 0.0, r) == math.hypot(p, r)), and so
     are they on arrays with np.sqrt and _hypot_each.  Where sigma is not > 0, math

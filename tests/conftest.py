@@ -47,16 +47,16 @@ def child_warning_policy(monkeypatch):
 
 
 @pytest.fixture
-def cholesky_calls(monkeypatch):
-    """[count]: the Cholesky factorisations of one state made from here on."""
+def factor_calls(monkeypatch):
+    """[count]: the Cholesky factorisations of one state (symplectic._nu_pair) made from here on."""
     calls = [0]
-    cholesky = symplectic._cholesky
+    nu_pair = symplectic._nu_pair
 
     def counted(e):
         calls[0] += 1
-        return cholesky(e)
+        return nu_pair(e)
 
-    monkeypatch.setattr(symplectic, "_cholesky", counted)
+    monkeypatch.setattr(symplectic, "_nu_pair", counted)
     return calls
 
 

@@ -142,17 +142,17 @@ class TestIp:
         assert report["value"] == 249999999999.75
         assert report["branch"] == "pure"
 
-    def test_one_factor_per_quantity(self, capsys, tmp_path, cholesky_calls):
+    def test_one_factor_per_quantity(self, capsys, tmp_path, factor_calls):
         # The report reads every quantity off the closed form's gate record.
         code, _ = run_cli(capsys, "ip", "--a", "2", "--b", "3", "--c", "1", "--d", "-1")
         assert code == 0
-        assert cholesky_calls[0] == 1
+        assert factor_calls[0] == 1
         path = tmp_path / "state.json"
         path.write_text(json.dumps(from_standard_form(StandardForm(2.0, 3.0, 1.0, -0.5)).to_dict()))
-        cholesky_calls[0] = 0
+        factor_calls[0] = 0
         code, _ = run_cli(capsys, "ip", "--input", str(path))
         assert code == 0
-        assert cholesky_calls[0] == 1
+        assert factor_calls[0] == 1
 
     @pytest.mark.parametrize("sf", [StandardForm(2.0, 3.0, 1.0, -1.0), StandardForm(2.0, 3.0, 0.0, 0.0),
                                     StandardForm(3.0, 2.0, 2.0, -1.5), tmsv(2.0)])
@@ -340,7 +340,7 @@ class TestSample:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
-    def test_one_factor_per_record(self, capsys, tmp_path, monkeypatch, cholesky_calls, standard_nu_calls):
+    def test_one_factor_per_record(self, capsys, tmp_path, monkeypatch, factor_calls, standard_nu_calls):
         """No kept row factors its state alone: one stacked _standard_nu per chunk of kept
         rows, none for the draw decisions (no draw is inside GUARD_BAND's band here), and
         no Cholesky factor."""
@@ -362,7 +362,7 @@ class TestSample:
         assert counts["_kept_columns"] == -(-2000 // families._CHUNK)
         assert counts["_accept"] > counts["_kept_columns"]
         assert standard_nu_calls == [0, counts["_kept_columns"]]
-        assert cholesky_calls == [0]
+        assert factor_calls == [0]
 
     def test_one_bit_generator_per_call(self, capsys, tmp_path, pcg64_constructions):
         """Child streams are seeded by arithmetic: no PCG64 per row, one to draw them all."""

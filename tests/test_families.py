@@ -343,6 +343,13 @@ class TestBoundCurves:
         with pytest.raises(InvalidStateError):
             upper_bound(1.0)
 
+    @pytest.mark.parametrize("curve", [lower_bound, upper_bound])
+    @pytest.mark.parametrize("nu", [math.nan, [0.5, math.nan]])
+    def test_nan_refused(self, curve, nu):
+        """NaN is outside (0, 1): a NaN scalar, or an array that holds one, is refused."""
+        with pytest.raises(InvalidStateError, match="^boundary curves are defined for 0 < nu < 1$"):
+            curve(nu)
+
 
 #: Two parameter sets of each family kind, the second at or near a domain edge.
 FAMILY_PARAMS = {
@@ -597,7 +604,7 @@ class TestSampling:
             assert r.separable == is_separable(cm)
             assert r.nu_tilde == pt_min_symplectic_eigenvalue(cm)
 
-    def test_one_factor_per_record(self, cholesky_calls, standard_nu_calls):
+    def test_one_factor_per_record(self, factor_calls, standard_nu_calls):
         """The kept rows of a chunk share one stacked _standard_nu; no row factors its state
         alone.  Draw decisions call it only on the draws in the band: never at the default
         bounds here, and once per round at the vacuum corner, where every draw is in it."""
@@ -609,7 +616,7 @@ class TestSampling:
         assert standard_nu_calls == [0, 1]
         families._kept_columns(tuple(np.array([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)]).T))
         assert standard_nu_calls == [0, 2]
-        assert cholesky_calls == [0]
+        assert factor_calls == [0]
 
     def test_columns_equal_scalar_gate(self, rng):
         """Every column, bit for bit, as _gate and _closed_form give it row by row: random,

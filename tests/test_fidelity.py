@@ -400,11 +400,11 @@ class TestQfiForm:
 
 
 class TestWorstCase:
-    def test_one_factor_per_call(self, rng, cholesky_calls):
+    def test_one_factor_per_call(self, rng, factor_calls):
         cm = random_physical_cm(rng, conjugate=True)
-        cholesky_calls[0] = 0
+        factor_calls[0] = 0
         worst_case_qfi(cm)
-        assert cholesky_calls[0] == 1
+        assert factor_calls[0] == 1
 
     def test_one_oracle_form_per_call(self, rng, qfi_form_calls):
         # worst_case_qfi reads its value, argmin and tie from one _qfi_form; qfi one per call,

@@ -390,12 +390,12 @@ class TestCrossValidation:
             assert report.passed, (z, report)
             assert report.abs_diff <= 1e-12 * max(1.0, report.closed), (z, report)
 
-    def test_one_factor_per_call(self, rng, cholesky_calls):
+    def test_one_factor_per_call(self, rng, factor_calls):
         # The closed form and the oracle share one physicality gate.
         cm = random_physical_cm(rng, conjugate=True)
-        cholesky_calls[0] = 0
+        factor_calls[0] = 0
         cross_validate(cm)
-        assert cholesky_calls[0] == 1
+        assert factor_calls[0] == 1
 
     def test_one_oracle_form_per_call(self, rng, qfi_form_calls):
         # The oracle's value and the pencil root come from one _qfi_form.

@@ -48,6 +48,7 @@ from oracles import (
     partial_transpose_B,
     random_local_symplectic,
     rotation,
+    squeeze,
     standard_nu_mp,
     swap_modes,
     symplectic_spectrum_from_eigs,
@@ -297,6 +298,34 @@ class TestInvariantKernel:
             want = symplectic._nu_pair(_entries(partial_transpose_B(cm).sigma))[0]
             assert nu_tilde.hex() == want.hex(), cm
 
+    #: _nu_pair's (nu-, nu+, nu~, det L) as hex on general sigma: six random states, each
+    #: locally conjugated; tmsv(300) locally squeezed and rotated; diag(1, 1, 1, 0), whose
+    #: last pivot is 0; and diag(-1, -1, 1, 1), which is not > 0.
+    GENERAL_NU = [
+        ("0x1.220289d8caa33p+1", "0x1.1157453e3bc80p+2", "0x1.8311781aedb9bp+0", "0x1.35a7924e3842ep+3"),
+        ("0x1.ebc8a05acf045p+0", "0x1.2f66f32bdcdf3p+1", "0x1.dff6a3c4ccb12p+0", "0x1.236c1d6f89357p+2"),
+        ("0x1.6b5c87a539e56p+0", "0x1.a813db04d22cdp+0", "0x1.cff07098f4558p-1", "0x1.2cf6b7b35c7a9p+1"),
+        ("0x1.fd6d208a8925cp+0", "0x1.7e641f1787268p+1", "0x1.fd575d0cef0cfp+0", "0x1.7c7809873bb9ep+2"),
+        ("0x1.8df20655fcc09p+0", "0x1.4142a0dda47a1p+2", "0x1.cf9dddeb03a44p+0", "0x1.f3640c6741aaap+2"),
+        ("0x1.383e927c373cep+1", "0x1.b293398a82e84p+1", "0x1.379c24f73793cp+1", "0x1.0906d339c97e5p+3"),
+        ("0x1.ffffffffef74ap-1", "0x1.000000001d3a0p+0", "0x1.b4e86ad815ff0p-10", "0x1.0000000014f45p+0"),
+        ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+        None,
+    ]
+
+    def test_general_sigma_pinned(self):
+        """_nu_pair bit for bit on sigma off the standard form, zero pivots and sigma not > 0."""
+        rng = np.random.default_rng(7)
+        cms = [random_physical_cm(rng, conjugate=True) for _ in range(6)]
+        cms.append(apply_local_symplectic(from_standard_form(tmsv(300.0)), squeeze(3.0) @ rotation(0.4),
+                                          rotation(-1.1) @ squeeze(0.5)))
+        cms += [CovarianceMatrix(np.diag(diagonal)) for diagonal in ([1.0, 1.0, 1.0, 0.0], [-1.0, -1.0, 1.0, 1.0])]
+        got = []
+        for cm in cms:
+            nu = symplectic._nu_pair(_entries(cm.sigma))
+            got.append(None if nu is None else tuple(x.hex() for x in nu))
+        assert got == self.GENERAL_NU
+
     def test_stacked_gate_is_the_scalar_gate(self, rng):
         """_standard_nu on a stack of standard forms, with math.hypot per element, gives each
         state's _nu_pair (nu-, nu~), bit for bit."""
@@ -533,9 +562,9 @@ class TestEntanglement:
             assert validate_bona_fide(cm).separable == is_separable(cm)
         assert not validate_bona_fide(-np.eye(4)).separable
 
-    def test_log_negativity_factors_sigma_once(self, cholesky_calls):
+    def test_log_negativity_factors_sigma_once(self, factor_calls):
         log_negativity(from_standard_form(S231))
-        assert cholesky_calls[0] == 1
+        assert factor_calls[0] == 1
 
 
 class TestPhotonNumber:
