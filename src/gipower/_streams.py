@@ -1,13 +1,14 @@
 """numpy's SeedSequence and PCG64, copied in int and uint32-array arithmetic.
 
-The sampler seeds its per-row streams from these (_pool, _child_streams, _jump), and
-`gipower verify` draws from _Uniforms, which needs no numpy.
+The sampler seeds its per-row streams from these (_pool, _child_streams) and draws
+them through numpy's own PCG64 (_fill), and `gipower verify` draws from _Uniforms,
+which needs no numpy.  This is the one module that knows how numpy represents PCG64.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+import threading
 from itertools import pairwise
 
 from ._lazy import np
@@ -102,13 +103,9 @@ def _child_streams(mixed, first: int, count: int):
     words = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(index, h, h_next))
     b = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
     words = _hashmix(np.concatenate((words, words)), b[:-1], b[1:])  # word i hashes pool word i % 4
-    states, incs = [], []
     # generate_state(4, uint64) pairs words little-endian
-    for s in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
-        state, inc = _srandom(*s)
-        states.append(state)
-        incs.append(inc)
-    return states, incs
+    seeds = [_srandom(*s) for s in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist()]
+    return [state for state, _ in seeds], [inc for _, inc in seeds]
 
 
 class _Uniforms:
@@ -136,13 +133,21 @@ class _Uniforms:
         return out
 
 
-@lru_cache
-def _jump(steps: int) -> tuple[int, int]:
-    """(A, C) with PCG64's state after `steps` steps from s equal to (A s + C inc) mod 2**128,
-    by squaring: (m, k), the map s -> m s + k inc of 2**i steps, joins (A, C) where bit i of steps is 1."""
-    a, c, m, k = 1, 0, _PCG_MULT, 1
-    while steps:
-        if steps & 1:
-            a, c = a * m & _MASK128, (c * m + k) & _MASK128
-        m, k, steps = m * m & _MASK128, k * (m + 1) & _MASK128, steps >> 1
-    return a, c
+_threads = threading.local()  # each thread's Generator over PCG64 and its state dict, for _fill
+
+
+def _fill(states, incs, rows, skip: int, out) -> None:
+    """Fill out[i] with the next uniforms of stream k = rows[i]: PCG64 at (states[k], incs[k]),
+    left as they are, set into this thread's PCG64 by numpy's state setter, moved on by
+    PCG64.advance(skip), one step per uniform the stream gave before, and read by Generator.random."""
+    if not hasattr(_threads, "generator"):
+        _threads.generator = np.random.Generator(np.random.PCG64(0))
+        _threads.state = _threads.generator.bit_generator.state
+    generator, state = _threads.generator, _threads.state
+    bit_generator = generator.bit_generator
+    for row, k in enumerate(rows):
+        state["state"] = {"state": states[k], "inc": incs[k]}
+        bit_generator.state = state
+        if skip:  # advance(0) alone costs ~0.7 us a stream
+            bit_generator.advance(skip)
+        generator.random(out=out[row])

@@ -109,7 +109,10 @@ def cmd_ip(args) -> int:
         e = _standard_entries(*form)  # from_standard_form's, without numpy
     elif args.input is not None and flags == (None,) * 4:
         with open(args.input) as handle:
-            e = _entries(CovarianceMatrix.from_dict(json.load(handle)).sigma)
+            try:
+                e = _entries(CovarianceMatrix.from_dict(json.load(handle)).sigma)
+            except RecursionError:
+                raise InvalidStateError("JSON nested too deeply") from None
         form = None
     else:
         raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")

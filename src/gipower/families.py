@@ -9,12 +9,11 @@ extremal performance per mean photon number at fixed entanglement.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
 from ._lazy import np
-from ._streams import _MASK128, _child_streams, _jump, _pool
+from ._streams import _child_streams, _fill, _pool
 from .exceptions import InvalidStateError
 from .power import _closed_form_columns
 from .symplectic import (
@@ -59,8 +58,6 @@ __all__ = [
 _BLOCK = 32
 #: Sampling streams decided together; a round holds at most _CHUNK * _BLOCK draws, so memory stays flat.
 _CHUNK = 256
-#: Each thread's Generator over PCG64 (.generator), built on first use; _first_accepted sets it to each stream.
-_threads = threading.local()
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,8 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
     their uniforms by scalar arithmetic and decided together by nu_minus (and nu~, if
     entangled_only) as _standard_nu gives them with math.hypot per element: _nu_minus_pt's
     numbers bit for bit, or nan where _nu_minus_pt gives 0 (sigma not > 0), unphysical
-    either way.
+    either way.  A draw with c = 0 is the product state (a, b, 0, 0), physical and
+    separable, and is decided so outside the band, which holds it where a or b is 1.
     """
     a, b, c, d = _draw([u[..., k] for k in range(4)], a_max, b_max)
     ab = a * b
@@ -340,47 +338,44 @@ def _accept(u, a_max: float, b_max: float, entangled_only: bool):
         return (f > band) & (delta > 2 * tau), np.abs(f) <= band
 
     physical, near = sides(squares + cross)
-    physical &= np.minimum(np.minimum(a, p), q) > 0  # sigma > 0
+    product = c == 0  # (a, b, 0, 0), physical and separable since a, b >= 1
+    physical = (physical | product) & (np.minimum(np.minimum(a, p), q) > 0)  # sigma > 0
     accepted = physical
     if entangled_only:
         separable, near_pt = sides(squares - cross)
-        accepted = physical & ~separable
+        accepted = physical & ~(separable | product)
         near |= physical & near_pt
+    near &= ~product
     if near.any():
         at = np.nonzero(near)
         with np.errstate(invalid="ignore", divide="ignore"):
             nu, nu_pt = _standard_nu(*_draw(u[at].T, a_max, b_max, _pow_each), np.sqrt, _hypot_each)
         physical[at] = nu >= 1 - CHECK_TOL
-        if entangled_only:
-            accepted[at] = physical[at] & ~_separable(nu_pt)
+        accepted[at] = physical[at] & ~_separable(nu_pt) if entangled_only else physical[at]
     return physical, accepted
 
 
-def _first_accepted(generator, states, incs, a_max: float, b_max: float,
+def _first_accepted(states, incs, a_max: float, b_max: float,
                     entangled_only: bool) -> tuple[np.ndarray, dict]:
     """(kept, errors): kept[k] holds the uniforms of stream k's first accepted draw, or
     errors[k] says why stream k failed, and kept[k] is then no draw.
 
-    Stream k is PCG64 at (states[k], incs[k]); generator, a Generator over PCG64, is set
-    to it to draw, and states[k] moves on by the draws taken.  The pending streams' blocks
-    are decided together: _BLOCK draws, then twice the last, up to _CHUNK * _BLOCK draws a
+    Stream k is PCG64 at (states[k], incs[k]), left as it is: the streams pending in a
+    round have all taken the same draws, whose uniforms _fill skips.  Their blocks are
+    decided together: _BLOCK draws, then twice the last, up to _CHUNK * _BLOCK draws a
     round and to MAX_DRAWS less the largest count carried in, so only a block's last draw
     can spend a budget: MAX_DRAWS unphysical draws in a row ("no physical state",
     random_state's count), or MAX_DRAWS physical separable draws when entangled_only.
     """
-    bit_generator = generator.bit_generator
-    state = bit_generator.state  # set to each stream in turn
     kept, errors = np.empty((len(states), 4)), {}
-    pending, block = np.arange(len(states)), 0
+    pending, block, drawn = np.arange(len(states)), 0, 0
     run = separable = np.zeros_like(pending)  # unphysical draws since a physical one; separable draws
     while len(pending):
         block = min(2 * block or _BLOCK, max(_BLOCK, _CHUNK * _BLOCK // len(pending)),
                     MAX_DRAWS - int(np.maximum(run, separable).max()))
         u = np.empty((len(pending), block, 4))
-        for row, k in enumerate(pending.tolist()):
-            state["state"] = {"state": states[k], "inc": incs[k]}
-            bit_generator.state = state
-            generator.random(out=u[row])
+        _fill(states, incs, pending.tolist(), 4 * drawn, u)
+        drawn += block
         physical, accepted = _accept(u, a_max, b_max, entangled_only)
         kept[pending] = u[np.arange(len(pending)), accepted.argmax(axis=1)]
         miss = ~accepted.any(axis=1)
@@ -394,9 +389,6 @@ def _first_accepted(generator, states, incs, a_max: float, b_max: float,
             errors[k] = (f"no physical state in {MAX_DRAWS} draws" if unphysical >= MAX_DRAWS
                          else f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max")
         pending, run, separable = pending[~spent], run[~spent], separable[~spent]
-        a, c = _jump(4 * block)
-        for k in pending.tolist():
-            states[k] = (a * states[k] + c * incs[k]) & _MASK128
     return kept, errors
 
 
@@ -436,12 +428,10 @@ def _sample_columns(seed: int, n, a_max, b_max, entangled_only) -> _Columns:
     if entangled_only and min(a_max, b_max) == 1:
         raise InvalidStateError(f"no entangled state in {MAX_DRAWS} draws; raise a_max or b_max")
     mixed = _pool(seed)
-    if not hasattr(_threads, "generator"):
-        _threads.generator = np.random.Generator(np.random.PCG64(0))
     chunks = []
     for start in range(0, n, _CHUNK):
         states, incs = _child_streams(mixed, start, min(_CHUNK, n - start))
-        kept, errors = _first_accepted(_threads.generator, states, incs, a_max, b_max, entangled_only)
+        kept, errors = _first_accepted(states, incs, a_max, b_max, entangled_only)
         failed = min(errors, default=len(kept))
         if failed:
             chunks.append(_kept_columns(_draw(kept[:failed].T, a_max, b_max, _pow_each)))

@@ -723,14 +723,17 @@ SQUEEZED_A = [[385502830.9378021, -251750850.72400752, 0, 0], [-251750850.724007
     (["ip", "--input", "{tmp}/squeezed.json"], 1, "mode block determinant 0.0 is not > 0"),  # SQUEEZED_A
     (["ip", "--input", "{tmp}/zero.json"], 2, "not positive definite"),  # diag(0, 0, 1, 1)
     (["ip", "--input", "{tmp}/negative.json"], 2, "not positive definite"),  # diag(-1, -1, 1, 1)
+    (["ip", "--input", "{tmp}/deep.json"], 2, "JSON nested too deeply"),  # 10^5 nested lists
+    (["ip", "--input", "{tmp}/deep-sigma.json"], 2, "JSON nested too deeply"),  # a sigma 5,000 deep
     (["verify", "--seed", "1", "--n", "5", "--a-max", "1", "--b-max", "1e100"], 1, "closed formula overflows"),
     (["sample", "--seed", "1", "--n", "3", "--which", "fig3", "--a-max", "1", "--b-max", "1",
       "--out", "{tmp}/x.csv"], 2, "no entangled state"),  # product states only
     (["sample", "--seed", "1", "--n", "3", "--which", "fig2", "--out", "{tmp}/dir"], 2, "Is a directory"),
     *((["sample", "--seed", "1", "--n", "1000001", "--which", which, "--out", "{tmp}/x.csv"], 2,
        "sample count must be <= 1000000") for which in ("fig2", "fig3")),
-], ids=["huge-input", "huge-flags", "big-input", "squeezed-input", "zero-input", "negative-input", "verify-huge-b",
-        "fig3-no-entangled", "out-dir", "fig2-n-past-the-cap", "fig3-n-past-the-cap"])
+], ids=["huge-input", "huge-flags", "big-input", "squeezed-input", "zero-input", "negative-input", "deep-input",
+        "deep-sigma-input", "verify-huge-b", "fig3-no-entangled", "out-dir", "fig2-n-past-the-cap",
+        "fig3-n-past-the-cap"])
 def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     """One stderr line, the error's, with its exit code: no warning, no traceback, no temporary file left."""
     (tmp_path / "dir").mkdir()
@@ -740,6 +743,8 @@ def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
                            ("negative.json", [-1.0, -1.0, 1.0, 1.0])):
         (tmp_path / name).write_text(json.dumps({"sigma": np.diag(diagonal).tolist()}))
     (tmp_path / "squeezed.json").write_text(json.dumps({"sigma": SQUEEZED_A}))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "deep-sigma.json").write_text('{"sigma": ' + "[" * 5000 + "]" * 5000 + "}")
     result = subprocess.run([sys.executable, "-m", "gipower", *(x.format(tmp=tmp_path) for x in argv)],
                             capture_output=True, text=True, timeout=60)
     prefix = {1: "error: numerical failure: ", 2: "error: invalid input: "}[code]

@@ -44,7 +44,7 @@ from gipower import (
     upper_boundary_state,
     validate_bona_fide,
 )
-from gipower._streams import _MASK128, _PCG_MULT, _child_streams, _jump, _pool, _Uniforms
+from gipower._streams import _child_streams, _pool, _Uniforms
 from gipower.power import _closed_form
 from gipower.symplectic import (
     GUARD_BAND,
@@ -476,12 +476,13 @@ class TestStandardFormGate:
 #: (a_max, b_max) of the _standard_nu checks, from near-product draws to a far from b.
 NU_BOUNDS = [(1.05, 1.05), (5.0, 5.0), (100.0, 100.0), (1e4, 1e4), (1e6, 3.0)]
 #: (a_max, b_max) of the sampler's decision sweep: the vacuum corner and a hair above it,
-#: NU_BOUNDS, and bounds where GUARD_BAND * a * b is past 1, the last at a*b ~ 1e150.
-SWEEP = [(1.0, 1.0), (1.0, 1 + 1e-7), *NU_BOUNDS, (1e20, 1e20), (1e150, 1.0)]
-#: The bound pairs of SWEEP whose every draw lies in _accept's band: the vacuum corner and
-#: a hair above it, whose draws (1, b, 0, 0) have f = (1 - tau)(b^2 - tau) < 1e-15, and
-#: (1e150, 1), where the band, ~1e137 (a + b)^2, holds every f.  No draw of the others does.
-IN_BAND = [(1.0, 1.0), (1.0, 1 + 1e-7), (1e150, 1.0)]
+#: NU_BOUNDS, and bounds where GUARD_BAND * a * b is past 1, the last two at a*b ~ 1e150.
+SWEEP = [(1.0, 1.0), (1.0, 1 + 1e-7), *NU_BOUNDS, (1e20, 1e20), (1e150, 1.0), (1e150, 2.0)]
+#: The bound pair of SWEEP whose every draw lies in _accept's band: (1e150, 2), where the
+#: band, ~1e137 (a + b)^2, holds every f.  No draw of the others is decided in it: those
+#: with a_max or b_max at 1 are product states (a, b, 0, 0), whose f = (a^2 - tau)(b^2 - tau)
+#: lies in the band where a or b is 1, but which _accept decides by c = 0.
+IN_BAND = [(1e150, 2.0)]
 
 
 def scalar_decisions(forms):
@@ -607,12 +608,14 @@ class TestSampling:
     def test_one_factor_per_record(self, factor_calls, standard_nu_calls):
         """The kept rows of a chunk share one stacked _standard_nu; no row factors its state
         alone.  Draw decisions call it only on the draws in the band: never at the default
-        bounds here, and once per round at the vacuum corner, where every draw is in it."""
+        bounds here, nor at the vacuum corner, whose product states are decided by c = 0,
+        and once per round at (1e150, 2), where every draw is in it."""
         u = np.random.default_rng(4).random((8, 32, 4))
         for entangled_only in (False, True):
             families._accept(u, 5.0, 5.0, entangled_only)
+            families._accept(u, 1.0, 1.0, entangled_only)
         assert standard_nu_calls == [0, 0]
-        families._accept(u, 1.0, 1.0, True)
+        families._accept(u, 1e150, 2.0, True)
         assert standard_nu_calls == [0, 1]
         families._kept_columns(tuple(np.array([(2.0, 3.0, 1.0, -1.0), (1.5, 1.2, 0.3, 0.1)]).T))
         assert standard_nu_calls == [0, 2]
@@ -747,8 +750,8 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("bounds", SWEEP)
     def test_decisions_equal_scalar(self, bounds, monkeypatch, standard_nu_calls):
         """_accept's masks on 10^5 draws, fig2's and fig3's, against _nu_minus_pt per draw,
-        with no RuntimeWarning.  The stacked kernel runs only where draws lie in f's band
-        (IN_BAND), once, with math.hypot per element."""
+        with no RuntimeWarning.  The stacked kernel runs only where draws other than
+        product states lie in f's band (IN_BAND), once, with math.hypot per element."""
         u = np.random.default_rng(5).random((3125, 32, 4))
         forms = [families._draw(row, *bounds) for row in u.reshape(-1, 4).tolist()]
         physical, entangled = scalar_decisions(forms)
@@ -953,13 +956,15 @@ class TestChildStreams:
             with pytest.raises(InvalidStateError, match=f"^sample count must be <= 1000000, got {n}$"):
                 families._sample_columns(1, n, 5.0, 5.0, False)
 
-    @pytest.mark.parametrize("block, budget", [(1, 3), (3, 3), (32, 3), (3, 7)],
-                             ids=["1", "3", "32", "3-7"])
+    @pytest.mark.parametrize("block, budget", [(1, 3), (3, 3), (32, 3), (3, 7), (32, 127)],
+                             ids=["1", "3", "32", "3-7", "32-127"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_draws_equal_numpy_streams(self, monkeypatch, block, budget, seed):
-        """Every uniform of each stream's blocks, bit for bit: no draw is accepted, so each
-        stream reads blocks until MAX_DRAWS = budget _BLOCK unphysical draws, in blocks of
-        _BLOCK and 2 _BLOCK, and 4 _BLOCK more at budget 7."""
+        """Every uniform of each stream's blocks, bit for bit, and the seeds left as they
+        were: no draw is accepted, so each stream reads blocks until MAX_DRAWS = budget
+        _BLOCK unphysical draws, in blocks of _BLOCK and 2 _BLOCK, 4 _BLOCK more at budget
+        7, and at budget 127 (4,064 draws at the default _BLOCK) blocks that double up to
+        the round's cap, each read after advancing the re-seeded stream up to 14,616 steps."""
         rounds = []
 
         def reject_all(u, *args):
@@ -970,36 +975,15 @@ class TestChildStreams:
         monkeypatch.setattr(families, "_BLOCK", block)
         monkeypatch.setattr(families, "MAX_DRAWS", budget * block)
         monkeypatch.setattr(families, "_accept", reject_all)
-        with pytest.raises(InvalidStateError, match=f"no physical state in {budget * block} draws"):
-            families._sample_columns(seed, 5, 5.0, 5.0, False)
+        states, incs = _child_streams(_pool(seed), 0, 5)
+        seeds = (list(states), list(incs))
+        errors = families._first_accepted(states, incs, 5.0, 5.0, False)[1]
+        assert errors == dict.fromkeys(range(5), f"no physical state in {budget * block} draws")
+        assert (states, incs) == seeds
         got = np.concatenate(rounds, axis=1).reshape(5, -1)
         want = [np.random.Generator(np.random.PCG64(child)).random(4 * budget * block)
                 for child in np.random.SeedSequence(seed).spawn(5)]
         assert got.tobytes() == np.array(want).tobytes()
-
-
-class TestJump:
-    """_jump(steps), composed by squaring, against PCG64's step applied steps times and
-    against numpy's PCG64.advance."""
-
-    STEPS = [0, 1, 2, 3, 31, 32, 127, 128, 129, 1000, 32768]
-
-    @pytest.mark.parametrize("steps", STEPS)
-    def test_equals_stepwise(self, steps):
-        a, c = 1, 0
-        for _ in range(steps):
-            a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        assert _jump(steps) == (a, c)
-
-    @pytest.mark.parametrize("steps", STEPS)
-    def test_equals_numpy_advance(self, steps):
-        a, c = _jump(steps)
-        for seed in SEEDS:
-            bit_generator = np.random.PCG64(seed)
-            start = bit_generator.state["state"]
-            bit_generator.advance(steps)
-            assert bit_generator.state["state"] == {
-                "state": (a * start["state"] + c * start["inc"]) & _MASK128, "inc": start["inc"]}, seed
 
 
 #: Seeds of the numpy-free stream: SEEDS, every seed below 60, and two more
