@@ -44,7 +44,7 @@ from gipower import (
     upper_boundary_state,
     validate_bona_fide,
 )
-from gipower._streams import _child_streams, _pool, _Uniforms
+from gipower._streams import _child_streams, _fill, _pool, _Uniforms
 from gipower.power import _closed_form
 from gipower.symplectic import (
     GUARD_BAND,
@@ -984,6 +984,47 @@ class TestChildStreams:
         want = [np.random.Generator(np.random.PCG64(child)).random(4 * budget * block)
                 for child in np.random.SeedSequence(seed).spawn(5)]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestFill:
+    """_fill(states, incs, rows, skip, out) on its own: each row's stream re-seeded and
+    moved on skip steps by PCG64.advance, against the same stream drawn step by step."""
+
+    STEPS = [0, 1, 2, 3, 31, 32, 127, 128, 129, 1000, 32768]
+
+    @pytest.mark.parametrize("skip", STEPS)
+    def test_equals_numpy_stream_stepwise(self, skip):
+        """The uniforms after numpy's child stream gave skip, rows in any order and one row
+        twice, the seeds left as they were, and the same in a thread of its own."""
+        for seed in SEEDS:
+            states, incs = _child_streams(_pool(seed), 0, 3)
+            seeds = (list(states), list(incs))
+            rows = [2, 0, 2]
+            want = [np.random.Generator(np.random.PCG64(child)).random(skip + 8)[skip:]
+                    for child in np.random.SeedSequence(seed).spawn(3)]
+            out = np.empty((len(rows), 8))
+            _fill(states, incs, rows, skip, out)
+            assert out.tobytes() == np.array([want[k] for k in rows]).tobytes(), seed
+            assert (states, incs) == seeds
+            in_thread = np.empty_like(out)
+            thread = threading.Thread(target=_fill, args=(states, incs, rows, skip, in_thread))
+            thread.start()
+            thread.join()
+            assert in_thread.tobytes() == out.tobytes(), seed
+
+    @pytest.mark.parametrize("skip", STEPS)
+    def test_equals_int_stream(self, skip):
+        """The uniforms of PCG64 stepped in int arithmetic (_Uniforms at the child's
+        (state, inc)) after skip doubles, so advance is checked without numpy's stepping."""
+        for seed in SEEDS[::3]:
+            states, incs = _child_streams(_pool(seed), 5, 2)
+            out = np.empty((2, 4))
+            _fill(states, incs, [1, 0], skip, out)
+            for row, k in enumerate((1, 0)):
+                stream = _Uniforms.__new__(_Uniforms)
+                stream.state, stream.inc = states[k], incs[k]
+                stream(skip)
+                assert out[row].tolist() == stream(4), (seed, k)
 
 
 #: Seeds of the numpy-free stream: SEEDS, every seed below 60, and two more
