@@ -4,10 +4,10 @@ figure-data emission (plot-ready CSV; plotting itself is out of scope)."""
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -62,43 +62,38 @@ def _csv(kind: str, rows):
 
 
 def _emit(lines, out: str | None) -> None:
-    """Write lines to stdout, or to out: into a temporary file, made before the first line is
-    pulled, then renamed onto out.  An out that is a directory is refused first."""
+    """Write lines to stdout, or to out.  An existing out that is not a regular file is opened
+    in place, before the first line is pulled: a directory is refused, a FIFO or a device is
+    written.  Otherwise the lines go into a temporary file, made before the first line is
+    pulled, then renamed onto out, or onto the file a symlink out names, so the link stays;
+    an existing file keeps its permission bits."""
     if not out:
         sys.stdout.writelines(lines)
         return
-    if os.path.isdir(out):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+        mode = os.stat(out).st_mode
+    except OSError:  # absent or unreachable: mkstemp names the error
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out, "w") as handle:  # IsADirectoryError on a directory
+            handle.writelines(lines)
+        return
+    target = os.path.realpath(out) if os.path.islink(out) else out
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
                                    prefix=".gipower-", suffix=".tmp")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, out) from exc
     try:
         with os.fdopen(fd, "w") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
             handle.writelines(lines)
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _state_report(e, form=None) -> dict:
-    """The ip report of sigma's entries e and its standard form (a, b, c, d), or the standard
-    frame's without one, from power._ip: the closed form and the spectra read one gate record."""
-    value, branch, gate = _ip(e, form)
-    return {
-        "value": value,
-        "branch": branch,
-        "invariants": {"A": gate.A, "B": gate.B, "C": gate.C, "D": gate.D},
-        "n_bar_A": (e[0] + e[4] - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
-        "log_negativity": _log_negativity(gate.nu_tilde),
-        "nu_minus": gate.nu_minus,
-        "nu_plus": gate.nu_plus,
-        "nu_tilde": gate.nu_tilde,
-        "separable": _separable(gate.nu_tilde),
-    }
 
 
 def cmd_ip(args) -> int:
@@ -116,7 +111,18 @@ def cmd_ip(args) -> int:
         form = None
     else:
         raise InvalidStateError("provide either --input FILE or all of --a --b --c --d")
-    report = _state_report(e, form)
+    result, (nu_minus, nu_plus, nu_tilde) = _ip(e, form)
+    report = {
+        "value": result.value,
+        "branch": result.branch,
+        "invariants": vars(result.invariants),
+        "n_bar_A": (e[0] + e[4] - 2) / 4,  # mean_photon_A's (tr alpha - 2)/4
+        "log_negativity": _log_negativity(nu_tilde),
+        "nu_minus": nu_minus,
+        "nu_plus": nu_plus,
+        "nu_tilde": nu_tilde,
+        "separable": _separable(nu_tilde),
+    }
     _emit([json.dumps(report, indent=2) + "\n"], args.out)
     return EXIT_OK
 

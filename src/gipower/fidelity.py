@@ -232,21 +232,16 @@ def _qfi_form(standard) -> tuple:
 
 
 def _qfi_at(form, zeta, theta):
-    """h0^T Q h0 at (zeta, theta), by _form_at; zeta and theta broadcast as arrays.
+    """h0^T Q h0 at (zeta, theta), h0 = T h, form = (_qfi_form's entries, T of _generator_map).
 
-    h = (p, q sin 2theta, q cos 2theta) holds the coefficients of m^-1 G m
-    on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2.
+    h = (p, u, v) = (p, q sin 2theta, q cos 2theta) holds the coefficients of m^-1 G m
+    on (G, Z, X), with p = (zeta^2 + zeta^-2)/2 and q = (zeta^2 - zeta^-2)/2: at
+    (1.0, 0.0) exactly h = (1.0, 0.0, 0.0).  Plain arithmetic, so zeta and theta
+    broadcast as arrays.
     """
     z2 = zeta * zeta
     p, q = (z2 + 1 / z2) / 2, (z2 - 1 / z2) / 2
-    return _form_at(form, p, q * np.sin(2 * theta), q * np.cos(2 * theta))
-
-
-def _form_at(form, p, u, v):
-    """h0^T Q h0 with h0 = T (p, u, v), form = (_qfi_form's entries, T of _generator_map).
-
-    Plain arithmetic, so it works on floats and on stacked arrays alike.
-    """
+    u, v = q * np.sin(2 * theta), q * np.cos(2 * theta)
     q_gg, q_gx, q_xx, q_zz = form[0][:4]
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = form[1]
     h0, h1, h2 = t00 * p + t01 * u + t02 * v, t10 * p + t11 * u + t12 * v, t20 * p + t21 * u + t22 * v
@@ -300,8 +295,10 @@ def worst_case_qfi(cm) -> WorstCaseResult:
     standard, frame = _standard_frame(_require_physical(cm))
     form = _qfi_form(standard), _generator_map(frame)
     (_, q_gx, _, _, value, p0, norm), t = form
-    # The QFI at zeta = 1, h = (1, 0, 0): where it overflows it is nan or inf and ties nothing.
-    if _form_at(form, 1.0, 0.0, 0.0) <= value + TIE_REL * max(1.0, value):
+    # The QFI at zeta = 1, h = (1, 0, 0): where T overflows it is nan or inf and ties nothing.
+    with np.errstate(over="ignore", invalid="ignore"):  # _qfi_at's u and v are numpy floats
+        tie = _qfi_at(form, 1.0, 0.0) <= value + TIE_REL * max(1.0, value)
+    if tie:
         zeta, theta = 1.0, 0.0
     else:
         if not norm > 0:

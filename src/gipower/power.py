@@ -23,7 +23,7 @@ from .symplectic import (
     LocalInvariants,
     StandardForm,
     _entries,
-    _gate,
+    _invariants,
     _physical_nu,
     _sigma_of,
     _standard_entries,
@@ -47,8 +47,8 @@ class IpResult:
     """Interferometric power with the evaluation branch and input invariants.
 
     branch is "general" or "pure" (w = D - 1 < PURE_TOL, w formed from the
-    standard form (a, b, c, d): the exact limit).  invariants.D is the
-    gate's (det L)**2, reported only.  cross_validate and the sampler build none.
+    standard form (a, b, c, d): the exact limit).  invariants.D is the physicality
+    check's (det L)**2, reported only.  _ip builds each; cross_validate and the sampler none.
     """
 
     value: float
@@ -86,12 +86,11 @@ def gip_closed_form(cm) -> IpResult:
     Z / (2(sqrt(X^2 + YZ) - X)) when X < 0 so that neither form cancels,
     with X, Y and Z formed from sigma's standard form (_closed_form).
     Pure states (w < PURE_TOL, w = D - 1 formed from the standard form as
-    Y's factor) use the exact limit (a^2 - 1)/4; the gate's invariants are
-    reported only.  Raises NumericalError where X, Y, Z or the value is not
-    finite (X overflows from sigma entries of ~1e39 on).
+    Y's factor) use the exact limit (a^2 - 1)/4; the invariants (A, B, C, D) of
+    sigma are reported only.  Raises NumericalError where X, Y, Z or the value
+    is not finite (X overflows from sigma entries of ~1e39 on).
     """
-    value, branch, gate = _ip(_entries(_sigma_of(cm)))
-    return IpResult(value, branch, LocalInvariants(*gate[:4]))
+    return _ip(_entries(_sigma_of(cm)))[0]
 
 
 def _standard_xyz(a, b, c, d):
@@ -143,11 +142,12 @@ def _closed_form(form) -> tuple[float, str]:
 
 
 def _ip(e, form=None):
-    """(value, branch, gate) of sigma's entries e: its _gate record, then _closed_form on the
-    standard form (a, b, c, d) given, or, without one, on the standard frame's, built only
-    once the gate has passed.  Every ip result of one state is assembled here."""
-    gate = _gate(e)
-    return (*_closed_form(form or _standard_frame(e)[0]), gate)
+    """(IpResult, (nu_minus, nu_plus, nu_tilde)) of sigma's entries e, once they pass _physical_nu: _closed_form
+    on the standard form (a, b, c, d) given, or else on the standard frame's, and _invariants from the
+    check's det L.  Every IpResult is built here, once per state."""
+    nu_minus, nu_plus, nu_tilde, det_root = _physical_nu(e)
+    value, branch = _closed_form(form or _standard_frame(e)[0])
+    return IpResult(value, branch, _invariants(e, det_root)), (nu_minus, nu_plus, nu_tilde)
 
 
 def _closed_form_columns(form):
@@ -208,8 +208,7 @@ def gip_from_standard_form(sf: StandardForm) -> IpResult:
     if not isinstance(sf, StandardForm):
         sf = StandardForm(*sf)
     form = (sf.a, sf.b, sf.c, sf.d)
-    value, branch, gate = _ip(_standard_entries(*form), form)
-    return IpResult(value, branch, LocalInvariants(*gate[:4]))
+    return _ip(_standard_entries(*form), form)[0]
 
 
 def cross_validate(cm, tol: float = ORACLE_TOL) -> CrossValidation:
@@ -228,11 +227,11 @@ def _cross_check(e, tol: float) -> CrossValidation:
     Plain math, no numpy, in one frame: sigma passes the physicality check
     (symplectic._physical_nu) once and goes to its standard form
     (symplectic._standard_frame) once, and both sides compute values alone,
-    with no gate record and no mode-A frame.  The oracle reads (a, b, c, d)
+    with no invariants and no mode-A frame.  The oracle reads (a, b, c, d)
     alone: worst_case_qfi's value, the sheet minimum one fidelity._qfi_form
     call returns beside Q, with no map T and no argmin.  It runs first, so a
     QFI form that overflows raises its own NumericalError.  The closed form
-    reads (a, b, c, d) and builds no IpResult.
+    (_closed_form, not _ip) reads (a, b, c, d) and builds no IpResult.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidStateError(f"tolerance must be finite and >= 0, got {tol}")

@@ -9,7 +9,6 @@ nu_minus >= 1.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -100,7 +99,10 @@ class CovarianceMatrix:
     __slots__ = ("sigma",)
 
     def __init__(self, sigma):
-        arr = np.array(sigma, dtype=float)
+        try:
+            arr = np.array(sigma, dtype=float)
+        except TypeError as exc:  # e.g. a JSON object among the entries
+            raise InvalidStateError(f"sigma entries must be numbers: {exc}") from None
         if arr.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {arr.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -197,11 +199,6 @@ class BonaFideReport:
     separable: bool  # the partial transpose passes the same check
 
 
-#: What the gate reads off one physical sigma, by name, as floats: A, B, C from _blocks,
-#: D = (det L)**2 (inf where it overflows), nu_tilde the partial transpose's nu_minus.
-_Gate = namedtuple("_Gate", "A B C D nu_minus nu_plus nu_tilde")
-
-
 def _separable(nu_tilde):
     """The PPT criterion: nu_tilde >= 1 - CHECK_TOL, on a float or elementwise on an array."""
     return nu_tilde >= 1 - CHECK_TOL
@@ -219,7 +216,7 @@ def _sigma_of(cm) -> np.ndarray:
 
 
 def _entries(sigma):
-    """The upper triangle (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33) of one 4x4 sigma, as floats: the gate's input."""
+    """The upper triangle (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33) of one 4x4 sigma, as floats."""
     (s00, s01, s02, s03), (_, s11, s12, s13), (_, _, s22, s23), (_, _, _, s33) = sigma.tolist()
     return s00, s01, s02, s03, s11, s12, s13, s22, s23, s33
 
@@ -234,10 +231,12 @@ def _standard_entries(a, b, c, d):
     return a, 0.0, c, 0.0, a, 0.0, d, b, 0.0, b
 
 
-def _blocks(e):
-    """Block determinants (A, B, C) by plain arithmetic on sigma's entries e (_entries)."""
+def _invariants(e, det_root) -> LocalInvariants:
+    """(A, B, C, D) of sigma's entries e (_entries), with D = (det L)**2 (inf where it overflows) from
+    _nu_pair's det_root: every LocalInvariants is built here, so no caller squares det L itself."""
     s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = e
-    return s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12
+    return LocalInvariants(s00 * s11 - s01 * s01, s22 * s33 - s23 * s23, s02 * s13 - s03 * s12,
+                           det_root * det_root)
 
 
 def _nu_pair(e):
@@ -323,8 +322,8 @@ def _physical_nu(e):
     bounds it, and a product state with one large mode, diag(1e10, 1e10, 1, 1e-10),
     is still refused.  The bound is formed only for the states the first refuses.
 
-    The one physicality check of one state: _gate builds its record on it, and
-    _require_physical, power._cross_check and fidelity(), which read no record, call it directly.
+    The one physicality check of one state: power._ip, _require_physical,
+    power._cross_check, log_negativity and fidelity() call it.
     """
     nu = _nu_pair(e)
     if nu is None:
@@ -332,18 +331,6 @@ def _physical_nu(e):
     if nu[0] < 1 - GATE_TOL and nu[0] < 1 - 2 * math.ulp(1.0) * min(e[0] * e[4], e[7] * e[9]):
         raise InvalidStateError(f"state is unphysical: nu_minus = {nu[0]} < 1")
     return nu
-
-
-def _gate(e):
-    """The _Gate of sigma's entries e (floats), if nu_minus >= 1 - GATE_TOL (_physical_nu).
-
-    One Cholesky factor (_nu_pair) gives the spectra and D = (det L)**2,
-    so no caller factors sigma again or squares det L itself.  Every record
-    of one state is built here, from a matrix's _entries or from a standard
-    form's _standard_entries.
-    """
-    nu_minus, nu_plus, nu_tilde, det_root = _physical_nu(e)
-    return _Gate(*_blocks(e), det_root * det_root, nu_minus, nu_plus, nu_tilde)
 
 
 def _standard_nu(a, b, c, d, sqrt, hypot):
@@ -386,12 +373,11 @@ def _require_physical(cm):
 def local_invariants(cm) -> LocalInvariants:
     """Local symplectic invariants (A, B, C, D) of a covariance matrix.
 
-    D is the gate's (det L)**2, bit for bit the D of gip_closed_form.
-    Raises InvalidStateError unless sigma is positive definite.
+    D is (det L)**2 from one Cholesky factor (_invariants), bit for bit the D of
+    gip_closed_form.  Raises InvalidStateError unless sigma is positive definite.
     """
     e = _entries(_sigma_of(cm))
-    det_root = _definite_nu(e)[3]
-    return LocalInvariants(*_blocks(e), det_root * det_root)
+    return _invariants(e, _definite_nu(e)[3])
 
 
 def _unsqueeze(b00, b01, b11):

@@ -3,9 +3,12 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
@@ -143,7 +146,7 @@ class TestIp:
         assert report["branch"] == "pure"
 
     def test_one_factor_per_quantity(self, capsys, tmp_path, factor_calls):
-        # The report reads every quantity off the closed form's gate record.
+        # The report reads every quantity off one physicality check's factor.
         code, _ = run_cli(capsys, "ip", "--a", "2", "--b", "3", "--c", "1", "--d", "-1")
         assert code == 0
         assert factor_calls[0] == 1
@@ -616,6 +619,35 @@ class TestEmit:
         assert err == f"error: invalid input: [Errno 21] Is a directory: {str(out)!r}\n"
         assert list(tmp_path.rglob("*")) == [out]
 
+    @pytest.mark.parametrize("linked", [False, True], ids=["regular", "symlink"])
+    def test_existing_file_keeps_its_mode_and_link(self, tmp_path, linked):
+        """An existing regular out keeps its permission bits; a symlink out (relative here)
+        stays a link, and the file it names gets the CSV."""
+        target = tmp_path / "target.csv"
+        target.write_text("old bytes\n")
+        target.chmod(0o644)
+        out = tmp_path / "link.csv" if linked else target
+        if linked:
+            out.symlink_to("target.csv")
+        assert main(["bounds", "--grid", "3", "--out", str(out)]) == 0
+        assert target.read_text() == "".join(cli._csv("bounds", cli._bounds_rows(3)))
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted({out.name, "target.csv"})
+        if linked:
+            assert out.is_symlink() and os.readlink(out) == "target.csv"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        """A FIFO as out stays a FIFO, and its reader receives the CSV."""
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["bounds", "--grid", "3", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert received == ["".join(cli._csv("bounds", cli._bounds_rows(3)))]
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
 
 # Flag values for the fuzz test: numbers, extremes and junk.
 TOKENS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "3", "5", "0.5", "1e300", "-1e300",
@@ -725,6 +757,8 @@ SQUEEZED_A = [[385502830.9378021, -251750850.72400752, 0, 0], [-251750850.724007
     (["ip", "--input", "{tmp}/negative.json"], 2, "not positive definite"),  # diag(-1, -1, 1, 1)
     (["ip", "--input", "{tmp}/deep.json"], 2, "JSON nested too deeply"),  # 10^5 nested lists
     (["ip", "--input", "{tmp}/deep-sigma.json"], 2, "JSON nested too deeply"),  # a sigma 5,000 deep
+    (["ip", "--input", "{tmp}/object-sigma.json"], 2, "sigma entries must be numbers"),  # {"x": 1}
+    (["ip", "--input", "{tmp}/object-entry.json"], 2, "sigma entries must be numbers"),  # a {} entry
     (["verify", "--seed", "1", "--n", "5", "--a-max", "1", "--b-max", "1e100"], 1, "closed formula overflows"),
     (["sample", "--seed", "1", "--n", "3", "--which", "fig3", "--a-max", "1", "--b-max", "1",
       "--out", "{tmp}/x.csv"], 2, "no entangled state"),  # product states only
@@ -732,7 +766,7 @@ SQUEEZED_A = [[385502830.9378021, -251750850.72400752, 0, 0], [-251750850.724007
     *((["sample", "--seed", "1", "--n", "1000001", "--which", which, "--out", "{tmp}/x.csv"], 2,
        "sample count must be <= 1000000") for which in ("fig2", "fig3")),
 ], ids=["huge-input", "huge-flags", "big-input", "squeezed-input", "zero-input", "negative-input", "deep-input",
-        "deep-sigma-input", "verify-huge-b", "fig3-no-entangled", "out-dir", "fig2-n-past-the-cap",
+        "deep-sigma-input", "object-sigma", "object-entry", "verify-huge-b", "fig3-no-entangled", "out-dir", "fig2-n-past-the-cap",
         "fig3-n-past-the-cap"])
 def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     """One stderr line, the error's, with its exit code: no warning, no traceback, no temporary file left."""
@@ -745,6 +779,8 @@ def test_edge_inputs_print_one_error_line(tmp_path, argv, code, reason):
     (tmp_path / "squeezed.json").write_text(json.dumps({"sigma": SQUEEZED_A}))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "deep-sigma.json").write_text('{"sigma": ' + "[" * 5000 + "]" * 5000 + "}")
+    (tmp_path / "object-sigma.json").write_text(json.dumps({"sigma": {"x": 1}}))
+    (tmp_path / "object-entry.json").write_text(json.dumps({"sigma": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, {}]]}))
     result = subprocess.run([sys.executable, "-m", "gipower", *(x.format(tmp=tmp_path) for x in argv)],
                             capture_output=True, text=True, timeout=60)
     prefix = {1: "error: numerical failure: ", 2: "error: invalid input: "}[code]

@@ -49,10 +49,11 @@ from gipower.power import _closed_form
 from gipower.symplectic import (
     GUARD_BAND,
     _entries,
-    _gate,
     _hypot_each,
+    _invariants,
     _log_negativity,
     _nu_pair,
+    _physical_nu,
     _separable,
     _standard_entries,
     _standard_nu,
@@ -425,21 +426,24 @@ def test_all_constructors_pass_validation():
         assert report.physical, sf
 
 
-def gate_bits(make):
-    """The seven _Gate fields make() returns, as hex, or the message of the InvalidStateError it raises."""
+def gate_bits(e):
+    """(A, B, C, D, nu_minus, nu_plus, nu_tilde) of sigma's entries e as hex, from _physical_nu and
+    _invariants, or the message of the InvalidStateError the physicality check raises."""
     try:
-        return tuple(float(v).hex() for v in make())
+        nu_minus, nu_plus, nu_tilde, det_root = _physical_nu(e)
     except InvalidStateError as exc:
         return str(exc)
+    inv = _invariants(e, det_root)
+    return tuple(float(v).hex() for v in (inv.A, inv.B, inv.C, inv.D, nu_minus, nu_plus, nu_tilde))
 
 
 class TestStandardFormGate:
-    """The gate built from (a, b, c, d) against the gate of from_standard_form's matrix, bit for bit."""
+    """The check and invariants of (a, b, c, d) against those of from_standard_form's matrix, bit for bit."""
 
     @staticmethod
     def assert_same_gate(a, b, c, d):
-        got = gate_bits(lambda: _gate(_standard_entries(a, b, c, d)))
-        want = gate_bits(lambda: _gate(_entries(from_standard_form(StandardForm(a, b, c, d)).sigma)))
+        got = gate_bits(_standard_entries(a, b, c, d))
+        want = gate_bits(_entries(from_standard_form(StandardForm(a, b, c, d)).sigma))
         assert got == want, (a, b, c, d)
 
     def test_entries_are_the_matrix_entries(self):
@@ -622,7 +626,7 @@ class TestSampling:
         assert factor_calls == [0]
 
     def test_columns_equal_scalar_gate(self, rng):
-        """Every column, bit for bit, as _gate and _closed_form give it row by row: random,
+        """Every column, bit for bit, as _physical_nu and _closed_form give it row by row: random,
         product, pure (tmsv, the pure branch) and near-pure rows."""
         forms = [random_state(rng, 50.0, 50.0) for _ in range(200)]
         forms += [StandardForm(3.0, 2.0, 0.0, 0.0), tmsv(2.0), tmsv(300.0), lower_branch2_state(0.3),
@@ -630,9 +634,9 @@ class TestSampling:
         draws = [(sf.a, sf.b, sf.c, sf.d) for sf in forms]
         columns = families._kept_columns(tuple(np.array(draws).T))
         for i, draw in enumerate(draws):
-            gate = _gate(_standard_entries(*draw))
-            want = (*draw, (draw[0] + draw[0] - 2) / 4, _log_negativity(gate.nu_tilde),
-                    _closed_form(draw)[0], _separable(gate.nu_tilde), gate.nu_tilde)
+            nu_tilde = _physical_nu(_standard_entries(*draw))[2]
+            want = (*draw, (draw[0] + draw[0] - 2) / 4, _log_negativity(nu_tilde),
+                    _closed_form(draw)[0], _separable(nu_tilde), nu_tilde)
             got = tuple(column[i].item() for column in columns)
             assert bits_of(got) == bits_of(want), i
         assert _closed_form(draws[-5])[1] == "pure"

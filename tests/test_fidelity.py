@@ -464,6 +464,16 @@ class TestWorstCase:
             assert 0.0 <= result.theta_opt < np.pi / 2
             assert abs(qfi(cm, result.zeta_opt, result.theta_opt) - result.value) <= 1e-6 * max(1.0, result.value)
 
+    def test_tie_check_past_the_float_range_of_T(self):
+        # Squeezed by 2^300 on mode A, T overflows, so the QFI at zeta = 1 is inf or nan
+        # and ties nothing: the value is the unsqueezed state's, with no RuntimeWarning.
+        sf = StandardForm(2.0, 3.0, 1.0, -0.5)
+        want = worst_case_qfi(from_standard_form(sf))
+        for k in (200, 300):
+            result = worst_case_qfi(apply_local_symplectic(from_standard_form(sf), squeeze(2.0**k), np.eye(2)))
+            assert result.value == want.value and result.theta_opt == 0.0
+            assert math.log2(result.zeta_opt) == pytest.approx(math.log2(want.zeta_opt) - k, abs=1e-9)
+
     def test_overflow_raises(self):
         # Entries of 1e200 overflow the QFI form: a NumericalError, never nan or inf.
         cm = np.diag([1e200, 1e200, 2e200, 2e200])

@@ -37,9 +37,10 @@ from gipower import (
     validate_bona_fide,
     worst_case_qfi,
 )
+import gipower.power as power
 import gipower.symplectic as symplectic
 from gipower.cli import main
-from gipower.symplectic import OMEGA, _entries, _log_negativity
+from gipower.symplectic import OMEGA, _entries, _log_negativity, _physical_nu
 
 from conftest import random_physical_cm
 from oracles import (
@@ -400,11 +401,11 @@ class TestStandardFormReduction:
 
 
 class TestGateRecords:
-    """Only the callers that read the gate's record build one."""
+    """Only the callers that report an ip result build an IpResult, once per state."""
 
     S_A, S_B = np.array([[2.0, 0.5], [0.0, 0.5]]), np.array([[1.0, 0.0], [0.7, 1.0]])
     #: to_standard_form's (a, b, c, d), qfi(cm, 1.3, 0.4) and worst_case_qfi's (value, zeta, theta)
-    #: of each state of the test, as the gate record built for each call gave them.
+    #: of each state of the test, as they were when each call built a record of the state.
     PINNED = {
         S231: ["0x1.ffffffffffffep+0", "0x1.8000000000001p+1", "0x1.0000000000000p+0",
                "-0x1.ffffffffffffdp-1", "0x1.1a704b70b91c0p+5", "0x1.5555555555552p-2",
@@ -419,19 +420,17 @@ class TestGateRecords:
     }
 
     def test_checks_alone_build_no_record(self, monkeypatch, tmp_path, capsys):
-        """to_standard_form, qfi and worst_case_qfi check physicality and build no _Gate, with
-        the values they had when each built one; gip_closed_form, gip_from_standard_form and
+        """to_standard_form, qfi and worst_case_qfi check physicality and build no IpResult, with
+        the values they had when each built a record; gip_closed_form, gip_from_standard_form and
         each ip report (from flags and from --input) build one, log_negativity and fidelity none."""
         built = [0]
 
-        class CountedGate(symplectic._Gate):
-            __slots__ = ()
-
-            def __new__(cls, *fields):
+        class CountedResult(power.IpResult):
+            def __init__(self, *fields):
                 built[0] += 1
-                return super().__new__(cls, *fields)
+                super().__init__(*fields)
 
-        monkeypatch.setattr(symplectic, "_Gate", CountedGate)
+        monkeypatch.setattr(power, "IpResult", CountedResult)
         for sf, want in self.PINNED.items():
             cm = apply_local_symplectic(from_standard_form(sf), self.S_A @ rotation(0.3), self.S_B)
             got = to_standard_form(cm)
@@ -454,8 +453,7 @@ class TestGateRecords:
                 assert main(argv) == 0
                 assert built == [count], argv
             capsys.readouterr()
-            gate = symplectic._gate(_entries(cm.sigma))
-            assert value.hex() == _log_negativity(gate.nu_tilde).hex(), sf
+            assert value.hex() == _log_negativity(_physical_nu(_entries(cm.sigma))[2]).hex(), sf
             built[0] = 0
         with pytest.raises(InvalidStateError, match="state is unphysical"):
             to_standard_form(np.diag([0.5, 0.5, 1.0, 1.0]))
